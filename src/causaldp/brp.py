@@ -36,8 +36,7 @@ def _sink_names(model: Sem, sink: Sink) -> tuple[str, ...]:
 
 def _effect(psem: ProbabilisticSem, sink: tuple[str, ...], y: tuple,
             source: str, x: Value) -> Fraction:
-    joint = psem.do({source: x}).lift()
-    return joint.prob(dict(zip(sink, y)))
+    return psem.do({source: x}).lift(sink).prob(dict(zip(sink, y)))
 
 
 def relative_probability(
@@ -80,9 +79,7 @@ def max_relative_probability(
         raise InvalidEffectQuery(f"source {source!r} is part of the sink")
     dom = psem.sem.domain_of(source)
     tracker = SupTracker()
-    effects = {
-        x: psem.do({source: x}).lift().marginal(names) for x in dom
-    }
+    effects = {x: psem.do({source: x}).lift(names) for x in dom}
     for y in product(*(psem.sem.domain_of(n) for n in names)):
         for x_num in dom:
             for x_den in dom:

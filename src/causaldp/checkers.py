@@ -90,7 +90,7 @@ def induced_data_population(
     """The joint over the data points that a model with attribute equations
     induces.  Conditional definitions only see the data through this joint."""
     psem = as_sem(kernel, tuple(attribute_equations), population)
-    return psem.lift().marginal(data_point_names(kernel))
+    return psem.lift(data_point_names(kernel))
 
 
 # --- classic -----------------------------------------------------------------

@@ -89,20 +89,25 @@ class Dist:
         except ValueError:
             raise UnknownVariable(f"{name!r} not among {self.variables}") from None
 
-    def _matches(self, point: tuple, event: Event) -> bool:
+    def _matcher(self, event: Event) -> Callable[[tuple], bool]:
+        """A test on assignment tuples; a mapping's names resolve once."""
         if callable(event):
-            return bool(event(dict(zip(self.variables, point))))
-        return all(point[self._index(name)] == want for name, want in event.items())
+            names = self.variables
+            return lambda point: bool(event(dict(zip(names, point))))
+        wanted = tuple((self._index(name), want) for name, want in event.items())
+        return lambda point: all(point[i] == want for i, want in wanted)
 
     def prob(self, event: Event) -> Fraction:
+        matches = self._matcher(event)
         return sum(
-            (w for point, w in self.weights.items() if self._matches(point, event)),
+            (w for point, w in self.weights.items() if matches(point)),
             Fraction(0),
         )
 
     def condition(self, event: Event) -> Dist:
         """Renormalize onto an event; exact; raises on probability zero."""
-        kept = {p: w for p, w in self.weights.items() if self._matches(p, event)}
+        matches = self._matcher(event)
+        kept = {p: w for p, w in self.weights.items() if matches(p)}
         total = sum(kept.values(), Fraction(0))
         if total == 0:
             raise ZeroProbabilityEvent(f"event {event!r} has probability zero")

@@ -16,6 +16,7 @@ the R side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -124,6 +125,14 @@ class MechanismKernel:
 
     def row_prob(self, db: tuple, o: Value) -> Fraction:
         return self.row(db).get(o, Fraction(0))
+
+    @cached_property
+    def _canonical_sem(self) -> Sem:
+        """The canonical release model without attribute equations, built and
+        validated once: it does not depend on the population."""
+        sem = _build_canonical_sem(self)
+        sem.validate()
+        return sem
 
 
 # --- concrete mechanisms ----------------------------------------------------
@@ -313,12 +322,11 @@ def as_sem(
     `attribute_equations` may only relate R variables to R variables; the
     data points keep their identity equations D_i := R_i, so no data point
     ever influences another.  `exogenous_dist` must cover exactly the R
-    variables left without an equation, in index order.
+    variables left without an equation, in index order.  The population-free
+    part of the model is built once per kernel and shared by every call.
     """
-    n = kernel.n
     attr = tuple(attribute_equations)
-    r_names = [r_name(i) for i in range(1, n + 1)]
-    d_names = [d_name(i) for i in range(1, n + 1)]
+    r_names = [r_name(i) for i in range(1, kernel.n + 1)]
     allowed = set(r_names)
     for eq in attr:
         if eq.target not in allowed:
@@ -335,25 +343,11 @@ def as_sem(
     if len(set(targets)) != len(targets):
         raise DomainMismatch(f"duplicate attribute equations for {targets}")
 
-    names = tuple(r_names + d_names + [DB_VAR, OUTPUT_VAR])
-    db_domain = tuple(product(kernel.data_domain, repeat=n))
-    domains: dict[str, tuple[Value, ...]] = {}
-    for v in r_names + d_names:
-        domains[v] = kernel.data_domain
-    domains[DB_VAR] = db_domain
-    domains[OUTPUT_VAR] = kernel.output_domain
-
-    equations: dict[str, StochasticEquation] = {eq.target: eq for eq in attr}
-    for i in range(1, n + 1):
-        equations[d_name(i)] = copy_equation(d_name(i), r_name(i), kernel.data_domain)
-    equations[DB_VAR] = deterministic_equation(
-        DB_VAR, d_names, [kernel.data_domain] * n, lambda *vals: tuple(vals)
-    )
-    equations[OUTPUT_VAR] = StochasticEquation(
-        OUTPUT_VAR, (DB_VAR,), {(db,): dict(kernel.table[db]) for db in db_domain}
-    )
-
-    sem = Sem(names, domains, equations)
+    sem = kernel._canonical_sem
+    if attr:
+        equations = {eq.target: eq for eq in attr}
+        equations.update(sem.equations)
+        sem = Sem(sem.names, sem.domains, equations)
     if exogenous_dist is None:
         exo = sem.exogenous
         exogenous_dist = Dist.uniform(exo, product(kernel.data_domain, repeat=len(exo)))
@@ -362,14 +356,39 @@ def as_sem(
     return psem
 
 
+def _build_canonical_sem(kernel: MechanismKernel) -> Sem:
+    n = kernel.n
+    r_names = [r_name(i) for i in range(1, n + 1)]
+    d_names = [d_name(i) for i in range(1, n + 1)]
+    names = tuple(r_names + d_names + [DB_VAR, OUTPUT_VAR])
+    db_domain = tuple(product(kernel.data_domain, repeat=n))
+    domains: dict[str, tuple[Value, ...]] = {}
+    for v in r_names + d_names:
+        domains[v] = kernel.data_domain
+    domains[DB_VAR] = db_domain
+    domains[OUTPUT_VAR] = kernel.output_domain
+
+    equations: dict[str, StochasticEquation] = {}
+    for i in range(1, n + 1):
+        equations[d_name(i)] = copy_equation(d_name(i), r_name(i), kernel.data_domain)
+    equations[DB_VAR] = deterministic_equation(
+        DB_VAR, d_names, [kernel.data_domain] * n, lambda *vals: tuple(vals)
+    )
+    equations[OUTPUT_VAR] = StochasticEquation(
+        OUTPUT_VAR, (DB_VAR,), {(db,): dict(kernel.table[db]) for db in db_domain}
+    )
+    return Sem(names, domains, equations)
+
+
 class CanonicalEngine:
     """Interventional output distributions for a canonical model.
 
     Uses the closed forms (a full-database intervention reads the kernel row
     directly; a single-point intervention mixes kernel rows by the joint
     marginal of the *other* data points, which interventions do not disturb);
-    with `cross_check` every answer is also recomputed by brute-force
-    enumeration of the intervened model and must match exactly.
+    with `cross_check` every answer is also recomputed by the `sem` oracle,
+    which enumerates the output's ancestors in the intervened model and never
+    calls a closed form, and must match exactly.
 
     Externally pure: caches only memoize exact results.
     """
@@ -400,7 +419,7 @@ class CanonicalEngine:
         model = self.psem
         for name, value in interventions:
             model = model.intervene(name, value)
-        out = model.lift().marginal((OUTPUT_VAR,))
+        out = model.lift((OUTPUT_VAR,))
         return {point[0]: w for point, w in out.weights.items()}
 
     def _verify(self, fast: dict[Value, Fraction], interventions) -> None:

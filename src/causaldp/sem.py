@@ -10,14 +10,21 @@ exist only through shared ancestors in the graph.
 The semantics of a model under a fixed exogenous assignment is the joint
 distribution over the endogenous variables obtained bottom-up along a
 topological order.  A model paired with a distribution over its exogenous
-variables lifts to a full joint by mixing these semantics, and interventions
+variables lifts to a joint by mixing these semantics, and interventions
 replace an equation with a constant, yielding a sub-model that is defined
 even for assignments the current input distribution gives probability zero.
+
+This module is the independent enumeration oracle the closed forms elsewhere
+are checked against: it knows nothing of mechanisms or checkers and never
+calls a closed form.  A query enumerates only the queried variables and
+their ancestors in the current, possibly intervened, graph; every other
+variable is barren for the query and summing it out contributes exactly one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -160,10 +167,20 @@ class Sem:
 
         The returned order lists all exogenous variables first (declared
         order), then endogenous variables, breaking ties by declared order.
+        A model that passes is frozen, so the order is memoized on it; a
+        model that fails is not, and raises again on every call.
 
         Raises:
           UnknownVariable, DomainMismatch, MissingEquation, CyclicModel.
         """
+        return self._order
+
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
+        self._check_equations()
+        return self._topological_order()
+
+    def _check_equations(self) -> None:
         if len(set(self.names)) != len(self.names):
             raise DomainMismatch(f"duplicate variable names in {self.names}")
         for name in self.names:
@@ -204,6 +221,7 @@ class Sem:
                             f"{value!r} outside domain"
                         )
 
+    def _topological_order(self) -> tuple[str, ...]:
         order = list(self.exogenous)
         placed = set(order)
         pending = [n for n in self.names if n in self.equations]
@@ -236,7 +254,13 @@ class Sem:
             )
         equations = dict(self.equations)
         equations[name] = constant_equation(name, value)
-        return Sem(self.names, self.domains, equations)
+        child = Sem(self.names, self.domains, equations)
+        if "_order" in self.__dict__:
+            # a domain-checked constant equation only deletes edges, so every
+            # check the parent passed still holds; deleted edges can let
+            # `name` move earlier, so only the order is recomputed
+            child.__dict__["_order"] = child._topological_order()
+        return child
 
     def semantics_given_exogenous(self, assignment: Mapping[str, Value]) -> Dist:
         """Joint distribution over the endogenous variables, bottom-up.
@@ -254,20 +278,30 @@ class Sem:
         for name, value in assignment.items():
             if value not in self.domains[name]:
                 raise ValueOutOfDomain(f"{value!r} not in domain of {name!r}")
-        return self._semantics_unchecked(order, assignment)
+        point = tuple(assignment[n] for n in exo)
+        return self._enumerate(
+            {point: Fraction(1)}, exo, order[len(exo):], self.endogenous
+        )
 
-    def _semantics_unchecked(
-        self, order: tuple[str, ...], assignment: Mapping[str, Value]
+    def _enumerate(
+        self,
+        inputs: Mapping[tuple, Fraction],
+        exo: tuple[str, ...],
+        steps: Sequence[str],
+        variables: tuple[str, ...],
     ) -> Dist:
-        exo = self.exogenous
-        positions = {name: i for i, name in enumerate(order)}
-        support: dict[tuple, Fraction] = {
-            tuple(assignment[n] for n in exo): Fraction(1)
-        }
-        width = len(exo)
-        for name in order[width:]:
+        """The one enumeration loop: extend weighted `exo` assignments by the
+        equations of `steps`, in order, then sum onto `variables`.
+
+        `steps` must be topologically ordered and closed under parents given
+        `exo`; rows come from the equations alone, never from a closed form.
+        """
+        positions = {name: i for i, name in enumerate(exo)}
+        support = inputs
+        for name in steps:
             eq = self.equations[name]
             parent_idx = [positions[p] for p in eq.parents]
+            positions[name] = len(positions)
             grown: dict[tuple, Fraction] = {}
             for point, w in support.items():
                 row = eq.row_for(tuple(point[i] for i in parent_idx))
@@ -275,13 +309,12 @@ class Sem:
                     grown[point + (value,)] = w * pw
             support = grown
 
-        endo = self.endogenous
-        idx = [positions[n] for n in endo]
+        idx = [positions[n] for n in variables]
         out: dict[tuple, Fraction] = {}
         for point, w in support.items():
             key = tuple(point[i] for i in idx)
             out[key] = out.get(key, Fraction(0)) + w
-        return Dist(endo, out)
+        return Dist(variables, out)
 
 
 @dataclass(frozen=True)
@@ -307,20 +340,27 @@ class ProbabilisticSem:
                     )
         return order
 
-    def lift(self) -> Dist:
-        """The full joint over all declared variables."""
+    def lift(self, variables: Iterable[str] | None = None) -> Dist:
+        """The joint over `variables`, in the order given; by default the
+        full joint over all declared variables, in declared order.
+
+        Only `variables` and their ancestors in the current, possibly
+        intervened, graph are enumerated, starting from the input
+        distribution's marginal on the exogenous ones among them (the unit
+        point if there are none).  The rest are barren for the query, so
+        `lift(T) == lift().marginal(T)` exactly.
+
+        Raises:
+          UnknownVariable for an undeclared name in `variables`.
+        """
         order = self.validate()
-        exo = self.sem.exogenous
-        endo = self.sem.endogenous
-        joint: dict[tuple, Fraction] = {}
-        for point, w in self.exogenous_dist.weights.items():
-            inner = self.sem._semantics_unchecked(order, dict(zip(exo, point)))
-            for endo_point, iw in inner.weights.items():
-                values = dict(zip(exo, point))
-                values.update(zip(endo, endo_point))
-                key = tuple(values[n] for n in self.sem.names)
-                joint[key] = joint.get(key, Fraction(0)) + w * iw
-        return Dist(self.sem.names, joint)
+        sem = self.sem
+        variables = sem.names if variables is None else tuple(variables)
+        needed = set(variables).union(*map(sem.ancestors_of, variables))
+        exo = tuple(n for n in sem.exogenous if n in needed)
+        inputs = self.exogenous_dist.marginal(exo).weights if exo else {(): Fraction(1)}
+        steps = [n for n in order[len(sem.exogenous):] if n in needed]
+        return sem._enumerate(inputs, exo, steps, variables)
 
     def intervene(self, name: str, value: Value) -> ProbabilisticSem:
         return ProbabilisticSem(self.sem.intervene(name, value), self.exogenous_dist)
@@ -368,7 +408,8 @@ class ProbabilisticSem:
 
         Interventions are applied first (endogenous targets only, matching
         `Sem.intervene`); conditioning then happens in the intervened model
-        and must have positive probability there.
+        and must have positive probability there.  Mapping events lift only
+        the variables they name; a callable event sees the full joint.
         """
         pairs = (
             list(interventions.items())
@@ -378,7 +419,11 @@ class ProbabilisticSem:
         model = self
         for name, value in pairs:
             model = model.intervene(name, value)
-        joint = model.lift()
+        events = (target,) if conditions is None else (target, conditions)
+        if all(isinstance(event, Mapping) for event in events):
+            joint = model.lift(dict.fromkeys(n for event in events for n in event))
+        else:
+            joint = model.lift()
         if conditions is not None:
             joint = joint.condition(conditions)
         return joint.prob(target)

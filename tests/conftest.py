@@ -9,8 +9,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import settings
 
 import causaldp as c
+
+# Properties run the same examples on every run and stay inside the suite's
+# time budget; the exact oracle has no timing-dependent behaviour to catch.
+settings.register_profile(
+    "causaldp", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("causaldp")
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from causaldp import Dist, InvalidDistribution, ZeroProbabilityEvent
+from causaldp import Dist, InvalidDistribution, UnknownVariable, ZeroProbabilityEvent
 
 
 def pair(w00, w01, w10, w11):
@@ -64,6 +64,14 @@ def test_condition_on_null_event_raises():
     d = Dist.point_mass(("A",), (0,))
     with pytest.raises(ZeroProbabilityEvent):
         d.condition({"A": 1})
+
+
+def test_events_with_unknown_names_raise():
+    d = pair((1, 4), (1, 4), (1, 4), (1, 4))
+    with pytest.raises(UnknownVariable):
+        d.prob({"A": 0, "Q": 1})
+    with pytest.raises(UnknownVariable):
+        d.condition({"Q": 1})
 
 
 def test_marginal_order_and_values():

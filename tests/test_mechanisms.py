@@ -209,6 +209,18 @@ def test_as_sem_attribute_equation_correlates_points():
     assert joint.prob({"D_1": POS, "D_2": NEG}) == 0
 
 
+def test_as_sem_shares_one_population_free_model_per_kernel():
+    k = c.geometric_count_kernel(2, F(1, 2))
+    attr = (c.copy_equation("R_2", "R_1", k.data_domain),)
+    tied = c.as_sem(k, attr, Dist.uniform(("R_1",), [(v,) for v in k.data_domain]))
+    skew = c.as_sem(k, (), Dist.point_mass(("R_1", "R_2"), (POS, NEG)))
+    plain = c.as_sem(k)
+    assert skew.sem is plain.sem
+    assert tied.sem.exogenous == ("R_1",)
+    assert plain.sem.exogenous == ("R_1", "R_2")
+    assert "R_2" not in plain.sem.equations
+
+
 def test_as_sem_rejects_attribute_equations_on_data_points():
     k = c.hidden_pair_kernel()
     bad = (c.copy_equation("D_2", "D_1", k.data_domain),)

@@ -66,28 +66,32 @@ def test_validate_catches_cycles():
         {"A": copy_equation("A", "B", (0, 1)),
          "B": copy_equation("B", "A", (0, 1))},
     )
-    with pytest.raises(CyclicModel):
-        m.validate()
+    for _ in range(2):  # only a passing model memoizes its order
+        with pytest.raises(CyclicModel):
+            m.validate()
 
 
 def test_validate_catches_unknown_parent():
     m = Sem(("A",), {"A": (0, 1)}, {"A": copy_equation("A", "Z", (0, 1))})
-    with pytest.raises(UnknownVariable):
-        m.validate()
+    for _ in range(2):
+        with pytest.raises(UnknownVariable):
+            m.validate()
 
 
 def test_validate_catches_missing_row_coverage():
     eq = StochasticEquation("X", ("U",), {(0,): {0: F(1)}})  # no row for U=1
     m = Sem(("U", "X"), {"U": (0, 1), "X": (0, 1)}, {"X": eq})
-    with pytest.raises(DomainMismatch):
-        m.validate()
+    for _ in range(2):
+        with pytest.raises(DomainMismatch):
+            m.validate()
 
 
 def test_validate_catches_value_outside_domain():
     eq = StochasticEquation("X", (), {(): {7: F(1)}})
     m = Sem(("X",), {"X": (0, 1)}, {"X": eq})
-    with pytest.raises(ValueOutOfDomain):
-        m.validate()
+    for _ in range(2):
+        with pytest.raises(ValueOutOfDomain):
+            m.validate()
 
 
 def test_missing_equation_means_exogenous_not_error():
@@ -157,12 +161,14 @@ def test_intervene_twice_last_wins():
 
 def test_intervene_rejects_exogenous_and_bad_values():
     m = chain_model()
-    with pytest.raises(ExogenousTarget):
-        m.intervene("U", 0)
-    with pytest.raises(ValueOutOfDomain):
-        m.intervene("X", 9)
-    with pytest.raises(UnknownVariable):
-        m.intervene("Q", 0)
+    for _ in range(2):  # before and after the order is memoized
+        with pytest.raises(ExogenousTarget):
+            m.intervene("U", 0)
+        with pytest.raises(ValueOutOfDomain):
+            m.intervene("X", 9)
+        with pytest.raises(UnknownVariable):
+            m.intervene("Q", 0)
+        m.validate()
 
 
 def test_intervention_is_pure():
@@ -226,6 +232,17 @@ def test_query_interventions_then_conditions():
     assert plain == psem.lift().prob({"Y": 1})
 
 
+def test_lift_of_queried_variables_only():
+    psem = ProbabilisticSem(chain_model(), Dist.uniform(("U",), [(0,), (1,)]))
+    forced = psem.intervene("X", 1)
+    # Y's ancestors are now X alone: U is never enumerated
+    assert forced.lift(("Y",)) == Dist(("Y",), {(1,): F(3, 4), (0,): F(1, 4)})
+    assert forced.lift(("Y", "U")) == forced.lift().marginal(("Y", "U"))
+    assert forced.lift(()) == Dist((), {(): F(1)})
+    with pytest.raises(UnknownVariable):
+        forced.lift(("Q",))
+
+
 def test_downstream_only_influence():
     # intervening on Y must not change X's distribution
     psem = ProbabilisticSem(chain_model(), Dist.uniform(("U",), [(0,), (1,)]))
@@ -250,3 +267,40 @@ def test_deterministic_and_constant_equations():
     assert psem.lift().prob({"S": 1}) == F(1, 2)
     c = constant_equation("S", 2)
     assert c.rows == {(): {2: F(1)}}
+
+
+# --- the validation memo --------------------------------------------------------
+
+
+def backwards_model() -> Sem:
+    # A is declared first but reads B, so B precedes A until A is forced
+    return Sem(
+        ("U", "A", "B", "C"),
+        {"U": (0, 1), "A": (0, 1), "B": (0, 1), "C": (0, 1)},
+        {
+            "A": copy_equation("A", "B", (0, 1)),
+            "B": coin_eq("B", "U", F(1, 3)),
+            "C": copy_equation("C", "A", (0, 1)),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "build, name, value",
+    [(chain_model, "X", 1), (chain_model, "Y", 0), (backwards_model, "A", 1),
+     (backwards_model, "B", 0), (backwards_model, "C", 1)],
+)
+def test_intervene_hands_down_the_fresh_order(build, name, value):
+    parent = build()
+    parent.validate()
+    child = parent.intervene(name, value)
+    assert "_order" in child.__dict__
+    fresh = Sem(child.names, child.domains, child.equations)
+    assert child.validate() == fresh.validate()
+
+
+def test_intervened_order_moves_a_cut_variable_forward():
+    m = backwards_model()
+    assert m.validate() == ("U", "B", "A", "C")
+    assert m.intervene("A", 1).validate() == ("U", "A", "B", "C")
+
