@@ -13,19 +13,15 @@ from fractions import Fraction
 from .dist import Dist
 from .errors import DomainMismatch, ValueOutOfDomain, ZeroEvidence
 from .exact import ratio_divide
-from .mechanisms import MechanismKernel, d_name, r_name
+from .mechanisms import MechanismKernel, data_point_names, input_names
 from .reports import RatioBound, SupTracker
 
 
-def _data_names(kernel: MechanismKernel) -> tuple[str, ...]:
-    return tuple(d_name(i) for i in range(1, kernel.n + 1))
-
-
 def _as_data_prior(kernel: MechanismKernel, prior: Dist) -> Dist:
-    names = _data_names(kernel)
+    names = data_point_names(kernel)
     if prior.variables == names:
         return prior
-    if prior.variables == tuple(r_name(i) for i in range(1, kernel.n + 1)):
+    if prior.variables == input_names(kernel):
         return Dist(names, dict(prior.weights))
     raise DomainMismatch(
         f"prior must be over {names}, got {prior.variables}"
@@ -39,22 +35,29 @@ def _check_observation(kernel: MechanismKernel, observation) -> None:
         )
 
 
+def _bayes(prior: Dist, likelihood, zero_evidence: str) -> Dist:
+    """Posterior over databases given each database's likelihood of the
+    observation; raises ZeroEvidence with the given message on total zero."""
+    unnormalized: dict[tuple, Fraction] = {}
+    for db, w in prior.weights.items():
+        joint = w * likelihood(db)
+        if joint > 0:
+            unnormalized[db] = joint
+    total = sum(unnormalized.values(), Fraction(0))
+    if total == 0:
+        raise ZeroEvidence(zero_evidence)
+    return Dist(prior.variables, {db: w / total for db, w in unnormalized.items()})
+
+
 def posterior(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
     """Belief over databases after seeing the output, by Bayes' rule."""
     prior = _as_data_prior(kernel, prior)
     _check_observation(kernel, observation)
-    unnormalized: dict[tuple, Fraction] = {}
-    total = Fraction(0)
-    for db, w in prior.weights.items():
-        like = kernel.table[db].get(observation, Fraction(0))
-        if w * like > 0:
-            unnormalized[db] = w * like
-            total += w * like
-    if total == 0:
-        raise ZeroEvidence(
-            f"output {observation!r} has probability zero under this prior"
-        )
-    return Dist(prior.variables, {db: w / total for db, w in unnormalized.items()})
+    return _bayes(
+        prior,
+        lambda db: kernel.table[db].get(observation, Fraction(0)),
+        f"output {observation!r} has probability zero under this prior",
+    )
 
 
 def posterior_under_intervention(
@@ -79,20 +82,14 @@ def posterior_under_intervention(
         )
     if value not in kernel.data_domain:
         raise ValueOutOfDomain(f"{value!r} not a data value")
-    unnormalized: dict[tuple, Fraction] = {}
-    total = Fraction(0)
-    for db, w in prior.weights.items():
-        forced = db[: point_index - 1] + (value,) + db[point_index:]
-        like = kernel.table[forced].get(observation, Fraction(0))
-        if w * like > 0:
-            unnormalized[db] = w * like
-            total += w * like
-    if total == 0:
-        raise ZeroEvidence(
-            f"output {observation!r} has probability zero under this prior "
-            f"once point {point_index} is forced to {value!r}"
-        )
-    return Dist(prior.variables, {db: w / total for db, w in unnormalized.items()})
+    return _bayes(
+        prior,
+        lambda db: kernel.table[
+            db[: point_index - 1] + (value,) + db[point_index:]
+        ].get(observation, Fraction(0)),
+        f"output {observation!r} has probability zero under this prior "
+        f"once point {point_index} is forced to {value!r}",
+    )
 
 
 def semantic_gap(

@@ -12,6 +12,12 @@ quantifier over populations was discharged:
   * bayesian0's quantifier has no finite reduction, so there is a per-
     population checker plus a budgeted falsifier whose NotFound outcome is
     a search report, never a proof.
+
+Conditional and interventional output distributions both come from one
+`CanonicalEngine` and differ only in the weights that mix kernel rows; every
+family of comparisons is folded by one `sweep`.  The generic model semantics
+(lift, condition, intervene) are left to the oracle: cross-checks and
+`replay_witness`.
 """
 
 from __future__ import annotations
@@ -30,22 +36,23 @@ from .errors import (
 )
 from .exact import Ratio, Value, ratio_divide, value_sort_key
 from .mechanisms import (
-    DB_VAR,
     OUTPUT_VAR,
     CanonicalEngine,
     MechanismKernel,
     as_sem,
     classic_epsilon,
     d_name,
-    r_name,
+    data_point_names,
+    input_names,
+    neighbours,
+    value_pairs,
 )
 from .reports import (
     NEEDS_POPULATION,
     CheckReport,
     DefinitionId,
-    RatioBound,
-    SupTracker,
     finish_report,
+    sweep,
 )
 from .sem import StochasticEquation
 
@@ -59,14 +66,6 @@ ASSOCIATIVE_GIVEN_P = frozenset(
 CAUSAL_GIVEN_P = frozenset(
     {DefinitionId.WHOLE_DB_INTERVENTION, DefinitionId.SINGLE_POINT_INTERVENTION}
 )
-
-
-def data_point_names(kernel: MechanismKernel) -> tuple[str, ...]:
-    return tuple(d_name(i) for i in range(1, kernel.n + 1))
-
-
-def input_names(kernel: MechanismKernel) -> tuple[str, ...]:
-    return tuple(r_name(i) for i in range(1, kernel.n + 1))
 
 
 def _as_input_population(kernel: MechanismKernel, population: Dist) -> Dist:
@@ -119,10 +118,11 @@ def check_associative(
 ) -> CheckReport:
     """Compare conditional output distributions under one fixed population.
 
-    The conditionals come from conditioning the lifted canonical model, not
-    from kernel rows, so correlated populations show their real effect.
-    Comparisons whose conditioning event has probability zero are skipped and
-    counted.
+    The conditionals come from the same engine as the interventional
+    checkers: kernel rows mixed by the joint of the other data points given
+    the conditioning event, so correlated populations show their real
+    effect.  Comparisons whose conditioning event has probability zero are
+    skipped and counted.
     """
     definition = DefinitionId(definition)
     if definition not in ASSOCIATIVE_GIVEN_P:
@@ -134,62 +134,30 @@ def check_associative(
             "this definition requires the population to factor as an exact "
             "product over the data points"
         )
-    joint = as_sem(kernel, (), pop).lift()
-    tracker = SupTracker()
-    skipped = 0
+    engine = CanonicalEngine(kernel, pop)
 
     if definition is DefinitionId.STRONG_ADVERSARY_ONE_DIST:
-        db_marginal = joint.marginal((DB_VAR,))
-        conditionals: dict[tuple, dict[Value, Fraction] | None] = {}
-        for db in kernel.databases():
-            if db_marginal.weight_of((db,)) == 0:
-                conditionals[db] = None
-            else:
-                out = joint.condition({DB_VAR: db}).marginal((OUTPUT_VAR,))
-                conditionals[db] = {p[0]: w for p, w in out.weights.items()}
-        for d in kernel.databases():
-            for i in range(kernel.n):
-                for v_prime in kernel.data_domain:
-                    d_prime = d[:i] + (v_prime,) + d[i + 1 :]
-                    for o in kernel.output_domain:
-                        left, right = conditionals[d], conditionals[d_prime]
-                        if left is None or right is None:
-                            skipped += 1
-                            continue
-                        tracker.offer(
-                            ratio_divide(
-                                left.get(o, Fraction(0)), right.get(o, Fraction(0))
-                            ),
-                            {"d": d, "d_prime": d_prime, "o": o},
-                        )
+        given = engine.output_conditioned_on_db
+
+        def pairs():
+            # database first, then the point changed: this family's own order
+            for d in kernel.databases():
+                left = given(d)
+                for i in range(kernel.n):
+                    for v_prime in kernel.data_domain:
+                        d_prime = d[:i] + (v_prime,) + d[i + 1 :]
+                        yield left, given(d_prime), {"d": d, "d_prime": d_prime}
+
+        bound, skipped = sweep(kernel.output_domain, pairs())
         reduction = (
             "conditional on each realizable database, compared across "
             "databases at point distance at most one"
         )
     else:
-        for i in range(1, kernel.n + 1):
-            var = d_name(i)
-            marginal = joint.marginal((var,))
-            conditionals = {}
-            for v in kernel.data_domain:
-                if marginal.weight_of((v,)) == 0:
-                    conditionals[v] = None
-                else:
-                    out = joint.condition({var: v}).marginal((OUTPUT_VAR,))
-                    conditionals[v] = {p[0]: w for p, w in out.weights.items()}
-            for v in kernel.data_domain:
-                for v_prime in kernel.data_domain:
-                    for o in kernel.output_domain:
-                        left, right = conditionals[v], conditionals[v_prime]
-                        if left is None or right is None:
-                            skipped += 1
-                            continue
-                        tracker.offer(
-                            ratio_divide(
-                                left.get(o, Fraction(0)), right.get(o, Fraction(0))
-                            ),
-                            {"i": i, "v": v, "v_prime": v_prime, "o": o},
-                        )
+        bound, skipped = sweep(
+            kernel.output_domain,
+            value_pairs(kernel, engine.output_conditioned_on_point),
+        )
         reduction = (
             "conditional on each realizable value of each data point, "
             "compared across values"
@@ -199,7 +167,7 @@ def check_associative(
                 else ""
             )
         )
-    return finish_report(definition, target_ratio, tracker.bound(), skipped, reduction)
+    return finish_report(definition, target_ratio, bound, skipped, reduction)
 
 
 def check_strong_adversary_universal(
@@ -209,35 +177,18 @@ def check_strong_adversary_universal(
 
     One full-support population suffices: conditioning on the full database
     then yields exactly the kernel row, so the supremum over populations
-    equals the supremum under the uniform one.  Computed by conditioning the
-    lifted model under the uniform population (not by reading rows), which
-    keeps this checker an independent route from check_classic.
+    equals the supremum under the uniform one.  The conditionals come from
+    the engine under the uniform population, the same conditioning that
+    check_associative uses.
     """
-    pop = Dist.uniform(
-        input_names(kernel), product(kernel.data_domain, repeat=kernel.n)
+    engine = CanonicalEngine(kernel)  # uniform population
+    bound, _ = sweep(
+        kernel.output_domain, neighbours(kernel, engine.output_conditioned_on_db)
     )
-    joint = as_sem(kernel, (), pop).lift()
-    conditionals: dict[tuple, dict[Value, Fraction]] = {}
-    for db in kernel.databases():
-        out = joint.condition({DB_VAR: db}).marginal((OUTPUT_VAR,))
-        conditionals[db] = {p[0]: w for p, w in out.weights.items()}
-    tracker = SupTracker()
-    for i in range(kernel.n):
-        for d in kernel.databases():
-            for v_prime in kernel.data_domain:
-                d_prime = d[:i] + (v_prime,) + d[i + 1 :]
-                for o in kernel.output_domain:
-                    tracker.offer(
-                        ratio_divide(
-                            conditionals[d].get(o, Fraction(0)),
-                            conditionals[d_prime].get(o, Fraction(0)),
-                        ),
-                        {"i": i + 1, "d": d, "d_prime_i": v_prime, "o": o},
-                    )
     return finish_report(
         DefinitionId.STRONG_ADVERSARY_UNIVERSAL,
         target_ratio,
-        tracker.bound(),
+        bound,
         skipped=0,
         reduction=(
             "universal population quantifier discharged by one full-support "
@@ -269,45 +220,22 @@ def check_causal(
     attr = tuple(attribute_equations)
     pop = population if attr else _as_input_population(kernel, population)
     engine = CanonicalEngine(kernel, pop, attr, cross_check=cross_check)
-    tracker = SupTracker()
 
     if definition is DefinitionId.WHOLE_DB_INTERVENTION:
-        for i in range(kernel.n):
-            for d in kernel.databases():
-                left = engine.output_given_db(d)
-                for v_prime in kernel.data_domain:
-                    d_prime = d[:i] + (v_prime,) + d[i + 1 :]
-                    right = engine.output_given_db(d_prime)
-                    for o in kernel.output_domain:
-                        tracker.offer(
-                            ratio_divide(
-                                left.get(o, Fraction(0)), right.get(o, Fraction(0))
-                            ),
-                            {"i": i + 1, "d": d, "d_prime_i": v_prime, "o": o},
-                        )
+        pairs = neighbours(kernel, engine.output_given_db)
         reduction = "full-database interventions read kernel rows directly " \
                     "(population cannot influence them)"
     else:
-        for i in range(1, kernel.n + 1):
-            dists = {v: engine.output_given_point(i, v) for v in kernel.data_domain}
-            for v in kernel.data_domain:
-                for v_prime in kernel.data_domain:
-                    for o in kernel.output_domain:
-                        tracker.offer(
-                            ratio_divide(
-                                dists[v].get(o, Fraction(0)),
-                                dists[v_prime].get(o, Fraction(0)),
-                            ),
-                            {"i": i, "v": v, "v_prime": v_prime, "o": o},
-                        )
+        pairs = value_pairs(kernel, engine.output_given_point)
         reduction = (
             "single-point interventions mix kernel rows by the undisturbed "
             "marginal of the other data points"
         )
+    bound, _ = sweep(kernel.output_domain, pairs)
     if cross_check:
         reduction += "; every distribution cross-checked by enumerating the " \
                      "intervened model"
-    return finish_report(definition, target_ratio, tracker.bound(), 0, reduction)
+    return finish_report(definition, target_ratio, bound, 0, reduction)
 
 
 def check_universal_causal(
@@ -319,22 +247,13 @@ def check_universal_causal(
     """The for-all-populations interventional definitions."""
     definition = DefinitionId(definition)
     if definition is DefinitionId.WHOLE_DB_UNIVERSAL:
-        pop = Dist.uniform(
-            input_names(kernel), product(kernel.data_domain, repeat=kernel.n)
-        )
-        inner = check_causal(
-            DefinitionId.WHOLE_DB_INTERVENTION,
-            kernel,
-            pop,
-            (),
-            target_ratio,
-            cross_check=cross_check,
-        )
+        # evaluated under the uniform population; the rows ignore it anyway
+        engine = CanonicalEngine(kernel, cross_check=cross_check)
+        bound, _ = sweep(kernel.output_domain, neighbours(kernel, engine.output_given_db))
         return finish_report(
             definition,
             target_ratio,
-            # reuse the inner supremum; it is population-independent
-            RatioBound(inner.achieved, inner.witness),
+            bound,
             skipped=0,
             reduction=(
                 "universal quantifier vacuous: full-database interventions do "
@@ -346,48 +265,35 @@ def check_universal_causal(
         raise DomainMismatch(f"{definition.value} is not a universal "
                              f"interventional definition")
 
-    tracker = SupTracker()
     n = kernel.n
-    for i in range(1, n + 1):
-        for others in product(kernel.data_domain, repeat=n - 1):
-            if cross_check:
-                # under the point mass on the other coordinates, the
-                # single-point intervention must reproduce the kernel row
-                seed = others[: i - 1] + (kernel.data_domain[0],) + others[i - 1 :]
-                pop = Dist.point_mass(input_names(kernel), seed)
-                engine = CanonicalEngine(kernel, pop, (), cross_check=True)
-                for v in kernel.data_domain:
-                    got = engine.output_given_point(i, v)
-                    db = others[: i - 1] + (v,) + others[i - 1 :]
-                    want = kernel.table[db]
-                    if got != want:
-                        raise RuntimeError(
-                            f"point-mass reduction failed at i={i}, "
-                            f"others={others!r}, v={v!r}"
-                        )
-            for v in kernel.data_domain:
-                db = others[: i - 1] + (v,) + others[i - 1 :]
-                left = kernel.table[db]
-                for v_prime in kernel.data_domain:
-                    db_p = others[: i - 1] + (v_prime,) + others[i - 1 :]
-                    right = kernel.table[db_p]
-                    for o in kernel.output_domain:
-                        tracker.offer(
-                            ratio_divide(
-                                left.get(o, Fraction(0)), right.get(o, Fraction(0))
-                            ),
-                            {
-                                "i": i,
-                                "others": others,
-                                "v": v,
-                                "v_prime": v_prime,
-                                "o": o,
-                            },
-                        )
+    dom = kernel.data_domain
+
+    def pairs():
+        for i in range(1, n + 1):
+            for others in product(dom, repeat=n - 1):
+                dbs = {v: others[: i - 1] + (v,) + others[i - 1 :] for v in dom}
+                if cross_check:
+                    # under the point mass on the other coordinates, the
+                    # single-point intervention must reproduce the kernel row
+                    pop = Dist.point_mass(input_names(kernel), dbs[dom[0]])
+                    engine = CanonicalEngine(kernel, pop, (), cross_check=True)
+                    for v in dom:
+                        if engine.output_given_point(i, v) != kernel.table[dbs[v]]:
+                            raise RuntimeError(
+                                f"point-mass reduction failed at i={i}, "
+                                f"others={others!r}, v={v!r}"
+                            )
+                for v in dom:
+                    for v_prime in dom:
+                        yield kernel.table[dbs[v]], kernel.table[dbs[v_prime]], {
+                            "i": i, "others": others, "v": v, "v_prime": v_prime,
+                        }
+
+    bound, _ = sweep(kernel.output_domain, pairs())
     return finish_report(
         definition,
         target_ratio,
-        tracker.bound(),
+        bound,
         skipped=0,
         reduction=(
             "universal quantifier discharged by point-mass populations on the "
@@ -553,76 +459,45 @@ def replay_witness(
     """Recompute a witness ratio through the generic model-semantics path.
 
     Uses only intervene/lift/condition on the canonical model (never the
-    closed forms), so a replayed ratio independently confirms the report.
+    engine), so a replayed ratio independently confirms the report.  Both
+    databases of a neighbouring pair become assignments to every data point:
+    intervened on for the causal definitions, conditioned on otherwise.
     """
     definition = DefinitionId(definition)
     attr = tuple(attribute_equations)
-    n = kernel.n
-    o = witness["o"]
-
-    def query_ratio(psem, interventions_left, interventions_right, cond_left=None,
-                    cond_right=None):
-        num = psem.query({OUTPUT_VAR: o}, interventions_left, cond_left)
-        den = psem.query({OUTPUT_VAR: o}, interventions_right, cond_right)
-        return ratio_divide(num, den)
-
-    if definition in (
-        DefinitionId.CLASSIC,
-        DefinitionId.WHOLE_DB_INTERVENTION,
-        DefinitionId.WHOLE_DB_UNIVERSAL,
-    ):
-        if population is not None:
-            pop = population if attr else _as_input_population(kernel, population)
-        else:
-            pop = None
-        psem = as_sem(kernel, attr, pop)
-        d = tuple(witness["d"])
-        i = witness["i"]
-        d_prime = d[: i - 1] + (witness["d_prime_i"],) + d[i:]
-        left = [(d_name(k + 1), d[k]) for k in range(n)]
-        right = [(d_name(k + 1), d_prime[k]) for k in range(n)]
-        return query_ratio(psem, left, right)
-
-    if definition is DefinitionId.SINGLE_POINT_INTERVENTION:
-        pop = population if attr else _as_input_population(kernel, population)
-        psem = as_sem(kernel, attr, pop)
-        i, v, v_prime = witness["i"], witness["v"], witness["v_prime"]
-        return query_ratio(psem, [(d_name(i), v)], [(d_name(i), v_prime)])
-
-    if definition is DefinitionId.SINGLE_POINT_UNIVERSAL:
-        i, v, v_prime = witness["i"], witness["v"], witness["v_prime"]
-        others = tuple(witness["others"])
-        seed = others[: i - 1] + (kernel.data_domain[0],) + others[i - 1 :]
-        psem = as_sem(kernel, (), Dist.point_mass(input_names(kernel), seed))
-        return query_ratio(psem, [(d_name(i), v)], [(d_name(i), v_prime)])
-
-    if definition is DefinitionId.STRONG_ADVERSARY_UNIVERSAL:
-        psem = as_sem(kernel)  # uniform population
-        d = tuple(witness["d"])
-        i = witness["i"]
-        d_prime = d[: i - 1] + (witness["d_prime_i"],) + d[i:]
-        return query_ratio(psem, (), (), {DB_VAR: d}, {DB_VAR: d_prime})
-
-    if definition in (
-        DefinitionId.STRONG_ADVERSARY_ONE_DIST,
-        DefinitionId.BAYESIAN0,
-        DefinitionId.INDEPENDENT_BAYESIAN0,
-    ):
+    if definition in ASSOCIATIVE_GIVEN_P:
         # attribute equations act through the induced data population, exactly
         # as in run_check, so replayed ratios line up with reported ones
-        if attr:
-            data_pop = induced_data_population(kernel, attr, population)
-        else:
-            data_pop = population
+        data_pop = induced_data_population(kernel, attr, population) if attr else population
         psem = as_sem(kernel, (), _as_input_population(kernel, data_pop))
-        if definition is DefinitionId.STRONG_ADVERSARY_ONE_DIST:
-            return query_ratio(
-                psem, (), (),
-                {DB_VAR: tuple(witness["d"])}, {DB_VAR: tuple(witness["d_prime"])},
-            )
-        i, v, v_prime = witness["i"], witness["v"], witness["v_prime"]
-        return query_ratio(
-            psem, (), (), {d_name(i): v}, {d_name(i): v_prime}
+    elif definition is DefinitionId.SINGLE_POINT_UNIVERSAL:
+        i, others = witness["i"], tuple(witness["others"])
+        seed = others[: i - 1] + (kernel.data_domain[0],) + others[i - 1 :]
+        psem = as_sem(kernel, (), Dist.point_mass(input_names(kernel), seed))
+    elif definition is DefinitionId.STRONG_ADVERSARY_UNIVERSAL:
+        psem = as_sem(kernel)  # uniform population
+    else:
+        pop = population if attr or population is None else _as_input_population(
+            kernel, population
         )
+        psem = as_sem(kernel, attr, pop)
 
-    raise DomainMismatch(f"no replay rule for {definition!r}")
+    if "v" in witness:  # two values of data point i
+        events = [{d_name(witness["i"]): x} for x in (witness["v"], witness["v_prime"])]
+    else:  # two databases, each an assignment to every data point
+        d = tuple(witness["d"])
+        if "d_prime" in witness:
+            d_prime = tuple(witness["d_prime"])
+        else:
+            i = witness["i"]
+            d_prime = d[: i - 1] + (witness["d_prime_i"],) + d[i:]
+        events = [dict(zip(data_point_names(kernel), db)) for db in (d, d_prime)]
+    conditional = definition in ASSOCIATIVE_GIVEN_P | {
+        DefinitionId.STRONG_ADVERSARY_UNIVERSAL
+    }
+    target = {OUTPUT_VAR: witness["o"]}
+    num, den = (
+        psem.query(target, (), event) if conditional else psem.query(target, event)
+        for event in events
+    )
+    return ratio_divide(num, den)

@@ -15,11 +15,11 @@ the R side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, wraps
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dist import Dist
 from .errors import (
@@ -29,8 +29,8 @@ from .errors import (
     UnknownVariable,
     ValueOutOfDomain,
 )
-from .exact import Value, ratio_divide
-from .reports import RatioBound, SupTracker
+from .exact import Value
+from .reports import RatioBound, sweep
 from .sem import (
     ProbabilisticSem,
     Sem,
@@ -54,6 +54,14 @@ def r_name(i: int) -> str:
 def d_name(i: int) -> str:
     """Name of the i-th data point (1-based)."""
     return f"D_{i}"
+
+
+def data_point_names(kernel: MechanismKernel) -> tuple[str, ...]:
+    return tuple(d_name(i) for i in range(1, kernel.n + 1))
+
+
+def input_names(kernel: MechanismKernel) -> tuple[str, ...]:
+    return tuple(r_name(i) for i in range(1, kernel.n + 1))
 
 
 @dataclass(frozen=True)
@@ -122,9 +130,6 @@ class MechanismKernel:
             return self.table[tuple(db)]
         except KeyError:
             raise ValueOutOfDomain(f"{db!r} is not a database over the domain") from None
-
-    def row_prob(self, db: tuple, o: Value) -> Fraction:
-        return self.row(db).get(o, Fraction(0))
 
     @cached_property
     def _canonical_sem(self) -> Sem:
@@ -252,33 +257,41 @@ def constant_kernel(
     )
 
 
-# --- worst-case ratio --------------------------------------------------------
+# --- comparison families ------------------------------------------------------
+
+Row = dict[Value, Fraction]
+
+
+def neighbours(kernel: MechanismKernel, output_of: Callable) -> Iterator[tuple]:
+    """Comparisons of databases d, d' differing at most at one point, for
+    `sweep`: coordinate i ascending, database d lexicographic, replacement
+    value in domain order.  Both orders of every pair are enumerated."""
+    for i in range(kernel.n):
+        for d in kernel.databases():
+            left = output_of(d)
+            for v_prime in kernel.data_domain:
+                d_prime = d[:i] + (v_prime,) + d[i + 1 :]
+                yield left, output_of(d_prime), {"i": i + 1, "d": d, "d_prime_i": v_prime}
+
+
+def value_pairs(kernel: MechanismKernel, output_of: Callable) -> Iterator[tuple]:
+    """Comparisons of two values v, v' of one data point i (1-based), for
+    `sweep`: i ascending, then v and v' in domain order."""
+    for i in range(1, kernel.n + 1):
+        dists = {v: output_of(i, v) for v in kernel.data_domain}
+        for v in kernel.data_domain:
+            for v_prime in kernel.data_domain:
+                yield dists[v], dists[v_prime], {"i": i, "v": v, "v_prime": v_prime}
 
 
 def classic_epsilon(kernel: MechanismKernel) -> RatioBound:
     """Supremum of row(d)(o) / row(d')(o) over single-point changes d -> d'.
 
     Conventions: 0/0 comparisons are vacuous; positive/0 is infinite.  The
-    witness is the first maximizer in enumeration order: coordinate i
-    ascending, database d lexicographic, replacement value in domain order,
-    output in report order.  Both orders of every pair are enumerated, so the
-    supremum is symmetric and at least 1.
+    witness is the first maximizer in `neighbours` order, output in report
+    order; the supremum is symmetric and at least 1.
     """
-    tracker = SupTracker()
-    for i in range(kernel.n):
-        for d in kernel.databases():
-            row_d = kernel.table[d]
-            for v_prime in kernel.data_domain:
-                d_prime = d[:i] + (v_prime,) + d[i + 1 :]
-                row_p = kernel.table[d_prime]
-                for o in kernel.output_domain:
-                    ratio = ratio_divide(
-                        row_d.get(o, Fraction(0)), row_p.get(o, Fraction(0))
-                    )
-                    tracker.offer(
-                        ratio, {"i": i + 1, "d": d, "d_prime_i": v_prime, "o": o}
-                    )
-    return tracker.bound()
+    return sweep(kernel.output_domain, neighbours(kernel, kernel.table.__getitem__))[0]
 
 
 # --- the canonical release model ---------------------------------------------
@@ -299,17 +312,6 @@ class CanonicalModel:
     kernel: MechanismKernel
     attribute_equations: tuple[StochasticEquation, ...] = ()
     population: Dist | None = None
-
-    def exogenous_inputs(self) -> tuple[str, ...]:
-        bound = {eq.target for eq in self.attribute_equations}
-        return tuple(
-            r_name(i) for i in range(1, self.kernel.n + 1) if r_name(i) not in bound
-        )
-
-    def to_psem(self) -> ProbabilisticSem:
-        if self.population is None:
-            raise DomainMismatch("canonical model has no population distribution")
-        return as_sem(self.kernel, self.attribute_equations, self.population)
 
 
 def as_sem(
@@ -380,15 +382,35 @@ def _build_canonical_sem(kernel: MechanismKernel) -> Sem:
     return Sem(names, domains, equations)
 
 
-class CanonicalEngine:
-    """Interventional output distributions for a canonical model.
+def _memoized(query):
+    """Memoize an engine query per engine, keyed by its name and arguments."""
 
-    Uses the closed forms (a full-database intervention reads the kernel row
-    directly; a single-point intervention mixes kernel rows by the joint
-    marginal of the *other* data points, which interventions do not disturb);
-    with `cross_check` every answer is also recomputed by the `sem` oracle,
-    which enumerates the output's ancestors in the intervened model and never
-    calls a closed form, and must match exactly.
+    @wraps(query)
+    def memo(self, *args):
+        key = (query.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = query(self, *args)
+        return self._memo[key]
+
+    return memo
+
+
+class CanonicalEngine:
+    """Conditional and interventional output distributions of a canonical model.
+
+    O depends on the data only through D, so every answer mixes kernel rows,
+    and the associative and causal readings differ only in the mixing
+    weights.  Given the whole database, both read its kernel row (the
+    conditional only where the database has positive probability).  Given
+    one point D_i = v, conditioning weighs the other points by their joint
+    given D_i = v, while intervening weighs them by their undisturbed
+    marginal.  The weights come from `base_joint`, the joint of the data
+    points that the population and attribute equations induce.
+
+    With `cross_check` every interventional answer is also recomputed by the
+    `sem` oracle, which enumerates the output's ancestors in the intervened
+    model and never calls a closed form, and must match exactly.  Conditional
+    answers meet the oracle in the property tests and in witness replay.
 
     Externally pure: caches only memoize exact results.
     """
@@ -405,24 +427,21 @@ class CanonicalEngine:
         self.psem = as_sem(kernel, self.attribute_equations, population)
         self.cross_check = cross_check
         self.cross_checks_done = 0
-        self._joint: Dist | None = None
-        self._do_db: dict[tuple, dict[Value, Fraction]] = {}
-        self._do_point: dict[tuple[int, Value], dict[Value, Fraction]] = {}
-        self._others_marginal: dict[int, Dist] = {}
+        self._memo: dict[tuple, object] = {}
 
+    @_memoized
     def base_joint(self) -> Dist:
-        if self._joint is None:
-            self._joint = self.psem.lift()
-        return self._joint
+        """The joint of D_1..D_n; lifts only the data points."""
+        return self.psem.lift(data_point_names(self.kernel))
 
-    def _enumerated(self, interventions: list[tuple[str, Value]]) -> dict[Value, Fraction]:
+    def _enumerated(self, interventions: list[tuple[str, Value]]) -> Row:
         model = self.psem
         for name, value in interventions:
             model = model.intervene(name, value)
         out = model.lift((OUTPUT_VAR,))
         return {point[0]: w for point, w in out.weights.items()}
 
-    def _verify(self, fast: dict[Value, Fraction], interventions) -> None:
+    def _verify(self, fast: Row, interventions) -> None:
         if not self.cross_check:
             return
         slow = self._enumerated(interventions)
@@ -435,37 +454,63 @@ class CanonicalEngine:
                 )
         self.cross_checks_done += 1
 
-    def output_given_db(self, db: tuple) -> dict[Value, Fraction]:
-        """Fr[O | do(D_1 = db_1, ..., D_n = db_n)]: the kernel row itself,
-        for every population and every attribute equation."""
-        db = tuple(db)
-        if db not in self._do_db:
-            fast = dict(self.kernel.row(db))
-            self._verify(
-                fast, [(d_name(i + 1), db[i]) for i in range(self.kernel.n)]
-            )
-            self._do_db[db] = fast
-        return self._do_db[db]
-
-    def output_given_point(self, i: int, v: Value) -> dict[Value, Fraction]:
-        """Fr[O | do(D_i = v)] (i is 1-based): kernel rows mixed by the base
-        joint marginal of the other data points."""
+    def _check_point(self, i: int, v: Value) -> None:
         if not 1 <= i <= self.kernel.n:
             raise ValueOutOfDomain(f"point index {i} out of range 1..{self.kernel.n}")
         if v not in self.kernel.data_domain:
             raise ValueOutOfDomain(f"{v!r} not in the data domain")
-        key = (i, v)
-        if key not in self._do_point:
-            if i not in self._others_marginal:
-                others = tuple(
-                    d_name(j) for j in range(1, self.kernel.n + 1) if j != i
-                )
-                self._others_marginal[i] = self.base_joint().marginal(others)
-            fast: dict[Value, Fraction] = {}
-            for rest, w in self._others_marginal[i].weights.items():
-                db = rest[: i - 1] + (v,) + rest[i - 1 :]
-                for o, p in self.kernel.table[db].items():
-                    fast[o] = fast.get(o, Fraction(0)) + w * p
-            self._verify(fast, [(d_name(i), v)])
-            self._do_point[key] = fast
-        return self._do_point[key]
+
+    @_memoized
+    def _point_weights(self, i: int) -> tuple[dict, dict]:
+        """The other points' marginal, and their joint grouped by D_i's value."""
+        others: dict[tuple, Fraction] = {}
+        by_value: dict[Value, dict[tuple, Fraction]] = {}
+        for db, w in self.base_joint().weights.items():
+            rest = db[: i - 1] + db[i:]
+            others[rest] = others.get(rest, Fraction(0)) + w
+            by_value.setdefault(db[i - 1], {})[rest] = w
+        return others, by_value
+
+    def _mix(self, i: int, v: Value, weights: dict[tuple, Fraction]) -> Row:
+        """Kernel rows of the databases with D_i = v, mixed by weights on the
+        other points."""
+        out: Row = {}
+        for rest, w in weights.items():
+            for o, p in self.kernel.table[rest[: i - 1] + (v,) + rest[i - 1 :]].items():
+                out[o] = out.get(o, Fraction(0)) + w * p
+        return out
+
+    @_memoized
+    def output_given_db(self, db: tuple) -> Row:
+        """Fr[O | do(D_1 = db_1, ..., D_n = db_n)]: the kernel row itself,
+        for every population and every attribute equation."""
+        fast = dict(self.kernel.row(db))
+        self._verify(fast, [(d_name(k + 1), db[k]) for k in range(self.kernel.n)])
+        return fast
+
+    @_memoized
+    def output_conditioned_on_db(self, db: tuple) -> Row | None:
+        """Fr[O | D = db]: the kernel row, or None when P(D = db) = 0."""
+        row = self.kernel.row(db)
+        return row if self.base_joint().weight_of(db) > 0 else None
+
+    @_memoized
+    def output_given_point(self, i: int, v: Value) -> Row:
+        """Fr[O | do(D_i = v)] (i is 1-based): kernel rows mixed by the
+        marginal of the other data points, which the intervention does not
+        disturb."""
+        self._check_point(i, v)
+        fast = self._mix(i, v, self._point_weights(i)[0])
+        self._verify(fast, [(d_name(i), v)])
+        return fast
+
+    @_memoized
+    def output_conditioned_on_point(self, i: int, v: Value) -> Row | None:
+        """Fr[O | D_i = v]: kernel rows mixed by the joint of the other data
+        points given D_i = v, or None when P(D_i = v) = 0."""
+        self._check_point(i, v)
+        given = self._point_weights(i)[1].get(v)
+        if given is None:
+            return None
+        total = sum(given.values())
+        return self._mix(i, v, {rest: w / total for rest, w in given.items()})

@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-from .exact import INF, Ratio, is_infinite, ratio_le
+from .exact import Ratio, Value, is_infinite, ratio_divide, ratio_le
 
 
 class DefinitionId(str, Enum):
@@ -122,3 +123,28 @@ class SupTracker:
 
     def bound(self) -> RatioBound:
         return RatioBound(self.value, self.witness)
+
+
+def sweep(
+    outputs: Sequence[Value], pairs: Iterable[tuple[dict | None, dict | None, dict]]
+) -> tuple[RatioBound, int]:
+    """Fold a family of comparisons into its supremum and a skipped count.
+
+    `pairs` yields (left, right, where): two output distributions and the
+    comparison's index.  Every output o, in `outputs` order, offers
+    left(o)/right(o) with witness {**where, "o": o}.  A None side (a
+    conditional on a zero-probability event) skips the comparison at every
+    output instead.
+    """
+    tracker = SupTracker()
+    skipped = 0
+    zero = Fraction(0)
+    for left, right, where in pairs:
+        if left is None or right is None:
+            skipped += len(outputs)
+            continue
+        for o in outputs:
+            tracker.offer(
+                ratio_divide(left.get(o, zero), right.get(o, zero)), {**where, "o": o}
+            )
+    return tracker.bound(), skipped

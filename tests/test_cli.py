@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, witness files."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -264,6 +265,37 @@ def test_scenarios_run_all_deterministic(capsys, tmp_path):
     assert files1 == files2 and len(files1) == len(c.SCENARIOS)
     for name in files1:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+# sha256 of every `scenarios run-all` file, frozen per enumeration order
+# version: a refactor must reproduce these bytes, and a deliberate change of
+# order bumps the version and records new digests here.
+GOLDEN_SCENARIO_SHA256 = {
+    1: {
+        "ada_byron.json":
+            "9f0bbc9269e608136dbc5207c41c4aea23c15630ff4462ae965c071a4d171301",
+        "composition_demo.json":
+            "d1853d5ea9f4d2d6f67a6584ba721878271bdea10e76f7049b991b27f1f4861a",
+        "geometric_count_n3.json":
+            "0fb79929af83b5ed393b2961317702232635a26f9455e7cce78ccbd304e55635",
+        "hidden_pair.json":
+            "ae15fcf6ad48e0b9f8ef0ad20b9de5d860d9ba576527861536cd7f519520fc88",
+        "hidden_value.json":
+            "a0f6aab8e1b1115efc88ff3d15b1467b30aa342979f1d5634406114e4b1c730e",
+        "randomized_response.json":
+            "def58f35ca8568036b295ca8381a22ef72a8fa32028aff35188252dffb180070",
+    },
+}
+
+
+def test_scenarios_run_all_matches_golden_digests(capsys, tmp_path):
+    golden = GOLDEN_SCENARIO_SHA256[c.ENUMERATION_ORDER_VERSION]
+    code, _ = run(capsys, "scenarios", "run-all", "--out", str(tmp_path))
+    assert code == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+    assert got == golden
 
 
 def test_text_format_smoke(capsys, rr_file):

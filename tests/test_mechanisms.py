@@ -271,7 +271,24 @@ def test_engine_point_query_uses_undisturbed_marginal():
 def test_engine_rejects_bad_point_queries():
     k = c.hidden_value_kernel()
     engine = CanonicalEngine(k)
+    for query in (engine.output_given_point, engine.output_conditioned_on_point):
+        with pytest.raises(c.ValueOutOfDomain):
+            query(2, 0)
+        with pytest.raises(c.ValueOutOfDomain):
+            query(1, 9)
     with pytest.raises(c.ValueOutOfDomain):
-        engine.output_given_point(2, 0)
-    with pytest.raises(c.ValueOutOfDomain):
-        engine.output_given_point(1, 9)
+        engine.output_conditioned_on_db((9,))
+
+
+def test_engine_conditioning_and_intervening_differ_only_in_weights():
+    # same correlated population as above: D_1 = D_2 = 0 or 2, half each
+    k = c.hidden_pair_kernel()
+    pop = Dist(("R_1", "R_2"), {(0, 0): F(1, 2), (2, 2): F(1, 2)})
+    engine = CanonicalEngine(k, pop)
+    # conditioning on D_1 = 2 fixes D_2 = 2; intervening leaves D_2 alone
+    assert engine.output_conditioned_on_point(1, 2) == {0: F(1)}
+    assert engine.output_given_point(1, 2) == {0: F(3, 4), 1: F(1, 4)}
+    assert engine.output_conditioned_on_point(1, 1) is None
+    assert engine.output_conditioned_on_db((2, 2)) == k.row((2, 2))
+    assert engine.output_conditioned_on_db((0, 2)) is None
+    assert engine.base_joint().variables == ("D_1", "D_2")

@@ -1,4 +1,4 @@
-"""Generated-input properties of the enumeration oracle.
+"""Generated-input properties of the enumeration oracle and the engine.
 
 The seeded loops elsewhere stay; these add shrinking counterexamples on
 small random models.  The hypothesis profile is set in conftest.py.
@@ -11,7 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import causaldp as c
-from causaldp import CanonicalEngine, Dist, ProbabilisticSem, Sem, StochasticEquation
+from causaldp import (
+    CanonicalEngine,
+    DefinitionId,
+    Dist,
+    ProbabilisticSem,
+    Sem,
+    StochasticEquation,
+    ZeroProbabilityEvent,
+)
 from conftest import random_kernel
 
 
@@ -109,3 +117,86 @@ def test_cross_checked_engine_agrees_everywhere(rng, n, dom_size, out_size, data
             engine.output_given_point(i, v)
     dbs = len(kernel.data_domain) ** n
     assert engine.cross_checks_done == dbs + n * len(kernel.data_domain)
+
+
+def _population(draw, names: tuple, kernel: c.MechanismKernel) -> Dist:
+    """A joint over `names` on the data domain; weights may be zero, so
+    some databases (or values of a point) can have probability zero."""
+    points = list(product(kernel.data_domain, repeat=len(names)))
+    return Dist(names, dict(zip(points, _weights(draw, len(points)))))
+
+
+def _oracle_conditional(joint: Dist, event: dict) -> dict | None:
+    try:
+        out = joint.condition(event).marginal((c.OUTPUT_VAR,))
+    except ZeroProbabilityEvent:
+        return None
+    return {point[0]: w for point, w in out.weights.items()}
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+def test_conditional_closed_forms_equal_the_oracle(rng, n, dom_size, out_size, data):
+    """Conditioning on D or on one D_i mixes kernel rows by the data joint
+    given the event: exactly the wide joint conditioned and marginalized,
+    and None exactly where that conditioning has probability zero.  With
+    attribute equations, the model itself and the population it induces
+    on the data points give the same conditionals."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    attr = data.draw(attribute_equations(kernel))
+    bound = {eq.target for eq in attr}
+    exo = tuple(r for r in c.input_names(kernel) if r not in bound)
+    pop = _population(data.draw, exo, kernel)
+    engine = CanonicalEngine(kernel, pop, attr)
+    induced = c.induced_data_population(kernel, attr, pop)
+    oracles = (
+        engine.psem.lift(),
+        c.as_sem(kernel, (), Dist(c.input_names(kernel), induced.weights)).lift(),
+    )
+    for joint in oracles:
+        for db in kernel.databases():
+            want = _oracle_conditional(joint, {c.DB_VAR: db})
+            assert engine.output_conditioned_on_db(db) == want
+        for i in range(1, n + 1):
+            for v in kernel.data_domain:
+                want = _oracle_conditional(joint, {c.d_name(i): v})
+                assert engine.output_conditioned_on_point(i, v) == want
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 2), st.integers(2, 3),
+       st.integers(1, 3), st.booleans(), st.data())
+def test_every_witness_replays_to_the_achieved_ratio(rng, n, dom_size, out_size,
+                                                     correlated, data):
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    pop = _population(data.draw, c.data_point_names(kernel), kernel)
+    product_pop = Dist.product(*(pop.marginal((name,)) for name in pop.variables))
+    for definition in DefinitionId:
+        given_pop = None
+        if definition in c.NEEDS_POPULATION:
+            independent = definition is DefinitionId.INDEPENDENT_BAYESIAN0
+            given_pop = product_pop if independent or not correlated else pop
+        report = c.run_check(definition, kernel, F(1), given_pop)
+        if report.witness is None:
+            assert report.achieved == 1
+            continue
+        replayed = c.replay_witness(definition, kernel, report.witness, given_pop)
+        assert replayed == report.achieved, (definition, report.witness)
+
+
+def test_one_dist_witness_keeps_database_first_order():
+    # an i-first sweep would report d = (1, 1) -> (0, 1) for the same ratio
+    rows = {
+        (0, 0): (F(1, 3), F(2, 3)),
+        (0, 1): (F(3, 4), F(1, 4)),
+        (1, 0): (F(4, 9), F(5, 9)),
+        (1, 1): (F(1, 3), F(2, 3)),
+    }
+    kernel = c.MechanismKernel(
+        2, (0, 1), 0, ("o0", "o1"),
+        {db: dict(zip(("o0", "o1"), row)) for db, row in rows.items()},
+    )
+    pop = Dist.uniform(c.data_point_names(kernel), kernel.databases())
+    report = c.run_check(DefinitionId.STRONG_ADVERSARY_ONE_DIST, kernel, F(1), pop)
+    assert report.achieved == F(8, 3)
+    assert report.witness == {"d": (0, 0), "d_prime": (0, 1), "o": "o1"}
+    assert list(report.witness) == ["d", "d_prime", "o"]
