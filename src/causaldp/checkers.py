@@ -9,15 +9,16 @@ quantifier over populations was discharged:
   * full-database interventions do not depend on the population at all;
   * the universal single-point definition is discharged by point-mass
     populations on the other data points;
-  * bayesian0's quantifier has no finite reduction, so there is a per-
-    population checker plus a budgeted falsifier whose NotFound outcome is
-    a search report, never a proof.
+  * for bayesian0's quantifier the package has no exact check yet, so there
+    is a per-population checker plus a budgeted falsifier whose NotFound
+    outcome is a search report, never a proof.
 
 Conditional and interventional output distributions both come from one
 `CanonicalEngine` and differ only in the weights that mix kernel rows; every
-family of comparisons is folded by one `sweep`.  The generic model semantics
-(lift, condition, intervene) are left to the oracle: cross-checks and
-`replay_witness`.
+family of comparisons is folded by one `sweep`.  Populations and attribute
+equations pass straight through to `mechanisms.as_sem`, which alone turns
+them into a model.  The generic model semantics (lift, condition, intervene)
+are left to the oracle: cross-checks and `replay_witness`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .mechanisms import (
     classic_epsilon,
     d_name,
     data_point_names,
-    input_names,
     neighbours,
     value_pairs,
 )
@@ -68,28 +68,14 @@ CAUSAL_GIVEN_P = frozenset(
 )
 
 
-def _as_input_population(kernel: MechanismKernel, population: Dist) -> Dist:
-    """Accept a population over the data points or the true inputs; return it
-    keyed by input names (they coincide when no attribute equations exist)."""
-    if population.variables == input_names(kernel):
-        return population
-    if population.variables == data_point_names(kernel):
-        return Dist(input_names(kernel), dict(population.weights))
-    raise DomainMismatch(
-        f"population must be over {data_point_names(kernel)} or "
-        f"{input_names(kernel)}, got {population.variables}"
-    )
-
-
 def induced_data_population(
     kernel: MechanismKernel,
     attribute_equations: Iterable[StochasticEquation],
-    population: Dist,
+    population: Dist | None,
 ) -> Dist:
-    """The joint over the data points that a model with attribute equations
-    induces.  Conditional definitions only see the data through this joint."""
-    psem = as_sem(kernel, tuple(attribute_equations), population)
-    return psem.lift(data_point_names(kernel))
+    """The joint over the data points that a population and any attribute
+    equations induce.  Conditional definitions only see the data through it."""
+    return as_sem(kernel, attribute_equations, population).lift(data_point_names(kernel))
 
 
 # --- classic -----------------------------------------------------------------
@@ -97,11 +83,10 @@ def induced_data_population(
 
 def check_classic(kernel: MechanismKernel, target_ratio: Ratio) -> CheckReport:
     """Worst-case row ratio over single-point database changes."""
-    bound = classic_epsilon(kernel)
     return finish_report(
         DefinitionId.CLASSIC,
         target_ratio,
-        bound,
+        classic_epsilon(kernel),
         skipped=0,
         reduction="direct supremum over kernel rows; no population involved",
     )
@@ -115,26 +100,28 @@ def check_associative(
     kernel: MechanismKernel,
     population: Dist,
     target_ratio: Ratio,
+    attribute_equations: Iterable[StochasticEquation] = (),
 ) -> CheckReport:
     """Compare conditional output distributions under one fixed population.
 
     The conditionals come from the same engine as the interventional
     checkers: kernel rows mixed by the joint of the other data points given
-    the conditioning event, so correlated populations show their real
-    effect.  Comparisons whose conditioning event has probability zero are
-    skipped and counted.
+    the conditioning event, so correlated populations (and attribute
+    equations) show their real effect.  Comparisons whose conditioning event
+    has probability zero are skipped and counted.
     """
     definition = DefinitionId(definition)
     if definition not in ASSOCIATIVE_GIVEN_P:
         raise DomainMismatch(f"{definition.value} is not a per-population "
                              f"conditional definition")
-    pop = _as_input_population(kernel, population)
-    if definition is DefinitionId.INDEPENDENT_BAYESIAN0 and not pop.factors_as_product():
+    engine = CanonicalEngine(kernel, population, attribute_equations)
+    # the data joint the conditionals see, attribute equations included
+    independent = definition is DefinitionId.INDEPENDENT_BAYESIAN0
+    if independent and not engine.base_joint().factors_as_product():
         raise NotAProductDistribution(
             "this definition requires the population to factor as an exact "
             "product over the data points"
         )
-    engine = CanonicalEngine(kernel, pop)
 
     if definition is DefinitionId.STRONG_ADVERSARY_ONE_DIST:
         given = engine.output_conditioned_on_db
@@ -161,11 +148,7 @@ def check_associative(
         reduction = (
             "conditional on each realizable value of each data point, "
             "compared across values"
-            + (
-                "; population verified to factor as a product"
-                if definition is DefinitionId.INDEPENDENT_BAYESIAN0
-                else ""
-            )
+            + ("; population verified to factor as a product" if independent else "")
         )
     return finish_report(definition, target_ratio, bound, skipped, reduction)
 
@@ -177,22 +160,17 @@ def check_strong_adversary_universal(
 
     One full-support population suffices: conditioning on the full database
     then yields exactly the kernel row, so the supremum over populations
-    equals the supremum under the uniform one.  The conditionals come from
-    the engine under the uniform population, the same conditioning that
-    check_associative uses.
+    equals the classic supremum over neighbouring kernel rows.
     """
-    engine = CanonicalEngine(kernel)  # uniform population
-    bound, _ = sweep(
-        kernel.output_domain, neighbours(kernel, engine.output_conditioned_on_db)
-    )
     return finish_report(
         DefinitionId.STRONG_ADVERSARY_UNIVERSAL,
         target_ratio,
-        bound,
+        classic_epsilon(kernel),
         skipped=0,
         reduction=(
             "universal population quantifier discharged by one full-support "
-            "(uniform) population; conditionals computed on the lifted model"
+            "(uniform) population; under it each full-database conditional is "
+            "the kernel row"
         ),
     )
 
@@ -217,9 +195,7 @@ def check_causal(
     if definition not in CAUSAL_GIVEN_P:
         raise DomainMismatch(f"{definition.value} is not a per-population "
                              f"interventional definition")
-    attr = tuple(attribute_equations)
-    pop = population if attr else _as_input_population(kernel, population)
-    engine = CanonicalEngine(kernel, pop, attr, cross_check=cross_check)
+    engine = CanonicalEngine(kernel, population, attribute_equations, cross_check)
 
     if definition is DefinitionId.WHOLE_DB_INTERVENTION:
         pairs = neighbours(kernel, engine.output_given_db)
@@ -275,7 +251,7 @@ def check_universal_causal(
                 if cross_check:
                     # under the point mass on the other coordinates, the
                     # single-point intervention must reproduce the kernel row
-                    pop = Dist.point_mass(input_names(kernel), dbs[dom[0]])
+                    pop = Dist.point_mass(data_point_names(kernel), dbs[dom[0]])
                     engine = CanonicalEngine(kernel, pop, (), cross_check=True)
                     for v in dom:
                         if engine.output_given_point(i, v) != kernel.table[dbs[v]]:
@@ -316,7 +292,6 @@ def run_check(
 ) -> CheckReport:
     """Route to the right checker; enforce population expectations."""
     definition = DefinitionId(definition)
-    attr = tuple(attribute_equations)
     if definition in NEEDS_POPULATION and population is None:
         raise MissingPopulation(
             f"{definition.value} needs a population distribution"
@@ -330,15 +305,13 @@ def run_check(
     if definition is DefinitionId.STRONG_ADVERSARY_UNIVERSAL:
         return check_strong_adversary_universal(kernel, target_ratio)
     if definition in ASSOCIATIVE_GIVEN_P:
-        pop = (
-            induced_data_population(kernel, attr, population)
-            if attr
-            else population
+        return check_associative(
+            definition, kernel, population, target_ratio, attribute_equations
         )
-        return check_associative(definition, kernel, pop, target_ratio)
     if definition in CAUSAL_GIVEN_P:
         return check_causal(
-            definition, kernel, population, attr, target_ratio, cross_check
+            definition, kernel, population, attribute_equations, target_ratio,
+            cross_check,
         )
     return check_universal_causal(definition, kernel, target_ratio, cross_check)
 
@@ -464,23 +437,14 @@ def replay_witness(
     intervened on for the causal definitions, conditioned on otherwise.
     """
     definition = DefinitionId(definition)
-    attr = tuple(attribute_equations)
-    if definition in ASSOCIATIVE_GIVEN_P:
-        # attribute equations act through the induced data population, exactly
-        # as in run_check, so replayed ratios line up with reported ones
-        data_pop = induced_data_population(kernel, attr, population) if attr else population
-        psem = as_sem(kernel, (), _as_input_population(kernel, data_pop))
-    elif definition is DefinitionId.SINGLE_POINT_UNIVERSAL:
+    if definition is DefinitionId.SINGLE_POINT_UNIVERSAL:
         i, others = witness["i"], tuple(witness["others"])
         seed = others[: i - 1] + (kernel.data_domain[0],) + others[i - 1 :]
-        psem = as_sem(kernel, (), Dist.point_mass(input_names(kernel), seed))
-    elif definition is DefinitionId.STRONG_ADVERSARY_UNIVERSAL:
-        psem = as_sem(kernel)  # uniform population
-    else:
-        pop = population if attr or population is None else _as_input_population(
-            kernel, population
-        )
-        psem = as_sem(kernel, attr, pop)
+        psem = as_sem(kernel, (), Dist.point_mass(data_point_names(kernel), seed))
+    elif definition in NEEDS_POPULATION:
+        psem = as_sem(kernel, attribute_equations, population)
+    else:  # the other definitions quantify over populations: the uniform one
+        psem = as_sem(kernel)
 
     if "v" in witness:  # two values of data point i
         events = [{d_name(witness["i"]): x} for x in (witness["v"], witness["v_prime"])]

@@ -36,20 +36,19 @@ from .errors import (
 from .exact import epsilon_of, format_ratio, parse_rational
 from .mechanisms import CanonicalModel, MechanismKernel, classic_epsilon
 from .modelfile import (
-    ENUMERATION_ORDER_VERSION,
-    TOOL_VERSION,
     CompositionSpec,
     canonical_json,
     falsification_to_json,
     input_digest,
     parse_text,
     parse_value,
+    report_header,
     report_to_json,
     serialize_distribution,
     value_to_json,
     witness_to_json,
 )
-from .reports import NEEDS_POPULATION, DefinitionId
+from .reports import NEEDS_POPULATION, CheckReport, DefinitionId
 from .scenarios import SCENARIOS
 
 EXIT_PASS = 0
@@ -97,14 +96,6 @@ def _kernel_context(model, pop_path: str | None):
     )
 
 
-def _header(model) -> dict:
-    return {
-        "tool_version": TOOL_VERSION,
-        "enumeration_order_version": ENUMERATION_ORDER_VERSION,
-        "input_digest": input_digest(model),
-    }
-
-
 def _render_text(obj, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
@@ -126,7 +117,17 @@ def _emit(obj: dict, fmt: str) -> None:
         sys.stdout.write("\n".join(_render_text(obj)) + "\n")
 
 
-def _write_witness_file(path: str, payload: dict) -> None:
+def _write_witness(path: str, digest: str, report: CheckReport, **extra) -> None:
+    """Write a replayable witness file for `report`."""
+    payload = {
+        "type": "witness",
+        **report_header(digest),
+        "definition": report.definition.value,
+        "target_ratio": format_ratio(report.target_ratio),
+        "achieved": format_ratio(report.achieved),
+        "witness": witness_to_json(report.witness),
+        **extra,
+    }
     Path(path).write_text(canonical_json(payload), encoding="utf-8")
 
 
@@ -140,7 +141,7 @@ def _cmd_epsilon(args) -> int:
     _emit(
         {
             "type": "epsilon_report",
-            **_header(model),
+            **report_header(input_digest(model)),
             "ratio": format_ratio(bound.value),
             "epsilon": epsilon_of(bound.value),
             "witness": witness_to_json(bound.witness),
@@ -178,17 +179,7 @@ def _cmd_check(args) -> int:
     digest = input_digest(model)
     _emit(report_to_json(report, digest), args.format)
     if args.witness_out:
-        _write_witness_file(
-            args.witness_out,
-            {
-                "type": "witness",
-                **_header(model),
-                "definition": definition.value,
-                "target_ratio": format_ratio(report.target_ratio),
-                "achieved": format_ratio(report.achieved),
-                "witness": witness_to_json(report.witness),
-            },
-        )
+        _write_witness(args.witness_out, digest, report)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -204,19 +195,12 @@ def _cmd_falsify(args) -> int:
         raise ValidationError("--budget must be at least 1")
     target = parse_rational(args.target_ratio, "--target-ratio")
     outcome = falsify_bayesian0(kernel, target, search_budget=args.budget)
-    _emit(falsification_to_json(outcome, input_digest(model)), args.format)
+    digest = input_digest(model)
+    _emit(falsification_to_json(outcome, digest), args.format)
     if args.witness_out and outcome.found:
-        _write_witness_file(
-            args.witness_out,
-            {
-                "type": "witness",
-                **_header(model),
-                "definition": DefinitionId.BAYESIAN0.value,
-                "target_ratio": format_ratio(outcome.report.target_ratio),
-                "achieved": format_ratio(outcome.report.achieved),
-                "witness": witness_to_json(outcome.report.witness),
-                "population": serialize_distribution(outcome.population),
-            },
+        _write_witness(
+            args.witness_out, digest, outcome.report,
+            population=serialize_distribution(outcome.population),
         )
     return EXIT_FAIL if outcome.found else EXIT_NOT_FOUND
 
@@ -236,7 +220,7 @@ def _cmd_posterior(args) -> int:
         )
     out = {
         "type": "posterior_report",
-        **_header(model),
+        **report_header(input_digest(model)),
         "observation": value_to_json(observe),
         "prior": serialize_distribution(prior),
         "posterior": serialize_distribution(posterior(kernel, prior, observe)),

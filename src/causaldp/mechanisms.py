@@ -324,8 +324,11 @@ def as_sem(
     `attribute_equations` may only relate R variables to R variables; the
     data points keep their identity equations D_i := R_i, so no data point
     ever influences another.  `exogenous_dist` must cover exactly the R
-    variables left without an equation, in index order.  The population-free
-    part of the model is built once per kernel and shared by every call.
+    variables left without an equation, in index order (with no attribute
+    equations a joint over D_1..D_n names the same inputs); it defaults to
+    the uniform one.  This is the one place a population is renamed or
+    defaulted.  The population-free part of the model is built once per
+    kernel and shared by every call.
     """
     attr = tuple(attribute_equations)
     r_names = [r_name(i) for i in range(1, kernel.n + 1)]
@@ -350,9 +353,11 @@ def as_sem(
         equations = {eq.target: eq for eq in attr}
         equations.update(sem.equations)
         sem = Sem(sem.names, sem.domains, equations)
+    exo = sem.exogenous
     if exogenous_dist is None:
-        exo = sem.exogenous
         exogenous_dist = Dist.uniform(exo, product(kernel.data_domain, repeat=len(exo)))
+    elif not attr and exogenous_dist.variables == data_point_names(kernel):
+        exogenous_dist = Dist(exo, exogenous_dist.weights)
     psem = ProbabilisticSem(sem, exogenous_dist)
     psem.validate()
     return psem
@@ -423,8 +428,7 @@ class CanonicalEngine:
         cross_check: bool = False,
     ):
         self.kernel = kernel
-        self.attribute_equations = tuple(attribute_equations)
-        self.psem = as_sem(kernel, self.attribute_equations, population)
+        self.psem = as_sem(kernel, attribute_equations, population)
         self.cross_check = cross_check
         self.cross_checks_done = 0
         self._memo: dict[tuple, object] = {}

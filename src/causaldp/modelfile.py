@@ -49,9 +49,9 @@ from .sem import Sem, StochasticEquation
 
 TOOL_VERSION = "0.1.0"
 
-# Bumped whenever the fixed enumeration order behind witnesses and canonical
-# row ordering changes; lets old reports be interpreted correctly.
-ENUMERATION_ORDER_VERSION = 1
+# Bumped whenever report content changes by design (the enumeration order
+# behind witnesses, row ordering, a reduction note); lets old reports be read.
+ENUMERATION_ORDER_VERSION = 2
 
 
 # --- low-level parsing helpers -------------------------------------------------
@@ -510,7 +510,8 @@ def witness_to_json(witness: dict | None):
     return {k: value_to_json(v) for k, v in witness.items()}
 
 
-def _report_header(input_digest: str | None) -> dict:
+def report_header(input_digest: str | None) -> dict:
+    """The versions every report carries, and the digest of its input."""
     out = {
         "tool_version": TOOL_VERSION,
         "enumeration_order_version": ENUMERATION_ORDER_VERSION,
@@ -523,7 +524,7 @@ def _report_header(input_digest: str | None) -> dict:
 def report_to_json(report: CheckReport, input_digest: str | None = None) -> dict:
     return {
         "type": "check_report",
-        **_report_header(input_digest),
+        **report_header(input_digest),
         "definition": _definition_tag(report.definition),
         "target_ratio": format_ratio(report.target_ratio),
         "achieved": format_ratio(report.achieved),
@@ -539,7 +540,7 @@ def report_to_json(report: CheckReport, input_digest: str | None = None) -> dict
 def falsification_to_json(outcome, input_digest: str | None = None) -> dict:
     return {
         "type": "falsification_report",
-        **_report_header(input_digest),
+        **report_header(input_digest),
         "found": outcome.found,
         "candidates_tried": outcome.candidates_tried,
         "search_budget": outcome.search_budget,

@@ -25,15 +25,14 @@ from .mechanisms import (
     randomized_response_kernel,
 )
 from .modelfile import (
-    ENUMERATION_ORDER_VERSION,
-    TOOL_VERSION,
     CompositionSpec,
     falsification_to_json,
     input_digest,
+    report_header,
     report_to_json,
     serialize_input,
 )
-from .reports import DefinitionId
+from .reports import NEEDS_POPULATION, DefinitionId
 from .sem import Sem, StochasticEquation, copy_equation, deterministic_equation
 
 TWO = Fraction(2)
@@ -53,12 +52,47 @@ class Scenario:
             "type": "scenario_report",
             "scenario": self.name,
             "description": self.description,
-            "tool_version": TOOL_VERSION,
-            "enumeration_order_version": ENUMERATION_ORDER_VERSION,
-            "input_digest": input_digest(model),
+            **report_header(input_digest(model)),
             "input": serialize_input(model),
             "reports": self.reports(model),
         }
+
+
+def _checks(*definitions: DefinitionId, target: Fraction) -> Callable:
+    """Reports of `definitions` in order, each run on the model's kernel and
+    attribute equations; only definitions that need a population get the
+    model's."""
+
+    def reports(model) -> list[dict]:
+        if isinstance(model, CanonicalModel):
+            kernel, attr, pop = model.kernel, model.attribute_equations, model.population
+        else:
+            kernel, attr, pop = model, (), None
+        return [
+            report_to_json(run_check(
+                d, kernel, target, pop if d in NEEDS_POPULATION else None, attr
+            ))
+            for d in definitions
+        ]
+
+    return reports
+
+
+_POPULATION_FREE_CHECKS = (
+    DefinitionId.CLASSIC,
+    DefinitionId.STRONG_ADVERSARY_UNIVERSAL,
+    DefinitionId.WHOLE_DB_UNIVERSAL,
+    DefinitionId.SINGLE_POINT_UNIVERSAL,
+)
+# classic, then the two conditional and the two interventional comparisons of
+# databases and of data points under the given population
+_HIDDEN_CHECKS = (
+    DefinitionId.CLASSIC,
+    DefinitionId.STRONG_ADVERSARY_ONE_DIST,
+    DefinitionId.BAYESIAN0,
+    DefinitionId.SINGLE_POINT_INTERVENTION,
+    DefinitionId.WHOLE_DB_INTERVENTION,
+)
 
 
 # --- two attributes that are secretly the same -------------------------------
@@ -73,22 +107,6 @@ def _ada_byron_model() -> CanonicalModel:
     return CanonicalModel(kernel, attr, population)
 
 
-def _ada_byron_reports(model: CanonicalModel) -> list[dict]:
-    k, attr, pop = model.kernel, model.attribute_equations, model.population
-    return [
-        report_to_json(run_check(DefinitionId.CLASSIC, k, TWO)),
-        report_to_json(
-            run_check(DefinitionId.BAYESIAN0, k, TWO, pop, attr)
-        ),
-        report_to_json(
-            run_check(DefinitionId.SINGLE_POINT_INTERVENTION, k, TWO, pop, attr)
-        ),
-        report_to_json(
-            run_check(DefinitionId.WHOLE_DB_INTERVENTION, k, TWO, pop, attr)
-        ),
-    ]
-
-
 # --- randomized response -------------------------------------------------------
 
 
@@ -97,18 +115,8 @@ def _rr_model():
 
 
 def _rr_reports(kernel) -> list[dict]:
-    return [
-        report_to_json(run_check(DefinitionId.CLASSIC, kernel, TWO)),
-        report_to_json(
-            run_check(DefinitionId.STRONG_ADVERSARY_UNIVERSAL, kernel, TWO)
-        ),
-        report_to_json(
-            run_check(DefinitionId.WHOLE_DB_UNIVERSAL, kernel, TWO)
-        ),
-        report_to_json(
-            run_check(DefinitionId.SINGLE_POINT_UNIVERSAL, kernel, TWO)
-        ),
-        falsification_to_json(falsify_bayesian0(kernel, TWO, search_budget=2)),
+    return _checks(*_POPULATION_FREE_CHECKS, target=TWO)(kernel) + [
+        falsification_to_json(falsify_bayesian0(kernel, TWO, search_budget=2))
     ]
 
 
@@ -123,22 +131,6 @@ def _geometric3_model() -> CanonicalModel:
     return CanonicalModel(kernel, (), population)
 
 
-def _geometric3_reports(model: CanonicalModel) -> list[dict]:
-    k, pop = model.kernel, model.population
-    return [
-        report_to_json(run_check(DefinitionId.CLASSIC, k, TWO)),
-        report_to_json(
-            run_check(DefinitionId.STRONG_ADVERSARY_UNIVERSAL, k, TWO)
-        ),
-        report_to_json(run_check(DefinitionId.WHOLE_DB_UNIVERSAL, k, TWO)),
-        report_to_json(run_check(DefinitionId.SINGLE_POINT_UNIVERSAL, k, TWO)),
-        report_to_json(run_check(DefinitionId.BAYESIAN0, k, TWO, pop)),
-        report_to_json(
-            run_check(DefinitionId.INDEPENDENT_BAYESIAN0, k, TWO, pop)
-        ),
-    ]
-
-
 # --- a pair revealed only when both points take the hidden value ----------------
 
 
@@ -146,23 +138,6 @@ def _hidden_pair_model() -> CanonicalModel:
     kernel = hidden_pair_kernel()
     population = Dist.uniform(("D_1", "D_2"), product((0, 1), repeat=2))
     return CanonicalModel(kernel, (), population)
-
-
-def _hidden_pair_reports(model: CanonicalModel) -> list[dict]:
-    k, pop = model.kernel, model.population
-    return [
-        report_to_json(run_check(DefinitionId.CLASSIC, k, ONE)),
-        report_to_json(
-            run_check(DefinitionId.STRONG_ADVERSARY_ONE_DIST, k, ONE, pop)
-        ),
-        report_to_json(run_check(DefinitionId.BAYESIAN0, k, ONE, pop)),
-        report_to_json(
-            run_check(DefinitionId.SINGLE_POINT_INTERVENTION, k, ONE, pop)
-        ),
-        report_to_json(
-            run_check(DefinitionId.WHOLE_DB_INTERVENTION, k, ONE, pop)
-        ),
-    ]
 
 
 # --- a single point revealed only at the hidden value ---------------------------
@@ -174,23 +149,6 @@ def _hidden_value_model() -> CanonicalModel:
         ("D_1",), {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
     )
     return CanonicalModel(kernel, (), population)
-
-
-def _hidden_value_reports(model: CanonicalModel) -> list[dict]:
-    k, pop = model.kernel, model.population
-    return [
-        report_to_json(run_check(DefinitionId.CLASSIC, k, ONE)),
-        report_to_json(
-            run_check(DefinitionId.STRONG_ADVERSARY_ONE_DIST, k, ONE, pop)
-        ),
-        report_to_json(run_check(DefinitionId.BAYESIAN0, k, ONE, pop)),
-        report_to_json(
-            run_check(DefinitionId.SINGLE_POINT_INTERVENTION, k, ONE, pop)
-        ),
-        report_to_json(
-            run_check(DefinitionId.WHOLE_DB_INTERVENTION, k, ONE, pop)
-        ),
-    ]
 
 
 # --- two noisy stages composed ---------------------------------------------------
@@ -236,7 +194,13 @@ SCENARIOS: dict[str, Scenario] = {
             "noisy count passes every interventional check at ratio 2 but "
             "the conditional (associative) check blows up to 4",
             _ada_byron_model,
-            _ada_byron_reports,
+            _checks(
+                DefinitionId.CLASSIC,
+                DefinitionId.BAYESIAN0,
+                DefinitionId.SINGLE_POINT_INTERVENTION,
+                DefinitionId.WHOLE_DB_INTERVENTION,
+                target=TWO,
+            ),
         ),
         Scenario(
             "randomized_response",
@@ -252,7 +216,12 @@ SCENARIOS: dict[str, Scenario] = {
             "to the valid range: ratio exactly 2 under every check, "
             "including the conditional ones under the uniform population",
             _geometric3_model,
-            _geometric3_reports,
+            _checks(
+                *_POPULATION_FREE_CHECKS,
+                DefinitionId.BAYESIAN0,
+                DefinitionId.INDEPENDENT_BAYESIAN0,
+                target=TWO,
+            ),
         ),
         Scenario(
             "hidden_pair",
@@ -261,7 +230,7 @@ SCENARIOS: dict[str, Scenario] = {
             "checks are perfect, full-database intervention is not, and "
             "the single-point intervention stays perfect",
             _hidden_pair_model,
-            _hidden_pair_reports,
+            _checks(*_HIDDEN_CHECKS, target=ONE),
         ),
         Scenario(
             "hidden_value",
@@ -269,7 +238,7 @@ SCENARIOS: dict[str, Scenario] = {
             "every interventional check fails, separating the two notions "
             "in the other direction from hidden_pair",
             _hidden_value_model,
-            _hidden_value_reports,
+            _checks(*_HIDDEN_CHECKS, target=ONE),
         ),
         Scenario(
             "composition_demo",

@@ -285,6 +285,21 @@ GOLDEN_SCENARIO_SHA256 = {
         "randomized_response.json":
             "def58f35ca8568036b295ca8381a22ef72a8fa32028aff35188252dffb180070",
     },
+    # version 2 rewords the strong_adversary_universal reduction note
+    2: {
+        "ada_byron.json":
+            "7d2029583cf1555cef7297e5c102b6780fbc4e85b753013b6a5a979cd9febfeb",
+        "composition_demo.json":
+            "ffa0b8682525fde934ef94bcb1b5f3263482a3a8e4f75852d6d80da270c3c3c8",
+        "geometric_count_n3.json":
+            "d4cca8393de35e4a09030fbcc4aa0c865eb1223355058579c0b40c7fe2fce2ca",
+        "hidden_pair.json":
+            "61df710a5ebd9df920c2f5560d995e3008eea296b17922229b77b661465ec84f",
+        "hidden_value.json":
+            "4ee0da829bdbed29e0860acf63004c3d0e191c9c8fd3fffc8e37f61cbfc73f64",
+        "randomized_response.json":
+            "da89a28827c2b78f5049481aaa54f022ab408f3e1a29b679e4636246ed9177ad",
+    },
 }
 
 

@@ -16,6 +16,7 @@ from causaldp import (
     Dist,
     RatioOutOfRange,
 )
+from causaldp.cli import main
 from conftest import random_kernel, random_population
 
 
@@ -219,6 +220,33 @@ def test_as_sem_shares_one_population_free_model_per_kernel():
     assert tied.sem.exogenous == ("R_1",)
     assert plain.sem.exogenous == ("R_1", "R_2")
     assert "R_2" not in plain.sem.equations
+
+
+def test_as_sem_reads_a_data_point_population_as_the_inputs():
+    # D_i := R_i without attribute equations: the same weights, either name
+    rng = random.Random(17)
+    k = random_kernel(rng, 2, 3, 2)
+    over_d = random_population(rng, k, full_support=False)
+    over_r = Dist(c.input_names(k), over_d.weights)
+    assert c.as_sem(k, (), over_d).lift() == c.as_sem(k, (), over_r).lift()
+
+
+def test_data_point_population_with_attribute_equations_is_rejected(tmp_path, capsys):
+    # with an equation among the inputs, D_i names no exogenous variable
+    k = c.geometric_count_kernel(2, F(1, 2))
+    attr = (c.copy_equation("R_2", "R_1", k.data_domain),)
+    over_d = Dist(("D_1",), {(POS,): F(1, 2), (NEG,): F(1, 2)})
+    with pytest.raises(c.DomainMismatch):
+        c.as_sem(k, attr, over_d)
+    path = tmp_path / "model.json"
+    model = c.CanonicalModel(k, attr, over_d)
+    path.write_text(c.canonical_json(c.serialize_input(model)), encoding="utf-8")
+    for definition in sorted(c.NEEDS_POPULATION):
+        with pytest.raises(c.DomainMismatch):
+            c.run_check(definition, k, F(2), over_d, attr)
+        argv = ["check", definition.value, str(path), "--target-ratio", "2"]
+        assert main(argv) == 4
+        assert "error:" in capsys.readouterr().err
 
 
 def test_as_sem_rejects_attribute_equations_on_data_points():

@@ -15,11 +15,13 @@ from causaldp import (
     CanonicalEngine,
     DefinitionId,
     Dist,
+    NotAProductDistribution,
     ProbabilisticSem,
     Sem,
     StochasticEquation,
     ZeroProbabilityEvent,
 )
+from causaldp.checkers import ASSOCIATIVE_GIVEN_P
 from conftest import random_kernel
 
 
@@ -167,19 +169,37 @@ def test_conditional_closed_forms_equal_the_oracle(rng, n, dom_size, out_size, d
        st.integers(1, 3), st.booleans(), st.data())
 def test_every_witness_replays_to_the_achieved_ratio(rng, n, dom_size, out_size,
                                                      correlated, data):
+    """Every witness replays to `achieved`, with or without attribute
+    equations (the population then covers the remaining inputs), and the
+    conditional checks see the model only through its induced data joint."""
     kernel = random_kernel(rng, n, dom_size, out_size)
-    pop = _population(data.draw, c.data_point_names(kernel), kernel)
+    attr = data.draw(attribute_equations(kernel))
+    bound = {eq.target for eq in attr}
+    names = (
+        tuple(r for r in c.input_names(kernel) if r not in bound)
+        if attr else c.data_point_names(kernel)
+    )
+    pop = _population(data.draw, names, kernel)
     product_pop = Dist.product(*(pop.marginal((name,)) for name in pop.variables))
     for definition in DefinitionId:
         given_pop = None
         if definition in c.NEEDS_POPULATION:
             independent = definition is DefinitionId.INDEPENDENT_BAYESIAN0
             given_pop = product_pop if independent or not correlated else pop
-        report = c.run_check(definition, kernel, F(1), given_pop)
+        try:
+            report = c.run_check(definition, kernel, F(1), given_pop, attr)
+        except NotAProductDistribution:
+            # a product over the inputs can induce a correlated data joint
+            assert definition is DefinitionId.INDEPENDENT_BAYESIAN0 and attr
+            continue
+        if definition in ASSOCIATIVE_GIVEN_P:
+            induced = c.induced_data_population(kernel, attr, given_pop)
+            assert c.check_associative(definition, kernel, given_pop, F(1), attr) \
+                == c.check_associative(definition, kernel, induced, F(1))
         if report.witness is None:
             assert report.achieved == 1
             continue
-        replayed = c.replay_witness(definition, kernel, report.witness, given_pop)
+        replayed = c.replay_witness(definition, kernel, report.witness, given_pop, attr)
         assert replayed == report.achieved, (definition, report.witness)
 
 
