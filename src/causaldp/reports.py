@@ -7,7 +7,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import Ratio, Value, is_infinite, ratio_divide, ratio_le
+from .exact import INF, Ratio, Value, is_infinite, ratio_le
 
 
 class DefinitionId(str, Enum):
@@ -131,20 +131,43 @@ def sweep(
     """Fold a family of comparisons into its supremum and a skipped count.
 
     `pairs` yields (left, right, where): two output distributions and the
-    comparison's index.  Every output o, in `outputs` order, offers
-    left(o)/right(o) with witness {**where, "o": o}.  A None side (a
+    comparison's index.  Every output o, in `outputs` order, compares
+    left(o)/right(o) with witness {**where, "o": o}, by the conventions of
+    `ratio_divide` and `SupTracker`: 0/0 is vacuous, p/0 is infinite, the
+    first maximizer wins and the supremum starts at 1.  A None side (a
     conditional on a zero-probability event) skips the comparison at every
-    output instead.
+    output instead, also once the supremum is infinite.
+
+    The running supremum is an integer pair num/den (den == 0: infinity),
+    and l/r > num/den is tested as l.num*r.den*den > num*l.den*r.num, so a
+    `Fraction` and a witness dict are built only for a new maximum.
     """
-    tracker = SupTracker()
+    # id -> (distribution, its (num, den) per output); holding the object
+    # keeps its id from being reused while the sweep runs
+    seen: dict[int, tuple[dict, list[tuple[int, int]]]] = {}
+
+    def terms(dist: dict) -> list[tuple[int, int]]:
+        hit = seen.get(id(dist))
+        if hit is None:
+            hit = seen[id(dist)] = dist, [
+                dist.get(o, 0).as_integer_ratio() for o in outputs
+            ]
+        return hit[1]
+
+    num, den, witness = 1, 1, None
     skipped = 0
-    zero = Fraction(0)
     for left, right, where in pairs:
         if left is None or right is None:
             skipped += len(outputs)
             continue
-        for o in outputs:
-            tracker.offer(
-                ratio_divide(left.get(o, zero), right.get(o, zero)), {**where, "o": o}
-            )
-    return tracker.bound(), skipped
+        if left is right or den == 0:  # ratios of 1 or 0/0, or nothing beats inf
+            continue
+        for (ln, ld), (rn, rd), o in zip(terms(left), terms(right), outputs):
+            if not rn:
+                if ln:
+                    num, den, witness = 1, 0, {**where, "o": o}
+                    break
+            elif ln * rd * den > num * ld * rn:
+                num, den, witness = ln * rd, ld * rn, {**where, "o": o}
+    value = Fraction(num, den) if den else INF
+    return RatioBound(value, witness), skipped

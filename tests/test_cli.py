@@ -11,6 +11,7 @@ from causaldp.cli import main
 from causaldp.modelfile import (
     canonical_json,
     load_strict_json,
+    parse_kernel,
     serialize_input,
     witness_from_json,
 )
@@ -311,6 +312,76 @@ def test_scenarios_run_all_matches_golden_digests(capsys, tmp_path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
     }
     assert got == golden
+
+
+# sha256 of CLI stdout on large comparison families (up to 243 databases
+# and 32 outputs), frozen per enumeration order version like the scenario
+# digests: every check must keep its sweep order, its first witness and its
+# skipped count, not only its supremum.  In a case, a kernel name stands for
+# its model file and `--pop` for a uniform population over its databases.
+LARGE_KERNELS = {
+    "rr4": '{"type": "kernel", "builtin": "randomized_response", "n": 4, '
+           '"bias": "2/3"}',
+    "geo5": '{"type": "kernel", "builtin": "geometric_count", "n": 5, '
+            '"ratio": "1/2"}',
+}
+LARGE_FAMILY_SHA256 = {
+    2: {
+        "check bayesian0 geo5 --pop":
+            "b3f8b137b6f4c58ffbda2cbbadaad5e0239e8a62d987ef137defdceb5fda8834",
+        "check bayesian0 rr4 --pop":
+            "bdc9fdc18347cfb3ec556c4136f1e1bf6c1d67cbab7436dfe79d7d76ed4ad0ba",
+        "check classic geo5":
+            "75b8b722cfe028ff2ee0047cd01ed8d87788b7052b6d8163ad9f3923b1386ed2",
+        "check classic rr4":
+            "a7b1582c610eac9bbad4aa67e129c2aff7fadb76c4e91d3e4b15016367e22b2e",
+        "check single_point_universal geo5 --no-cross-check":
+            "008766d0e7c0f693385245bae8cd414f20134795b362a5cc634fabe60c435bc6",
+        "check single_point_universal rr4 --no-cross-check":
+            "6ac0b25252061b1801fc2314d567ec0483a5945b92de29d098e566cd395f053e",
+        "check strong_adversary_one_dist geo5 --pop":
+            "fa293f38e89701b4bf563984e8b1d7382172c6892510f8eff2bc154cc8f8b781",
+        "check strong_adversary_one_dist rr4 --pop":
+            "0f3d3b59f583f6823caa82b95e810481e6e577da33d5ca732d4a931471531f54",
+        "check strong_adversary_universal geo5":
+            "d45786b2d63a6ddac1a4c1ce5b9e526aef09d64ec3c47f20b6f8cd6010c2efb4",
+        "check strong_adversary_universal rr4":
+            "7917678c255b3a9f48899b8c1de0a8497858491b35ded516bd33ead6d60b0fef",
+        "check whole_db_universal geo5 --no-cross-check":
+            "49e59728ee0601885d4795e85c47d69b524b08946fab51ec1ec6858a1c08d414",
+        "check whole_db_universal rr4 --no-cross-check":
+            "4b47ebb365a4dd026aedd1e5b738586f2579b2f4ada7aeb65f366651cbc80c63",
+        "epsilon rr4":
+            "7384c2e0ef15dcd92382ed6642b7599fbc541ac8b308ec835c1821c331a8f91c",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(LARGE_FAMILY_SHA256[c.ENUMERATION_ORDER_VERSION])
+)
+def test_large_family_stdout_matches_golden_digest(capsys, tmp_path, case):
+    argv = []
+    for word in case.split():
+        if word in LARGE_KERNELS:
+            kernel = parse_kernel(load_strict_json(LARGE_KERNELS[word]))
+            path = tmp_path / f"{word}.json"
+            path.write_text(LARGE_KERNELS[word], encoding="utf-8")
+            argv.append(str(path))
+        elif word == "--pop":
+            path = tmp_path / "pop.json"
+            path.write_text(canonical_json(serialize_input(
+                c.Dist.uniform(c.data_point_names(kernel), kernel.databases())
+            )), encoding="utf-8")
+            argv += [word, str(path)]
+        else:
+            argv.append(word)
+    if argv[0] == "check":
+        argv += ["--target-ratio", "3/2"]
+    code, out = run(capsys, *argv)
+    assert code == (1 if argv[0] == "check" else 0)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == LARGE_FAMILY_SHA256[c.ENUMERATION_ORDER_VERSION][case]
 
 
 def test_text_format_smoke(capsys, rr_file):

@@ -1,4 +1,5 @@
-"""Generated-input properties of the enumeration oracle and the engine.
+"""Generated-input properties of the enumeration oracle, the engine, the
+comparison sweep and the definitions built on them.
 
 The seeded loops elsewhere stay; these add shrinking counterexamples on
 small random models.  The hypothesis profile is set in conftest.py.
@@ -22,6 +23,8 @@ from causaldp import (
     ZeroProbabilityEvent,
 )
 from causaldp.checkers import ASSOCIATIVE_GIVEN_P
+from causaldp.exact import ratio_divide
+from causaldp.reports import SupTracker, sweep
 from conftest import random_kernel
 
 
@@ -220,3 +223,95 @@ def test_one_dist_witness_keeps_database_first_order():
     assert report.achieved == F(8, 3)
     assert report.witness == {"d": (0, 0), "d_prime": (0, 1), "o": "o1"}
     assert list(report.witness) == ["d", "d_prime", "o"]
+
+
+# --- the comparison sweep ------------------------------------------------------
+
+
+def _reference_sweep(outputs, pairs):
+    """The comparison loop as first written: one `SupTracker.offer` of a
+    `ratio_divide` per output, with a fresh witness dict every time."""
+    tracker = SupTracker()
+    skipped = 0
+    for left, right, where in pairs:
+        if left is None or right is None:
+            skipped += len(outputs)
+            continue
+        for o in outputs:
+            tracker.offer(
+                ratio_divide(left.get(o, F(0)), right.get(o, F(0))), {**where, "o": o}
+            )
+    return tracker.bound(), skipped
+
+
+@st.composite
+def comparison_families(draw):
+    """Outputs, a pool of rows and comparisons over it.  Rows keep some zero
+    entries as explicit `Fraction(0)` and drop others; the pool may hold
+    equal copies, pairs reuse row objects and sometimes compare a row with
+    itself, and either side may be None.  Some families end in infinite
+    comparisons followed by None sides."""
+    outputs = tuple(f"o{j}" for j in range(draw(st.integers(1, 4))))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = {}
+        for o, w in zip(outputs, _weights(draw, len(outputs))):
+            if w or draw(st.booleans()):
+                row[o] = w
+        pool.append(row)
+        if draw(st.booleans()):
+            pool.append(dict(row))
+    side = st.one_of(st.none(), st.sampled_from(pool))
+    pairs = []
+    for k in range(draw(st.integers(0, 10))):
+        left = draw(side)
+        right = left if draw(st.booleans()) else draw(side)
+        pairs.append((left, right, {"k": k}))
+    if len(outputs) > 2 and draw(st.booleans()):
+        # positive over zero at two outputs, again, then None sides
+        positive = {outputs[0]: F(1, 2), outputs[1]: F(1, 2)}
+        zero = {outputs[0]: F(0), outputs[2]: F(1)}
+        pairs += [(positive, zero, {"k": "inf"}), (positive, zero, {"k": "again"}),
+                  (None, zero, {"k": "none"}), (positive, None, {"k": "none"})]
+    return outputs, pairs
+
+
+@given(comparison_families())
+def test_sweep_equals_the_reference_fold(family):
+    outputs, pairs = family
+    bound, skipped = sweep(outputs, iter(pairs))
+    want, want_skipped = _reference_sweep(outputs, pairs)
+    assert (bound.value, bound.witness, skipped) == (want.value, want.witness,
+                                                     want_skipped)
+    assert type(bound.value) is type(want.value)
+    if want.witness is not None:
+        assert list(bound.witness) == list(want.witness)
+
+
+# --- population-free definitions -------------------------------------------------
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3))
+def test_population_free_definitions_equal_classic(rng, n, dom_size, out_size):
+    """Kernels with zero entries, so some classic ratios are infinite."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    classic = c.classic_epsilon(kernel).value
+    for definition in c.POPULATION_FREE:
+        report = c.run_check(definition, kernel, F(1))
+        assert report.achieved == classic, definition
+        assert type(report.achieved) is type(classic)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+def test_single_point_never_exceeds_classic(rng, n, dom_size, out_size, data):
+    """Under a drawn population, zero-weight databases included, and under
+    a point mass (`single_point_universal` equals classic, tested above)."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    classic = c.classic_epsilon(kernel).value
+    names = c.data_point_names(kernel)
+    db = data.draw(st.sampled_from(list(kernel.databases())))
+    for pop in (_population(data.draw, names, kernel), Dist.point_mass(names, db)):
+        report = c.run_check(DefinitionId.SINGLE_POINT_INTERVENTION, kernel, F(1), pop)
+        assert c.ratio_le(report.achieved, classic)
