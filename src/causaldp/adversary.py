@@ -10,22 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .checkers import induced_data_population
 from .dist import Dist
 from .errors import DomainMismatch, ValueOutOfDomain, ZeroEvidence
 from .exact import ratio_divide
-from .mechanisms import MechanismKernel, data_point_names, input_names
+from .mechanisms import MechanismKernel
 from .reports import RatioBound, SupTracker
-
-
-def _as_data_prior(kernel: MechanismKernel, prior: Dist) -> Dist:
-    names = data_point_names(kernel)
-    if prior.variables == names:
-        return prior
-    if prior.variables == input_names(kernel):
-        return Dist(names, dict(prior.weights))
-    raise DomainMismatch(
-        f"prior must be over {names}, got {prior.variables}"
-    )
 
 
 def _check_observation(kernel: MechanismKernel, observation) -> None:
@@ -49,9 +39,7 @@ def _bayes(prior: Dist, likelihood, zero_evidence: str) -> Dist:
     return Dist(prior.variables, {db: w / total for db, w in unnormalized.items()})
 
 
-def posterior(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
-    """Belief over databases after seeing the output, by Bayes' rule."""
-    prior = _as_data_prior(kernel, prior)
+def _plain(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
     _check_observation(kernel, observation)
     return _bayes(
         prior,
@@ -60,21 +48,9 @@ def posterior(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
     )
 
 
-def posterior_under_intervention(
-    kernel: MechanismKernel,
-    prior: Dist,
-    point_index: int,
-    value,
-    observation,
+def _forced(
+    kernel: MechanismKernel, prior: Dist, point_index: int, value, observation
 ) -> Dist:
-    """Belief over the original databases, had one point been forced.
-
-    The likelihood of database d becomes the kernel row of d with coordinate
-    `point_index` overwritten by `value`: the adversary reasons about what
-    the output reveals when that point's true value was cut out of the
-    mechanism.  The belief is still about the original, unforced data.
-    """
-    prior = _as_data_prior(kernel, prior)
     _check_observation(kernel, observation)
     if not 1 <= point_index <= kernel.n:
         raise DomainMismatch(
@@ -92,6 +68,30 @@ def posterior_under_intervention(
     )
 
 
+def posterior(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
+    """Belief over databases after seeing the output, by Bayes' rule.  The
+    prior is over the data points D_1..D_n or the true inputs R_1..R_n."""
+    return _plain(kernel, induced_data_population(kernel, (), prior), observation)
+
+
+def posterior_under_intervention(
+    kernel: MechanismKernel,
+    prior: Dist,
+    point_index: int,
+    value,
+    observation,
+) -> Dist:
+    """Belief over the original databases, had one point been forced.
+
+    The likelihood of database d becomes the kernel row of d with coordinate
+    `point_index` overwritten by `value`: the adversary reasons about what
+    the output reveals when that point's true value was cut out of the
+    mechanism.  The belief is still about the original, unforced data.
+    """
+    prior = induced_data_population(kernel, (), prior)
+    return _forced(kernel, prior, point_index, value, observation)
+
+
 def semantic_gap(
     kernel: MechanismKernel, prior: Dist, point_index: int, value
 ) -> RatioBound:
@@ -101,14 +101,12 @@ def semantic_gap(
     prior's support of the posterior ratio, taken in both directions.  A gap
     of 1 means forcing the point teaches the adversary nothing extra.
     """
-    prior = _as_data_prior(kernel, prior)
+    prior = induced_data_population(kernel, (), prior)
     tracker = SupTracker()
     for o in kernel.output_domain:
         try:
-            plain = posterior(kernel, prior, o)
-            forced = posterior_under_intervention(
-                kernel, prior, point_index, value, o
-            )
+            plain = _plain(kernel, prior, o)
+            forced = _forced(kernel, prior, point_index, value, o)
         except ZeroEvidence:
             continue
         for db in kernel.databases():

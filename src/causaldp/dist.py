@@ -12,12 +12,54 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import InvalidDistribution, UnknownVariable, ZeroProbabilityEvent
+from .errors import (
+    DomainMismatch,
+    InvalidDistribution,
+    UnknownVariable,
+    ValueOutOfDomain,
+    ZeroProbabilityEvent,
+)
 from .exact import Value, value_sort_key
 
 # An event is either a {variable: value} conjunction or a predicate over
 # full assignment mappings.
 Event = Union[Mapping[str, Value], Callable[[Mapping[str, Value]], bool]]
+
+
+def exact_row(weights: Mapping, error: type[Exception], where: str) -> dict:
+    """The positive entries of an exact row.
+
+    Every weight must be a nonnegative `Fraction` and the weights must sum to
+    exactly 1; otherwise `error` is raised, its message starting with `where`.
+    Distributions, equation rows and kernel rows all pass this one rule.
+    """
+    kept = {}
+    total = Fraction(0)
+    for key, w in weights.items():
+        if not isinstance(w, Fraction) or w < 0:
+            raise error(f"{where}: weight {w!r} at {key!r} is not a nonnegative rational")
+        total += w
+        if w:
+            kept[key] = w
+    if total != 1:
+        raise error(f"{where}: weights sum to {total}, expected exactly 1")
+    return kept
+
+
+def check_table(table: Mapping, keys: Iterable, domain: Iterable, where: str) -> None:
+    """One row per expected key, and every row value inside the domain; raises
+    DomainMismatch or ValueOutOfDomain, the message starting with `where`."""
+    expected = set(keys)
+    if set(table) != expected:
+        raise DomainMismatch(
+            f"{where} must have one row per key ({len(expected)} expected, "
+            f"{len(table)} given)"
+        )
+    allowed = set(domain)
+    for key, row in table.items():
+        if not allowed.issuperset(row):
+            value = next(v for v in row if v not in allowed)
+            raise ValueOutOfDomain(f"{where}, row {key!r}: value {value!r} outside domain")
 
 
 @dataclass(frozen=True)
@@ -33,23 +75,14 @@ class Dist:
     weights: dict[tuple, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned: dict[tuple, Fraction] = {}
-        total = Fraction(0)
-        for point, w in self.weights.items():
-            if not isinstance(point, tuple) or len(point) != len(self.variables):
+        width = len(self.variables)
+        for point in self.weights:
+            if not isinstance(point, tuple) or len(point) != width:
                 raise InvalidDistribution(
                     f"assignment {point!r} does not match variables {self.variables}"
                 )
-            if not isinstance(w, Fraction):
-                raise InvalidDistribution(f"weight {w!r} is not an exact rational")
-            if w < 0:
-                raise InvalidDistribution(f"negative weight {w} at {point!r}")
-            total += w
-            if w > 0:
-                cleaned[point] = w
-        if total != 1:
-            raise InvalidDistribution(f"weights sum to {total}, expected exactly 1")
-        object.__setattr__(self, "weights", cleaned)
+        weights = exact_row(self.weights, InvalidDistribution, "distribution")
+        object.__setattr__(self, "weights", weights)
 
     # --- constructors -----------------------------------------------------
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dist import Dist
+from .dist import Dist, check_table, exact_row
 from .errors import (
     BiasOutOfRange,
     DomainMismatch,
@@ -64,6 +64,11 @@ def input_names(kernel: MechanismKernel) -> tuple[str, ...]:
     return tuple(r_name(i) for i in range(1, kernel.n + 1))
 
 
+def _require_points(n: int) -> None:
+    if n < 1:
+        raise DomainMismatch("a mechanism needs at least one data point")
+
+
 @dataclass(frozen=True)
 class MechanismKernel:
     """An extensional release mechanism.
@@ -85,8 +90,7 @@ class MechanismKernel:
     table: dict[tuple, dict[Value, Fraction]]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainMismatch("a mechanism needs at least one data point")
+        _require_points(self.n)
         if len(set(self.data_domain)) != len(self.data_domain) or not self.data_domain:
             raise DomainMismatch("data domain must be nonempty without duplicates")
         if self.null_value not in self.data_domain:
@@ -95,30 +99,11 @@ class MechanismKernel:
             )
         if len(set(self.output_domain)) != len(self.output_domain) or not self.output_domain:
             raise DomainMismatch("output domain must be nonempty without duplicates")
-        expected = set(product(self.data_domain, repeat=self.n))
-        if set(self.table) != expected:
-            raise DomainMismatch(
-                f"kernel table must have one row per database "
-                f"({len(expected)} expected, {len(self.table)} given)"
-            )
-        outs = set(self.output_domain)
-        cleaned: dict[tuple, dict[Value, Fraction]] = {}
-        for db, row in self.table.items():
-            total = Fraction(0)
-            kept: dict[Value, Fraction] = {}
-            for o, w in row.items():
-                if o not in outs:
-                    raise ValueOutOfDomain(f"row {db!r} mentions unknown output {o!r}")
-                if not isinstance(w, Fraction) or w < 0:
-                    raise DomainMismatch(
-                        f"row {db!r}: weight {w!r} is not a nonnegative rational"
-                    )
-                total += w
-                if w > 0:
-                    kept[o] = w
-            if total != 1:
-                raise DomainMismatch(f"row {db!r} sums to {total}, expected 1")
-            cleaned[db] = kept
+        check_table(self.table, self.databases(), self.output_domain, "kernel table")
+        cleaned = {
+            db: exact_row(row, DomainMismatch, f"kernel row {db!r}")
+            for db, row in self.table.items()
+        }
         object.__setattr__(self, "table", cleaned)
 
     def databases(self) -> Iterator[tuple]:
@@ -155,6 +140,7 @@ def randomized_response_kernel(n: int, truth_bias: Fraction) -> MechanismKernel:
     q = Fraction(truth_bias)
     if not Fraction(1, 2) < q < 1:
         raise BiasOutOfRange(f"truth bias must satisfy 1/2 < q < 1, got {q}")
+    _require_points(n)
     channel = {
         POS: {POS: q, NEG: 1 - q},
         NEG: {POS: 1 - q, NEG: q},
@@ -192,6 +178,7 @@ def geometric_count_kernel(n: int, noise_ratio: Fraction) -> MechanismKernel:
     r = Fraction(noise_ratio)
     if not 0 < r < 1:
         raise RatioOutOfRange(f"noise ratio must satisfy 0 < r < 1, got {r}")
+    _require_points(n)
     rows: dict[int, dict[Value, Fraction]] = {}
     for c in range(n + 1):
         row: dict[Value, Fraction] = {}

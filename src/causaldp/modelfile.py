@@ -53,6 +53,10 @@ TOOL_VERSION = "0.1.0"
 # behind witnesses, row ordering, a reduction note); lets old reports be read.
 ENUMERATION_ORDER_VERSION = 2
 
+# Values nest a few arrays deep (a database of report vectors); deeper nesting
+# is hostile and would hit Python's recursion limit in the readers and writers.
+_MAX_VALUE_DEPTH = 32
+
 
 # --- low-level parsing helpers -------------------------------------------------
 
@@ -75,6 +79,8 @@ def load_strict_json(text: str) -> Any:
         )
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply", "top level") from None
 
 
 def _require_keys(obj: dict, required: set[str], optional: set[str], loc: str):
@@ -89,13 +95,15 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], loc: str):
         raise ValidationError(f"unknown keys {sorted(extra)}", loc)
 
 
-def _value(node: Any, loc: str) -> Value:
+def _value(node: Any, loc: str, depth: int = 0) -> Value:
     if isinstance(node, bool):
         raise ValidationError("booleans are not domain values", loc)
     if isinstance(node, (str, int)):
         return node
     if isinstance(node, list):
-        return tuple(_value(x, f"{loc}[{i}]") for i, x in enumerate(node))
+        if depth == _MAX_VALUE_DEPTH:
+            raise ParseError(f"values nest deeper than {_MAX_VALUE_DEPTH} arrays", loc)
+        return tuple(_value(x, f"{loc}[{i}]", depth + 1) for i, x in enumerate(node))
     raise ValidationError(
         f"domain values are strings, integers, or arrays; got "
         f"{type(node).__name__}", loc,
@@ -128,6 +136,10 @@ def _array(node: Any, loc: str) -> list:
     return node
 
 
+def _values(node: Any, loc: str) -> tuple[Value, ...]:
+    return tuple(_value(v, f"{loc}[{i}]") for i, v in enumerate(_array(node, loc)))
+
+
 def _pairs(node: Any, loc: str) -> list[tuple[Any, Any]]:
     out = []
     for i, entry in enumerate(_array(node, loc)):
@@ -136,6 +148,32 @@ def _pairs(node: Any, loc: str) -> list[tuple[Any, Any]]:
             raise ValidationError("expected a [key, value] pair", here)
         out.append((entry[0], entry[1]))
     return out
+
+
+def _table(node: Any, loc: str, what: str, cell: Callable[[Any, str], Any]) -> dict:
+    """An array of [key, cell] pairs keyed by arrays (databases, points,
+    parent values), as a dict; `cell` reads each right-hand side."""
+    table: dict[tuple, Any] = {}
+    for i, (key_node, cell_node) in enumerate(_pairs(node, loc)):
+        here = f"{loc}[{i}]"
+        key = _value(key_node, f"{here}[0]")
+        if not isinstance(key, tuple):
+            raise ValidationError(f"{what} keys must be arrays", f"{here}[0]")
+        if key in table:
+            raise ValidationError(f"duplicate {what} {list(key)!r}", f"{here}[0]")
+        table[key] = cell(cell_node, f"{here}[1]")
+    return table
+
+
+def _row(node: Any, loc: str) -> dict[Value, Fraction]:
+    """An array of [value, "p/q"] pairs, as a dict."""
+    row: dict[Value, Fraction] = {}
+    for j, (v_node, w_node) in enumerate(_pairs(node, loc)):
+        v = _value(v_node, f"{loc}[{j}][0]")
+        if v in row:
+            raise ValidationError(f"duplicate value {v!r}", f"{loc}[{j}]")
+        row[v] = _rational(w_node, f"{loc}[{j}][1]")
+    return row
 
 
 def _wrap_model_error(fn: Callable, loc: str):
@@ -176,30 +214,10 @@ def parse_kernel(obj: dict, loc: str = "kernel") -> MechanismKernel:
         set(), loc,
     )
     n = _int(obj["n"], f"{loc}.n")
-    data_domain = tuple(
-        _value(v, f"{loc}.data_domain[{i}]")
-        for i, v in enumerate(_array(obj["data_domain"], f"{loc}.data_domain"))
-    )
+    data_domain = _values(obj["data_domain"], f"{loc}.data_domain")
     null_value = _value(obj["null_value"], f"{loc}.null_value")
-    output_domain = tuple(
-        _value(v, f"{loc}.output_domain[{i}]")
-        for i, v in enumerate(_array(obj["output_domain"], f"{loc}.output_domain"))
-    )
-    table: dict[tuple, dict[Value, Fraction]] = {}
-    for i, (db_node, row_node) in enumerate(_pairs(obj["table"], f"{loc}.table")):
-        here = f"{loc}.table[{i}]"
-        db = _value(db_node, f"{here}[0]")
-        if not isinstance(db, tuple):
-            raise ValidationError("database keys must be arrays", f"{here}[0]")
-        if db in table:
-            raise ValidationError(f"duplicate database {list(db)!r}", f"{here}[0]")
-        row: dict[Value, Fraction] = {}
-        for j, (v_node, w_node) in enumerate(_pairs(row_node, f"{here}[1]")):
-            v = _value(v_node, f"{here}[1][{j}][0]")
-            if v in row:
-                raise ValidationError(f"duplicate output {v!r}", f"{here}[1][{j}]")
-            row[v] = _rational(w_node, f"{here}[1][{j}][1]")
-        table[db] = row
+    output_domain = _values(obj["output_domain"], f"{loc}.output_domain")
+    table = _table(obj["table"], f"{loc}.table", "database", _row)
     return _wrap_model_error(
         lambda: MechanismKernel(n, data_domain, null_value, output_domain, table),
         loc,
@@ -212,15 +230,7 @@ def parse_distribution(obj: dict, loc: str = "distribution") -> Dist:
         _string(v, f"{loc}.variables[{i}]")
         for i, v in enumerate(_array(obj["variables"], f"{loc}.variables"))
     )
-    weights: dict[tuple, Fraction] = {}
-    for i, (point_node, w_node) in enumerate(_pairs(obj["weights"], f"{loc}.weights")):
-        here = f"{loc}.weights[{i}]"
-        point = _value(point_node, f"{here}[0]")
-        if not isinstance(point, tuple):
-            raise ValidationError("weight keys must be arrays", f"{here}[0]")
-        if point in weights:
-            raise ValidationError(f"duplicate point {list(point)!r}", f"{here}[0]")
-        weights[point] = _rational(w_node, f"{here}[1]")
+    weights = _table(obj["weights"], f"{loc}.weights", "point", _rational)
     return _wrap_model_error(lambda: Dist(variables, weights), loc)
 
 
@@ -231,23 +241,7 @@ def parse_equation(obj: dict, loc: str) -> StochasticEquation:
         _string(p, f"{loc}.parents[{i}]")
         for i, p in enumerate(_array(obj["parents"], f"{loc}.parents"))
     )
-    rows: dict[tuple, dict[Value, Fraction]] = {}
-    for i, (key_node, row_node) in enumerate(_pairs(obj["rows"], f"{loc}.rows")):
-        here = f"{loc}.rows[{i}]"
-        key = _value(key_node, f"{here}[0]")
-        if not isinstance(key, tuple):
-            raise ValidationError("row keys must be arrays of parent values",
-                                  f"{here}[0]")
-        if key in rows:
-            raise ValidationError(f"duplicate parent row {list(key)!r}",
-                                  f"{here}[0]")
-        row: dict[Value, Fraction] = {}
-        for j, (v_node, w_node) in enumerate(_pairs(row_node, f"{here}[1]")):
-            v = _value(v_node, f"{here}[1][{j}][0]")
-            if v in row:
-                raise ValidationError(f"duplicate value {v!r}", f"{here}[1][{j}]")
-            row[v] = _rational(w_node, f"{here}[1][{j}][1]")
-        rows[key] = row
+    rows = _table(obj["rows"], f"{loc}.rows", "parent row", _row)
     return _wrap_model_error(
         lambda: StochasticEquation(target, parents, rows), loc
     )
@@ -255,20 +249,13 @@ def parse_equation(obj: dict, loc: str) -> StochasticEquation:
 
 def parse_sem(obj: dict, loc: str = "sem") -> Sem:
     _require_keys(obj, {"type", "variables", "equations"}, set(), loc)
-    names: list[str] = []
     domains: dict[str, tuple[Value, ...]] = {}
-    for i, entry in enumerate(_array(obj["variables"], f"{loc}.variables")):
+    for i, (name_node, dom_node) in enumerate(_pairs(obj["variables"], f"{loc}.variables")):
         here = f"{loc}.variables[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ValidationError("expected a [name, domain] pair", here)
-        name = _string(entry[0], f"{here}[0]")
+        name = _string(name_node, f"{here}[0]")
         if name in domains:
             raise ValidationError(f"duplicate variable {name!r}", f"{here}[0]")
-        dom = _value(entry[1], f"{here}[1]")
-        if not isinstance(dom, tuple):
-            raise ValidationError("domain must be an array", f"{here}[1]")
-        names.append(name)
-        domains[name] = dom
+        domains[name] = _values(dom_node, f"{here}[1]")
     equations: dict[str, StochasticEquation] = {}
     for i, eq_node in enumerate(_array(obj["equations"], f"{loc}.equations")):
         eq = parse_equation(eq_node, f"{loc}.equations[{i}]")
@@ -279,7 +266,7 @@ def parse_sem(obj: dict, loc: str = "sem") -> Sem:
         equations[eq.target] = eq
 
     def build() -> Sem:
-        sem = Sem(tuple(names), domains, equations)
+        sem = Sem(tuple(domains), domains, equations)
         sem.validate()
         return sem
 
@@ -344,10 +331,6 @@ _TYPE_PARSERS = {
     "composition": parse_composition,
 }
 
-ParsedInput = (
-    MechanismKernel | Dist | Sem | CanonicalModel | CompositionSpec
-)
-
 
 def parse_text(text: str):
     """Parse one top-level object, dispatching on its "type" tag."""
@@ -387,8 +370,9 @@ def value_to_json(v: Value):
     return v
 
 
-def _rat(x: Fraction) -> str:
-    return format_ratio(x)
+def _rows(entries) -> list:
+    """[[value, "p/q"], ...] in the order given."""
+    return [[value_to_json(v), format_ratio(w)] for v, w in entries]
 
 
 def serialize_kernel(kernel: MechanismKernel) -> dict:
@@ -401,11 +385,11 @@ def serialize_kernel(kernel: MechanismKernel) -> dict:
         "table": [
             [
                 value_to_json(db),
-                [
-                    [value_to_json(o), _rat(kernel.table[db][o])]
+                _rows(
+                    (o, kernel.table[db][o])
                     for o in kernel.output_domain
                     if o in kernel.table[db]
-                ],
+                ),
             ]
             for db in kernel.databases()
         ],
@@ -416,9 +400,7 @@ def serialize_distribution(dist: Dist) -> dict:
     return {
         "type": "distribution",
         "variables": list(dist.variables),
-        "weights": [
-            [value_to_json(point), _rat(w)] for point, w in dist.entries_sorted()
-        ],
+        "weights": _rows(dist.entries_sorted()),
     }
 
 
@@ -429,12 +411,7 @@ def serialize_equation(eq: StochasticEquation) -> dict:
         "rows": [
             [
                 value_to_json(key),
-                [
-                    [value_to_json(v), _rat(w)]
-                    for v, w in sorted(
-                        eq.rows[key].items(), key=lambda kv: value_sort_key(kv[0])
-                    )
-                ],
+                _rows(sorted(eq.rows[key].items(), key=lambda kv: value_sort_key(kv[0]))),
             ]
             for key in sorted(eq.rows, key=value_sort_key)
         ],
@@ -475,8 +452,8 @@ def serialize_composition(spec: CompositionSpec) -> dict:
         "x": spec.x,
         "y1": spec.y1,
         "y2": spec.y2,
-        "ratio1": _rat(spec.ratio1),
-        "ratio2": _rat(spec.ratio2),
+        "ratio1": format_ratio(spec.ratio1),
+        "ratio2": format_ratio(spec.ratio2),
     }
 
 

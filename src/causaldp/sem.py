@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .dist import Dist, Event
+from .dist import Dist, Event, check_table, exact_row
 from .errors import (
     CyclicModel,
     DomainMismatch,
@@ -60,27 +60,10 @@ class StochasticEquation:
     def __post_init__(self):
         cleaned = {}
         for key, row in self.rows.items():
+            where = f"equation for {self.target!r}, row {key!r}"
             if not isinstance(key, tuple) or len(key) != len(self.parents):
-                raise DomainMismatch(
-                    f"equation for {self.target!r}: row key {key!r} does not "
-                    f"match parents {self.parents}"
-                )
-            kept = {}
-            total = Fraction(0)
-            for value, w in row.items():
-                if not isinstance(w, Fraction) or w < 0:
-                    raise DomainMismatch(
-                        f"equation for {self.target!r}: weight {w!r} at row "
-                        f"{key!r} is not a nonnegative rational"
-                    )
-                total += w
-                if w > 0:
-                    kept[value] = w
-            if total != 1:
-                raise DomainMismatch(
-                    f"equation for {self.target!r}: row {key!r} sums to {total}"
-                )
-            cleaned[key] = kept
+                raise DomainMismatch(f"{where}: key does not match parents {self.parents}")
+            cleaned[key] = exact_row(row, DomainMismatch, where)
         object.__setattr__(self, "rows", cleaned)
 
     def row_for(self, parent_values: tuple) -> dict[Value, Fraction]:
@@ -205,21 +188,8 @@ class Sem:
                     raise UnknownVariable(
                         f"equation for {target!r} uses undeclared parent {p!r}"
                     )
-            expected = set(product(*(self.domains[p] for p in eq.parents)))
-            got = set(eq.rows)
-            if expected != got:
-                raise DomainMismatch(
-                    f"equation for {target!r} must have one row per parent "
-                    f"combination ({len(expected)} expected, {len(got)} given)"
-                )
-            dom = set(self.domains[target])
-            for key, row in eq.rows.items():
-                for value in row:
-                    if value not in dom:
-                        raise ValueOutOfDomain(
-                            f"equation for {target!r}, row {key!r}: value "
-                            f"{value!r} outside domain"
-                        )
+            keys = product(*(self.domains[p] for p in eq.parents))
+            check_table(eq.rows, keys, self.domains[target], f"equation for {target!r}")
 
     def _topological_order(self) -> tuple[str, ...]:
         order = list(self.exogenous)

@@ -44,6 +44,38 @@ def test_posterior_accepts_r_named_prior():
     assert post.weight_of((0,)) == F(1, 2)
 
 
+def test_r_named_and_d_named_priors_agree():
+    rng = random.Random(6)
+    for n, dom, out in ((1, 3, 2), (2, 2, 3), (2, 3, 2)):
+        k = random_kernel(rng, n, dom, out)
+        d_prior = random_population(rng, k, full_support=False)
+        r_prior = Dist(c.input_names(k), d_prior.weights)
+        v = k.data_domain[-1]
+        for o in k.output_domain:
+            for args in ((o,), (n, v, o)):
+                fn = c.posterior if len(args) == 1 else c.posterior_under_intervention
+                try:
+                    expected = fn(k, d_prior, *args)
+                except c.ZeroEvidence:
+                    with pytest.raises(c.ZeroEvidence):
+                        fn(k, r_prior, *args)
+                    continue
+                assert fn(k, r_prior, *args) == expected
+        assert c.semantic_gap(k, r_prior, n, v) == c.semantic_gap(k, d_prior, n, v)
+
+
+def test_prior_over_other_names_is_rejected():
+    k = c.hidden_value_kernel()
+    prior = Dist.uniform(("X",), [(0,), (1,)])
+    for call in (
+        lambda: c.posterior(k, prior, 0),
+        lambda: c.posterior_under_intervention(k, prior, 1, 0, 0),
+        lambda: c.semantic_gap(k, prior, 1, 0),
+    ):
+        with pytest.raises(c.DomainMismatch):
+            call()
+
+
 def test_posterior_preserves_zero_prior_points():
     k = c.randomized_response_kernel(1, F(2, 3))
     prior = Dist(("D_1",), {(c.POS,): F(1)})

@@ -229,6 +229,66 @@ def test_posterior_force_flags_must_pair(capsys, rr_file, tmp_path):
     assert code == 4
 
 
+def test_posterior_on_a_prior_over_other_names_exits_four(capsys, tmp_path):
+    prior = tmp_path / "prior.json"
+    prior.write_text(canonical_json(serialize_input(
+        c.Dist.uniform(("X",), [("pos",), ("neg",)])
+    )), encoding="utf-8")
+    kernel = tmp_path / "rr1.json"
+    kernel.write_text('{"type": "kernel", "builtin": "randomized_response", '
+                      '"n": 1, "bias": "2/3"}\n', encoding="utf-8")
+    code = main(["posterior", str(kernel), "--prior", str(prior), "--observe", '["pos"]'])
+    assert code == 4
+    assert "exogenous variables are ('R_1',)" in capsys.readouterr().err
+
+
+# --- hostile inputs ----------------------------------------------------------------
+
+
+def _exits_four_at(capsys, argv, location):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"(at {location}" in err
+    assert "Traceback" not in err
+
+
+# 200 arrays reach the value reader; 5000 overflow the JSON decoder; near
+# 960 either can give up first, depending on how deep the caller's stack is.
+@pytest.mark.parametrize("depth, location", [
+    (200, "distribution.weights[0][0]" + "[0]" * 32 + ")"),
+    (960, ""),
+    (5000, "top level)"),
+])
+def test_deeply_nested_file_is_a_parse_error(capsys, tmp_path, depth, location):
+    path = tmp_path / "deep.json"
+    key = "[" * depth + "0" + "]" * depth
+    path.write_text('{"type": "distribution", "variables": ["A"], '
+                    f'"weights": [[{key}, "1"]]}}', encoding="utf-8")
+    _exits_four_at(capsys, ["epsilon", str(path)], location)
+
+
+def test_deeply_nested_observation_is_a_parse_error(capsys, rr_file, tmp_path):
+    prior = tmp_path / "prior.json"
+    prior.write_text(canonical_json(serialize_input(
+        c.Dist.point_mass(("D_1", "D_2"), ("pos", "pos"))
+    )), encoding="utf-8")
+    observe = "[" * 5000 + "]" * 5000
+    _exits_four_at(capsys, ["posterior", rr_file, "--prior", str(prior),
+                            "--observe", observe], "top level")
+
+
+@pytest.mark.parametrize("builtin", [
+    '"randomized_response", "bias": "2/3"', '"geometric_count", "ratio": "1/2"',
+])
+@pytest.mark.parametrize("n", [-1, 0])
+def test_builtin_with_no_data_points_exits_four(capsys, tmp_path, builtin, n):
+    path = tmp_path / "k.json"
+    path.write_text(f'{{"type": "kernel", "builtin": {builtin}, "n": {n}}}',
+                    encoding="utf-8")
+    _exits_four_at(capsys, ["epsilon", str(path)], "kernel")
+
+
 # --- witness files -----------------------------------------------------------------
 
 

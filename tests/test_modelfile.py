@@ -119,6 +119,104 @@ def test_row_sum_error_carries_location():
     assert exc.value.location.startswith("kernel")
 
 
+def _kernel_table(table):
+    return {"type": "kernel", "n": 1, "data_domain": [0, 1], "null_value": 0,
+            "output_domain": ["h", "t"], "table": table}
+
+
+def _distribution(weights):
+    return {"type": "distribution", "variables": ["A", "B"], "weights": weights}
+
+
+def _sem_rows(rows):
+    return {"type": "sem", "variables": [["X", [0, 1]], ["Y", [0, 1]]],
+            "equations": [{"target": "Y", "parents": ["X"], "rows": rows}]}
+
+
+FAIR = [["h", "1/2"], ["t", "1/2"]]
+COIN = [[0, "1/2"], [1, "1/2"]]
+
+# (input, exception class, location, class of the model error it wraps)
+MALFORMED_TABLES = {
+    "kernel duplicate key": (
+        _kernel_table([[[0], FAIR], [[0], FAIR]]),
+        c.ValidationError, "kernel.table[1][0]", None),
+    "kernel non-array key": (
+        _kernel_table([[0, FAIR], [[1], FAIR]]),
+        c.ValidationError, "kernel.table[0][0]", None),
+    "kernel duplicate value": (
+        _kernel_table([[[0], [["h", "1/2"], ["h", "1/2"]]], [[1], FAIR]]),
+        c.ValidationError, "kernel.table[0][1][1]", None),
+    "kernel negative weight": (
+        _kernel_table([[[0], [["h", "-1/2"], ["t", "3/2"]]], [[1], FAIR]]),
+        c.ValidationError, "kernel", c.DomainMismatch),
+    "kernel wrong sum": (
+        _kernel_table([[[0], [["h", "1/2"], ["t", "1/3"]]], [[1], FAIR]]),
+        c.ValidationError, "kernel", c.DomainMismatch),
+    "kernel missing row": (
+        _kernel_table([[[0], FAIR]]),
+        c.ValidationError, "kernel", c.DomainMismatch),
+    "kernel value outside domain": (
+        _kernel_table([[[0], [["h", "1/2"], ["x", "1/2"]]], [[1], FAIR]]),
+        c.ValidationError, "kernel", c.ValueOutOfDomain),
+    "kernel point of wrong width": (
+        _kernel_table([[[0], FAIR], [[1, 0], FAIR]]),
+        c.ValidationError, "kernel", c.DomainMismatch),
+    "kernel non-rational weight": (
+        _kernel_table([[[0], [["h", "1/2"], ["t", 1]]], [[1], FAIR]]),
+        c.ParseError, "kernel.table[0][1][1][1]", None),
+    "distribution duplicate key": (
+        _distribution([[[0, 0], "1/2"], [[0, 0], "1/2"]]),
+        c.ValidationError, "distribution.weights[1][0]", None),
+    "distribution non-array key": (
+        _distribution([[0, "1/2"], [[0, 1], "1/2"]]),
+        c.ValidationError, "distribution.weights[0][0]", None),
+    "distribution negative weight": (
+        _distribution([[[0, 0], "-1/2"], [[0, 1], "3/2"]]),
+        c.ValidationError, "distribution", c.InvalidDistribution),
+    "distribution wrong sum": (
+        _distribution([[[0, 0], "1/2"], [[0, 1], "1/3"]]),
+        c.ValidationError, "distribution", c.InvalidDistribution),
+    "distribution point of wrong width": (
+        _distribution([[[0, 0], "1/2"], [[0], "1/2"]]),
+        c.ValidationError, "distribution", c.InvalidDistribution),
+    "equation duplicate key": (
+        _sem_rows([[[0], COIN], [[0], COIN]]),
+        c.ValidationError, "sem.equations[0].rows[1][0]", None),
+    "equation non-array key": (
+        _sem_rows([[0, COIN], [[1], COIN]]),
+        c.ValidationError, "sem.equations[0].rows[0][0]", None),
+    "equation duplicate value": (
+        _sem_rows([[[0], [[0, "1/2"], [0, "1/2"]]], [[1], COIN]]),
+        c.ValidationError, "sem.equations[0].rows[0][1][1]", None),
+    "equation negative weight": (
+        _sem_rows([[[0], [[0, "-1/2"], [1, "3/2"]]], [[1], COIN]]),
+        c.ValidationError, "sem.equations[0]", c.DomainMismatch),
+    "equation wrong sum": (
+        _sem_rows([[[0], [[0, "1/2"], [1, "1/3"]]], [[1], COIN]]),
+        c.ValidationError, "sem.equations[0]", c.DomainMismatch),
+    "equation missing row": (
+        _sem_rows([[[0], COIN]]),
+        c.ValidationError, "sem", c.DomainMismatch),
+    "equation value outside domain": (
+        _sem_rows([[[0], [[0, "1/2"], [2, "1/2"]]], [[1], COIN]]),
+        c.ValidationError, "sem", c.ValueOutOfDomain),
+    "equation point of wrong width": (
+        _sem_rows([[[0], COIN], [[1, 0], COIN]]),
+        c.ValidationError, "sem.equations[0]", c.DomainMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_error_class_and_location(case):
+    obj, error, location, cause = MALFORMED_TABLES[case]
+    with pytest.raises(error) as exc:
+        parse_text(json.dumps(obj))
+    assert type(exc.value) is error
+    assert exc.value.location == location
+    assert type(exc.value.__cause__) is (type(None) if cause is None else cause)
+
+
 def test_unknown_type_tag_rejected():
     with pytest.raises(c.ValidationError):
         parse_text('{"type": "mystery"}')

@@ -5,9 +5,11 @@ The seeded loops elsewhere stay; these add shrinking counterexamples on
 small random models.  The hypothesis profile is set in conftest.py.
 """
 
+import json
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,7 +25,8 @@ from causaldp import (
     ZeroProbabilityEvent,
 )
 from causaldp.checkers import ASSOCIATIVE_GIVEN_P
-from causaldp.exact import ratio_divide
+from causaldp.exact import format_rational, ratio_divide
+from causaldp.modelfile import canonical_json, input_digest, parse_text, serialize_input
 from causaldp.reports import SupTracker, sweep
 from conftest import random_kernel
 
@@ -315,3 +318,57 @@ def test_single_point_never_exceeds_classic(rng, n, dom_size, out_size, data):
     for pop in (_population(data.draw, names, kernel), Dist.point_mass(names, db)):
         report = c.run_check(DefinitionId.SINGLE_POINT_INTERVENTION, kernel, F(1), pop)
         assert c.ratio_le(report.achieved, classic)
+
+
+# --- exact rows and the file format ------------------------------------------------
+
+
+@st.composite
+def kernels_with_zero_entries(draw) -> tuple:
+    """A kernel whose table spells out zero weights, and that table."""
+    n, dom_size, out_size = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+                             draw(st.integers(1, 3)))
+    dom = tuple(range(dom_size))
+    outs = tuple(f"o{j}" for j in range(out_size))
+    table = {db: dict(zip(outs, _weights(draw, out_size)))
+             for db in product(dom, repeat=n)}
+    return c.MechanismKernel(n, dom, dom[0], outs, table), table
+
+
+@given(kernels_with_zero_entries(), small_psems())
+def test_serialize_parse_serialize_is_byte_stable(kernel_and_table, psem):
+    """Equation rows and input joints of the generated SEMs, like the kernel
+    table, spell out zero weights before construction drops them."""
+    kernel, table = kernel_and_table
+    for obj in (kernel, psem.sem, psem.exogenous_dist):
+        text = canonical_json(serialize_input(obj))
+        back = parse_text(text)
+        assert back == obj
+        assert canonical_json(serialize_input(back)) == text
+        assert input_digest(back) == input_digest(obj)
+    spelled_out = serialize_input(kernel)
+    spelled_out["table"] = [
+        [list(db), [[o, format_rational(w)] for o, w in row.items()]]
+        for db, row in table.items()
+    ]
+    assert input_digest(parse_text(json.dumps(spelled_out))) == input_digest(kernel)
+
+
+@given(st.integers(2, 4), st.sampled_from(("float", "negative", "sum")), st.data())
+def test_constructors_reject_inexact_rows(size, fault, data):
+    row = _weights(data.draw, size)
+    i = data.draw(st.integers(0, size - 1))
+    if fault == "float":
+        row[i] = float(row[i])
+    elif fault == "negative":
+        row[i] -= 2  # still sums to 1
+        row[(i + 1) % size] += 2
+    else:
+        row[i] += F(1, 7)
+    values = tuple(range(size))
+    with pytest.raises(c.InvalidDistribution):
+        Dist(("A",), {(v,): w for v, w in zip(values, row)})
+    with pytest.raises(c.DomainMismatch):
+        StochasticEquation("Y", (), {(): dict(zip(values, row))})
+    with pytest.raises(c.DomainMismatch):
+        c.MechanismKernel(1, (0,), 0, values, {(0,): dict(zip(values, row))})
