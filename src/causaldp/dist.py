@@ -3,11 +3,13 @@
 A `Dist` maps assignments (tuples of values, aligned with a fixed variable
 list) to positive rational weights summing to exactly one.  Zero-weight
 entries are dropped at construction so equality compares supports, and all
-arithmetic stays in `fractions.Fraction`.
+arithmetic is exact: `fractions.Fraction`, or integers over a common
+denominator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -31,17 +33,19 @@ def exact_row(weights: Mapping, error: type[Exception], where: str) -> dict:
 
     Every weight must be a nonnegative `Fraction` and the weights must sum to
     exactly 1; otherwise `error` is raised, its message starting with `where`.
-    Distributions, equation rows and kernel rows all pass this one rule.
+    Distributions, equation rows and kernel rows all pass this one rule.  The
+    sum is tested in integers: over the common denominator L of the row, the
+    scaled numerators must add up to L.
     """
     kept = {}
-    total = Fraction(0)
     for key, w in weights.items():
-        if not isinstance(w, Fraction) or w < 0:
+        if not isinstance(w, Fraction) or w.numerator < 0:
             raise error(f"{where}: weight {w!r} at {key!r} is not a nonnegative rational")
-        total += w
-        if w:
+        if w.numerator:
             kept[key] = w
-    if total != 1:
+    common = math.lcm(*(w.denominator for w in kept.values()))
+    if sum(w.numerator * (common // w.denominator) for w in kept.values()) != common:
+        total = sum(weights.values(), Fraction(0))
         raise error(f"{where}: weights sum to {total}, expected exactly 1")
     return kept
 

@@ -6,6 +6,8 @@ tests and the CLI can dispatch on type rather than on message text.
 
 from __future__ import annotations
 
+import reprlib
+
 
 class CausalDpError(Exception):
     """Base class for all errors raised by this package."""
@@ -101,6 +103,24 @@ class PremiseViolated(CausalDpError):
 
 
 # --- file handling --------------------------------------------------------
+
+_PREVIEW_CHARS = 40
+_preview = reprlib.Repr()
+_preview.maxstring = _preview.maxlong = _preview.maxother = _PREVIEW_CHARS
+
+
+def preview(node) -> str:
+    """At most 40 characters of `node`'s repr, for an error message about
+    input: a hostile file is never echoed back whole."""
+    text = _preview.repr(node)
+    if len(text) > _PREVIEW_CHARS:
+        text = text[: _PREVIEW_CHARS - 3] + "..."
+    return text
+
+
+def describe(node) -> str:
+    """A rejected input node for an error message: its type and `preview`."""
+    return f"{type(node).__name__} {preview(node)}"
 
 
 class ParseError(CausalDpError):

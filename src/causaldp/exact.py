@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError
+from .errors import ParseError, describe
 
 # A domain value: a symbol, an integer, or a tuple of values (used for
 # database points and report vectors).
@@ -59,13 +59,15 @@ def parse_rational(text: str, location: str = "") -> Fraction:
     """Parse "p/q" or "p" exactly; anything else (e.g. "0.5") is rejected."""
     if not isinstance(text, str):
         raise ParseError(
-            f"expected a rational written as a string like \"1/2\", got {text!r}",
+            f"expected a rational written as a string like \"1/2\", got "
+            f"{describe(text)}",
             location,
         )
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ParseError(
-            f"malformed rational {text!r}; write exact integer ratios like \"1/2\"",
+            f"malformed rational {describe(text)}; write exact integer ratios "
+            f"like \"1/2\"",
             location,
         )
     num = int(m.group(1))

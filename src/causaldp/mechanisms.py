@@ -15,10 +15,12 @@ the R side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from fractions import Fraction
 from itertools import product
+from operator import eq
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dist import Dist, check_table, exact_row
@@ -117,6 +119,19 @@ class MechanismKernel:
             raise ValueOutOfDomain(f"{db!r} is not a database over the domain") from None
 
     @cached_property
+    def _integer_rows(self) -> tuple[int, dict[tuple, tuple]]:
+        """The table over one common denominator L: (L, database -> ((output,
+        numerator), ...)), each row in the table's own order.  Built once, so
+        mixing rows costs integer products rather than Fraction arithmetic."""
+        rows = self.table.values()
+        common = math.lcm(*(w.denominator for row in rows for w in row.values()))
+        return common, {
+            db: tuple((o, p.numerator * (common // p.denominator))
+                      for o, p in row.items())
+            for db, row in self.table.items()
+        }
+
+    @cached_property
     def _canonical_sem(self) -> Sem:
         """The canonical release model without attribute equations, built and
         validated once: it does not depend on the population."""
@@ -141,21 +156,17 @@ def randomized_response_kernel(n: int, truth_bias: Fraction) -> MechanismKernel:
     if not Fraction(1, 2) < q < 1:
         raise BiasOutOfRange(f"truth bias must satisfy 1/2 < q < 1, got {q}")
     _require_points(n)
-    channel = {
-        POS: {POS: q, NEG: 1 - q},
-        NEG: {POS: 1 - q, NEG: q},
-        NULL: {POS: Fraction(1, 2), NEG: Fraction(1, 2)},
-    }
+    # A cell is q^a (1-q)^b (1/2)^c for a agreeing, b disagreeing and c null
+    # coordinates, so each distinct value is built once: cell[c][a].
+    cell = [
+        [q**a * (1 - q) ** (n - c - a) / 2**c for a in range(n - c + 1)]
+        for c in range(n + 1)
+    ]
     outputs = tuple(product((POS, NEG), repeat=n))
     table: dict[tuple, dict[Value, Fraction]] = {}
     for db in product(RESPONDENT_DOMAIN, repeat=n):
-        row: dict[Value, Fraction] = {}
-        for report in outputs:
-            w = Fraction(1)
-            for truth, rep in zip(db, report):
-                w *= channel[truth][rep]
-            row[report] = w
-        table[db] = row
+        values = cell[db.count(NULL)]
+        table[db] = {report: values[sum(map(eq, db, report))] for report in outputs}
     return MechanismKernel(n, RESPONDENT_DOMAIN, NULL, outputs, table)
 
 
@@ -463,13 +474,19 @@ class CanonicalEngine:
         return others, by_value
 
     def _mix(self, i: int, v: Value, weights: dict[tuple, Fraction]) -> Row:
-        """Kernel rows of the databases with D_i = v, mixed by weights on the
-        other points."""
-        out: Row = {}
+        """Kernel rows of the databases with D_i = v, mixed by positive weights
+        on the other points and normalized by their total.  The sums run in
+        integers over the weights' and the table's common denominators."""
+        common, rows = self.kernel._integer_rows
+        scale = math.lcm(*(w.denominator for w in weights.values()))
+        total = 0
+        acc: dict[Value, int] = {}
         for rest, w in weights.items():
-            for o, p in self.kernel.table[rest[: i - 1] + (v,) + rest[i - 1 :]].items():
-                out[o] = out.get(o, Fraction(0)) + w * p
-        return out
+            w = w.numerator * (scale // w.denominator)
+            total += w
+            for o, p in rows[rest[: i - 1] + (v,) + rest[i - 1 :]]:
+                acc[o] = acc.get(o, 0) + w * p
+        return {o: Fraction(p, total * common) for o, p in acc.items()}
 
     @_memoized
     def output_given_db(self, db: tuple) -> Row:
@@ -501,7 +518,4 @@ class CanonicalEngine:
         points given D_i = v, or None when P(D_i = v) = 0."""
         self._check_point(i, v)
         given = self._point_weights(i)[1].get(v)
-        if given is None:
-            return None
-        total = sum(given.values())
-        return self._mix(i, v, {rest: w / total for rest, w in given.items()})
+        return None if given is None else self._mix(i, v, given)

@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 from .brp import SequentialComposition
 from .dist import Dist
-from .errors import CausalDpError, ParseError, ValidationError
+from .errors import CausalDpError, ParseError, ValidationError, describe, preview
 from .exact import (
     Ratio,
     Value,
@@ -79,6 +79,8 @@ def load_strict_json(text: str) -> Any:
         )
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
+    except ValueError as e:  # an integer literal too long to convert
+        raise ParseError(f"not valid JSON: {e}", "top level") from None
     except RecursionError:
         raise ParseError("not valid JSON: nested too deeply", "top level") from None
 
@@ -92,7 +94,7 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], loc: str):
         raise ValidationError(f"missing keys {sorted(missing)}", loc)
     extra = keys - required - optional
     if extra:
-        raise ValidationError(f"unknown keys {sorted(extra)}", loc)
+        raise ValidationError(f"unknown keys {preview(sorted(extra))}", loc)
 
 
 def _value(node: Any, loc: str, depth: int = 0) -> Value:
@@ -103,6 +105,8 @@ def _value(node: Any, loc: str, depth: int = 0) -> Value:
     if isinstance(node, list):
         if depth == _MAX_VALUE_DEPTH:
             raise ParseError(f"values nest deeper than {_MAX_VALUE_DEPTH} arrays", loc)
+        if all(type(x) is str or type(x) is int for x in node):
+            return tuple(node)  # a flat array needs no per-element location
         return tuple(_value(x, f"{loc}[{i}]", depth + 1) for i, x in enumerate(node))
     raise ValidationError(
         f"domain values are strings, integers, or arrays; got "
@@ -113,20 +117,20 @@ def _value(node: Any, loc: str, depth: int = 0) -> Value:
 def _rational(node: Any, loc: str) -> Fraction:
     if not isinstance(node, str):
         raise ParseError(
-            f'expected a rational string like "1/2", got {node!r}', loc
+            f'expected a rational string like "1/2", got {describe(node)}', loc
         )
     return parse_rational(node, loc)
 
 
 def _int(node: Any, loc: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
-        raise ValidationError(f"expected an integer, got {node!r}", loc)
+        raise ValidationError(f"expected an integer, got {describe(node)}", loc)
     return node
 
 
 def _string(node: Any, loc: str) -> str:
     if not isinstance(node, str):
-        raise ValidationError(f"expected a string, got {node!r}", loc)
+        raise ValidationError(f"expected a string, got {describe(node)}", loc)
     return node
 
 
@@ -160,7 +164,7 @@ def _table(node: Any, loc: str, what: str, cell: Callable[[Any, str], Any]) -> d
         if not isinstance(key, tuple):
             raise ValidationError(f"{what} keys must be arrays", f"{here}[0]")
         if key in table:
-            raise ValidationError(f"duplicate {what} {list(key)!r}", f"{here}[0]")
+            raise ValidationError(f"duplicate {what} {preview(list(key))}", f"{here}[0]")
         table[key] = cell(cell_node, f"{here}[1]")
     return table
 
@@ -171,7 +175,7 @@ def _row(node: Any, loc: str) -> dict[Value, Fraction]:
     for j, (v_node, w_node) in enumerate(_pairs(node, loc)):
         v = _value(v_node, f"{loc}[{j}][0]")
         if v in row:
-            raise ValidationError(f"duplicate value {v!r}", f"{loc}[{j}]")
+            raise ValidationError(f"duplicate value {preview(v)}", f"{loc}[{j}]")
         row[v] = _rational(w_node, f"{loc}[{j}][1]")
     return row
 
@@ -203,7 +207,7 @@ def parse_kernel(obj: dict, loc: str = "kernel") -> MechanismKernel:
         name = _string(obj["builtin"], f"{loc}.builtin")
         if name not in _BUILTIN_KERNELS:
             raise ValidationError(
-                f"unknown builtin {name!r}; known: "
+                f"unknown builtin {preview(name)}; known: "
                 f"{sorted(_BUILTIN_KERNELS)}", f"{loc}.builtin",
             )
         params, build = _BUILTIN_KERNELS[name]
@@ -254,7 +258,7 @@ def parse_sem(obj: dict, loc: str = "sem") -> Sem:
         here = f"{loc}.variables[{i}]"
         name = _string(name_node, f"{here}[0]")
         if name in domains:
-            raise ValidationError(f"duplicate variable {name!r}", f"{here}[0]")
+            raise ValidationError(f"duplicate variable {preview(name)}", f"{here}[0]")
         domains[name] = _values(dom_node, f"{here}[1]")
     equations: dict[str, StochasticEquation] = {}
     for i, eq_node in enumerate(_array(obj["equations"], f"{loc}.equations")):
@@ -338,9 +342,9 @@ def parse_text(text: str):
     if not isinstance(node, dict):
         raise ValidationError("top level must be an object with a \"type\" key")
     tag = node.get("type")
-    if tag not in _TYPE_PARSERS:
+    if not isinstance(tag, str) or tag not in _TYPE_PARSERS:
         raise ValidationError(
-            f"unknown type {tag!r}; expected one of {sorted(_TYPE_PARSERS)}",
+            f"unknown type {preview(tag)}; expected one of {sorted(_TYPE_PARSERS)}",
             "type",
         )
     return _TYPE_PARSERS[tag](node, tag)
@@ -375,13 +379,19 @@ def _rows(entries) -> list:
     return [[value_to_json(v), format_ratio(w)] for v, w in entries]
 
 
-def serialize_kernel(kernel: MechanismKernel) -> dict:
+def _kernel_header(kernel: MechanismKernel) -> dict:
     return {
         "type": "kernel",
         "n": kernel.n,
         "data_domain": [value_to_json(v) for v in kernel.data_domain],
         "null_value": value_to_json(kernel.null_value),
         "output_domain": [value_to_json(v) for v in kernel.output_domain],
+    }
+
+
+def serialize_kernel(kernel: MechanismKernel) -> dict:
+    return {
+        **_kernel_header(kernel),
         "table": [
             [
                 value_to_json(db),
@@ -545,10 +555,69 @@ def digest_of_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _indented(node, depth: int) -> str:
+    """`node` as `canonical_json` writes it `depth` levels deep.  Encoded
+    JSON strings hold no raw newline, so re-indenting is a plain replace."""
+    text = json.dumps(node, indent=2, ensure_ascii=False)
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _kernel_digest(kernel: MechanismKernel) -> str:
+    """`digest_of_text(canonical_json(serialize_kernel(kernel)))`, with the
+    table streamed into the hash one database at a time: each distinct
+    output value, data value and ratio is rendered once, and neither the
+    serialized tree nor the whole text is built."""
+    header = json.dumps(
+        {**_kernel_header(kernel), "table": []},
+        sort_keys=True, indent=2, ensure_ascii=False,
+    )
+    # "table" sorts just before "type", so its [] is the last in the text
+    head, _, tail = header.rpartition("[]")
+    digest = hashlib.sha256(head.encode("utf-8"))
+    # depths: table 1, [db, row] 2, db and row 3, [output, ratio] 4, output 5
+    point = {v: _indented(value_to_json(v), 4) for v in kernel.data_domain}
+    cell = {
+        o: "[\n" + " " * 10 + _indented(value_to_json(o), 5) + ",\n" + " " * 10 + '"'
+        for o in kernel.output_domain
+    }
+    # keyed by (numerator, denominator): hashing a Fraction costs more than
+    # formatting it
+    ratios: dict[tuple[int, int], str] = {}
+    opened = "[\n    "
+    for db in kernel.databases():
+        row = kernel.table[db]
+        cells = []
+        for o in kernel.output_domain:
+            w = row.get(o)
+            if w is not None:
+                key = (w.numerator, w.denominator)
+                text = ratios.get(key)
+                if text is None:
+                    text = ratios[key] = f'{format_ratio(w)}"\n        ]'
+                cells.append(cell[o] + text)
+        digest.update(
+            (
+                opened
+                + "[\n      [\n        "
+                + ",\n        ".join(point[v] for v in db)
+                + "\n      ],\n      [\n        "
+                + ",\n        ".join(cells)
+                + "\n      ]\n    ]"
+            ).encode("utf-8")
+        )
+        opened = ",\n    "
+    digest.update(("\n  ]" + tail + "\n").encode("utf-8"))
+    return "sha256:" + digest.hexdigest()
+
+
 def input_digest(obj) -> str:
     """Digest of an input object's canonical serialization.
 
     Two files describing the same model (different key order, whitespace, or
-    a builtin shorthand versus its expanded table) get the same digest.
+    a builtin shorthand versus its expanded table) get the same digest.  A
+    bare kernel's text is streamed into the hash (`_kernel_digest`); every
+    other input is rendered whole by `canonical_json`.
     """
+    if isinstance(obj, MechanismKernel):
+        return _kernel_digest(obj)
     return digest_of_text(canonical_json(serialize_input(obj)))

@@ -251,6 +251,7 @@ def _exits_four_at(capsys, argv, location):
     assert code == 4
     assert f"(at {location}" in err
     assert "Traceback" not in err
+    return err
 
 
 # 200 arrays reach the value reader; 5000 overflow the JSON decoder; near
@@ -287,6 +288,33 @@ def test_builtin_with_no_data_points_exits_four(capsys, tmp_path, builtin, n):
     path.write_text(f'{{"type": "kernel", "builtin": {builtin}, "n": {n}}}',
                     encoding="utf-8")
     _exits_four_at(capsys, ["epsilon", str(path)], "kernel")
+
+
+_RR = '{"type": "kernel", "builtin": "randomized_response", "n": 2, "bias": "2/3"'
+
+
+# Each rejected node is named by its type and a short preview, never echoed.
+@pytest.mark.parametrize("text, location, message", [
+    (_RR + ', "n": ' + json.dumps(list(range(200_000))) + "}", "kernel.n",
+     "expected an integer, got list [0, 1, 2"),
+    (_RR + ', "bias": "' + "x" * 300_000 + '"}', "kernel.bias",
+     "malformed rational str 'xxx"),
+    (_RR + "".join(f', "k{i}": 0' for i in range(100_000)) + "}", "kernel",
+     "unknown keys ['k0', 'k1'"),
+    ('{"type": "distribution", "variables": ["A"], "weights": '
+     + json.dumps([[["y" * 300_000], "1/2"]] * 2) + "}",
+     "distribution.weights[1][0]", "duplicate point ['yyy"),
+    ('{"type": ["kernel"]}', "type", "unknown type ['kernel']"),
+    ('{"type": "kernel", "n": ' + "9" * 5000 + "}", "top level", "not valid JSON"),
+], ids=["integer_array", "long_rational", "many_keys", "long_duplicate", "array_tag",
+        "overlong_integer"])
+def test_hostile_input_exits_four_with_a_short_message(capsys, tmp_path, text,
+                                                       location, message):
+    path = tmp_path / "k.json"
+    path.write_text(text, encoding="utf-8")
+    err = _exits_four_at(capsys, ["epsilon", str(path)], location)
+    assert message in err
+    assert len(err.encode("utf-8")) < 1024
 
 
 # --- witness files -----------------------------------------------------------------

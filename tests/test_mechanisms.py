@@ -48,13 +48,24 @@ def test_rr_bias_range_enforced():
             c.randomized_response_kernel(2, bad)
 
 
-def test_rr_rows_are_products_of_per_respondent_channels():
-    k = c.randomized_response_kernel(2, F(2, 3))
-    # truthful pos answers pos w.p. 2/3; null flips a fair coin
-    assert k.table[(POS, NEG)][(POS, POS)] == F(2, 3) * F(1, 3)
-    assert k.table[(POS, NEG)][(POS, NEG)] == F(2, 3) * F(2, 3)
-    assert k.table[(NULL, POS)][(POS, POS)] == F(1, 2) * F(2, 3)
-    assert k.table[(NULL, NULL)][(NEG, POS)] == F(1, 4)
+@pytest.mark.parametrize("q", [F(2, 3), F(3, 4), F(5, 7)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rr_rows_are_products_of_per_respondent_channels(n, q):
+    # truthful pos answers pos w.p. q; null flips a fair coin
+    channel = {
+        POS: {POS: q, NEG: 1 - q},
+        NEG: {POS: 1 - q, NEG: q},
+        NULL: {POS: F(1, 2), NEG: F(1, 2)},
+    }
+    k = c.randomized_response_kernel(n, q)
+    assert set(k.table) == set(product((POS, NEG, NULL), repeat=n))
+    for db, row in k.table.items():
+        assert set(row) == set(product((POS, NEG), repeat=n))
+        for report, w in row.items():
+            naive = F(1)
+            for truth, answer in zip(db, report):
+                naive *= channel[truth][answer]
+            assert w == naive, (db, report)
 
 
 def test_rr_row_sums_and_support():

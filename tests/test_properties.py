@@ -6,6 +6,7 @@ small random models.  The hypothesis profile is set in conftest.py.
 """
 
 import json
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -26,7 +27,14 @@ from causaldp import (
 )
 from causaldp.checkers import ASSOCIATIVE_GIVEN_P
 from causaldp.exact import format_rational, ratio_divide
-from causaldp.modelfile import canonical_json, input_digest, parse_text, serialize_input
+from causaldp.modelfile import (
+    canonical_json,
+    digest_of_text,
+    input_digest,
+    parse_text,
+    serialize_input,
+    serialize_kernel,
+)
 from causaldp.reports import SupTracker, sweep
 from conftest import random_kernel
 
@@ -354,7 +362,9 @@ def test_serialize_parse_serialize_is_byte_stable(kernel_and_table, psem):
     assert input_digest(parse_text(json.dumps(spelled_out))) == input_digest(kernel)
 
 
-@given(st.integers(2, 4), st.sampled_from(("float", "negative", "sum")), st.data())
+@given(st.integers(2, 4),
+       st.sampled_from(("float", "negative", "sum", "excess", "int", "bool")),
+       st.data())
 def test_constructors_reject_inexact_rows(size, fault, data):
     row = _weights(data.draw, size)
     i = data.draw(st.integers(0, size - 1))
@@ -363,12 +373,54 @@ def test_constructors_reject_inexact_rows(size, fault, data):
     elif fault == "negative":
         row[i] -= 2  # still sums to 1
         row[(i + 1) % size] += 2
-    else:
+    elif fault == "sum":
         row[i] += F(1, 7)
+    elif fault == "excess":
+        row[i] += F(1, 2**61 - 1)
+    elif fault == "int":
+        row[i] = row[i].numerator // row[i].denominator  # 0 or 1: may sum to 1
+    else:
+        row[i] = True
+    # the message reports the exact sum when only the sum is wrong
+    match = None
+    if fault in ("sum", "excess"):
+        match = re.escape(f"weights sum to {sum(row)}, expected exactly 1")
     values = tuple(range(size))
-    with pytest.raises(c.InvalidDistribution):
+    with pytest.raises(c.InvalidDistribution, match=match):
         Dist(("A",), {(v,): w for v, w in zip(values, row)})
-    with pytest.raises(c.DomainMismatch):
+    with pytest.raises(c.DomainMismatch, match=match):
         StochasticEquation("Y", (), {(): dict(zip(values, row))})
-    with pytest.raises(c.DomainMismatch):
+    with pytest.raises(c.DomainMismatch, match=match):
         c.MechanismKernel(1, (0,), 0, values, {(0,): dict(zip(values, row))})
+
+
+# Domain values a kernel file can hold: nested arrays, negative integers and
+# strings the writer must escape (quotes, backslashes, control characters,
+# newlines) or keep as non-ASCII text.
+_awkward_values = st.recursive(
+    st.integers(-5, 5)
+    | st.text(alphabet=st.sampled_from('ab"\\\n\t\x00\x1féü€𝔘 /'), max_size=4),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=4,
+)
+
+
+@st.composite
+def kernels_over_awkward_values(draw) -> c.MechanismKernel:
+    """A kernel over generated domain values, with zero entries that
+    construction drops."""
+    n = draw(st.integers(1, 2))
+    dom = tuple(draw(st.lists(_awkward_values, min_size=1, max_size=3, unique=True)))
+    outs = tuple(draw(st.lists(_awkward_values, min_size=1, max_size=3, unique=True)))
+    table = {db: dict(zip(outs, _weights(draw, len(outs))))
+             for db in product(dom, repeat=n)}
+    return c.MechanismKernel(n, dom, draw(st.sampled_from(dom)), outs, table)
+
+
+@given(kernels_over_awkward_values())
+def test_streamed_kernel_digest_equals_the_canonical_text(kernel):
+    """The kernel digest is streamed row by row; it must hash exactly the
+    bytes `canonical_json` writes for the serialized kernel."""
+    text = canonical_json(serialize_kernel(kernel))
+    assert input_digest(kernel) == digest_of_text(text)
+    assert input_digest(parse_text(text)) == digest_of_text(text)
