@@ -15,10 +15,11 @@ quantifier over populations was discharged:
 
 Conditional and interventional output distributions both come from one
 `CanonicalEngine` and differ only in the weights that mix kernel rows; every
-family of comparisons is folded by one `sweep`.  Populations and attribute
-equations pass straight through to `mechanisms.as_sem`, which alone turns
-them into a model.  The generic model semantics (lift, condition, intervene)
-are left to the oracle: cross-checks and `replay_witness`.
+family of comparisons is folded by one `sweep`.  The engine reads the data
+joint straight from the population (`mechanisms.data_population`) and builds
+the structural model only for cross-checks, attribute equations and replay.
+The generic model semantics (lift, condition, intervene) are left to that
+oracle: cross-checks and `replay_witness`.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ def induced_data_population(
     population: Dist | None,
 ) -> Dist:
     """The joint over the data points that a population and any attribute
-    equations induce.  Conditional definitions only see the data through it."""
-    return as_sem(kernel, attribute_equations, population).lift(data_point_names(kernel))
+    equations induce.  Conditional definitions only see the data through it;
+    the model is lifted only under attribute equations."""
+    return CanonicalEngine(kernel, population, attribute_equations).base_joint()
 
 
 # --- classic -----------------------------------------------------------------

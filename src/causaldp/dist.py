@@ -20,6 +20,7 @@ from .errors import (
     UnknownVariable,
     ValueOutOfDomain,
     ZeroProbabilityEvent,
+    preview,
 )
 from .exact import Value, value_sort_key
 
@@ -40,7 +41,8 @@ def exact_row(weights: Mapping, error: type[Exception], where: str) -> dict:
     kept = {}
     for key, w in weights.items():
         if not isinstance(w, Fraction) or w.numerator < 0:
-            raise error(f"{where}: weight {w!r} at {key!r} is not a nonnegative rational")
+            raise error(f"{where}: weight {preview(w)} at {preview(key)} is not a "
+                        f"nonnegative rational")
         if w.numerator:
             kept[key] = w
     common = math.lcm(*(w.denominator for w in kept.values()))
@@ -63,7 +65,9 @@ def check_table(table: Mapping, keys: Iterable, domain: Iterable, where: str) ->
     for key, row in table.items():
         if not allowed.issuperset(row):
             value = next(v for v in row if v not in allowed)
-            raise ValueOutOfDomain(f"{where}, row {key!r}: value {value!r} outside domain")
+            raise ValueOutOfDomain(
+                f"{where}, row {preview(key)}: value {preview(value)} outside domain"
+            )
 
 
 @dataclass(frozen=True)

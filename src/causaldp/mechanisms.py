@@ -30,6 +30,7 @@ from .errors import (
     RatioOutOfRange,
     UnknownVariable,
     ValueOutOfDomain,
+    preview,
 )
 from .exact import Value
 from .reports import RatioBound, sweep
@@ -97,7 +98,7 @@ class MechanismKernel:
             raise DomainMismatch("data domain must be nonempty without duplicates")
         if self.null_value not in self.data_domain:
             raise ValueOutOfDomain(
-                f"null value {self.null_value!r} missing from data domain"
+                f"null value {preview(self.null_value)} missing from data domain"
             )
         if len(set(self.output_domain)) != len(self.output_domain) or not self.output_domain:
             raise DomainMismatch("output domain must be nonempty without duplicates")
@@ -116,7 +117,9 @@ class MechanismKernel:
         try:
             return self.table[tuple(db)]
         except KeyError:
-            raise ValueOutOfDomain(f"{db!r} is not a database over the domain") from None
+            raise ValueOutOfDomain(
+                f"{preview(db)} is not a database over the domain"
+            ) from None
 
     @cached_property
     def _integer_rows(self) -> tuple[int, dict[tuple, tuple]]:
@@ -312,6 +315,34 @@ class CanonicalModel:
     population: Dist | None = None
 
 
+def data_population(kernel: MechanismKernel, population: Dist | None) -> Dist:
+    """The joint of D_1..D_n when no attribute equation ties the inputs
+    together (D_i := R_i): uniform for None, a joint over D_1..D_n as it is,
+    one over R_1..R_n renamed.  The one place a population is renamed or
+    defaulted; raises DomainMismatch for other variables and ValueOutOfDomain
+    for a value outside the data domain."""
+    names = data_point_names(kernel)
+    if population is None:
+        return Dist.uniform(names, kernel.databases())
+    inputs = input_names(kernel)
+    if population.variables not in (names, inputs):
+        raise DomainMismatch(
+            f"input distribution is over {population.variables}, "
+            f"model's exogenous variables are {inputs}"
+        )
+    domain = set(kernel.data_domain)
+    for point in population.weights:
+        for name, value in zip(inputs, point):
+            if value not in domain:
+                raise ValueOutOfDomain(
+                    f"input distribution uses {preview(value)} outside domain "
+                    f"of {name!r}"
+                )
+    if population.variables == names:
+        return population
+    return Dist(names, population.weights)
+
+
 def as_sem(
     kernel: MechanismKernel,
     attribute_equations: Iterable[StochasticEquation] = (),
@@ -322,11 +353,11 @@ def as_sem(
     `attribute_equations` may only relate R variables to R variables; the
     data points keep their identity equations D_i := R_i, so no data point
     ever influences another.  `exogenous_dist` must cover exactly the R
-    variables left without an equation, in index order (with no attribute
-    equations a joint over D_1..D_n names the same inputs); it defaults to
-    the uniform one.  This is the one place a population is renamed or
-    defaulted.  The population-free part of the model is built once per
-    kernel and shared by every call.
+    variables left without an equation, in index order, and defaults to the
+    uniform one; with no attribute equations it is resolved by
+    `data_population`, so a joint over D_1..D_n names the same inputs.  The
+    population-free part of the model is built once per kernel and shared by
+    every call.
     """
     attr = tuple(attribute_equations)
     r_names = [r_name(i) for i in range(1, kernel.n + 1)]
@@ -352,10 +383,10 @@ def as_sem(
         equations.update(sem.equations)
         sem = Sem(sem.names, sem.domains, equations)
     exo = sem.exogenous
-    if exogenous_dist is None:
+    if not attr:
+        exogenous_dist = Dist(exo, data_population(kernel, exogenous_dist).weights)
+    elif exogenous_dist is None:
         exogenous_dist = Dist.uniform(exo, product(kernel.data_domain, repeat=len(exo)))
-    elif not attr and exogenous_dist.variables == data_point_names(kernel):
-        exogenous_dist = Dist(exo, exogenous_dist.weights)
     psem = ProbabilisticSem(sem, exogenous_dist)
     psem.validate()
     return psem
@@ -408,12 +439,15 @@ class CanonicalEngine:
     one point D_i = v, conditioning weighs the other points by their joint
     given D_i = v, while intervening weighs them by their undisturbed
     marginal.  The weights come from `base_joint`, the joint of the data
-    points that the population and attribute equations induce.
+    points: read straight from the population (D_i := R_i), and lifted
+    through the model only when attribute equations tie the inputs together.
 
-    With `cross_check` every interventional answer is also recomputed by the
-    `sem` oracle, which enumerates the output's ancestors in the intervened
-    model and never calls a closed form, and must match exactly.  Conditional
-    answers meet the oracle in the property tests and in witness replay.
+    The model, `psem`, is built on first use: by attribute equations and by
+    cross-checks.  With `cross_check` every interventional answer is also
+    recomputed by the `sem` oracle, which enumerates the output's ancestors
+    in the intervened model and never calls a closed form, and must match
+    exactly.  Conditional answers meet the oracle in the property tests and
+    in witness replay.  The population is validated on construction.
 
     Externally pure: caches only memoize exact results.
     """
@@ -426,15 +460,29 @@ class CanonicalEngine:
         cross_check: bool = False,
     ):
         self.kernel = kernel
-        self.psem = as_sem(kernel, attribute_equations, population)
+        self.attribute_equations = tuple(attribute_equations)
         self.cross_check = cross_check
         self.cross_checks_done = 0
         self._memo: dict[tuple, object] = {}
+        self._population = population
+        if self.attribute_equations:
+            self.psem  # validates the equations and the population
+        elif population is not None:
+            self._population = data_population(kernel, population)
+
+    @cached_property
+    def psem(self) -> ProbabilisticSem:
+        """The canonical release model under this population."""
+        return as_sem(self.kernel, self.attribute_equations, self._population)
 
     @_memoized
     def base_joint(self) -> Dist:
-        """The joint of D_1..D_n; lifts only the data points."""
-        return self.psem.lift(data_point_names(self.kernel))
+        """The joint of D_1..D_n; lifts only the data points, and only under
+        attribute equations.  A default uniform joint is built here, so only
+        when a query needs it."""
+        if self.attribute_equations:
+            return self.psem.lift(data_point_names(self.kernel))
+        return data_population(self.kernel, self._population)
 
     def _enumerated(self, interventions: list[tuple[str, Value]]) -> Row:
         model = self.psem
@@ -460,7 +508,7 @@ class CanonicalEngine:
         if not 1 <= i <= self.kernel.n:
             raise ValueOutOfDomain(f"point index {i} out of range 1..{self.kernel.n}")
         if v not in self.kernel.data_domain:
-            raise ValueOutOfDomain(f"{v!r} not in the data domain")
+            raise ValueOutOfDomain(f"{preview(v)} not in the data domain")
 
     @_memoized
     def _point_weights(self, i: int) -> tuple[dict, dict]:

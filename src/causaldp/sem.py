@@ -37,6 +37,7 @@ from .errors import (
     MissingEquation,
     UnknownVariable,
     ValueOutOfDomain,
+    preview,
 )
 from .exact import Value
 
@@ -306,7 +307,8 @@ class ProbabilisticSem:
             for name, value in zip(exo, point):
                 if value not in self.sem.domains[name]:
                     raise ValueOutOfDomain(
-                        f"input distribution uses {value!r} outside domain of {name!r}"
+                        f"input distribution uses {preview(value)} outside domain "
+                        f"of {name!r}"
                     )
         return order
 

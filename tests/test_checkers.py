@@ -311,3 +311,33 @@ def test_cross_check_flag_controls_engine_verification():
     slow = c.check_causal(DId.WHOLE_DB_INTERVENTION, k, pop, (), F(2),
                           cross_check=True)
     assert fast.achieved == slow.achieved == F(2)
+
+
+def test_only_cross_checks_and_attribute_equations_build_the_model():
+    """Without cross-checks or attribute equations the engine reads the data
+    joint straight from the population, so no run builds the canonical model;
+    a cross-checking engine builds it at its first verify and runs every
+    cross-check it always ran."""
+    k = c.randomized_response_kernel(2, F(2, 3))
+    pop = Dist.uniform(("R_1", "R_2"), list(k.databases()))
+    for did in ALL_NEEDS_POP:
+        c.run_check(did, k, F(2), pop, cross_check=False)
+    c.run_check(DId.WHOLE_DB_UNIVERSAL, k, F(2), cross_check=False)
+    c.falsify_bayesian0(k, F(2), search_budget=2)
+    c.posterior(k, pop, (c.POS, c.POS))
+    c.semantic_gap(k, pop, 1, c.NULL)
+    assert "_canonical_sem" not in k.__dict__
+
+    engine = c.CanonicalEngine(k, pop, cross_check=True)
+    assert "_canonical_sem" not in k.__dict__
+    for db in k.databases():
+        engine.output_given_db(db)
+    for i in (1, 2):
+        for v in k.data_domain:
+            engine.output_given_point(i, v)
+    assert "_canonical_sem" in k.__dict__
+    assert engine.cross_checks_done == 9 + 2 * 3
+
+    tied, attr, tied_pop = ada_model()
+    c.run_check(DId.BAYESIAN0, tied, F(2), tied_pop, attr)
+    assert "_canonical_sem" in tied.__dict__

@@ -293,26 +293,65 @@ def test_builtin_with_no_data_points_exits_four(capsys, tmp_path, builtin, n):
 _RR = '{"type": "kernel", "builtin": "randomized_response", "n": 2, "bias": "2/3"'
 
 
-# Each rejected node is named by its type and a short preview, never echoed.
-@pytest.mark.parametrize("text, location, message", [
-    (_RR + ', "n": ' + json.dumps(list(range(200_000))) + "}", "kernel.n",
+_LONG = "a" * 300_000
+_EPSILON = ["epsilon", "{file}"]
+
+
+def _check_with_pop(definition):
+    return ["check", definition, "randomized_response", "--target-ratio", "2",
+            "--pop", "{file}"]
+
+
+def _kernel_text(null_value="x", value=0):
+    return json.dumps({
+        "type": "kernel", "n": 1, "data_domain": ["x", "y"], "null_value": null_value,
+        "output_domain": [0, 1],
+        "table": [[["x"], [[0, "1/2"], [1, "1/2"]]], [["y"], [[value, "1"]]]],
+    })
+
+
+_LONG_POP = json.dumps({"type": "distribution", "variables": ["D_1", "D_2"],
+                        "weights": [[[_LONG, "pos"], "1"]]})
+
+
+# Each rejected node is named by its type and a short preview, never echoed,
+# and so is an out-of-domain value found once the input is built.
+@pytest.mark.parametrize("argv, text, where, message", [
+    (_EPSILON, _RR + ', "n": ' + json.dumps(list(range(200_000))) + "}", "(at kernel.n",
      "expected an integer, got list [0, 1, 2"),
-    (_RR + ', "bias": "' + "x" * 300_000 + '"}', "kernel.bias",
+    (_EPSILON, _RR + ', "bias": "' + "x" * 300_000 + '"}', "(at kernel.bias",
      "malformed rational str 'xxx"),
-    (_RR + "".join(f', "k{i}": 0' for i in range(100_000)) + "}", "kernel",
+    (_EPSILON, _RR + "".join(f', "k{i}": 0' for i in range(100_000)) + "}", "(at kernel",
      "unknown keys ['k0', 'k1'"),
-    ('{"type": "distribution", "variables": ["A"], "weights": '
+    (_EPSILON, '{"type": "distribution", "variables": ["A"], "weights": '
      + json.dumps([[["y" * 300_000], "1/2"]] * 2) + "}",
-     "distribution.weights[1][0]", "duplicate point ['yyy"),
-    ('{"type": ["kernel"]}', "type", "unknown type ['kernel']"),
-    ('{"type": "kernel", "n": ' + "9" * 5000 + "}", "top level", "not valid JSON"),
+     "(at distribution.weights[1][0]", "duplicate point ['yyy"),
+    (_EPSILON, '{"type": ["kernel"]}', "(at type", "unknown type ['kernel']"),
+    (_EPSILON, '{"type": "kernel", "n": ' + "9" * 5000 + "}", "(at top level",
+     "not valid JSON"),
+    (_EPSILON, _kernel_text(value=_LONG), "(at kernel",
+     "kernel table, row ('y',): value 'aaa"),
+    (_EPSILON, _kernel_text(null_value=_LONG), "(at kernel", "null value 'aaa"),
+    (_EPSILON, '{"type": "distribution", "variables": ["A"], "weights": '
+     + json.dumps([[[_LONG], "-1/2"], [["b"], "3/2"]]) + "}", "(at distribution",
+     "weight Fraction(-1, 2) at ('aaa"),
+    (_check_with_pop("bayesian0"), _LONG_POP, "outside domain of 'R_1'",
+     "input distribution uses 'aaa"),
+    (_check_with_pop("whole_db_intervention"), _LONG_POP, "outside domain of 'R_1'",
+     "input distribution uses 'aaa"),
 ], ids=["integer_array", "long_rational", "many_keys", "long_duplicate", "array_tag",
-        "overlong_integer"])
-def test_hostile_input_exits_four_with_a_short_message(capsys, tmp_path, text,
-                                                       location, message):
+        "overlong_integer", "long_output_value", "long_null_value",
+        "long_negative_weight_key", "long_pop_value_bayesian0",
+        "long_pop_value_whole_db_intervention"])
+def test_hostile_input_exits_four_with_a_short_message(capsys, tmp_path, argv, text,
+                                                       where, message):
     path = tmp_path / "k.json"
     path.write_text(text, encoding="utf-8")
-    err = _exits_four_at(capsys, ["epsilon", str(path)], location)
+    code = main([arg.format(file=path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" not in err
+    assert where in err
     assert message in err
     assert len(err.encode("utf-8")) < 1024
 

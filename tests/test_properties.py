@@ -362,6 +362,56 @@ def test_serialize_parse_serialize_is_byte_stable(kernel_and_table, psem):
     assert input_digest(parse_text(json.dumps(spelled_out))) == input_digest(kernel)
 
 
+def _refusal(build) -> tuple:
+    try:
+        build()
+    except (c.DomainMismatch, c.ValueOutOfDomain) as e:
+        return type(e), str(e)
+    raise AssertionError("population accepted")
+
+
+@given(kernels_with_zero_entries(), st.data())
+def test_engine_data_joint_is_the_lifted_population(kernel_and_table, data):
+    """Without attribute equations D_i := R_i, so the engine's data joint is
+    the population itself (defaulted, or renamed from R_1..R_n) and equals
+    the oracle's lift; a population the model cannot take is refused with
+    the same error by the engine, the oracle and the induced joint."""
+    kernel, _ = kernel_and_table
+    d_names, r_names = c.data_point_names(kernel), c.input_names(kernel)
+    naming = data.draw(st.sampled_from(["none", "D", "R", "other", "outside"]))
+    if naming == "none":
+        pop = None
+    elif naming in ("D", "R"):
+        pop = _population(data.draw, d_names if naming == "D" else r_names, kernel)
+    elif naming == "other":
+        mixed = r_names[:-1] + d_names[-1:]  # one of each when n >= 2
+        names = data.draw(st.sampled_from(
+            [tuple(f"X_{i}" for i in range(1, kernel.n + 1)), d_names[::-1] + ("D_0",),
+             d_names[:-1]] + ([mixed] if kernel.n > 1 else [])
+        ))
+        pop = Dist.point_mass(names, (kernel.data_domain[0],) * len(names))
+    else:
+        outside = len(kernel.data_domain)  # the domain is range(dom_size)
+        names = data.draw(st.sampled_from([d_names, r_names]))
+        where = data.draw(st.integers(0, kernel.n - 1))
+        bad = tuple(outside if j == where else kernel.data_domain[0]
+                    for j in range(kernel.n))
+        pop = Dist(names, {bad: F(1, 2), (kernel.data_domain[0],) * kernel.n: F(1, 2)})
+    builds = (
+        lambda: CanonicalEngine(kernel, pop),
+        lambda: c.as_sem(kernel, (), pop),
+        lambda: c.induced_data_population(kernel, (), pop),
+    )
+    if naming in ("other", "outside"):
+        refusals = {_refusal(build) for build in builds}
+        assert len(refusals) == 1
+        return
+    joint = CanonicalEngine(kernel, pop).base_joint()
+    assert joint == c.as_sem(kernel, (), pop).lift(d_names)
+    assert joint == c.induced_data_population(kernel, (), pop)
+    assert joint.variables == d_names
+
+
 @given(st.integers(2, 4),
        st.sampled_from(("float", "negative", "sum", "excess", "int", "bool")),
        st.data())
