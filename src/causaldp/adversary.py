@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .checkers import induced_data_population
 from .dist import Dist
-from .errors import DomainMismatch, ValueOutOfDomain, ZeroEvidence
+from .errors import DomainMismatch, ValueOutOfDomain, ZeroEvidence, preview
 from .exact import ratio_divide
 from .mechanisms import MechanismKernel
 from .reports import RatioBound, SupTracker
@@ -21,7 +21,7 @@ from .reports import RatioBound, SupTracker
 def _check_observation(kernel: MechanismKernel, observation) -> None:
     if observation not in kernel.output_domain:
         raise ValueOutOfDomain(
-            f"{observation!r} is not a possible output of this mechanism"
+            f"{preview(observation)} is not a possible output of this mechanism"
         )
 
 
@@ -44,7 +44,7 @@ def _plain(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
     return _bayes(
         prior,
         lambda db: kernel.table[db].get(observation, Fraction(0)),
-        f"output {observation!r} has probability zero under this prior",
+        f"output {preview(observation)} has probability zero under this prior",
     )
 
 
@@ -57,14 +57,14 @@ def _forced(
             f"point index {point_index} out of range 1..{kernel.n}"
         )
     if value not in kernel.data_domain:
-        raise ValueOutOfDomain(f"{value!r} not a data value")
+        raise ValueOutOfDomain(f"{preview(value)} not a data value")
     return _bayes(
         prior,
         lambda db: kernel.table[
             db[: point_index - 1] + (value,) + db[point_index:]
         ].get(observation, Fraction(0)),
-        f"output {observation!r} has probability zero under this prior "
-        f"once point {point_index} is forced to {value!r}",
+        f"output {preview(observation)} has probability zero under this prior "
+        f"once point {point_index} is forced to {preview(value)}",
     )
 
 

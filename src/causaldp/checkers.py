@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 from .dist import Dist
@@ -36,7 +36,7 @@ from .errors import (
     NotAProductDistribution,
     UnexpectedPopulation,
 )
-from .exact import Ratio, Value, ratio_divide, value_sort_key
+from .exact import Ratio, Value, ratio_divide
 from .mechanisms import (
     OUTPUT_VAR,
     CanonicalEngine,
@@ -340,24 +340,12 @@ class FalsificationOutcome:
 def _grid_marginals(atoms: Sequence[Value], budget: int) -> list[tuple[Fraction, ...]]:
     """All distributions over `atoms` with denominator <= budget, deduplicated,
     in ascending-denominator, lexicographic-numerator order."""
-    seen: set[tuple[Fraction, ...]] = set()
-    out: list[tuple[Fraction, ...]] = []
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in compositions(total - head, parts - 1):
-                yield (head,) + tail
-
+    grid: dict[tuple[Fraction, ...], None] = {}
     for q in range(1, budget + 1):
-        for comp in compositions(q, len(atoms)):
-            key = tuple(Fraction(k, q) for k in comp)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-    return out
+        for head in product(range(q + 1), repeat=len(atoms) - 1):
+            if sum(head) <= q:
+                grid[tuple(Fraction(k, q) for k in (*head, q - sum(head)))] = None
+    return list(grid)
 
 
 def falsify_bayesian0(
@@ -370,52 +358,33 @@ def falsify_bayesian0(
     Family one: perfectly correlated populations (all data points equal),
     mixed over the diagonal with grid weights of denominator <= budget.
     Family two: product populations whose per-point marginals use the same
-    grid.  Candidates are tried in a fixed order and the first failing
-    population is returned with its report.
+    grid.  Candidates are tried in a fixed order, each distinct population
+    once, and the first failing population is returned with its report.
     """
     names = data_point_names(kernel)
     dom = kernel.data_domain
-    n = kernel.n
-    marginals = _grid_marginals(dom, search_budget)
-    tried = 0
-    seen: set[tuple] = set()
-
-    def try_population(weights: dict[tuple, Fraction]) -> FalsificationOutcome | None:
-        nonlocal tried
-        pop = Dist(names, weights)
-        key = tuple(sorted(pop.weights.items(), key=lambda kv: value_sort_key(kv[0])))
+    grid = _grid_marginals(dom, search_budget)
+    diagonal = (Dist(names, {(v,) * kernel.n: w for v, w in zip(dom, marg)})
+                for marg in grid)
+    products = (
+        Dist.product(*(Dist((name,), {(v,): w for v, w in zip(dom, marg)})
+                       for name, marg in zip(names, per_point)))
+        for per_point in product(grid, repeat=kernel.n)
+    )
+    seen: set[frozenset] = set()
+    for pop in chain(diagonal, products):
+        key = frozenset(pop.weights.items())
         if key in seen:
-            return None
+            continue
         seen.add(key)
-        tried += 1
         report = check_associative(DefinitionId.BAYESIAN0, kernel, pop, target_ratio)
         if not report.passed:
             return FalsificationOutcome(
-                True, report, pop, tried, search_budget,
+                True, report, pop, len(seen), search_budget,
                 "population found in the searched family",
             )
-        return None
-
-    for weights_on_diag in marginals:
-        candidate = {
-            (v,) * n: w for v, w in zip(dom, weights_on_diag) if w > 0
-        }
-        hit = try_population(candidate)
-        if hit is not None:
-            return hit
-    for per_point in product(marginals, repeat=n):
-        candidate = {}
-        for db in product(dom, repeat=n):
-            w = Fraction(1)
-            for coord, marg in zip(db, per_point):
-                w *= marg[dom.index(coord)]
-            if w > 0:
-                candidate[db] = w
-        hit = try_population(candidate)
-        if hit is not None:
-            return hit
     return FalsificationOutcome(
-        False, None, None, tried, search_budget,
+        False, None, None, len(seen), search_budget,
         "searched family exhausted without a violation; this is not a proof "
         "that none exists",
     )

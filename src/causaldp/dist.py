@@ -29,27 +29,33 @@ from .exact import Value, value_sort_key
 Event = Union[Mapping[str, Value], Callable[[Mapping[str, Value]], bool]]
 
 
-def exact_row(weights: Mapping, error: type[Exception], where: str) -> dict:
+def exact_row(weights: Mapping, error: type[Exception], where: str, row=None) -> dict:
     """The positive entries of an exact row.
 
     Every weight must be a nonnegative `Fraction` and the weights must sum to
-    exactly 1; otherwise `error` is raised, its message starting with `where`.
-    Distributions, equation rows and kernel rows all pass this one rule.  The
-    sum is tested in integers: over the common denominator L of the row, the
-    scaled numerators must add up to L.
+    exactly 1; otherwise `error` is raised, its message starting with `where`
+    and then, for a table row, a preview of the row's key `row`, rendered only
+    on failure.  Distributions, equation rows and kernel rows all pass this
+    one rule.  The sum is tested in integers: over the common denominator L
+    of the row, the scaled numerators must add up to L.
     """
     kept = {}
     for key, w in weights.items():
         if not isinstance(w, Fraction) or w.numerator < 0:
-            raise error(f"{where}: weight {preview(w)} at {preview(key)} is not a "
-                        f"nonnegative rational")
+            raise _row_error(error, where, row, f"weight {preview(w)} at "
+                             f"{preview(key)} is not a nonnegative rational")
         if w.numerator:
             kept[key] = w
     common = math.lcm(*(w.denominator for w in kept.values()))
     if sum(w.numerator * (common // w.denominator) for w in kept.values()) != common:
         total = sum(weights.values(), Fraction(0))
-        raise error(f"{where}: weights sum to {total}, expected exactly 1")
+        raise _row_error(error, where, row, f"weights sum to {total}, expected exactly 1")
     return kept
+
+
+def _row_error(error: type[Exception], where: str, row, problem: str) -> Exception:
+    label = where if row is None else f"{where} {preview(row)}"
+    return error(f"{label}: {problem}")
 
 
 def check_table(table: Mapping, keys: Iterable, domain: Iterable, where: str) -> None:
@@ -174,17 +180,7 @@ class Dist:
         )
 
     def factors_as_product(self) -> bool:
-        """True iff the joint equals the product of its 1-D marginals exactly."""
-        singles = [self.marginal((name,)) for name in self.variables]
-        for point, w in self.weights.items():
-            expected = Fraction(1)
-            for coord, single in zip(point, singles):
-                expected *= single.weight_of((coord,))
-            if w != expected:
-                return False
-        # supports agree too: the joint support never exceeds the product
-        # support, so matching sizes forces equality everywhere
-        count = 1
-        for single in singles:
-            count *= len(single.weights)
-        return count == len(self.weights)
+        """True iff the joint equals the product of its 1-D marginals exactly:
+        the same support, each point weighted by its marginals' product."""
+        marginals = (self.marginal((name,)) for name in self.variables)
+        return Dist.product(*marginals).weights == self.weights

@@ -104,7 +104,7 @@ class MechanismKernel:
             raise DomainMismatch("output domain must be nonempty without duplicates")
         check_table(self.table, self.databases(), self.output_domain, "kernel table")
         cleaned = {
-            db: exact_row(row, DomainMismatch, f"kernel row {db!r}")
+            db: exact_row(row, DomainMismatch, "kernel row", db)
             for db, row in self.table.items()
         }
         object.__setattr__(self, "table", cleaned)

@@ -60,11 +60,12 @@ class StochasticEquation:
 
     def __post_init__(self):
         cleaned = {}
+        where = f"equation for {self.target!r}, row"
         for key, row in self.rows.items():
-            where = f"equation for {self.target!r}, row {key!r}"
             if not isinstance(key, tuple) or len(key) != len(self.parents):
-                raise DomainMismatch(f"{where}: key does not match parents {self.parents}")
-            cleaned[key] = exact_row(row, DomainMismatch, where)
+                raise DomainMismatch(f"{where} {preview(key)}: key does not match "
+                                     f"parents {self.parents}")
+            cleaned[key] = exact_row(row, DomainMismatch, where, key)
         object.__setattr__(self, "rows", cleaned)
 
     def row_for(self, parent_values: tuple) -> dict[Value, Fraction]:
@@ -239,20 +240,15 @@ class Sem:
         `assignment` must give a value for every exogenous variable and for
         nothing else.
         """
-        order = self.validate()
+        self.validate()
         exo = self.exogenous
         if set(assignment) != set(exo):
             raise DomainMismatch(
                 f"exogenous assignment must cover exactly {exo}, got "
                 f"{tuple(assignment)}"
             )
-        for name, value in assignment.items():
-            if value not in self.domains[name]:
-                raise ValueOutOfDomain(f"{value!r} not in domain of {name!r}")
         point = tuple(assignment[n] for n in exo)
-        return self._enumerate(
-            {point: Fraction(1)}, exo, order[len(exo):], self.endogenous
-        )
+        return ProbabilisticSem(self, Dist.point_mass(exo, point)).lift(self.endogenous)
 
     def _enumerate(
         self,
@@ -296,6 +292,13 @@ class ProbabilisticSem:
     exogenous_dist: Dist
 
     def validate(self) -> tuple[str, ...]:
+        """The model's topological order, once the input distribution is
+        checked against it; memoized like `Sem.validate`, so a model that
+        fails raises again on every call."""
+        return self._order
+
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
         order = self.sem.validate()
         exo = self.sem.exogenous
         if self.exogenous_dist.variables != exo:
@@ -335,7 +338,12 @@ class ProbabilisticSem:
         return sem._enumerate(inputs, exo, steps, variables)
 
     def intervene(self, name: str, value: Value) -> ProbabilisticSem:
-        return ProbabilisticSem(self.sem.intervene(name, value), self.exogenous_dist)
+        child = ProbabilisticSem(self.sem.intervene(name, value), self.exogenous_dist)
+        if "_order" in self.__dict__:
+            # same exogenous variables and domains: the checked input
+            # distribution still fits, and `Sem.intervene` handed down the order
+            child.__dict__["_order"] = child.sem._order
+        return child
 
     def pin_exogenous(self, name: str, value: Value) -> ProbabilisticSem:
         """Force an exogenous input to a value.

@@ -12,6 +12,7 @@ from causaldp.modelfile import (
     canonical_json,
     load_strict_json,
     parse_kernel,
+    parse_text,
     serialize_input,
     witness_from_json,
 )
@@ -312,6 +313,15 @@ def _kernel_text(null_value="x", value=0):
 
 _LONG_POP = json.dumps({"type": "distribution", "variables": ["D_1", "D_2"],
                         "weights": [[[_LONG, "pos"], "1"]]})
+_LONG_ROW = json.dumps({
+    "type": "kernel", "n": 1, "data_domain": ["x", _LONG], "null_value": "x",
+    "output_domain": [0, 1],
+    "table": [[["x"], [[0, "1/2"], [1, "1/2"]]], [[_LONG], [[0, "1/2"]]]],
+})
+_UNIFORM_PRIOR = canonical_json(serialize_input(
+    c.Dist.uniform(("D_1", "D_2"), [(a, b) for a in ("pos", "neg", "null")
+                                    for b in ("pos", "neg", "null")])))
+_POSTERIOR = ["posterior", "randomized_response", "--prior", "{file}"]
 
 
 # Each rejected node is named by its type and a short preview, never echoed,
@@ -339,10 +349,17 @@ _LONG_POP = json.dumps({"type": "distribution", "variables": ["D_1", "D_2"],
      "input distribution uses 'aaa"),
     (_check_with_pop("whole_db_intervention"), _LONG_POP, "outside domain of 'R_1'",
      "input distribution uses 'aaa"),
+    (_EPSILON, _LONG_ROW, "(at kernel", "kernel row ('aaa"),
+    (_POSTERIOR + ["--observe", json.dumps(_LONG)], _UNIFORM_PRIOR,
+     "is not a possible output of this mechanism", "error: 'aaa"),
+    (_POSTERIOR + ["--observe", '["pos", "pos"]', "--force-point", "1",
+                   "--force-value", json.dumps(_LONG)], _UNIFORM_PRIOR,
+     "not a data value", "error: 'aaa"),
 ], ids=["integer_array", "long_rational", "many_keys", "long_duplicate", "array_tag",
         "overlong_integer", "long_output_value", "long_null_value",
         "long_negative_weight_key", "long_pop_value_bayesian0",
-        "long_pop_value_whole_db_intervention"])
+        "long_pop_value_whole_db_intervention", "long_value_row_sum",
+        "long_observation", "long_forced_value"])
 def test_hostile_input_exits_four_with_a_short_message(capsys, tmp_path, argv, text,
                                                        where, message):
     path = tmp_path / "k.json"
@@ -509,6 +526,96 @@ def test_large_family_stdout_matches_golden_digest(capsys, tmp_path, case):
     assert code == (1 if argv[0] == "check" else 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
         == LARGE_FAMILY_SHA256[c.ENUMERATION_ORDER_VERSION][case]
+
+
+# --- one test per otherwise unreached command branch --------------------------------
+
+
+def _exits_four_saying(capsys, argv, message):
+    code = main(argv)
+    assert code == 4
+    assert message in capsys.readouterr().err
+
+
+def test_pop_file_holding_a_kernel_exits_four(capsys, rr_file):
+    _exits_four_saying(capsys, ["check", "bayesian0", rr_file, "--target-ratio", "2",
+                                "--pop", rr_file],
+                       "the distribution file must hold a distribution")
+
+
+def test_pop_flag_completes_a_canonical_model_without_one(capsys, tmp_path):
+    kernel = c.randomized_response_kernel(2, F(2, 3))
+    model = tmp_path / "model.json"
+    model.write_text(canonical_json(serialize_input(c.CanonicalModel(kernel, (), None))),
+                     encoding="utf-8")
+    pop = tmp_path / "pop.json"
+    pop.write_text(canonical_json(serialize_input(
+        c.Dist(("D_1", "D_2"), {(c.POS, c.POS): F(1, 2), (c.NEG, c.NEG): F(1, 2)})
+    )), encoding="utf-8")
+    code, out = run(capsys, "check", "bayesian0", str(model), "--target-ratio", "2",
+                    "--pop", str(pop))
+    assert code == 1
+    assert json.loads(out)["achieved"] == "4/1"
+
+
+def test_check_on_a_structural_model_exits_four(capsys, tmp_path):
+    sem = tmp_path / "sem.json"
+    sem.write_text(canonical_json(serialize_input(
+        c.as_sem(c.randomized_response_kernel(1, F(2, 3))).sem
+    )), encoding="utf-8")
+    _exits_four_saying(capsys, ["check", "classic", str(sem), "--target-ratio", "2"],
+                       "needs a kernel or canonical_model input, got Sem")
+
+
+def test_falsify_refuses_attribute_equations(capsys):
+    _exits_four_saying(capsys, ["falsify", "ada_byron", "--target-ratio", "2"],
+                       "remove the attribute equations")
+
+
+def test_falsify_refuses_budget_zero(capsys, rr_file):
+    _exits_four_saying(capsys, ["falsify", rr_file, "--target-ratio", "2",
+                                "--budget", "0"], "--budget must be at least 1")
+
+
+def test_falsify_witness_file_population_replays(capsys, rr_file, tmp_path):
+    wpath = tmp_path / "w.json"
+    code, out = run(capsys, "falsify", rr_file, "--target-ratio", "2", "--budget", "2",
+                    "--witness-out", str(wpath))
+    assert code == 1
+    blob = load_strict_json(wpath.read_text(encoding="utf-8"))
+    assert blob["achieved"] == json.loads(out)["report"]["achieved"] == "9/4"
+    population = parse_text(json.dumps(blob["population"]))
+    replayed = c.replay_witness(c.DefinitionId.BAYESIAN0,
+                                c.randomized_response_kernel(2, F(2, 3)),
+                                witness_from_json(blob["witness"]), population)
+    assert c.format_ratio(replayed) == blob["achieved"]
+
+
+def test_posterior_on_a_bare_kernel_needs_a_prior(capsys, rr_file):
+    _exits_four_saying(capsys, ["posterior", rr_file, "--observe", '["pos", "pos"]'],
+                       "provide --prior or an input that embeds a population")
+
+
+def test_compose_on_a_kernel_exits_four(capsys, rr_file):
+    _exits_four_saying(capsys, ["compose", rr_file],
+                       "compose needs a composition input, got MechanismKernel")
+
+
+def test_compose_demo_passes_at_the_product_bound(capsys):
+    code, out = run(capsys, "compose", "composition_demo")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["passed"] is True and blob["achieved"] == "4/1"
+
+
+def test_scenarios_list_as_text(capsys):
+    code, out = run(capsys, "scenarios", "list", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [f"{s.name}: {s.description}" for s in c.SCENARIOS.values()]
+
+
+def test_scenarios_run_all_needs_out(capsys):
+    _exits_four_saying(capsys, ["scenarios", "run-all"], "scenarios run-all needs --out DIR")
 
 
 def test_text_format_smoke(capsys, rr_file):

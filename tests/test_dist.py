@@ -103,6 +103,13 @@ def test_factors_as_product_detects_correlation():
     assert not correlated.factors_as_product()
 
 
+def test_factors_as_product_refuses_repeated_names():
+    # a product needs disjoint factors; no parsed population reaches this
+    repeated = Dist(("A", "A"), {(0, 0): F(1, 2), (1, 1): F(1, 2)})
+    with pytest.raises(InvalidDistribution, match="product factors share variables"):
+        repeated.factors_as_product()
+
+
 def test_entries_sorted_is_deterministic():
     d = Dist(("A",), {(2,): F(1, 3), (0,): F(1, 3), (1,): F(1, 3)})
     assert [p for p, _ in d.entries_sorted()] == [(0,), (1,), (2,)]

@@ -25,11 +25,12 @@ from causaldp import (
     StochasticEquation,
     ZeroProbabilityEvent,
 )
-from causaldp.checkers import ASSOCIATIVE_GIVEN_P
-from causaldp.exact import format_rational, ratio_divide
+from causaldp.checkers import ASSOCIATIVE_GIVEN_P, _grid_marginals
+from causaldp.exact import format_rational, ratio_divide, value_sort_key
 from causaldp.modelfile import (
     canonical_json,
     digest_of_text,
+    falsification_to_json,
     input_digest,
     parse_text,
     serialize_input,
@@ -474,3 +475,147 @@ def test_streamed_kernel_digest_equals_the_canonical_text(kernel):
     text = canonical_json(serialize_kernel(kernel))
     assert input_digest(kernel) == digest_of_text(text)
     assert input_digest(parse_text(text)) == digest_of_text(text)
+
+
+# --- the falsifier's search and product test, against their first versions -----
+
+
+def _reference_grid_marginals(atoms, budget):
+    """All distributions over `atoms` with denominator <= budget, deduplicated,
+    in ascending-denominator, lexicographic-numerator order."""
+    seen: set[tuple[F, ...]] = set()
+    out: list[tuple[F, ...]] = []
+
+    def compositions(total: int, parts: int):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for tail in compositions(total - head, parts - 1):
+                yield (head,) + tail
+
+    for q in range(1, budget + 1):
+        for comp in compositions(q, len(atoms)):
+            key = tuple(F(k, q) for k in comp)
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+    return out
+
+
+def _reference_falsify_bayesian0(kernel, target_ratio, search_budget=4):
+    """The search as first written: both families filled cell by cell over
+    every database, each candidate deduplicated by its sorted weights."""
+    names = c.data_point_names(kernel)
+    dom = kernel.data_domain
+    n = kernel.n
+    marginals = _reference_grid_marginals(dom, search_budget)
+    tried = 0
+    seen: set[tuple] = set()
+
+    def try_population(weights):
+        nonlocal tried
+        pop = Dist(names, weights)
+        key = tuple(sorted(pop.weights.items(), key=lambda kv: value_sort_key(kv[0])))
+        if key in seen:
+            return None
+        seen.add(key)
+        tried += 1
+        report = c.check_associative(DefinitionId.BAYESIAN0, kernel, pop, target_ratio)
+        if not report.passed:
+            return c.FalsificationOutcome(
+                True, report, pop, tried, search_budget,
+                "population found in the searched family",
+            )
+        return None
+
+    for weights_on_diag in marginals:
+        candidate = {
+            (v,) * n: w for v, w in zip(dom, weights_on_diag) if w > 0
+        }
+        hit = try_population(candidate)
+        if hit is not None:
+            return hit
+    for per_point in product(marginals, repeat=n):
+        candidate = {}
+        for db in product(dom, repeat=n):
+            w = F(1)
+            for coord, marg in zip(db, per_point):
+                w *= marg[dom.index(coord)]
+            if w > 0:
+                candidate[db] = w
+        hit = try_population(candidate)
+        if hit is not None:
+            return hit
+    return c.FalsificationOutcome(
+        False, None, None, tried, search_budget,
+        "searched family exhausted without a violation; this is not a proof "
+        "that none exists",
+    )
+
+
+def _reference_factors_as_product(joint: Dist) -> bool:
+    singles = [joint.marginal((name,)) for name in joint.variables]
+    for point, w in joint.weights.items():
+        expected = F(1)
+        for coord, single in zip(point, singles):
+            expected *= single.weight_of((coord,))
+        if w != expected:
+            return False
+    count = 1
+    for single in singles:
+        count *= len(single.weights)
+    return count == len(joint.weights)
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
+def test_grid_equals_the_reference_grid(atoms, budget):
+    dom = tuple(range(atoms))
+    assert _grid_marginals(dom, budget) == _reference_grid_marginals(dom, budget)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(2, 3), st.booleans(), st.data())
+def test_falsifier_equals_the_reference_search(rng, n, dom_size, out_size,
+                                               full_support, data):
+    """Same candidates in the same order: the same outcome, count, population
+    and report byte for byte, and the same in-process key order.  An infinite
+    target always exhausts the family, and so does budget 1 (point masses
+    only, so every comparison is skipped); small targets find violations.
+    Three points over three values at budget 3 is 2,197 candidates per
+    search, too slow to draw here."""
+    kernel = random_kernel(rng, n, dom_size, out_size, full_support)
+    budget = data.draw(st.sampled_from([2, 1] if n == 3 and dom_size == 3 else [3, 2, 1]))
+    target = data.draw(st.sampled_from([F(1), F(2), F(4), F(9, 2), c.INF]))
+    got = c.falsify_bayesian0(kernel, target, budget)
+    want = _reference_falsify_bayesian0(kernel, target, budget)
+    assert falsification_to_json(got) == falsification_to_json(want)
+    if want.found:
+        assert list(got.population.weights.items()) == list(want.population.weights.items())
+        assert list(got.report.witness) == list(want.report.witness)
+    else:
+        g = len(_reference_grid_marginals(kernel.data_domain, budget))
+        assert got.candidates_tried == (g + g**n - dom_size if n >= 2 else g)
+
+
+def _random_row(rng, points: list) -> dict:
+    """Weights 0..3 per point, some zero, not all."""
+    raw = [rng.randint(0, 3) for _ in points]
+    raw[rng.randrange(len(raw))] += 1
+    return {p: F(w, sum(raw)) for p, w in zip(points, raw)}
+
+
+@given(st.randoms(use_true_random=False),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3), st.booleans())
+def test_factors_as_product_equals_the_reference_test(rng, sizes, as_product):
+    """On products of drawn marginals and on drawn joints, which are mostly
+    correlated; in both, values can carry zero weight."""
+    names = tuple(f"X{j}" for j in range(len(sizes)))
+    if as_product:
+        joint = Dist.product(*(Dist((name,), _random_row(rng, [(v,) for v in range(k)]))
+                               for name, k in zip(names, sizes)))
+        assert joint.factors_as_product()
+    else:
+        joint = Dist(names, _random_row(rng, list(product(*map(range, sizes)))))
+    assert joint.factors_as_product() == _reference_factors_as_product(joint)

@@ -116,6 +116,25 @@ def test_semantics_requires_full_exogenous_assignment():
         m.semantics_given_exogenous({"U": 0, "X": 1})
 
 
+def test_semantics_rejects_an_exogenous_value_outside_its_domain():
+    with pytest.raises(ValueOutOfDomain, match="input distribution uses 7 outside "
+                                               "domain of 'U'"):
+        chain_model().semantics_given_exogenous({"U": 7})
+
+
+def test_input_distribution_is_checked_once_and_a_bad_one_every_time():
+    m = chain_model()
+    good = ProbabilisticSem(m, Dist.uniform(("U",), [(0,), (1,)]))
+    assert good.validate() is good.validate()
+    child = good.intervene("X", 1)
+    assert child.__dict__["_order"] == ProbabilisticSem(child.sem, good.exogenous_dist).validate()
+    bad = ProbabilisticSem(m, Dist.point_mass(("U",), (7,)))
+    for _ in range(2):
+        with pytest.raises(ValueOutOfDomain):
+            bad.lift()
+    assert "_order" not in bad.__dict__
+
+
 def test_lift_mixes_exogenous_distribution():
     m = Sem(
         ("U", "X"),
