@@ -126,18 +126,9 @@ def check_associative(
         )
 
     if definition is DefinitionId.STRONG_ADVERSARY_ONE_DIST:
-        given = engine.output_conditioned_on_db
-
-        def pairs():
-            # database first, then the point changed: this family's own order
-            for d in kernel.databases():
-                left = given(d)
-                for i in range(kernel.n):
-                    for v_prime in kernel.data_domain:
-                        d_prime = d[:i] + (v_prime,) + d[i + 1 :]
-                        yield left, given(d_prime), {"d": d, "d_prime": d_prime}
-
-        bound, skipped = sweep(kernel.output_domain, pairs())
+        bound, skipped = sweep(
+            kernel.output_domain, neighbours(kernel, engine.output_conditioned_on_db)
+        )
         reduction = (
             "conditional on each realizable database, compared across "
             "databases at point distance at most one"
@@ -245,33 +236,24 @@ def check_universal_causal(
 
     n = kernel.n
     dom = kernel.data_domain
-
-    def pairs():
+    if cross_check:
+        # under the point mass on the other coordinates, the single-point
+        # intervention must reproduce the kernel row
         for i in range(1, n + 1):
             for others in product(dom, repeat=n - 1):
                 dbs = {v: others[: i - 1] + (v,) + others[i - 1 :] for v in dom}
-                if cross_check:
-                    # under the point mass on the other coordinates, the
-                    # single-point intervention must reproduce the kernel row
-                    pop = Dist.point_mass(data_point_names(kernel), dbs[dom[0]])
-                    engine = CanonicalEngine(kernel, pop, (), cross_check=True)
-                    for v in dom:
-                        if engine.output_given_point(i, v) != kernel.table[dbs[v]]:
-                            raise RuntimeError(
-                                f"point-mass reduction failed at i={i}, "
-                                f"others={others!r}, v={v!r}"
-                            )
+                pop = Dist.point_mass(data_point_names(kernel), dbs[dom[0]])
+                engine = CanonicalEngine(kernel, pop, (), cross_check=True)
                 for v in dom:
-                    for v_prime in dom:
-                        yield kernel.table[dbs[v]], kernel.table[dbs[v_prime]], {
-                            "i": i, "others": others, "v": v, "v_prime": v_prime,
-                        }
-
-    bound, _ = sweep(kernel.output_domain, pairs())
+                    if engine.output_given_point(i, v) != kernel.table[dbs[v]]:
+                        raise RuntimeError(
+                            f"point-mass reduction failed at i={i}, "
+                            f"others={others!r}, v={v!r}"
+                        )
     return finish_report(
         definition,
         target_ratio,
-        bound,
+        classic_epsilon(kernel),
         skipped=0,
         reduction=(
             "universal quantifier discharged by point-mass populations on the "
@@ -406,26 +388,25 @@ def replay_witness(
     engine), so a replayed ratio independently confirms the report.  Both
     databases of a neighbouring pair become assignments to every data point:
     intervened on for the causal definitions, conditioned on otherwise.
+    `single_point_universal` intervenes on D_i alone, under the point mass on d.
     """
     definition = DefinitionId(definition)
     if definition is DefinitionId.SINGLE_POINT_UNIVERSAL:
-        i, others = witness["i"], tuple(witness["others"])
-        seed = others[: i - 1] + (kernel.data_domain[0],) + others[i - 1 :]
-        psem = as_sem(kernel, (), Dist.point_mass(data_point_names(kernel), seed))
+        psem = as_sem(kernel, (), Dist.point_mass(data_point_names(kernel),
+                                                  tuple(witness["d"])))
     elif definition in NEEDS_POPULATION:
         psem = as_sem(kernel, attribute_equations, population)
     else:  # the other definitions quantify over populations: the uniform one
         psem = as_sem(kernel)
 
+    i = witness["i"]
     if "v" in witness:  # two values of data point i
-        events = [{d_name(witness["i"]): x} for x in (witness["v"], witness["v_prime"])]
+        events = [{d_name(i): x} for x in (witness["v"], witness["v_prime"])]
+    elif definition is DefinitionId.SINGLE_POINT_UNIVERSAL:
+        events = [{d_name(i): x} for x in (witness["d"][i - 1], witness["d_prime_i"])]
     else:  # two databases, each an assignment to every data point
         d = tuple(witness["d"])
-        if "d_prime" in witness:
-            d_prime = tuple(witness["d_prime"])
-        else:
-            i = witness["i"]
-            d_prime = d[: i - 1] + (witness["d_prime_i"],) + d[i:]
+        d_prime = d[: i - 1] + (witness["d_prime_i"],) + d[i:]
         events = [dict(zip(data_point_names(kernel), db)) for db in (d, d_prime)]
     conditional = definition in ASSOCIATIVE_GIVEN_P | {
         DefinitionId.STRONG_ADVERSARY_UNIVERSAL

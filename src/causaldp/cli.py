@@ -10,7 +10,8 @@ Exit codes:
   2  a budgeted search exhausted its family without finding anything
   3  degenerate input for the question asked (zero-probability evidence,
      a composition premise that does not hold)
-  4  unparseable or invalid input, wrong population usage, bad definition
+  4  unparseable or invalid input, a path that cannot be read or written,
+     wrong population usage, bad definition
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from .dist import Dist
 from .errors import (
     CausalDpError,
     MissingPopulation,
+    ParseError,
     PremiseViolated,
     UnexpectedPopulation,
     ValidationError,
     ZeroEvidence,
+    preview,
 )
 from .exact import epsilon_of, format_ratio, parse_rational
 from .mechanisms import CanonicalModel, MechanismKernel, classic_epsilon
@@ -64,10 +67,15 @@ def _load_input(arg: str):
     path = Path(arg)
     if not path.is_file():
         raise ValidationError(
-            f"{arg!r} is neither a scenario name nor a readable file; "
+            f"{preview(arg)} is neither a scenario name nor a readable file; "
             f"scenarios: {', '.join(SCENARIOS)}"
         )
-    return parse_text(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}",
+                         preview(arg)) from None
+    return parse_text(text)
 
 
 def _kernel_context(model, pop_path: str | None):
@@ -156,7 +164,7 @@ def _cmd_check(args) -> int:
         definition = DefinitionId(args.definition)
     except ValueError:
         raise ValidationError(
-            f"unknown definition {args.definition!r}; one of "
+            f"unknown definition {preview(args.definition)}; one of "
             f"{', '.join(d.value for d in DefinitionId)}"
         ) from None
     model = _load_input(args.input)
@@ -191,8 +199,11 @@ def _cmd_falsify(args) -> int:
             "falsify searches populations for a bare kernel; remove the "
             "attribute equations"
         )
-    if args.budget < 1:
-        raise ValidationError("--budget must be at least 1")
+    if args.budget < 2:
+        raise ValidationError(
+            "--budget must be at least 2: at budget 1 every candidate is a point "
+            "mass, under which bayesian0 skips every comparison"
+        )
     target = parse_rational(args.target_ratio, "--target-ratio")
     outcome = falsify_bayesian0(kernel, target, search_budget=args.budget)
     digest = input_digest(model)
@@ -212,7 +223,7 @@ def _cmd_posterior(args) -> int:
         raise MissingPopulation(
             "provide --prior or an input that embeds a population"
         )
-    prior = induced_data_population(kernel, attr, pop) if attr else pop
+    prior = induced_data_population(kernel, attr, pop)
     observe = parse_value(args.observe, "--observe")
     if (args.force_point is None) != (args.force_value is None):
         raise ValidationError(
@@ -379,6 +390,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DEGENERATE
     except CausalDpError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as e:  # a path that cannot be read or written
+        where = "" if e.filename is None else f": {preview(e.filename)}"
+        print(f"error: {e.strerror or type(e).__name__}{where}", file=sys.stderr)
         return EXIT_INVALID
 
 

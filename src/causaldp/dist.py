@@ -93,7 +93,8 @@ class Dist:
         for point in self.weights:
             if not isinstance(point, tuple) or len(point) != width:
                 raise InvalidDistribution(
-                    f"assignment {point!r} does not match variables {self.variables}"
+                    f"assignment {preview(point)} does not match variables "
+                    f"{preview(self.variables)}"
                 )
         weights = exact_row(self.weights, InvalidDistribution, "distribution")
         object.__setattr__(self, "weights", weights)

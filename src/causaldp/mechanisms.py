@@ -327,7 +327,7 @@ def data_population(kernel: MechanismKernel, population: Dist | None) -> Dist:
     inputs = input_names(kernel)
     if population.variables not in (names, inputs):
         raise DomainMismatch(
-            f"input distribution is over {population.variables}, "
+            f"input distribution is over {preview(population.variables)}, "
             f"model's exogenous variables are {inputs}"
         )
     domain = set(kernel.data_domain)
@@ -365,17 +365,18 @@ def as_sem(
     for eq in attr:
         if eq.target not in allowed:
             raise UnknownVariable(
-                f"attribute equation targets {eq.target!r}; only true inputs "
+                f"attribute equation targets {preview(eq.target)}; only true inputs "
                 f"{r_names} may be constrained"
             )
         bad = [p for p in eq.parents if p not in allowed]
         if bad:
             raise UnknownVariable(
-                f"attribute equation for {eq.target!r} uses non-input parents {bad}"
+                f"attribute equation for {preview(eq.target)} uses non-input "
+                f"parents {preview(bad)}"
             )
     targets = [eq.target for eq in attr]
     if len(set(targets)) != len(targets):
-        raise DomainMismatch(f"duplicate attribute equations for {targets}")
+        raise DomainMismatch(f"duplicate attribute equations for {preview(targets)}")
 
     sem = kernel._canonical_sem
     if attr:

@@ -37,6 +37,7 @@ from .exact import (
     value_sort_key,
 )
 from .mechanisms import (
+    CanonicalEngine,
     CanonicalModel,
     MechanismKernel,
     geometric_count_kernel,
@@ -49,9 +50,10 @@ from .sem import Sem, StochasticEquation
 
 TOOL_VERSION = "0.1.0"
 
-# Bumped whenever report content changes by design (the enumeration order
-# behind witnesses, row ordering, a reduction note); lets old reports be read.
-ENUMERATION_ORDER_VERSION = 2
+# Bumped whenever report content changes by design; lets old reports be read.
+# 2 reworded a reduction note; 3 gave strong_adversary_one_dist and
+# single_point_universal classic's witness, and posterior's prior D_i names.
+ENUMERATION_ORDER_VERSION = 3
 
 # Values nest a few arrays deep (a database of report vectors); deeper nesting
 # is hostile and would hit Python's recursion limit in the readers and writers.
@@ -265,7 +267,7 @@ def parse_sem(obj: dict, loc: str = "sem") -> Sem:
         eq = parse_equation(eq_node, f"{loc}.equations[{i}]")
         if eq.target in equations:
             raise ValidationError(
-                f"two equations for {eq.target!r}", f"{loc}.equations[{i}]"
+                f"two equations for {preview(eq.target)}", f"{loc}.equations[{i}]"
             )
         equations[eq.target] = eq
 
@@ -293,6 +295,8 @@ def parse_canonical_model(obj: dict, loc: str = "canonical_model") -> CanonicalM
                 _array(obj["attribute_equations"], f"{loc}.attribute_equations")
             )
         )
+    # the engine validates the equations and the population on construction
+    _wrap_model_error(lambda: CanonicalEngine(kernel, population, attr), loc)
     return CanonicalModel(kernel, attr, population)
 
 

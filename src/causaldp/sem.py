@@ -60,11 +60,11 @@ class StochasticEquation:
 
     def __post_init__(self):
         cleaned = {}
-        where = f"equation for {self.target!r}, row"
+        where = f"equation for {preview(self.target)}, row"
         for key, row in self.rows.items():
             if not isinstance(key, tuple) or len(key) != len(self.parents):
                 raise DomainMismatch(f"{where} {preview(key)}: key does not match "
-                                     f"parents {self.parents}")
+                                     f"parents {preview(self.parents)}")
             cleaned[key] = exact_row(row, DomainMismatch, where, key)
         object.__setattr__(self, "rows", cleaned)
 
@@ -167,31 +167,35 @@ class Sem:
 
     def _check_equations(self) -> None:
         if len(set(self.names)) != len(self.names):
-            raise DomainMismatch(f"duplicate variable names in {self.names}")
+            raise DomainMismatch(f"duplicate variable names in {preview(self.names)}")
         for name in self.names:
             dom = self.domains.get(name)
             if dom is None:
-                raise MissingEquation(f"variable {name!r} has no declared domain")
+                raise MissingEquation(f"variable {preview(name)} has no declared domain")
             if len(dom) == 0 or len(set(dom)) != len(dom):
-                raise DomainMismatch(f"domain of {name!r} must be nonempty, unique")
+                raise DomainMismatch(f"domain of {preview(name)} must be nonempty, unique")
         for extra in set(self.domains) - set(self.names):
-            raise UnknownVariable(f"domain declared for undeclared variable {extra!r}")
+            raise UnknownVariable(
+                f"domain declared for undeclared variable {preview(extra)}"
+            )
         for target, eq in self.equations.items():
             if target not in self.domains:
-                raise UnknownVariable(f"equation targets undeclared {target!r}")
+                raise UnknownVariable(f"equation targets undeclared {preview(target)}")
             if eq.target != target:
                 raise DomainMismatch(
-                    f"equation keyed {target!r} targets {eq.target!r}"
+                    f"equation keyed {preview(target)} targets {preview(eq.target)}"
                 )
             if target in eq.parents:
-                raise CyclicModel(f"{target!r} is its own parent")
+                raise CyclicModel(f"{preview(target)} is its own parent")
             for p in eq.parents:
                 if p not in self.domains:
                     raise UnknownVariable(
-                        f"equation for {target!r} uses undeclared parent {p!r}"
+                        f"equation for {preview(target)} uses undeclared parent "
+                        f"{preview(p)}"
                     )
             keys = product(*(self.domains[p] for p in eq.parents))
-            check_table(eq.rows, keys, self.domains[target], f"equation for {target!r}")
+            check_table(eq.rows, keys, self.domains[target],
+                        f"equation for {preview(target)}")
 
     def _topological_order(self) -> tuple[str, ...]:
         order = list(self.exogenous)
@@ -303,8 +307,9 @@ class ProbabilisticSem:
         exo = self.sem.exogenous
         if self.exogenous_dist.variables != exo:
             raise DomainMismatch(
-                f"input distribution is over {self.exogenous_dist.variables}, "
-                f"model's exogenous variables are {exo}"
+                f"input distribution is over "
+                f"{preview(self.exogenous_dist.variables)}, model's exogenous "
+                f"variables are {preview(exo)}"
             )
         for point in self.exogenous_dist.weights:
             for name, value in zip(exo, point):

@@ -243,6 +243,24 @@ def test_posterior_on_a_prior_over_other_names_exits_four(capsys, tmp_path):
     assert "exogenous variables are ('R_1',)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("force", [[], ["--force-point", "2", "--force-value", '"neg"']],
+                         ids=["plain", "forced"])
+def test_posterior_prints_a_prior_over_the_data_points(capsys, rr_file, tmp_path, force):
+    # the names a prior file uses do not reach the report
+    weights = {("pos", "neg"): F(1, 2), ("neg", "neg"): F(1, 3), ("null", "pos"): F(1, 6)}
+    outs = []
+    for names in (("D_1", "D_2"), ("R_1", "R_2")):
+        prior = tmp_path / f"{names[0]}.json"
+        prior.write_text(canonical_json(serialize_input(c.Dist(names, weights))),
+                         encoding="utf-8")
+        code, out = run(capsys, "posterior", rr_file, "--prior", str(prior),
+                        "--observe", '["pos", "neg"]', *force)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["prior"]["variables"] == ["D_1", "D_2"]
+
+
 # --- hostile inputs ----------------------------------------------------------------
 
 
@@ -322,6 +340,24 @@ _UNIFORM_PRIOR = canonical_json(serialize_input(
     c.Dist.uniform(("D_1", "D_2"), [(a, b) for a in ("pos", "neg", "null")
                                     for b in ("pos", "neg", "null")])))
 _POSTERIOR = ["posterior", "randomized_response", "--prior", "{file}"]
+_CHECK = ["check", "classic", "randomized_response", "--target-ratio", "3/2"]
+_NOT_UTF8 = b'{"type": "kernel", "n": 2\xff}'
+
+
+def _sem_text(target="X", parents=(), rows=(((), ((0, "1"),)),)):
+    return json.dumps({"type": "sem", "variables": [["X", [0, 1]]], "equations": [
+        {"target": target, "parents": list(parents),
+         "rows": [[list(key), [list(cell) for cell in row]] for key, row in rows]}]})
+
+
+def _model_text(attribute_equations=(), population=None):
+    kernel = c.randomized_response_kernel(2, F(2, 3))
+    return canonical_json(serialize_input(
+        c.CanonicalModel(kernel, tuple(attribute_equations), population)))
+
+
+_DOM = ("pos", "neg", "null")
+_COPY_R2 = c.copy_equation("R_2", "R_1", _DOM)
 
 
 # Each rejected node is named by its type and a short preview, never echoed,
@@ -355,22 +391,139 @@ _POSTERIOR = ["posterior", "randomized_response", "--prior", "{file}"]
     (_POSTERIOR + ["--observe", '["pos", "pos"]', "--force-point", "1",
                    "--force-value", json.dumps(_LONG)], _UNIFORM_PRIOR,
      "not a data value", "error: 'aaa"),
+    (["epsilon", "{dir}/" + "p" * 5000], "", "ppp'", "error: File name too long: '"),
+    (["epsilon", "{dir}/" + "/".join(["q" * 200] * 10)], "",
+     "is neither a scenario name nor a readable file", "error: '/"),
+    (_EPSILON, _NOT_UTF8, "k.json')", "not UTF-8 text: invalid start byte"),
+    (_check_with_pop("bayesian0"), _NOT_UTF8, "k.json')", "not UTF-8 text"),
+    (_CHECK + ["--witness-out", "{file}/w.json"], "", "w.json'", "error: Not a directory"),
+    (["scenarios", "run-all", "--out", "{file}/out"], "", "out'",
+     "error: Not a directory"),
+    (_check_with_pop("bayesian0"), json.dumps({
+        "type": "distribution", "variables": [_LONG, "D_2"],
+        "weights": [[["pos", "pos"], "1"]]}),
+     "model's exogenous variables are ('R_1', 'R_2')", "input distribution is over ('aaa"),
+    (_EPSILON, _model_text([_COPY_R2], c.Dist.uniform((_LONG,), [(v,) for v in _DOM])),
+     "(at canonical_model)",
+     "input distribution is over ('aaa"),
+    (_EPSILON, _sem_text(target=_LONG), "(at sem)", "equation targets undeclared 'aaa"),
+    (_EPSILON, _sem_text(parents=[_LONG], rows=[((0,), ((0, "1"),))]), "(at sem)",
+     "equation for 'X' uses undeclared parent 'aaa"),
+    (_EPSILON, _sem_text(target=_LONG, rows=[((), ((0, "1/2"),))]),
+     "(at sem.equations[0])", "equation for 'aaa"),
+    (_EPSILON, json.dumps({"type": "distribution", "variables": ["A"],
+                           "weights": [[[_LONG, "b"], "1"]]}),
+     "(at distribution)", "assignment ('aaa"),
+    (["check", "d" * 100_000, "randomized_response", "--target-ratio", "2"], "",
+     "; one of classic", "unknown definition 'ddd"),
 ], ids=["integer_array", "long_rational", "many_keys", "long_duplicate", "array_tag",
         "overlong_integer", "long_output_value", "long_null_value",
         "long_negative_weight_key", "long_pop_value_bayesian0",
         "long_pop_value_whole_db_intervention", "long_value_row_sum",
-        "long_observation", "long_forced_value"])
+        "long_observation", "long_forced_value", "overlong_path", "long_missing_path",
+        "non_utf8_input", "non_utf8_pop", "witness_out_under_a_file",
+        "run_all_out_under_a_file", "long_pop_variable", "long_input_variable_in_model",
+        "long_undeclared_target", "long_undeclared_parent", "long_target_row_sum",
+        "long_point_of_wrong_arity", "long_definition"])
 def test_hostile_input_exits_four_with_a_short_message(capsys, tmp_path, argv, text,
                                                        where, message):
     path = tmp_path / "k.json"
-    path.write_text(text, encoding="utf-8")
-    code = main([arg.format(file=path) for arg in argv])
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    code = main([arg.format(file=path, dir=tmp_path) for arg in argv])
     err = capsys.readouterr().err
     assert code == 4
     assert "Traceback" not in err
     assert where in err
     assert message in err
     assert len(err.encode("utf-8")) < 1024
+
+
+# --- validation rules reached from a file --------------------------------------------
+
+
+def _kernel_domains(data_domain, output_domain):
+    return json.dumps({"type": "kernel", "n": 1, "data_domain": data_domain,
+                       "null_value": 0, "output_domain": output_domain, "table": []})
+
+
+@pytest.mark.parametrize("text, location, message", [
+    (_sem_text().replace("[0, 1]", "[]"), "sem", "domain of 'X' must be nonempty, unique"),
+    (_sem_text().replace("[0, 1]", "[0, 0]"), "sem",
+     "domain of 'X' must be nonempty, unique"),
+    (_sem_text(target="Y"), "sem", "equation targets undeclared 'Y'"),
+    (_sem_text(parents=["X"], rows=[((0,), ((0, "1"),)), ((1,), ((1, "1"),))]), "sem",
+     "'X' is its own parent"),
+    (_sem_text(parents=["Z"], rows=[((0,), ((0, "1"),))]), "sem",
+     "equation for 'X' uses undeclared parent 'Z'"),
+    (json.dumps({"type": "sem", "variables": [["X", [0, 1]]], "equations": [
+        {"target": "X", "parents": [], "rows": [[[], [[0, "1"]]]]}] * 2}),
+     "sem.equations[1]", "two equations for 'X'"),
+    (_kernel_domains([], [0]), "kernel", "data domain must be nonempty without duplicates"),
+    (_kernel_domains([0, 0], [0]), "kernel",
+     "data domain must be nonempty without duplicates"),
+    (_kernel_domains([0], []), "kernel",
+     "output domain must be nonempty without duplicates"),
+    (_kernel_domains([0], [1, 1]), "kernel",
+     "output domain must be nonempty without duplicates"),
+    (_model_text([c.copy_equation("R_2", "D_1", _DOM)]), "canonical_model",
+     "attribute equation for 'R_2' uses non-input parents ['D_1']"),
+    (_model_text([_COPY_R2, _COPY_R2]), "canonical_model",
+     "duplicate attribute equations for ['R_2', 'R_2']"),
+    ("[1]", "top level", "top level must be an object"),
+], ids=["sem_empty_domain", "sem_duplicate_domain", "sem_undeclared_target",
+        "sem_self_parent", "sem_undeclared_parent", "sem_two_equations",
+        "kernel_empty_data_domain", "kernel_duplicate_data_domain",
+        "kernel_empty_output_domain", "kernel_duplicate_output_domain",
+        "attribute_equation_non_input_parent", "duplicate_attribute_equations",
+        "top_level_not_an_object"])
+def test_file_breaking_a_validation_rule_exits_four(capsys, tmp_path, text, location,
+                                                    message):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["epsilon", str(path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" not in err
+    assert message in err
+    assert location in err
+
+
+# A canonical model is validated when it is parsed, so a check that never
+# reads its attribute equations or its population still refuses it.
+@pytest.mark.parametrize("text, message", [
+    (_model_text([c.StochasticEquation("Z", (), {(): {"pos": F(1)}})]),
+     "attribute equation targets 'Z'"),
+    (_model_text(population=c.Dist.uniform(("X_1", "X_2"), [("pos", "pos")])),
+     "input distribution is over ('X_1', 'X_2')"),
+    (_model_text([_COPY_R2, _COPY_R2], c.Dist.uniform(("R_1",), [("pos",)])),
+     "duplicate attribute equations for ['R_2', 'R_2']"),
+], ids=["equation_targets_z", "population_over_x", "two_equations_for_r2"])
+@pytest.mark.parametrize("argv", [["epsilon"], ["check", "classic"], ["check", "bayesian0"]],
+                         ids=["epsilon", "classic", "bayesian0"])
+def test_invalid_canonical_model_exits_four_when_parsed(capsys, tmp_path, text, message,
+                                                        argv):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    extra = ["--target-ratio", "2"] if argv[0] == "check" else []
+    err = _exits_four_at(capsys, [*argv, str(path), *extra], "canonical_model")
+    assert message in err
+
+
+def test_attribute_equations_without_a_population_default_to_uniform_inputs(
+        capsys, tmp_path):
+    # the file is validated under the uniform population over R_1, which is
+    # what the engine answers under when no population is given
+    path = tmp_path / "model.json"
+    path.write_text(_model_text([_COPY_R2]), encoding="utf-8")
+    code, out = run(capsys, "epsilon", str(path))
+    assert code == 0 and json.loads(out)["ratio"] == "2/1"
+    kernel = c.randomized_response_kernel(2, F(2, 3))
+    uniform = c.Dist.uniform(("R_1",), [(v,) for v in _DOM])
+    assert c.CanonicalEngine(kernel, None, [_COPY_R2]).base_joint() \
+        == c.CanonicalEngine(kernel, uniform, [_COPY_R2]).base_joint()
 
 
 # --- witness files -----------------------------------------------------------------
@@ -445,6 +598,21 @@ GOLDEN_SCENARIO_SHA256 = {
         "randomized_response.json":
             "da89a28827c2b78f5049481aaa54f022ab408f3e1a29b679e4636246ed9177ad",
     },
+    # version 3: single_point_universal reports classic's witness
+    3: {
+        "ada_byron.json":
+            "de58d587d88619392a93b03500dbe5649305ad5c4e4e81d04248dea72af391ad",
+        "composition_demo.json":
+            "16f15c1a79555711f69e5fd6857ad31d3cfc041f92463908c856295b73762315",
+        "geometric_count_n3.json":
+            "94af547f9b0d29348eae671fdf7e239e433d20d9fc1c41e3266803a2b177c5e8",
+        "hidden_pair.json":
+            "265aa2d0cb893eef787c7c515a3f47b05945fd4b5bdfbf61286d8188b3fdce20",
+        "hidden_value.json":
+            "ca79fae69288bdbde0bc5b84f05b3b5b7a5855ca6f24801166025ace7933d23a",
+        "randomized_response.json":
+            "bd56bb4221373df03d9c6d2ff3f80643ece44554cdd9d6c6e41addf2b641c3ed",
+    },
 }
 
 
@@ -497,6 +665,36 @@ LARGE_FAMILY_SHA256 = {
             "4b47ebb365a4dd026aedd1e5b738586f2579b2f4ada7aeb65f366651cbc80c63",
         "epsilon rr4":
             "7384c2e0ef15dcd92382ed6642b7599fbc541ac8b308ec835c1821c331a8f91c",
+    },
+    # version 3: strong_adversary_one_dist and single_point_universal report
+    # classic's witness {i, d, d_prime_i, o}
+    3: {
+        "check bayesian0 geo5 --pop":
+            "c14835b155b071a4058cc4f4929f065b352a5685be45803efc651574a5c594d6",
+        "check bayesian0 rr4 --pop":
+            "376458b05f936e965ff15571b127c6e388cb7b57100bdcc73b0279019237e4d6",
+        "check classic geo5":
+            "fa4388e80c2560d5b2d30de548b56ab732c8fca4ceb7e0a1231d6700e5747bfa",
+        "check classic rr4":
+            "bd84860fe97dae505bba2def1bcfa90ac84a65928363f5654315c78930b267d6",
+        "check single_point_universal geo5 --no-cross-check":
+            "d8333bbf914a2f5e1daf5b9108fdb1774a9850c13cb86af91b27456d6d93a07a",
+        "check single_point_universal rr4 --no-cross-check":
+            "1b7bb51fe623e652cc1eb13cf7bae98ad691b64739571e550d266e506af34597",
+        "check strong_adversary_one_dist geo5 --pop":
+            "fce1f7926cec9007d520ce45c3f464cb128c3cdf8fadbb7135d40b417e8fa2cc",
+        "check strong_adversary_one_dist rr4 --pop":
+            "978f7b6a42ea92b330a83636936ef34699ed03c6c8f1e285b03975c057ed0225",
+        "check strong_adversary_universal geo5":
+            "33023e6fd5c07b1606937ce155a2a6c6ee7a22cac44dbe04bf2346dc515057af",
+        "check strong_adversary_universal rr4":
+            "ed00d8707f55f1b23ea639e78eec830a0de03d82d50615ab2fa54b3dd391043f",
+        "check whole_db_universal geo5 --no-cross-check":
+            "ce5910084981638f01d58aa18f62e9c11ae4d7f6eede0f011d7248cd21c409d9",
+        "check whole_db_universal rr4 --no-cross-check":
+            "9c8bc47a31bfbec78eb157b4d90a92fd6d413231f522c60e67b9d172b8d3d8a8",
+        "epsilon rr4":
+            "5de670779f0d470e64840baa268ce4409bcbc50253afac5ad06740648c7d18ec",
     },
 }
 
@@ -574,7 +772,14 @@ def test_falsify_refuses_attribute_equations(capsys):
 
 def test_falsify_refuses_budget_zero(capsys, rr_file):
     _exits_four_saying(capsys, ["falsify", rr_file, "--target-ratio", "2",
-                                "--budget", "0"], "--budget must be at least 1")
+                                "--budget", "0"], "--budget must be at least 2")
+
+
+def test_falsify_refuses_budget_one(capsys, rr_file):
+    # RR n=2 fails bayesian0 at target 1, yet no point mass can show it
+    _exits_four_saying(capsys, ["falsify", rr_file, "--target-ratio", "1",
+                                "--budget", "1"],
+                       "at budget 1 every candidate is a point mass")
 
 
 def test_falsify_witness_file_population_replays(capsys, rr_file, tmp_path):

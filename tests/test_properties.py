@@ -218,8 +218,8 @@ def test_every_witness_replays_to_the_achieved_ratio(rng, n, dom_size, out_size,
         assert replayed == report.achieved, (definition, report.witness)
 
 
-def test_one_dist_witness_keeps_database_first_order():
-    # an i-first sweep would report d = (1, 1) -> (0, 1) for the same ratio
+def test_one_dist_witness_follows_the_neighbours_order():
+    # a database-first sweep would report d = (0, 0) -> (0, 1) for the same ratio
     rows = {
         (0, 0): (F(1, 3), F(2, 3)),
         (0, 1): (F(3, 4), F(1, 4)),
@@ -233,8 +233,31 @@ def test_one_dist_witness_keeps_database_first_order():
     pop = Dist.uniform(c.data_point_names(kernel), kernel.databases())
     report = c.run_check(DefinitionId.STRONG_ADVERSARY_ONE_DIST, kernel, F(1), pop)
     assert report.achieved == F(8, 3)
-    assert report.witness == {"d": (0, 0), "d_prime": (0, 1), "o": "o1"}
-    assert list(report.witness) == ["d", "d_prime", "o"]
+    assert report.witness == {"i": 1, "d": (1, 1), "d_prime_i": 0, "o": "o1"}
+    assert list(report.witness) == ["i", "d", "d_prime_i", "o"]
+    assert c.replay_witness(DefinitionId.STRONG_ADVERSARY_ONE_DIST, kernel,
+                            report.witness, pop) == F(8, 3)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+def test_one_dist_under_full_support_equals_classic(rng, n, dom_size, out_size, data):
+    """Under a full-support population each database's conditional is its
+    kernel row, so strong_adversary_one_dist sweeps classic's own family:
+    the same value, the same witness in the same key order, nothing skipped.
+    Kernels keep zero entries, so some ratios are infinite."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    dbs = list(kernel.databases())
+    raw = data.draw(st.lists(st.integers(1, 3), min_size=len(dbs), max_size=len(dbs)))
+    pop = Dist(c.data_point_names(kernel),
+               {db: F(w, sum(raw)) for db, w in zip(dbs, raw)})
+    classic = c.classic_epsilon(kernel)
+    report = c.run_check(DefinitionId.STRONG_ADVERSARY_ONE_DIST, kernel, F(1), pop)
+    assert (report.achieved, report.witness, report.skipped_comparisons) \
+        == (classic.value, classic.witness, 0)
+    assert type(report.achieved) is type(classic.value)
+    if classic.witness is not None:
+        assert list(report.witness) == list(classic.witness)
 
 
 # --- the comparison sweep ------------------------------------------------------
@@ -306,13 +329,17 @@ def test_sweep_equals_the_reference_fold(family):
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
        st.integers(1, 3))
 def test_population_free_definitions_equal_classic(rng, n, dom_size, out_size):
-    """Kernels with zero entries, so some classic ratios are infinite."""
+    """Value and witness, key order included.  Kernels with zero entries, so
+    some classic ratios are infinite."""
     kernel = random_kernel(rng, n, dom_size, out_size)
-    classic = c.classic_epsilon(kernel).value
+    classic = c.classic_epsilon(kernel)
     for definition in c.POPULATION_FREE:
         report = c.run_check(definition, kernel, F(1))
-        assert report.achieved == classic, definition
-        assert type(report.achieved) is type(classic)
+        assert (report.achieved, report.witness) \
+            == (classic.value, classic.witness), definition
+        assert type(report.achieved) is type(classic.value)
+        if classic.witness is not None:
+            assert list(report.witness) == list(classic.witness), definition
 
 
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
