@@ -185,9 +185,9 @@ def _cmd_check(args) -> int:
         cross_check=not args.no_cross_check,
     )
     digest = input_digest(model)
-    _emit(report_to_json(report, digest), args.format)
-    if args.witness_out:
+    if args.witness_out:  # first, so a failed write leaves stdout empty
         _write_witness(args.witness_out, digest, report)
+    _emit(report_to_json(report, digest), args.format)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -207,12 +207,12 @@ def _cmd_falsify(args) -> int:
     target = parse_rational(args.target_ratio, "--target-ratio")
     outcome = falsify_bayesian0(kernel, target, search_budget=args.budget)
     digest = input_digest(model)
-    _emit(falsification_to_json(outcome, digest), args.format)
     if args.witness_out and outcome.found:
         _write_witness(
             args.witness_out, digest, outcome.report,
             population=serialize_distribution(outcome.population),
         )
+    _emit(falsification_to_json(outcome, digest), args.format)
     return EXIT_FAIL if outcome.found else EXIT_NOT_FOUND
 
 

@@ -447,8 +447,9 @@ class CanonicalEngine:
     cross-checks.  With `cross_check` every interventional answer is also
     recomputed by the `sem` oracle, which enumerates the output's ancestors
     in the intervened model and never calls a closed form, and must match
-    exactly.  Conditional answers meet the oracle in the property tests and
-    in witness replay.  The population is validated on construction.
+    exactly: a cross-check is one exact row comparison.  Conditional answers
+    meet the oracle in the property tests and in witness replay.  The
+    population is validated on construction.
 
     Externally pure: caches only memoize exact results.
     """
@@ -496,13 +497,13 @@ class CanonicalEngine:
         if not self.cross_check:
             return
         slow = self._enumerated(interventions)
-        for o in self.kernel.output_domain:
-            if fast.get(o, Fraction(0)) != slow.get(o, Fraction(0)):
-                raise RuntimeError(
-                    f"closed form disagrees with enumeration under "
-                    f"do({interventions}) at output {o!r}: "
-                    f"{fast.get(o)} vs {slow.get(o)}"
-                )
+        if fast != slow:  # both rows are zero-free, so equal rows are equal dicts
+            o = next(o for o in self.kernel.output_domain if fast.get(o) != slow.get(o))
+            raise RuntimeError(
+                f"closed form disagrees with enumeration under "
+                f"do({interventions}) at output {o!r}: "
+                f"{fast.get(o)} vs {slow.get(o)}"
+            )
         self.cross_checks_done += 1
 
     def _check_point(self, i: int, v: Value) -> None:

@@ -19,10 +19,14 @@ are checked against: it knows nothing of mechanisms or checkers and never
 calls a closed form.  A query enumerates only the queried variables and
 their ancestors in the current, possibly intervened, graph; every other
 variable is barren for the query and summing it out contributes exactly one.
+The enumeration runs in integers over a running common denominator, from
+integer tables each equation builds from its own rows (never the engine's),
+and builds one `Fraction` per returned cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -68,14 +72,19 @@ class StochasticEquation:
             cleaned[key] = exact_row(row, DomainMismatch, where, key)
         object.__setattr__(self, "rows", cleaned)
 
-    def row_for(self, parent_values: tuple) -> dict[Value, Fraction]:
-        try:
-            return self.rows[parent_values]
-        except KeyError:
-            raise DomainMismatch(
-                f"equation for {self.target!r} has no row for parent values "
-                f"{parent_values!r}"
-            ) from None
+    @cached_property
+    def _integer_table(self) -> tuple[int, dict[tuple, tuple]]:
+        """The rows over one common denominator L: (L, parent key ->
+        ((value, numerator), ...)), each row in its own order.  Built from
+        these rows alone, so the oracle shares no arithmetic with the
+        engine; a deterministic or constant equation has L = 1."""
+        common = math.lcm(*(w.denominator for row in self.rows.values()
+                            for w in row.values()))
+        return common, {
+            key: tuple((v, w.numerator * (common // w.denominator))
+                       for v, w in row.items())
+            for key, row in self.rows.items()
+        }
 
 
 def constant_equation(target: str, value: Value) -> StochasticEquation:
@@ -256,36 +265,47 @@ class Sem:
 
     def _enumerate(
         self,
-        inputs: Mapping[tuple, Fraction],
+        inputs: Dist,
         exo: tuple[str, ...],
         steps: Sequence[str],
         variables: tuple[str, ...],
     ) -> Dist:
-        """The one enumeration loop: extend weighted `exo` assignments by the
-        equations of `steps`, in order, then sum onto `variables`.
+        """The one enumeration loop: sum the input distribution onto its `exo`
+        coordinates, extend those weighted assignments by the equations of
+        `steps`, in order, then sum onto `variables`.
 
-        `steps` must be topologically ordered and closed under parents given
-        `exo`; rows come from the equations alone, never from a closed form.
+        The loop runs in integers over a running common denominator: the
+        inputs are scaled to theirs, each step multiplies it by its
+        equation's own (from `_integer_table`, never the engine's rows), and
+        one `Fraction` is built per returned cell.  `steps` must be
+        topologically ordered and closed under parents given `exo`.
         """
+        idx = [inputs.variables.index(n) for n in exo]
+        scale = math.lcm(*(w.denominator for w in inputs.weights.values()))
+        support: dict[tuple, int] = {}
+        for point, w in inputs.weights.items():
+            key = tuple(point[i] for i in idx)
+            support[key] = support.get(key, 0) + w.numerator * (scale // w.denominator)
+
         positions = {name: i for i, name in enumerate(exo)}
-        support = inputs
         for name in steps:
             eq = self.equations[name]
+            common, rows = eq._integer_table
             parent_idx = [positions[p] for p in eq.parents]
             positions[name] = len(positions)
-            grown: dict[tuple, Fraction] = {}
+            grown: dict[tuple, int] = {}
             for point, w in support.items():
-                row = eq.row_for(tuple(point[i] for i in parent_idx))
-                for value, pw in row.items():
-                    grown[point + (value,)] = w * pw
+                for value, p in rows[tuple(point[i] for i in parent_idx)]:
+                    grown[point + (value,)] = w * p
             support = grown
+            scale *= common
 
         idx = [positions[n] for n in variables]
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int] = {}
         for point, w in support.items():
             key = tuple(point[i] for i in idx)
-            out[key] = out.get(key, Fraction(0)) + w
-        return Dist(variables, out)
+            out[key] = out.get(key, 0) + w
+        return Dist(variables, {key: Fraction(w, scale) for key, w in out.items()})
 
 
 @dataclass(frozen=True)
@@ -338,9 +358,8 @@ class ProbabilisticSem:
         variables = sem.names if variables is None else tuple(variables)
         needed = set(variables).union(*map(sem.ancestors_of, variables))
         exo = tuple(n for n in sem.exogenous if n in needed)
-        inputs = self.exogenous_dist.marginal(exo).weights if exo else {(): Fraction(1)}
         steps = [n for n in order[len(sem.exogenous):] if n in needed]
-        return sem._enumerate(inputs, exo, steps, variables)
+        return sem._enumerate(self.exogenous_dist, exo, steps, variables)
 
     def intervene(self, name: str, value: Value) -> ProbabilisticSem:
         child = ProbabilisticSem(self.sem.intervene(name, value), self.exogenous_dist)

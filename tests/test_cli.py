@@ -433,8 +433,9 @@ def test_hostile_input_exits_four_with_a_short_message(capsys, tmp_path, argv, t
     else:
         path.write_text(text, encoding="utf-8")
     code = main([arg.format(file=path, dir=tmp_path) for arg in argv])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 4
+    assert out == ""
     assert "Traceback" not in err
     assert where in err
     assert message in err

@@ -284,6 +284,32 @@ def test_engine_closed_forms_match_enumeration_random():
         assert engine.cross_checks_done == expected
 
 
+@pytest.mark.parametrize("query, args", [
+    ("output_given_point", (2, NULL)),
+    ("output_given_db", ((POS, NULL),)),
+])
+def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
+    # the enumeration moves 1/100 from output 2 to output 1 and lists 2
+    # first, so the first difference in the row's own order would be 2
+    k = c.geometric_count_kernel(2, F(1, 2))
+    honest = CanonicalEngine._enumerated
+
+    def perturbed(self, interventions):
+        row = dict(honest(self, interventions))
+        row[1] = row.get(1, F(0)) + F(1, 100)
+        row[2] = row.get(2, F(0)) - F(1, 100)
+        return {2: row.pop(2), **row}
+
+    monkeypatch.setattr(CanonicalEngine, "_enumerated", perturbed)
+    engine = CanonicalEngine(k, cross_check=True)
+    with pytest.raises(RuntimeError) as raised:
+        getattr(engine, query)(*args)
+    fast = getattr(CanonicalEngine(k), query)(*args)
+    slow = fast[1] + F(1, 100)
+    assert str(raised.value).endswith(f"at output 1: {fast[1]} vs {slow}")
+    assert engine.cross_checks_done == 0
+
+
 def test_engine_db_query_ignores_population():
     k = c.randomized_response_kernel(2, F(2, 3))
     skew = Dist(c.input_names(k), {(POS, POS): F(1)})

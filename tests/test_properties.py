@@ -47,10 +47,22 @@ def _weights(draw, size: int) -> list[F]:
     return [F(w, sum(raw)) for w in raw]
 
 
+def _mixed_weights(draw, size: int) -> list[F]:
+    """A point mass, or weights with zero entries and unlike denominators."""
+    if draw(st.booleans()):
+        hot = draw(st.integers(0, size - 1))
+        return [F(int(j == hot)) for j in range(size)]
+    raw = [F(draw(st.integers(0, 3)), draw(st.integers(1, 5))) for _ in range(size)]
+    if sum(raw) == 0:
+        raw[draw(st.integers(0, size - 1))] = F(1)
+    return [w / sum(raw) for w in raw]
+
+
 @st.composite
-def small_psems(draw) -> ProbabilisticSem:
+def small_psems(draw, weights=_weights) -> ProbabilisticSem:
     """2-5 variables on a random DAG, declared in a random order, with
-    random rational rows and a random (possibly correlated) input joint."""
+    random rational rows and a random (possibly correlated) input joint,
+    both drawn by `weights`."""
     k = draw(st.integers(2, 5))
     topo = [f"V{j}" for j in range(k)]
     domains = {v: tuple(range(draw(st.integers(1, 3)))) for v in topo}
@@ -62,14 +74,72 @@ def small_psems(draw) -> ProbabilisticSem:
                                       max_size=2))) if j else ()
         rows = {}
         for key in product(*(domains[p] for p in parents)):
-            rows[key] = dict(zip(domains[v], _weights(draw, len(domains[v]))))
+            rows[key] = dict(zip(domains[v], weights(draw, len(domains[v]))))
         equations[v] = StochasticEquation(v, parents, rows)
     names = tuple(draw(st.permutations(topo)))
     sem = Sem(names, domains, equations)
     exo = sem.exogenous
     points = list(product(*(domains[n] for n in exo)))
-    inputs = Dist(exo, dict(zip(points, _weights(draw, len(points)))))
+    inputs = Dist(exo, dict(zip(points, weights(draw, len(points)))))
     return ProbabilisticSem(sem, inputs)
+
+
+def _reference_lift(psem: ProbabilisticSem, variables=None) -> Dist:
+    """The enumeration oracle as first written, in `Fraction`s: the input
+    distribution's marginal on the needed exogenous variables, extended by
+    one `Fraction` product per cell and summed with `Fraction` additions."""
+    order = psem.validate()
+    sem = psem.sem
+    variables = sem.names if variables is None else tuple(variables)
+    needed = set(variables).union(*map(sem.ancestors_of, variables))
+    exo = tuple(n for n in sem.exogenous if n in needed)
+    inputs = psem.exogenous_dist.marginal(exo).weights if exo else {(): F(1)}
+    steps = [n for n in order[len(sem.exogenous):] if n in needed]
+
+    positions = {name: i for i, name in enumerate(exo)}
+    support = inputs
+    for name in steps:
+        eq = sem.equations[name]
+        parent_idx = [positions[p] for p in eq.parents]
+        positions[name] = len(positions)
+        grown: dict[tuple, F] = {}
+        for point, w in support.items():
+            row = eq.rows[tuple(point[i] for i in parent_idx)]
+            for value, pw in row.items():
+                grown[point + (value,)] = w * pw
+        support = grown
+
+    idx = [positions[n] for n in variables]
+    out: dict[tuple, F] = {}
+    for point, w in support.items():
+        key = tuple(point[i] for i in idx)
+        out[key] = out.get(key, F(0)) + w
+    return Dist(variables, out)
+
+
+@given(small_psems(_mixed_weights), st.data())
+def test_integer_oracle_equals_the_fraction_oracle(psem, data):
+    """Same cells in the same order.  Queries over exogenous variables only,
+    over variables with no exogenous ancestor (possibly none), over a random
+    subset and over the full joint."""
+    for _ in range(data.draw(st.integers(0, 2))):
+        name = data.draw(st.sampled_from(psem.sem.names))
+        value = data.draw(st.sampled_from(psem.sem.domains[name]))
+        if name in psem.sem.equations:
+            psem = psem.intervene(name, value)
+        else:
+            psem = psem.pin_exogenous(name, value)
+    sem = psem.sem
+    exo = sem.exogenous
+    unrooted = tuple(n for n in sem.endogenous if not sem.ancestors_of(n) & set(exo))
+    picked = tuple(data.draw(st.lists(st.sampled_from(sem.names), unique=True)))
+    full = psem.lift()
+    for query in (data.draw(st.permutations(exo)), unrooted, picked, sem.names, None):
+        got = psem.lift(query)
+        want = _reference_lift(psem, query)
+        assert got == want
+        assert list(got.weights) == list(want.weights)
+        assert got == full.marginal(got.variables)
 
 
 @given(small_psems(), st.data())
