@@ -55,7 +55,7 @@ from .reports import (
     finish_report,
     sweep,
 )
-from .sem import StochasticEquation
+from .sem import ProbabilisticSem, StochasticEquation
 
 ASSOCIATIVE_GIVEN_P = frozenset(
     {
@@ -73,11 +73,14 @@ def induced_data_population(
     kernel: MechanismKernel,
     attribute_equations: Iterable[StochasticEquation],
     population: Dist | None,
+    psem: ProbabilisticSem | None = None,
 ) -> Dist:
     """The joint over the data points that a population and any attribute
     equations induce.  Conditional definitions only see the data through it;
-    the model is lifted only under attribute equations."""
-    return CanonicalEngine(kernel, population, attribute_equations).base_joint()
+    the model is lifted only under attribute equations (`psem` when the
+    caller already built it, as in `run_check`)."""
+    return CanonicalEngine(kernel, population, attribute_equations,
+                           psem=psem).base_joint()
 
 
 # --- classic -----------------------------------------------------------------
@@ -103,6 +106,7 @@ def check_associative(
     population: Dist,
     target_ratio: Ratio,
     attribute_equations: Iterable[StochasticEquation] = (),
+    psem: ProbabilisticSem | None = None,
 ) -> CheckReport:
     """Compare conditional output distributions under one fixed population.
 
@@ -116,7 +120,7 @@ def check_associative(
     if definition not in ASSOCIATIVE_GIVEN_P:
         raise DomainMismatch(f"{definition.value} is not a per-population "
                              f"conditional definition")
-    engine = CanonicalEngine(kernel, population, attribute_equations)
+    engine = CanonicalEngine(kernel, population, attribute_equations, psem=psem)
     # the data joint the conditionals see, attribute equations included
     independent = definition is DefinitionId.INDEPENDENT_BAYESIAN0
     if independent and not engine.base_joint().factors_as_product():
@@ -178,6 +182,7 @@ def check_causal(
     attribute_equations: Iterable[StochasticEquation] = (),
     target_ratio: Ratio = Fraction(1),
     cross_check: bool = True,
+    psem: ProbabilisticSem | None = None,
 ) -> CheckReport:
     """Compare interventional output distributions under one population.
 
@@ -188,7 +193,7 @@ def check_causal(
     if definition not in CAUSAL_GIVEN_P:
         raise DomainMismatch(f"{definition.value} is not a per-population "
                              f"interventional definition")
-    engine = CanonicalEngine(kernel, population, attribute_equations, cross_check)
+    engine = CanonicalEngine(kernel, population, attribute_equations, cross_check, psem)
 
     if definition is DefinitionId.WHOLE_DB_INTERVENTION:
         pairs = neighbours(kernel, engine.output_given_db)
@@ -273,8 +278,14 @@ def run_check(
     population: Dist | None = None,
     attribute_equations: Iterable[StochasticEquation] = (),
     cross_check: bool = True,
+    psem: ProbabilisticSem | None = None,
 ) -> CheckReport:
-    """Route to the right checker; enforce population expectations."""
+    """Route to the right checker; enforce population expectations.
+
+    `psem` is the release model already built for exactly this kernel,
+    population and attribute equations, if the caller has it (a parsed
+    `canonical_model` builds one to validate itself); the per-population
+    checks then reuse it rather than build their own."""
     definition = DefinitionId(definition)
     if definition in NEEDS_POPULATION and population is None:
         raise MissingPopulation(
@@ -290,12 +301,12 @@ def run_check(
         return check_strong_adversary_universal(kernel, target_ratio)
     if definition in ASSOCIATIVE_GIVEN_P:
         return check_associative(
-            definition, kernel, population, target_ratio, attribute_equations
+            definition, kernel, population, target_ratio, attribute_equations, psem
         )
     if definition in CAUSAL_GIVEN_P:
         return check_causal(
             definition, kernel, population, attribute_equations, target_ratio,
-            cross_check,
+            cross_check, psem,
         )
     return check_universal_causal(definition, kernel, target_ratio, cross_check)
 

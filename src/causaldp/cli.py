@@ -170,12 +170,15 @@ def _cmd_check(args) -> int:
     model = _load_input(args.input)
     kernel, attr, pop, source = _kernel_context(model, args.pop)
     target = parse_rational(args.target_ratio, "--target-ratio")
+    psem = None
     if definition not in NEEDS_POPULATION:
         if source == "flag":
             raise UnexpectedPopulation(
                 f"{definition.value} quantifies over populations; drop --pop"
             )
         pop = None  # an embedded population is model context, not a request
+    elif source == "embedded" and attr:
+        psem = model.psem  # a parsed file built it to validate itself
     report = run_check(
         definition,
         kernel,
@@ -183,6 +186,7 @@ def _cmd_check(args) -> int:
         pop,
         attr,
         cross_check=not args.no_cross_check,
+        psem=psem,
     )
     digest = input_digest(model)
     if args.witness_out:  # first, so a failed write leaves stdout empty
@@ -218,12 +222,13 @@ def _cmd_falsify(args) -> int:
 
 def _cmd_posterior(args) -> int:
     model = _load_input(args.input)
-    kernel, attr, pop, _ = _kernel_context(model, args.prior)
+    kernel, attr, pop, source = _kernel_context(model, args.prior)
     if pop is None:
         raise MissingPopulation(
             "provide --prior or an input that embeds a population"
         )
-    prior = induced_data_population(kernel, attr, pop)
+    psem = model.psem if source == "embedded" and attr else None
+    prior = induced_data_population(kernel, attr, pop, psem)
     observe = parse_value(args.observe, "--observe")
     if (args.force_point is None) != (args.force_value is None):
         raise ValidationError(

@@ -22,7 +22,7 @@ from .errors import (
     ZeroProbabilityEvent,
     preview,
 )
-from .exact import Value, value_sort_key
+from .exact import Value, memoized, value_sort_key
 
 # An event is either a {variable: value} conjunction or a predicate over
 # full assignment mappings.
@@ -169,6 +169,21 @@ class Dist:
             key = tuple(point[i] for i in idx)
             out[key] = out.get(key, Fraction(0)) + w
         return Dist(names, out)
+
+    @memoized
+    def integer_marginal(self, names: tuple[str, ...]) -> tuple[int, tuple]:
+        """The marginal on `names` over the weights' common denominator L:
+        (L, ((point, numerator), ...)) in first-seen order.  Memoized per
+        distribution and `names`, so models sharing this input distribution
+        (a model and its intervened sub-models) sum it onto one set of
+        coordinates once."""
+        idx = [self._index(n) for n in names]
+        scale = math.lcm(*(w.denominator for w in self.weights.values()))
+        out: dict[tuple, int] = {}
+        for point, w in self.weights.items():
+            key = tuple(point[i] for i in idx)
+            out[key] = out.get(key, 0) + w.numerator * (scale // w.denominator)
+        return scale, tuple(out.items())
 
     # --- conveniences -------------------------------------------------------
 

@@ -4,7 +4,8 @@ All probabilities and ratio bounds are `fractions.Fraction`.  The single
 non-rational value that can arise is an infinite ratio (some probability is
 positive where its comparison partner is zero); it is carried as `math.inf`,
 the only float permitted anywhere in the package.  Natural logarithms appear
-only in display strings.
+only in display strings.  `memoized` keeps exact results on the immutable
+object that computed them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import wraps
 from typing import Union
 
 from .errors import ParseError, describe
@@ -26,6 +28,28 @@ Ratio = Union[Fraction, float]
 INF: float = math.inf
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+
+
+def memoized(method):
+    """Memoize a method per instance, keyed by its name and arguments.
+
+    The memo is a dict in the instance's own `__dict__`, so it dies with the
+    instance and no state is shared between objects; the instance must not
+    change in anything the method reads.  A call that raises stores nothing.
+    """
+    name = method.__name__
+
+    @wraps(method)
+    def memo(self, *args):
+        table = self.__dict__.get("_memo")
+        if table is None:
+            table = self.__dict__["_memo"] = {}
+        key = (name, *args)
+        if key not in table:
+            table[key] = method(self, *args)
+        return table[key]
+
+    return memo
 
 
 def is_infinite(x: Ratio) -> bool:

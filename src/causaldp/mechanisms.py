@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from operator import eq
@@ -32,7 +32,7 @@ from .errors import (
     ValueOutOfDomain,
     preview,
 )
-from .exact import Value
+from .exact import Value, memoized
 from .reports import RatioBound, sweep
 from .sem import (
     ProbabilisticSem,
@@ -314,6 +314,13 @@ class CanonicalModel:
     attribute_equations: tuple[StochasticEquation, ...] = ()
     population: Dist | None = None
 
+    @cached_property
+    def psem(self) -> ProbabilisticSem:
+        """The release model under this population, as `as_sem` builds and
+        validates it; built once per model, so a check can reuse the model
+        its file was validated with."""
+        return as_sem(self.kernel, self.attribute_equations, self.population)
+
 
 def data_population(kernel: MechanismKernel, population: Dist | None) -> Dist:
     """The joint of D_1..D_n when no attribute equation ties the inputs
@@ -417,19 +424,6 @@ def _build_canonical_sem(kernel: MechanismKernel) -> Sem:
     return Sem(names, domains, equations)
 
 
-def _memoized(query):
-    """Memoize an engine query per engine, keyed by its name and arguments."""
-
-    @wraps(query)
-    def memo(self, *args):
-        key = (query.__name__, *args)
-        if key not in self._memo:
-            self._memo[key] = query(self, *args)
-        return self._memo[key]
-
-    return memo
-
-
 class CanonicalEngine:
     """Conditional and interventional output distributions of a canonical model.
 
@@ -444,10 +438,13 @@ class CanonicalEngine:
     through the model only when attribute equations tie the inputs together.
 
     The model, `psem`, is built on first use: by attribute equations and by
-    cross-checks.  With `cross_check` every interventional answer is also
-    recomputed by the `sem` oracle, which enumerates the output's ancestors
-    in the intervened model and never calls a closed form, and must match
-    exactly: a cross-check is one exact row comparison.  Conditional answers
+    cross-checks.  A caller that already built it for this kernel,
+    population and attribute equations (`CanonicalModel.psem`, which a
+    parsed file builds to validate itself) hands it in instead.  With
+    `cross_check` every interventional answer is also recomputed by the
+    `sem` oracle, which enumerates the output's ancestors in the intervened
+    model and never calls a closed form, and must match exactly: a
+    cross-check is one exact row comparison.  Conditional answers
     meet the oracle in the property tests and in witness replay.  The
     population is validated on construction.
 
@@ -460,13 +457,15 @@ class CanonicalEngine:
         population: Dist | None = None,
         attribute_equations: Iterable[StochasticEquation] = (),
         cross_check: bool = False,
+        psem: ProbabilisticSem | None = None,
     ):
         self.kernel = kernel
         self.attribute_equations = tuple(attribute_equations)
         self.cross_check = cross_check
         self.cross_checks_done = 0
-        self._memo: dict[tuple, object] = {}
         self._population = population
+        if psem is not None:
+            self.psem = psem
         if self.attribute_equations:
             self.psem  # validates the equations and the population
         elif population is not None:
@@ -477,7 +476,7 @@ class CanonicalEngine:
         """The canonical release model under this population."""
         return as_sem(self.kernel, self.attribute_equations, self._population)
 
-    @_memoized
+    @memoized
     def base_joint(self) -> Dist:
         """The joint of D_1..D_n; lifts only the data points, and only under
         attribute equations.  A default uniform joint is built here, so only
@@ -487,10 +486,7 @@ class CanonicalEngine:
         return data_population(self.kernel, self._population)
 
     def _enumerated(self, interventions: list[tuple[str, Value]]) -> Row:
-        model = self.psem
-        for name, value in interventions:
-            model = model.intervene(name, value)
-        out = model.lift((OUTPUT_VAR,))
+        out = self.psem.do(dict(interventions)).lift((OUTPUT_VAR,))
         return {point[0]: w for point, w in out.weights.items()}
 
     def _verify(self, fast: Row, interventions) -> None:
@@ -512,7 +508,7 @@ class CanonicalEngine:
         if v not in self.kernel.data_domain:
             raise ValueOutOfDomain(f"{preview(v)} not in the data domain")
 
-    @_memoized
+    @memoized
     def _point_weights(self, i: int) -> tuple[dict, dict]:
         """The other points' marginal, and their joint grouped by D_i's value."""
         others: dict[tuple, Fraction] = {}
@@ -538,7 +534,7 @@ class CanonicalEngine:
                 acc[o] = acc.get(o, 0) + w * p
         return {o: Fraction(p, total * common) for o, p in acc.items()}
 
-    @_memoized
+    @memoized
     def output_given_db(self, db: tuple) -> Row:
         """Fr[O | do(D_1 = db_1, ..., D_n = db_n)]: the kernel row itself,
         for every population and every attribute equation."""
@@ -546,13 +542,13 @@ class CanonicalEngine:
         self._verify(fast, [(d_name(k + 1), db[k]) for k in range(self.kernel.n)])
         return fast
 
-    @_memoized
+    @memoized
     def output_conditioned_on_db(self, db: tuple) -> Row | None:
         """Fr[O | D = db]: the kernel row, or None when P(D = db) = 0."""
         row = self.kernel.row(db)
         return row if self.base_joint().weight_of(db) > 0 else None
 
-    @_memoized
+    @memoized
     def output_given_point(self, i: int, v: Value) -> Row:
         """Fr[O | do(D_i = v)] (i is 1-based): kernel rows mixed by the
         marginal of the other data points, which the intervention does not
@@ -562,7 +558,7 @@ class CanonicalEngine:
         self._verify(fast, [(d_name(i), v)])
         return fast
 
-    @_memoized
+    @memoized
     def output_conditioned_on_point(self, i: int, v: Value) -> Row | None:
         """Fr[O | D_i = v]: kernel rows mixed by the joint of the other data
         points given D_i = v, or None when P(D_i = v) = 0."""

@@ -23,7 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .brp import SequentialComposition
 from .dist import Dist
@@ -37,9 +37,9 @@ from .exact import (
     value_sort_key,
 )
 from .mechanisms import (
-    CanonicalEngine,
     CanonicalModel,
     MechanismKernel,
+    data_population,
     geometric_count_kernel,
     hidden_pair_kernel,
     hidden_value_kernel,
@@ -295,9 +295,12 @@ def parse_canonical_model(obj: dict, loc: str = "canonical_model") -> CanonicalM
                 _array(obj["attribute_equations"], f"{loc}.attribute_equations")
             )
         )
-    # the engine validates the equations and the population on construction
-    _wrap_model_error(lambda: CanonicalEngine(kernel, population, attr), loc)
-    return CanonicalModel(kernel, attr, population)
+    model = CanonicalModel(kernel, attr, population)
+    if attr:  # builds and validates the model once; its checks reuse it
+        _wrap_model_error(lambda: model.psem, loc)
+    elif population is not None:
+        _wrap_model_error(lambda: data_population(kernel, population), loc)
+    return model
 
 
 @dataclass(frozen=True)
@@ -448,7 +451,12 @@ def serialize_sem(sem: Sem) -> dict:
 
 
 def serialize_canonical_model(model: CanonicalModel) -> dict:
-    out = {"type": "canonical_model", "kernel": serialize_kernel(model.kernel)}
+    return {**_model_fields(model), "kernel": serialize_kernel(model.kernel)}
+
+
+def _model_fields(model: CanonicalModel) -> dict:
+    """Everything `serialize_canonical_model` writes but the kernel."""
+    out = {"type": "canonical_model"}
     if model.population is not None:
         out["population"] = serialize_distribution(model.population)
     if model.attribute_equations:
@@ -562,32 +570,35 @@ def digest_of_text(text: str) -> str:
 def _indented(node, depth: int) -> str:
     """`node` as `canonical_json` writes it `depth` levels deep.  Encoded
     JSON strings hold no raw newline, so re-indenting is a plain replace."""
-    text = json.dumps(node, indent=2, ensure_ascii=False)
+    text = json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False)
     return text.replace("\n", "\n" + "  " * depth)
 
 
-def _kernel_digest(kernel: MechanismKernel) -> str:
-    """`digest_of_text(canonical_json(serialize_kernel(kernel)))`, with the
-    table streamed into the hash one database at a time: each distinct
-    output value, data value and ratio is rendered once, and neither the
-    serialized tree nor the whole text is built."""
-    header = json.dumps(
-        {**_kernel_header(kernel), "table": []},
-        sort_keys=True, indent=2, ensure_ascii=False,
-    )
+def _kernel_text(kernel: MechanismKernel, depth: int) -> Iterator[str]:
+    """`_indented(serialize_kernel(kernel), depth)` in pieces, one per
+    database: each distinct output value, data value and ratio is rendered
+    once, and neither the serialized tree nor the whole text is built."""
+
+    def at(text: str) -> str:  # a depth-0 template, `depth` levels deeper
+        return text.replace("\n", "\n" + "  " * depth)
+
     # "table" sorts just before "type", so its [] is the last in the text
+    header = _indented({**_kernel_header(kernel), "table": []}, depth)
     head, _, tail = header.rpartition("[]")
-    digest = hashlib.sha256(head.encode("utf-8"))
     # depths: table 1, [db, row] 2, db and row 3, [output, ratio] 4, output 5
-    point = {v: _indented(value_to_json(v), 4) for v in kernel.data_domain}
+    point = {v: _indented(value_to_json(v), depth + 4) for v in kernel.data_domain}
     cell = {
-        o: "[\n" + " " * 10 + _indented(value_to_json(o), 5) + ",\n" + " " * 10 + '"'
+        o: at("[\n" + " " * 10) + _indented(value_to_json(o), depth + 5)
+        + at(",\n" + " " * 10 + '"')
         for o in kernel.output_domain
     }
+    close_cell = at('"\n        ]')
+    open_db, open_row = at("[\n      [\n        "), at("\n      ],\n      [\n        ")
+    comma, close_db = at(",\n        "), at("\n      ]\n    ]")
     # keyed by (numerator, denominator): hashing a Fraction costs more than
     # formatting it
     ratios: dict[tuple[int, int], str] = {}
-    opened = "[\n    "
+    opened, between = head + at("[\n    "), at(",\n    ")
     for db in kernel.databases():
         row = kernel.table[db]
         cells = []
@@ -597,21 +608,12 @@ def _kernel_digest(kernel: MechanismKernel) -> str:
                 key = (w.numerator, w.denominator)
                 text = ratios.get(key)
                 if text is None:
-                    text = ratios[key] = f'{format_ratio(w)}"\n        ]'
+                    text = ratios[key] = format_ratio(w) + close_cell
                 cells.append(cell[o] + text)
-        digest.update(
-            (
-                opened
-                + "[\n      [\n        "
-                + ",\n        ".join(point[v] for v in db)
-                + "\n      ],\n      [\n        "
-                + ",\n        ".join(cells)
-                + "\n      ]\n    ]"
-            ).encode("utf-8")
-        )
-        opened = ",\n    "
-    digest.update(("\n  ]" + tail + "\n").encode("utf-8"))
-    return "sha256:" + digest.hexdigest()
+        yield (opened + open_db + comma.join(point[v] for v in db) + open_row
+               + comma.join(cells) + close_db)
+        opened = between
+    yield at("\n  ]") + tail
 
 
 def input_digest(obj) -> str:
@@ -619,9 +621,22 @@ def input_digest(obj) -> str:
 
     Two files describing the same model (different key order, whitespace, or
     a builtin shorthand versus its expanded table) get the same digest.  A
-    bare kernel's text is streamed into the hash (`_kernel_digest`); every
-    other input is rendered whole by `canonical_json`.
+    kernel's text, bare or inside a `canonical_model`, is streamed into the
+    hash one database at a time (`_kernel_text`); every other input is
+    rendered whole by `canonical_json`.
     """
     if isinstance(obj, MechanismKernel):
-        return _kernel_digest(obj)
-    return digest_of_text(canonical_json(serialize_input(obj)))
+        kernel, head, depth, tail = obj, "", 0, "\n"
+    elif isinstance(obj, CanonicalModel):
+        kernel, depth = obj.kernel, 1
+        # "kernel": 0 cannot occur inside an encoded string or another key
+        text = canonical_json({**_model_fields(obj), "kernel": 0})
+        head, _, tail = text.partition('"kernel": 0')
+        head += '"kernel": '
+    else:
+        return digest_of_text(canonical_json(serialize_input(obj)))
+    digest = hashlib.sha256(head.encode("utf-8"))
+    for piece in _kernel_text(kernel, depth):
+        digest.update(piece.encode("utf-8"))
+    digest.update(tail.encode("utf-8"))
+    return "sha256:" + digest.hexdigest()

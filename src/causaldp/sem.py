@@ -22,6 +22,17 @@ variable is barren for the query and summing it out contributes exactly one.
 The enumeration runs in integers over a running common denominator, from
 integer tables each equation builds from its own rows (never the engine's),
 and builds one `Fraction` per returned cell.
+
+Models are immutable, so three pieces of structure are memoized on the
+object that owns them: a model keeps each intervened sub-model per
+(variable, value), so chained interventions share a trie of sub-models; a
+model keeps each query's plan (the exogenous variables and equations it
+enumerates); and an input `Dist` keeps its integer marginal per exogenous
+set, so a model and all its sub-models sum their shared population onto
+one set of coordinates once.  A cross-check of `do(D_1..D_n = db)`, which
+needs no exogenous variable, thus costs its own enumeration and no scan of
+the population.  Every call still checks its arguments, and every returned
+`Dist` still passes `exact_row`.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from .errors import (
     ValueOutOfDomain,
     preview,
 )
-from .exact import Value
+from .exact import Value, memoized
 
 
 @dataclass(frozen=True)
@@ -228,7 +239,9 @@ class Sem:
 
         Defined regardless of how likely `value` is under any input
         distribution.  Only endogenous variables can be targeted; exogenous
-        what-ifs go through ProbabilisticSem.pin_exogenous.
+        what-ifs go through ProbabilisticSem.pin_exogenous.  Every call checks
+        its target and value; the sub-model is then built once per model and
+        (name, value) and shared, so chained interventions form a trie.
         """
         dom = self.domain_of(name)
         if value not in dom:
@@ -237,6 +250,10 @@ class Sem:
             raise ExogenousTarget(
                 f"{name!r} is exogenous; replace the input distribution instead"
             )
+        return self._intervened(name, value)
+
+    @memoized
+    def _intervened(self, name: str, value: Value) -> Sem:
         equations = dict(self.equations)
         equations[name] = constant_equation(name, value)
         child = Sem(self.names, self.domains, equations)
@@ -246,6 +263,17 @@ class Sem:
             # `name` move earlier, so only the order is recomputed
             child.__dict__["_order"] = child._topological_order()
         return child
+
+    @memoized
+    def _plan(self, variables: tuple[str, ...]) -> tuple[tuple, tuple]:
+        """What a query over `variables` enumerates: the exogenous variables
+        among them and their ancestors, in declared order, and the equations
+        of the endogenous ones, in topological order.  Memoized per model and
+        query; reads the memoized order, so the model must be valid."""
+        needed = set(variables).union(*map(self.ancestors_of, variables))
+        plan = [n for n in self._order if n in needed]
+        exo = tuple(n for n in plan if n not in self.equations)
+        return exo, tuple(n for n in plan if n in self.equations)
 
     def semantics_given_exogenous(self, assignment: Mapping[str, Value]) -> Dist:
         """Joint distribution over the endogenous variables, bottom-up.
@@ -267,7 +295,7 @@ class Sem:
         self,
         inputs: Dist,
         exo: tuple[str, ...],
-        steps: Sequence[str],
+        steps: tuple[str, ...],
         variables: tuple[str, ...],
     ) -> Dist:
         """The one enumeration loop: sum the input distribution onto its `exo`
@@ -275,18 +303,13 @@ class Sem:
         `steps`, in order, then sum onto `variables`.
 
         The loop runs in integers over a running common denominator: the
-        inputs are scaled to theirs, each step multiplies it by its
-        equation's own (from `_integer_table`, never the engine's rows), and
-        one `Fraction` is built per returned cell.  `steps` must be
-        topologically ordered and closed under parents given `exo`.
+        inputs' marginal comes over theirs (`Dist.integer_marginal`, memoized
+        on the distribution), each step multiplies it by its equation's own
+        (from `_integer_table`, never the engine's rows), and one `Fraction`
+        is built per returned cell.  `steps` must be topologically ordered
+        and closed under parents given `exo`.
         """
-        idx = [inputs.variables.index(n) for n in exo]
-        scale = math.lcm(*(w.denominator for w in inputs.weights.values()))
-        support: dict[tuple, int] = {}
-        for point, w in inputs.weights.items():
-            key = tuple(point[i] for i in idx)
-            support[key] = support.get(key, 0) + w.numerator * (scale // w.denominator)
-
+        scale, support = inputs.integer_marginal(exo)
         positions = {name: i for i, name in enumerate(exo)}
         for name in steps:
             eq = self.equations[name]
@@ -294,15 +317,15 @@ class Sem:
             parent_idx = [positions[p] for p in eq.parents]
             positions[name] = len(positions)
             grown: dict[tuple, int] = {}
-            for point, w in support.items():
+            for point, w in support:
                 for value, p in rows[tuple(point[i] for i in parent_idx)]:
                     grown[point + (value,)] = w * p
-            support = grown
+            support = grown.items()
             scale *= common
 
         idx = [positions[n] for n in variables]
         out: dict[tuple, int] = {}
-        for point, w in support.items():
+        for point, w in support:
             key = tuple(point[i] for i in idx)
             out[key] = out.get(key, 0) + w
         return Dist(variables, {key: Fraction(w, scale) for key, w in out.items()})
@@ -348,17 +371,17 @@ class ProbabilisticSem:
         intervened, graph are enumerated, starting from the input
         distribution's marginal on the exogenous ones among them (the unit
         point if there are none).  The rest are barren for the query, so
-        `lift(T) == lift().marginal(T)` exactly.
+        `lift(T) == lift().marginal(T)` exactly.  The model memoizes the
+        plan per query (`Sem._plan`) and the input distribution its marginal
+        per exogenous set, so a repeated query costs only its enumeration.
 
         Raises:
           UnknownVariable for an undeclared name in `variables`.
         """
-        order = self.validate()
+        self.validate()
         sem = self.sem
         variables = sem.names if variables is None else tuple(variables)
-        needed = set(variables).union(*map(sem.ancestors_of, variables))
-        exo = tuple(n for n in sem.exogenous if n in needed)
-        steps = [n for n in order[len(sem.exogenous):] if n in needed]
+        exo, steps = sem._plan(variables)
         return sem._enumerate(self.exogenous_dist, exo, steps, variables)
 
     def intervene(self, name: str, value: Value) -> ProbabilisticSem:

@@ -180,6 +180,33 @@ def test_embedded_population_is_model_context(capsys, tmp_path):
     assert json.loads(out)["achieved"] == "4/1"
 
 
+def test_a_canonical_model_file_builds_its_model_once(capsys, tmp_path, monkeypatch):
+    """Parsing a `canonical_model` with attribute equations builds and
+    validates its release model; the command reuses that model."""
+    import causaldp.mechanisms as mechanisms
+
+    path = tmp_path / "ada.json"
+    path.write_text(canonical_json(serialize_input(c.SCENARIOS["ada_byron"].build())),
+                    encoding="utf-8")
+    built = []
+    as_sem = mechanisms.as_sem
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return as_sem(*args, **kwargs)
+
+    monkeypatch.setattr(mechanisms, "as_sem", counting)
+    for argv in (
+        ("check", "bayesian0", str(path), "--target-ratio", "4/1"),
+        ("check", "classic", str(path), "--target-ratio", "2/1"),
+        ("check", "single_point_intervention", str(path), "--target-ratio", "2/1"),
+        ("posterior", str(path), "--observe", "1"),
+    ):
+        built.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(built) == 1, argv
+
+
 def test_embedded_plus_flag_population_rejected(capsys, tmp_path):
     pop = tmp_path / "pop.json"
     pop.write_text(canonical_json(serialize_input(

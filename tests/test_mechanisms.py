@@ -16,7 +16,9 @@ from causaldp import (
     Dist,
     RatioOutOfRange,
 )
+from causaldp import checkers
 from causaldp.cli import main
+from causaldp.exact import memoized
 from conftest import random_kernel, random_population
 
 
@@ -308,6 +310,33 @@ def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
     slow = fast[1] + F(1, 100)
     assert str(raised.value).endswith(f"at output 1: {fast[1]} vs {slow}")
     assert engine.cross_checks_done == 0
+
+
+def test_whole_db_cross_checks_sum_the_population_once(monkeypatch):
+    """Each whole-database cross-check enumerates only its own sub-model:
+    the population is summed onto the (empty) exogenous set once per
+    engine, not once per database."""
+    summed = []
+    raw = Dist.integer_marginal.__wrapped__
+
+    def counting(self, names):
+        summed.append(names)
+        return raw(self, names)
+
+    engines = []
+
+    class Recorded(CanonicalEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(Dist, "integer_marginal", memoized(counting))
+    monkeypatch.setattr(checkers, "CanonicalEngine", Recorded)
+    k = c.randomized_response_kernel(3, F(2, 3))
+    report = c.run_check(c.DefinitionId.WHOLE_DB_UNIVERSAL, k, F(2))
+    assert report.passed
+    assert [e.cross_checks_done for e in engines] == [27]
+    assert summed == [()]
 
 
 def test_engine_db_query_ignores_population():

@@ -24,6 +24,7 @@ from causaldp import (
     Sem,
     StochasticEquation,
     ZeroProbabilityEvent,
+    constant_equation,
 )
 from causaldp.checkers import ASSOCIATIVE_GIVEN_P, _grid_marginals
 from causaldp.exact import format_rational, ratio_divide, value_sort_key
@@ -140,6 +141,35 @@ def test_integer_oracle_equals_the_fraction_oracle(psem, data):
         assert got == want
         assert list(got.weights) == list(want.weights)
         assert got == full.marginal(got.variables)
+
+
+@given(small_psems(_mixed_weights), st.data())
+def test_memoized_oracle_equals_a_fresh_model(psem, data):
+    """One shared model answers an interleaved sequence of interventions and
+    queries (repeated, re-ordered, over different exogenous sets) exactly as
+    the reference oracle does on a freshly built, un-memoized copy."""
+    sem, inputs = psem.sem, psem.exogenous_dist
+    before = dict(sem.equations)
+    endogenous = sem.endogenous
+    for _ in range(data.draw(st.integers(1, 6))):
+        model, equations = psem, dict(before)
+        for name in data.draw(st.lists(st.sampled_from(endogenous), max_size=3)
+                              if endogenous else st.just([])):
+            value = data.draw(st.sampled_from(sem.domains[name]))
+            child = model.intervene(name, value)
+            assert model.sem.intervene(name, value) is child.sem
+            model, equations[name] = child, constant_equation(name, value)
+        query = data.draw(st.none() | st.lists(st.sampled_from(sem.names), unique=True))
+        fresh = ProbabilisticSem(
+            Sem(sem.names, dict(sem.domains), equations),
+            Dist(inputs.variables, dict(inputs.weights)),
+        )
+        got = model.lift(query)
+        want = _reference_lift(fresh, query)
+        assert got == want
+        assert list(got.weights) == list(want.weights)
+    assert sem.equations == before
+    assert all(sem.equations[name] is eq for name, eq in before.items())
 
 
 @given(small_psems(), st.data())
@@ -571,6 +601,36 @@ def test_streamed_kernel_digest_equals_the_canonical_text(kernel):
     bytes `canonical_json` writes for the serialized kernel."""
     text = canonical_json(serialize_kernel(kernel))
     assert input_digest(kernel) == digest_of_text(text)
+    assert input_digest(parse_text(text)) == digest_of_text(text)
+
+
+@st.composite
+def canonical_models_over_awkward_values(draw) -> c.CanonicalModel:
+    """A kernel over generated domain values in a canonical model, with or
+    without a population and, at n = 2, with or without an attribute
+    equation R_2 := F(R_1)."""
+    kernel = draw(kernels_over_awkward_values())
+    dom = kernel.data_domain
+    inputs = c.input_names(kernel)
+    attr = ()
+    if kernel.n == 2 and draw(st.booleans()):
+        rows = {(v,): dict(zip(dom, _weights(draw, len(dom)))) for v in dom}
+        attr = (StochasticEquation("R_2", ("R_1",), rows),)
+        inputs = ("R_1",)
+    population = None
+    if draw(st.booleans()):
+        points = list(product(dom, repeat=len(inputs)))
+        population = Dist(inputs, dict(zip(points, _weights(draw, len(points)))))
+    return c.CanonicalModel(kernel, attr, population)
+
+
+@given(canonical_models_over_awkward_values())
+def test_streamed_model_digest_equals_the_canonical_text(model):
+    """A canonical model's kernel is streamed like a bare kernel's, one
+    level deeper; the digest must hash exactly the bytes `canonical_json`
+    writes for the serialized model."""
+    text = canonical_json(serialize_input(model))
+    assert input_digest(model) == digest_of_text(text)
     assert input_digest(parse_text(text)) == digest_of_text(text)
 
 

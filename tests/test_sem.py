@@ -181,12 +181,14 @@ def test_intervene_twice_last_wins():
 def test_intervene_rejects_exogenous_and_bad_values():
     m = chain_model()
     for _ in range(2):  # before and after the order is memoized
-        with pytest.raises(ExogenousTarget):
-            m.intervene("U", 0)
-        with pytest.raises(ValueOutOfDomain):
-            m.intervene("X", 9)
-        with pytest.raises(UnknownVariable):
-            m.intervene("Q", 0)
+        for _ in range(2):  # before and after a memo hit on X
+            with pytest.raises(ExogenousTarget):
+                m.intervene("U", 0)
+            with pytest.raises(ValueOutOfDomain):
+                m.intervene("X", 9)
+            with pytest.raises(UnknownVariable):
+                m.intervene("Q", 0)
+            assert m.intervene("X", 0) is m.intervene("X", 0)
         m.validate()
 
 
