@@ -10,8 +10,9 @@ Exit codes:
   2  a budgeted search exhausted its family without finding anything
   3  degenerate input for the question asked (zero-probability evidence,
      a composition premise that does not hold)
-  4  unparseable or invalid input, a path that cannot be read or written,
-     wrong population usage, bad definition
+  4  unparseable or invalid input (an oversized rational, a --target-ratio
+     of 0 or below), a path that cannot be read or written, wrong
+     population usage, bad definition
 """
 
 from __future__ import annotations
@@ -139,6 +140,18 @@ def _write_witness(path: str, digest: str, report: CheckReport, **extra) -> None
     Path(path).write_text(canonical_json(payload), encoding="utf-8")
 
 
+def _target_ratio(args):
+    """`--target-ratio`, read before any work: a ratio bound is positive,
+    since its epsilon is its logarithm."""
+    target = parse_rational(args.target_ratio, "--target-ratio")
+    if target <= 0:
+        raise ValidationError(
+            f"the target ratio must be positive, got {preview(args.target_ratio)}",
+            "--target-ratio",
+        )
+    return target
+
+
 # --- subcommand handlers -----------------------------------------------------
 
 
@@ -167,9 +180,9 @@ def _cmd_check(args) -> int:
             f"unknown definition {preview(args.definition)}; one of "
             f"{', '.join(d.value for d in DefinitionId)}"
         ) from None
+    target = _target_ratio(args)
     model = _load_input(args.input)
     kernel, attr, pop, source = _kernel_context(model, args.pop)
-    target = parse_rational(args.target_ratio, "--target-ratio")
     psem = None
     if definition not in NEEDS_POPULATION:
         if source == "flag":
@@ -196,6 +209,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
+    target = _target_ratio(args)
     model = _load_input(args.input)
     kernel, attr, _, _ = _kernel_context(model, None)
     if attr:
@@ -208,7 +222,6 @@ def _cmd_falsify(args) -> int:
             "--budget must be at least 2: at budget 1 every candidate is a point "
             "mass, under which bayesian0 skips every comparison"
         )
-    target = parse_rational(args.target_ratio, "--target-ratio")
     outcome = falsify_bayesian0(kernel, target, search_budget=args.budget)
     digest = input_digest(model)
     if args.witness_out and outcome.found:

@@ -36,18 +36,24 @@ def exact_row(weights: Mapping, error: type[Exception], where: str, row=None) ->
     exactly 1; otherwise `error` is raised, its message starting with `where`
     and then, for a table row, a preview of the row's key `row`, rendered only
     on failure.  Distributions, equation rows and kernel rows all pass this
-    one rule.  The sum is tested in integers: over the common denominator L
-    of the row, the scaled numerators must add up to L.
+    one rule.  The sum is tested in integers: the numerators are summed per
+    denominator, and over the lcm L of the distinct denominators the scaled
+    sums must add up to L.
     """
     kept = {}
+    sums: dict[int, int] = {}  # denominator -> sum of the numerators over it
     for key, w in weights.items():
-        if not isinstance(w, Fraction) or w.numerator < 0:
+        # one call reads both terms (the properties are two calls); anything
+        # but a Fraction reads as negative and is rejected
+        num, den = w.as_integer_ratio() if isinstance(w, Fraction) else (-1, 1)
+        if num < 0:
             raise _row_error(error, where, row, f"weight {preview(w)} at "
                              f"{preview(key)} is not a nonnegative rational")
-        if w.numerator:
+        if num:
             kept[key] = w
-    common = math.lcm(*(w.denominator for w in kept.values()))
-    if sum(w.numerator * (common // w.denominator) for w in kept.values()) != common:
+            sums[den] = sums.get(den, 0) + num
+    common = math.lcm(*sums)
+    if sum(total * (common // den) for den, total in sums.items()) != common:
         total = sum(weights.values(), Fraction(0))
         raise _row_error(error, where, row, f"weights sum to {total}, expected exactly 1")
     return kept

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import wraps
 from typing import Union
@@ -94,8 +95,15 @@ def parse_rational(text: str, location: str = "") -> Fraction:
             f"like \"1/2\"",
             location,
         )
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError:  # more digits than Python's int-conversion limit
+        raise ParseError(
+            f"rational {describe(text)} is too long: an integer may have at "
+            f"most {sys.get_int_max_str_digits()} digits",
+            location,
+        ) from None
     return Fraction(num, den)
 
 

@@ -59,6 +59,9 @@ ENUMERATION_ORDER_VERSION = 3
 # is hostile and would hit Python's recursion limit in the readers and writers.
 _MAX_VALUE_DEPTH = 32
 
+# The element types of a flat value array (bool, an int subclass, is not one).
+_FLAT = frozenset({str, int})
+
 
 # --- low-level parsing helpers -------------------------------------------------
 
@@ -99,6 +102,12 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], loc: str):
         raise ValidationError(f"unknown keys {preview(sorted(extra))}", loc)
 
 
+def _at(loc: str, *path: int) -> str:
+    """`loc` followed by one `[index]` per entry of `path`: a location is
+    rendered only where an error is raised."""
+    return loc + "".join(f"[{k}]" for k in path)
+
+
 def _value(node: Any, loc: str, depth: int = 0) -> Value:
     if isinstance(node, bool):
         raise ValidationError("booleans are not domain values", loc)
@@ -107,13 +116,27 @@ def _value(node: Any, loc: str, depth: int = 0) -> Value:
     if isinstance(node, list):
         if depth == _MAX_VALUE_DEPTH:
             raise ParseError(f"values nest deeper than {_MAX_VALUE_DEPTH} arrays", loc)
-        if all(type(x) is str or type(x) is int for x in node):
-            return tuple(node)  # a flat array needs no per-element location
+        flat = tuple(node)
+        if _FLAT.issuperset(map(type, flat)):
+            return flat  # a flat array needs no per-element location
         return tuple(_value(x, f"{loc}[{i}]", depth + 1) for i, x in enumerate(node))
     raise ValidationError(
         f"domain values are strings, integers, or arrays; got "
         f"{type(node).__name__}", loc,
     )
+
+
+def _value_at(node: Any, loc: str, *path: int) -> Value:
+    """`_value(node, _at(loc, *path))`; a string, an integer or a flat array
+    (the common table key and cell value) is read without its location."""
+    kind = type(node)
+    if kind is str or kind is int:
+        return node
+    if kind is list:
+        flat = tuple(node)
+        if _FLAT.issuperset(map(type, flat)):
+            return flat
+    return _value(node, _at(loc, *path))
 
 
 def _rational(node: Any, loc: str) -> Fraction:
@@ -143,42 +166,73 @@ def _array(node: Any, loc: str) -> list:
 
 
 def _values(node: Any, loc: str) -> tuple[Value, ...]:
-    return tuple(_value(v, f"{loc}[{i}]") for i, v in enumerate(_array(node, loc)))
+    return tuple(_value_at(v, loc, i) for i, v in enumerate(_array(node, loc)))
 
 
-def _pairs(node: Any, loc: str) -> list[tuple[Any, Any]]:
-    out = []
-    for i, entry in enumerate(_array(node, loc)):
-        here = f"{loc}[{i}]"
+def _pairs(node: Any, loc: str, *path: int) -> list:
+    """The entries of the array of [key, value] pairs at `_at(loc, *path)`,
+    every one checked to be a pair before any is read."""
+    if not isinstance(node, list):
+        raise ValidationError(
+            f"expected an array, got {type(node).__name__}", _at(loc, *path)
+        )
+    for i, entry in enumerate(node):
         if not isinstance(entry, list) or len(entry) != 2:
-            raise ValidationError("expected a [key, value] pair", here)
-        out.append((entry[0], entry[1]))
-    return out
+            raise ValidationError("expected a [key, value] pair", _at(loc, *path, i))
+    return node
 
 
-def _table(node: Any, loc: str, what: str, cell: Callable[[Any, str], Any]) -> dict:
+def _table(node: Any, loc: str, what: str, cell: Callable) -> dict:
     """An array of [key, cell] pairs keyed by arrays (databases, points,
-    parent values), as a dict; `cell` reads each right-hand side."""
+    parent values), as a dict.  `cell(node, weights, loc, i, 1)` reads the
+    i-th right-hand side; `weights` maps each weight string already read in
+    this table to its Fraction, so each distinct string is parsed once and
+    its cells share one object."""
     table: dict[tuple, Any] = {}
+    weights: dict[str, Fraction] = {}
     for i, (key_node, cell_node) in enumerate(_pairs(node, loc)):
-        here = f"{loc}[{i}]"
-        key = _value(key_node, f"{here}[0]")
+        key = _value_at(key_node, loc, i, 0)
         if not isinstance(key, tuple):
-            raise ValidationError(f"{what} keys must be arrays", f"{here}[0]")
+            raise ValidationError(f"{what} keys must be arrays", _at(loc, i, 0))
         if key in table:
-            raise ValidationError(f"duplicate {what} {preview(list(key))}", f"{here}[0]")
-        table[key] = cell(cell_node, f"{here}[1]")
+            raise ValidationError(
+                f"duplicate {what} {preview(list(key))}", _at(loc, i, 0)
+            )
+        table[key] = cell(cell_node, weights, loc, i, 1)
     return table
 
 
-def _row(node: Any, loc: str) -> dict[Value, Fraction]:
-    """An array of [value, "p/q"] pairs, as a dict."""
+def _weight(node: Any, weights: dict[str, Fraction], loc: str, *path: int) -> Fraction:
+    """The rational string `node`, parsed only if `weights` lacks it; a
+    string that fails to parse is never stored."""
+    w = weights.get(node) if type(node) is str else None
+    if w is None:
+        w = weights[node] = _rational(node, _at(loc, *path))
+    return w
+
+
+def _row(node: Any, weights: dict[str, Fraction], loc: str, *path: int) -> dict:
+    """An array of [value, "p/q"] pairs, as a dict.  This loop runs once per
+    kernel cell, so the common cell (a string, integer or flat-array value
+    and a weight string the table has read before) is read inline, without
+    the calls of `_value_at` and `_weight`."""
     row: dict[Value, Fraction] = {}
-    for j, (v_node, w_node) in enumerate(_pairs(node, loc)):
-        v = _value(v_node, f"{loc}[{j}][0]")
+    for j, (v_node, w_node) in enumerate(_pairs(node, loc, *path)):
+        kind = type(v_node)
+        if kind is list:
+            v = tuple(v_node)
+            if not _FLAT.issuperset(map(type, v)):
+                v = _value(v_node, _at(loc, *path, j, 0))
+        elif kind is str or kind is int:
+            v = v_node
+        else:
+            v = _value(v_node, _at(loc, *path, j, 0))
         if v in row:
-            raise ValidationError(f"duplicate value {preview(v)}", f"{loc}[{j}]")
-        row[v] = _rational(w_node, f"{loc}[{j}][1]")
+            raise ValidationError(f"duplicate value {preview(v)}", _at(loc, *path, j))
+        w = weights.get(w_node) if type(w_node) is str else None
+        if w is None:
+            w = weights[w_node] = _rational(w_node, _at(loc, *path, j, 1))
+        row[v] = w
     return row
 
 
@@ -236,7 +290,7 @@ def parse_distribution(obj: dict, loc: str = "distribution") -> Dist:
         _string(v, f"{loc}.variables[{i}]")
         for i, v in enumerate(_array(obj["variables"], f"{loc}.variables"))
     )
-    weights = _table(obj["weights"], f"{loc}.weights", "point", _rational)
+    weights = _table(obj["weights"], f"{loc}.weights", "point", _weight)
     return _wrap_model_error(lambda: Dist(variables, weights), loc)
 
 
@@ -595,9 +649,10 @@ def _kernel_text(kernel: MechanismKernel, depth: int) -> Iterator[str]:
     close_cell = at('"\n        ]')
     open_db, open_row = at("[\n      [\n        "), at("\n      ],\n      [\n        ")
     comma, close_db = at(",\n        "), at("\n      ]\n    ]")
-    # keyed by (numerator, denominator): hashing a Fraction costs more than
-    # formatting it
-    ratios: dict[tuple[int, int], str] = {}
+    # keyed by identity: a parsed or builtin table shares one Fraction per
+    # distinct weight, the table keeps every key alive, and hashing a
+    # Fraction costs more than formatting it
+    ratios: dict[int, str] = {}
     opened, between = head + at("[\n    "), at(",\n    ")
     for db in kernel.databases():
         row = kernel.table[db]
@@ -605,10 +660,9 @@ def _kernel_text(kernel: MechanismKernel, depth: int) -> Iterator[str]:
         for o in kernel.output_domain:
             w = row.get(o)
             if w is not None:
-                key = (w.numerator, w.denominator)
-                text = ratios.get(key)
+                text = ratios.get(id(w))
                 if text is None:
-                    text = ratios[key] = format_ratio(w) + close_cell
+                    text = ratios[id(w)] = format_ratio(w) + close_cell
                 cells.append(cell[o] + text)
         yield (opened + open_db + comma.join(point[v] for v in db) + open_row
                + comma.join(cells) + close_db)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -127,6 +128,62 @@ def test_unknown_definition_exits_four(capsys, rr_file):
     code, _ = run(capsys, "check", "no_such_definition", rr_file,
                   "--target-ratio", "2/1")
     assert code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "classic"], ["falsify"],
+], ids=["check", "falsify"])
+@pytest.mark.parametrize("target", ["0", "0/5", "-1"])
+@pytest.mark.parametrize("source", ["randomized_response", "no_such_scenario_or_file"])
+def test_non_positive_target_exits_four_before_reading_the_input(capsys, argv, target,
+                                                                 source):
+    # the target is read first: a missing input is never reached
+    code = main([*argv, source, "--target-ratio", target])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err == (f"error: the target ratio must be positive, got '{target}' "
+                   f"(at --target-ratio)\n")
+
+
+def test_target_below_one_still_checks(capsys, rr_file):
+    code, out = run(capsys, "check", "classic", rr_file, "--target-ratio", "1/2")
+    assert code == 1
+    assert json.loads(out)["epsilon_target"] == "-0.6931"
+
+
+@pytest.mark.parametrize("argv, text, location", [
+    (["epsilon", "{file}"], lambda big: json.dumps(
+        {"type": "kernel", "n": 1, "data_domain": [0, 1], "null_value": 0,
+         "output_domain": ["h", "t"], "table": [[[0], [["h", "1/2"], ["t", "1/2"]]],
+                                                [[1], [["h", big], ["t", "1/2"]]]]}),
+     "kernel.table[1][1][0][1]"),
+    (["check", "bayesian0", "randomized_response", "--target-ratio", "2", "--pop",
+      "{file}"], lambda big: json.dumps(
+        {"type": "distribution", "variables": ["D_1", "D_2"],
+         "weights": [[["pos", "pos"], "1/" + big], [["pos", "neg"], "1"]]}),
+     "distribution.weights[0][1]"),
+    (["epsilon", "{file}"], lambda big: RR_TEXT.replace('"2/3"', f'"{big}/3"'),
+     "kernel.bias"),
+    (["check", "classic", "randomized_response", "--target-ratio", "{big}"], None,
+     "--target-ratio"),
+], ids=["kernel_cell", "distribution_weight", "builtin_bias", "target_ratio"])
+def test_oversized_rational_exits_four_at_its_location(capsys, tmp_path, argv, text,
+                                                        location):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this Python converts integers of any length")
+    big = "1" * (limit + 1)
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text(big), encoding="utf-8")
+    code = main([arg.format(file=path, big=big) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: rational str '1")
+    assert err.endswith(f"is too long: an integer may have at most {limit} digits "
+                        f"(at {location})\n")
 
 
 def test_help_exits_zero(capsys):

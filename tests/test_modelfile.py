@@ -1,6 +1,7 @@
 """The strict JSON dialect: parsing, serialization, digests."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -165,6 +166,21 @@ MALFORMED_TABLES = {
     "kernel non-rational weight": (
         _kernel_table([[[0], [["h", "1/2"], ["t", 1]]], [[1], FAIR]]),
         c.ParseError, "kernel.table[0][1][1][1]", None),
+    "kernel row entry not a pair": (
+        _kernel_table([[[0], [["h", "1/2"], ["t"]]], [[1], FAIR]]),
+        c.ValidationError, "kernel.table[0][1][1]", None),
+    "kernel table entry not a pair": (
+        _kernel_table([[[0], FAIR], [[1]]]),
+        c.ValidationError, "kernel.table[1]", None),
+    "kernel decimal weight": (
+        _kernel_table([[[0], [["h", "1/2"], ["t", "0.5"]]], [[1], FAIR]]),
+        c.ParseError, "kernel.table[0][1][1][1]", None),
+    "kernel boolean in key": (
+        _kernel_table([[[0], FAIR], [[True], FAIR]]),
+        c.ValidationError, "kernel.table[1][0][0]", None),
+    "kernel boolean value": (
+        _kernel_table([[[0], [[True, "1/2"], ["t", "1/2"]]], [[1], FAIR]]),
+        c.ValidationError, "kernel.table[0][1][0][0]", None),
     "distribution duplicate key": (
         _distribution([[[0, 0], "1/2"], [[0, 0], "1/2"]]),
         c.ValidationError, "distribution.weights[1][0]", None),
@@ -180,6 +196,12 @@ MALFORMED_TABLES = {
     "distribution point of wrong width": (
         _distribution([[[0, 0], "1/2"], [[0], "1/2"]]),
         c.ValidationError, "distribution", c.InvalidDistribution),
+    "distribution entry not a pair": (
+        _distribution([[[0, 0], "1/2"], [[0, 1]]]),
+        c.ValidationError, "distribution.weights[1]", None),
+    "distribution decimal weight": (
+        _distribution([[[0, 0], "1/2"], [[0, 1], "0.5"]]),
+        c.ParseError, "distribution.weights[1][1]", None),
     "equation duplicate key": (
         _sem_rows([[[0], COIN], [[0], COIN]]),
         c.ValidationError, "sem.equations[0].rows[1][0]", None),
@@ -215,6 +237,30 @@ def test_malformed_table_error_class_and_location(case):
     assert type(exc.value) is error
     assert exc.value.location == location
     assert type(exc.value.__cause__) is (type(None) if cause is None else cause)
+
+
+def _oversized_integer() -> str:
+    """One digit more than Python converts from a string; skips when this
+    Python has no such limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this Python converts integers of any length")
+    return "1" * (limit + 1)
+
+
+@pytest.mark.parametrize("make, location", [
+    (lambda big: _kernel_table([[[0], [["h", big + "/2"], ["t", "1/2"]]], [[1], FAIR]]),
+     "kernel.table[0][1][0][1]"),
+    (lambda big: _distribution([[[0, 0], "1/2"], [[0, 1], "1/" + big]]),
+     "distribution.weights[1][1]"),
+    (lambda big: {"type": "kernel", "builtin": "randomized_response", "n": 2,
+                  "bias": big}, "kernel.bias"),
+], ids=["kernel_cell", "distribution_weight", "builtin_bias"])
+def test_oversized_rational_is_a_parse_error_at_its_node(make, location):
+    with pytest.raises(c.ParseError) as exc:
+        parse_text(json.dumps(make(_oversized_integer())))
+    assert exc.value.location == location
+    assert "too long" in str(exc.value)
 
 
 def test_unknown_type_tag_rejected():

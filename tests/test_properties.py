@@ -572,6 +572,61 @@ def test_constructors_reject_inexact_rows(size, fault, data):
         c.MechanismKernel(1, (0,), 0, values, {(0,): dict(zip(values, row))})
 
 
+def _repeating_weights(draw, size: int) -> list[F]:
+    """Weights drawn from at most two raw integers, so that at size 3 or
+    more some weight string repeats."""
+    pool = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    raw = [draw(st.sampled_from(pool)) for _ in range(size)]
+    return [F(w, sum(raw)) for w in raw]
+
+
+@st.composite
+def tables_with_repeated_weights(draw):
+    """A kernel (n = 1..2, |D| = 2..3, |O| = 3..4) or a distribution over
+    two data points, weighted by `_repeating_weights`."""
+    n, dom_size, out_size = (draw(st.integers(1, 2)), draw(st.integers(2, 3)),
+                             draw(st.integers(3, 4)))
+    dom = tuple(range(dom_size))
+    if draw(st.booleans()):
+        points = list(product(dom, repeat=2))
+        return Dist(("A", "B"), dict(zip(points, _repeating_weights(draw, len(points)))))
+    outs = tuple(f"o{j}" for j in range(out_size))
+    table = {db: dict(zip(outs, _repeating_weights(draw, out_size)))
+             for db in product(dom, repeat=n)}
+    return c.MechanismKernel(n, dom, dom[0], outs, table)
+
+
+def _weight_cells(node: dict) -> list:
+    """(holder, index, location) of every weight string in a serialized
+    kernel or distribution."""
+    if node["type"] == "distribution":
+        return [(entry, 1, f"distribution.weights[{i}][1]")
+                for i, entry in enumerate(node["weights"])]
+    return [(cell, 1, f"kernel.table[{i}][1][{j}][1]")
+            for i, (_, row) in enumerate(node["table"]) for j, cell in enumerate(row)]
+
+
+@given(tables_with_repeated_weights(),
+       st.sampled_from(["0.5", "1/0", "", "2/-3", "1/2 ", "x", 1, None, True, [1]]),
+       st.data())
+def test_a_corrupt_weight_is_reported_at_its_own_cell(obj, corrupt, data):
+    """Each distinct weight string is parsed once per table into one shared
+    Fraction, and a location is rendered only on error: a corrupted cell
+    must still be named exactly, whichever earlier cell held its string."""
+    text = canonical_json(serialize_input(obj))
+    back = parse_text(text)
+    assert back == obj
+    rows = back.table.values() if isinstance(back, c.MechanismKernel) else [back.weights]
+    weights = [w for row in rows for w in row.values()]
+    assert len({id(w) for w in weights}) == len(set(weights))  # one object per value
+    node = json.loads(text)
+    holder, index, location = data.draw(st.sampled_from(_weight_cells(node)))
+    holder[index] = corrupt
+    with pytest.raises(c.ParseError) as exc:
+        parse_text(json.dumps(node))
+    assert exc.value.location == location
+
+
 # Domain values a kernel file can hold: nested arrays, negative integers and
 # strings the writer must escape (quotes, backslashes, control characters,
 # newlines) or keep as non-ASCII text.
