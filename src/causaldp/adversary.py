@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .checkers import induced_data_population
 from .dist import Dist
 from .errors import DomainMismatch, ValueOutOfDomain, ZeroEvidence, preview
-from .exact import ratio_divide
-from .mechanisms import MechanismKernel
-from .reports import RatioBound, SupTracker
+from .mechanisms import MechanismKernel, data_population
+from .reports import RatioBound, sweep
 
 
 def _check_observation(kernel: MechanismKernel, observation) -> None:
@@ -71,7 +69,7 @@ def _forced(
 def posterior(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
     """Belief over databases after seeing the output, by Bayes' rule.  The
     prior is over the data points D_1..D_n or the true inputs R_1..R_n."""
-    return _plain(kernel, induced_data_population(kernel, (), prior), observation)
+    return _plain(kernel, data_population(kernel, prior), observation)
 
 
 def posterior_under_intervention(
@@ -88,8 +86,7 @@ def posterior_under_intervention(
     the output reveals when that point's true value was cut out of the
     mechanism.  The belief is still about the original, unforced data.
     """
-    prior = induced_data_population(kernel, (), prior)
-    return _forced(kernel, prior, point_index, value, observation)
+    return _forced(kernel, data_population(kernel, prior), point_index, value, observation)
 
 
 def semantic_gap(
@@ -99,29 +96,20 @@ def semantic_gap(
 
     Supremum over outputs realizable in both worlds and databases in the
     prior's support of the posterior ratio, taken in both directions.  A gap
-    of 1 means forcing the point teaches the adversary nothing extra.
+    of 1 means forcing the point teaches the adversary nothing extra.  Order:
+    outputs, then forced over plain before plain over forced, then databases.
     """
-    prior = induced_data_population(kernel, (), prior)
-    tracker = SupTracker()
-    for o in kernel.output_domain:
-        try:
-            plain = _plain(kernel, prior, o)
-            forced = _forced(kernel, prior, point_index, value, o)
-        except ZeroEvidence:
-            continue
-        for db in kernel.databases():
-            if prior.weight_of(db) == 0:
+    prior = data_population(kernel, prior)
+
+    def posterior_pairs():
+        for o in kernel.output_domain:
+            try:
+                plain = _plain(kernel, prior, o).weights
+                forced = _forced(kernel, prior, point_index, value, o).weights
+            except ZeroEvidence:
                 continue
-            a = plain.weight_of(db)
-            b = forced.weight_of(db)
-            for num, den, direction in (
-                (b, a, "forced_over_plain"),
-                (a, b, "plain_over_forced"),
-            ):
-                ratio = ratio_divide(num, den)
-                if ratio is None:
-                    continue
-                tracker.offer(
-                    ratio, {"o": o, "d": db, "direction": direction}
-                )
-    return tracker.bound()
+            yield forced, plain, {"o": o, "direction": "forced_over_plain"}
+            yield plain, forced, {"o": o, "direction": "plain_over_forced"}
+
+    support = [db for db in kernel.databases() if prior.weight_of(db)]
+    return sweep(support, posterior_pairs(), "d")[0]

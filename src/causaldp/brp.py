@@ -17,7 +17,7 @@ from typing import Union
 from .dist import Dist
 from .errors import InvalidEffectQuery, NotInSequence, PremiseViolated
 from .exact import Ratio, Value, ratio_divide, ratio_le, ratio_mul
-from .reports import CheckReport, RatioBound, SupTracker, finish_report
+from .reports import CheckReport, RatioBound, finish_report, sweep
 from .sem import ProbabilisticSem, Sem
 
 Sink = Union[str, tuple]
@@ -25,18 +25,16 @@ Sink = Union[str, tuple]
 SEQUENTIAL_COMPOSITION = "sequential_composition"
 
 
-def _sink_names(model: Sem, sink: Sink) -> tuple[str, ...]:
+def _sink_names(model: Sem, sink: Sink, source: str) -> tuple[str, ...]:
+    """The sink's variables, checked against the model and the source."""
     names = (sink,) if isinstance(sink, str) else tuple(sink)
     for name in names:
         model.domain_of(name)  # raises UnknownVariable
     if len(set(names)) != len(names):
         raise InvalidEffectQuery(f"sink {names!r} repeats a variable")
+    if source in names:
+        raise InvalidEffectQuery(f"source {source!r} is part of the sink")
     return names
-
-
-def _effect(psem: ProbabilisticSem, sink: tuple[str, ...], y: tuple,
-            source: str, x: Value) -> Fraction:
-    return psem.do({source: x}).lift(sink).prob(dict(zip(sink, y)))
 
 
 def relative_probability(
@@ -53,13 +51,10 @@ def relative_probability(
     constrains nothing; it counts as the neutral ratio 1 and the flag is
     True so callers can tell it apart from a genuine ratio of 1.
     """
-    names = _sink_names(psem.sem, sink)
-    if source in names:
-        raise InvalidEffectQuery(f"source {source!r} is part of the sink")
-    point = (y,) if isinstance(sink, str) else tuple(y)
+    names = _sink_names(psem.sem, sink, source)
+    event = dict(zip(names, (y,) if isinstance(sink, str) else tuple(y)))
     ratio = ratio_divide(
-        _effect(psem, names, point, source, x_num),
-        _effect(psem, names, point, source, x_den),
+        *(psem.do({source: x}).lift(names).prob(event) for x in (x_num, x_den))
     )
     if ratio is None:
         return Fraction(1), True
@@ -72,31 +67,18 @@ def max_relative_probability(
     """Worst-case effect ratio over all outcomes and intervention pairs.
 
     Interventions go through the model surgery, so the source may be any
-    variable, including an input; vacuous 0/0 comparisons are neutral.
+    variable, including an input; vacuous 0/0 comparisons are neutral.  Order:
+    pairs (x_num, x_den) in domain order, then y; a one-name sink's y is bare.
     """
-    names = _sink_names(psem.sem, sink)
-    if source in names:
-        raise InvalidEffectQuery(f"source {source!r} is part of the sink")
+    names = _sink_names(psem.sem, sink, source)
     dom = psem.sem.domain_of(source)
-    tracker = SupTracker()
-    effects = {x: psem.do({source: x}).lift(names) for x in dom}
-    for y in product(*(psem.sem.domain_of(n) for n in names)):
-        for x_num in dom:
-            for x_den in dom:
-                ratio = ratio_divide(
-                    effects[x_num].weight_of(y), effects[x_den].weight_of(y)
-                )
-                if ratio is None:
-                    continue
-                tracker.offer(
-                    ratio,
-                    {
-                        "y": y[0] if isinstance(sink, str) else y,
-                        "x_num": x_num,
-                        "x_den": x_den,
-                    },
-                )
-    return tracker.bound()
+    ys = list(product(*(psem.sem.domain_of(n) for n in names)))
+    effects = {x: psem.do({source: x}).lift(names).weights for x in dom}
+    if isinstance(sink, str):
+        ys = [y for (y,) in ys]
+        effects = {x: {y: w for (y,), w in row.items()} for x, row in effects.items()}
+    pairs = ((effects[a], effects[b], {"x_num": a, "x_den": b}) for a in dom for b in dom)
+    return sweep(ys, pairs, "y")[0]
 
 
 def brp_bound(model: Sem | ProbabilisticSem, sink: Sink, source: str) -> RatioBound:
@@ -105,20 +87,21 @@ def brp_bound(model: Sem | ProbabilisticSem, sink: Sink, source: str) -> RatioBo
     Both probabilities in an effect ratio are linear in the weights of the
     joint input distribution, and a ratio of linear functionals over the
     simplex attains its supremum at a vertex, so checking the point-mass
-    input distributions is exhaustive.
+    input distributions is exhaustive.  The first vertex whose bound is
+    strictly greater, in input-domain order, gives the witness.
     """
     sem = model.sem if isinstance(model, ProbabilisticSem) else model
     sem.validate()
     exo = sem.exogenous
-    tracker = SupTracker()
+    best = RatioBound(Fraction(1))
     for assignment in product(*(sem.domains[n] for n in exo)):
         vertex = ProbabilisticSem(sem, Dist.point_mass(exo, assignment))
         inner = max_relative_probability(vertex, sink, source)
-        witness = None
-        if inner.witness is not None:
-            witness = {"inputs": dict(zip(exo, assignment)), **inner.witness}
-        tracker.offer(inner.value, witness)
-    return tracker.bound()
+        if not ratio_le(inner.value, best.value):
+            best = RatioBound(
+                inner.value, {"inputs": dict(zip(exo, assignment)), **inner.witness}
+            )
+    return best
 
 
 @dataclass(frozen=True)

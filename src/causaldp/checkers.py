@@ -69,20 +69,6 @@ CAUSAL_GIVEN_P = frozenset(
 )
 
 
-def induced_data_population(
-    kernel: MechanismKernel,
-    attribute_equations: Iterable[StochasticEquation],
-    population: Dist | None,
-    psem: ProbabilisticSem | None = None,
-) -> Dist:
-    """The joint over the data points that a population and any attribute
-    equations induce.  Conditional definitions only see the data through it;
-    the model is lifted only under attribute equations (`psem` when the
-    caller already built it, as in `run_check`)."""
-    return CanonicalEngine(kernel, population, attribute_equations,
-                           psem=psem).base_joint()
-
-
 # --- classic -----------------------------------------------------------------
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .adversary import posterior, posterior_under_intervention, semantic_gap
 from .brp import check_composition, compose_sequential
-from .checkers import falsify_bayesian0, induced_data_population, run_check
+from .checkers import falsify_bayesian0, run_check
 from .dist import Dist
 from .errors import (
     CausalDpError,
@@ -38,7 +38,7 @@ from .errors import (
     preview,
 )
 from .exact import epsilon_of, format_ratio, parse_rational
-from .mechanisms import CanonicalModel, MechanismKernel, classic_epsilon
+from .mechanisms import CanonicalEngine, CanonicalModel, MechanismKernel, classic_epsilon
 from .modelfile import (
     CompositionSpec,
     canonical_json,
@@ -241,7 +241,7 @@ def _cmd_posterior(args) -> int:
             "provide --prior or an input that embeds a population"
         )
     psem = model.psem if source == "embedded" and attr else None
-    prior = induced_data_population(kernel, attr, pop, psem)
+    prior = CanonicalEngine(kernel, pop, attr, psem=psem).base_joint()
     observe = parse_value(args.observe, "--observe")
     if (args.force_point is None) != (args.force_value is None):
         raise ValidationError(

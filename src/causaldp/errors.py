@@ -102,6 +102,10 @@ class PremiseViolated(CausalDpError):
     """A stage fails the per-stage bound claimed for a composition."""
 
 
+class RatioTooLong(CausalDpError):
+    """A reported rational has more digits than the interpreter will print."""
+
+
 # --- file handling --------------------------------------------------------
 
 _PREVIEW_CHARS = 40

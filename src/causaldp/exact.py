@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import wraps
 from typing import Union
 
-from .errors import ParseError, describe
+from .errors import ParseError, RatioTooLong, describe
 
 # A domain value: a symbol, an integer, or a tuple of values (used for
 # database points and report vectors).
@@ -109,7 +109,13 @@ def parse_rational(text: str, location: str = "") -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical "p/q" form (denominator always written, e.g. "2/1")."""
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise RatioTooLong(
+            f"a reported ratio is too long to print: an integer may have at "
+            f"most {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def format_ratio(x: Ratio) -> str:

@@ -102,7 +102,9 @@ def finish_report(
 
 
 class SupTracker:
-    """Running supremum of ratios with a deterministic first witness.
+    """Running supremum of ratios with a deterministic first witness: the
+    reference fold `test_sweep_equals_the_reference_fold` checks `sweep`
+    against.  No package code builds one; the benchmark traces its `offer`.
 
     Suprema start at the neutral 1 (every checked family compares each pair
     in both orders, so the true supremum is never below 1 when any comparison
@@ -126,15 +128,18 @@ class SupTracker:
 
 
 def sweep(
-    outputs: Sequence[Value], pairs: Iterable[tuple[dict | None, dict | None, dict]]
+    outputs: Sequence[Value],
+    pairs: Iterable[tuple[dict | None, dict | None, dict]],
+    axis: str = "o",
 ) -> tuple[RatioBound, int]:
     """Fold a family of comparisons into its supremum and a skipped count.
 
-    `pairs` yields (left, right, where): two output distributions and the
-    comparison's index.  Every output o, in `outputs` order, compares
-    left(o)/right(o) with witness {**where, "o": o}, by the conventions of
-    `ratio_divide` and `SupTracker`: 0/0 is vacuous, p/0 is infinite, the
-    first maximizer wins and the supremum starts at 1.  A None side (a
+    `pairs` yields (left, right, where): two rows (value -> weight, missing
+    is 0) and the comparison's index.  Every output o, in `outputs` order,
+    compares left(o)/right(o) with witness {**where, axis: o}; `axis` names
+    the swept values ("o" outputs, "y" sink values, "d" databases).  0/0 is
+    vacuous and p/0 infinite (`ratio_divide`), the supremum starts at 1, the
+    first strict maximizer wins and nothing beats infinity.  A None side (a
     conditional on a zero-probability event) skips the comparison at every
     output instead, also once the supremum is infinite.
 
@@ -165,9 +170,9 @@ def sweep(
         for (ln, ld), (rn, rd), o in zip(terms(left), terms(right), outputs):
             if not rn:
                 if ln:
-                    num, den, witness = 1, 0, {**where, "o": o}
+                    num, den, witness = 1, 0, {**where, axis: o}
                     break
             elif ln * rd * den > num * ld * rn:
-                num, den, witness = ln * rd, ld * rn, {**where, "o": o}
+                num, den, witness = ln * rd, ld * rn, {**where, axis: o}
     value = Fraction(num, den) if den else INF
     return RatioBound(value, witness), skipped

@@ -209,7 +209,7 @@ def test_correlated_attribute_doubles_conditional_only(acceptance):
     k = c.geometric_count_kernel(2, F(1, 2))
     attr = (c.copy_equation("R_2", "R_1", k.data_domain),)
     pop = Dist(("R_1",), {(c.POS,): F(1, 2), (c.NEG,): F(1, 2)})
-    data_pop = c.induced_data_population(k, attr, pop)
+    data_pop = c.CanonicalEngine(k, pop, attr).base_joint()
     cond2 = c.check_associative(DId.BAYESIAN0, k, data_pop, F(2))
     cond4 = c.check_associative(DId.BAYESIAN0, k, data_pop, F(4))
     point = c.check_causal(DId.SINGLE_POINT_INTERVENTION, k, pop, attr, F(2))

@@ -162,6 +162,20 @@ def test_semantic_gap_worked_example():
     }
 
 
+def test_semantic_gap_tie_goes_to_the_documented_order():
+    # output a, uniform prior, point 1 forced to 1: plain (3/10, 1/5, 1/5,
+    # 3/10) and forced (1/5, 3/10, 1/5, 3/10) over (0,0), (0,1), (1,0), (1,1)
+    # tie at 3/2 between plain/forced at (0,0) and forced/plain at (0,1);
+    # forced over plain is swept first, over every database in the support
+    same, cross = {"a": F(1, 2), "b": F(1, 2)}, {"a": F(1, 3), "b": F(2, 3)}
+    k = c.MechanismKernel(2, (0, 1), 0, ("a", "b"),
+                          {(0, 0): same, (0, 1): cross, (1, 0): cross, (1, 1): same})
+    prior = Dist.uniform(("D_1", "D_2"), list(k.databases()))
+    gap = c.semantic_gap(k, prior, 1, 1)
+    assert gap.value == F(3, 2)
+    assert gap.witness == {"o": "a", "direction": "forced_over_plain", "d": (0, 1)}
+
+
 def test_semantic_gap_is_one_for_constant_kernel():
     k = c.constant_kernel(1, (0, 1), 0, ("x", "y"), {"x": F(1, 3), "y": F(2, 3)})
     prior = Dist.uniform(("D_1",), [(0,), (1,)])

@@ -45,6 +45,19 @@ def test_flip_mechanism_worst_ratio():
     assert bound.witness == {"y": 0, "x_num": 0, "x_den": 1}
 
 
+def test_tie_goes_to_the_first_intervention_pair():
+    # Y | X=0 is (1/3, 2/3) and Y | X=1 is (2/3, 1/3): the ratio 2 is met
+    # at y=0 by (1, 0) and at y=1 by (0, 1); the pairs are swept in domain
+    # order with y innermost, so (0, 1) wins
+    sem = Sem(("X", "Y"), {"X": (0, 1), "Y": (0, 1)}, eq_map(c.StochasticEquation(
+        "Y", ("X",), {(0,): {0: F(1, 3), 1: F(2, 3)}, (1,): {0: F(2, 3), 1: F(1, 3)}})))
+    psem = ProbabilisticSem(sem, Dist.uniform(("X",), [(0,), (1,)]))
+    bound = c.max_relative_probability(psem, "Y", "X")
+    assert (bound.value, bound.witness) == (F(2), {"x_num": 0, "x_den": 1, "y": 1})
+    assert c.brp_bound(sem, "Y", "X").witness \
+        == {"inputs": {"X": 0}, "x_num": 0, "x_den": 1, "y": 1}
+
+
 def test_unaffected_sink_ratio_one():
     sem = Sem(("X", "Z", "Y"), {"X": (0, 1), "Z": (0, 1), "Y": (0, 1)},
               eq_map(coin_table("Y", ("Z",), F(1, 4))))

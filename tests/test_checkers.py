@@ -28,7 +28,7 @@ def ada_model():
 
 def test_ada_conditional_ratio_doubles():
     k, attr, pop = ada_model()
-    data_pop = c.induced_data_population(k, attr, pop)
+    data_pop = c.CanonicalEngine(k, pop, attr).base_joint()
     rep = c.check_associative(DId.BAYESIAN0, k, data_pop, F(2))
     assert not rep.passed
     assert rep.achieved == F(4)
@@ -54,7 +54,7 @@ def test_ada_whole_db_matches_classic():
 
 def test_ada_bayesian0_at_four_passes():
     k, attr, pop = ada_model()
-    data_pop = c.induced_data_population(k, attr, pop)
+    data_pop = c.CanonicalEngine(k, pop, attr).base_joint()
     rep = c.check_associative(DId.BAYESIAN0, k, data_pop, F(4))
     assert rep.passed and rep.achieved == F(4)
 

@@ -526,6 +526,39 @@ def test_hostile_input_exits_four_with_a_short_message(capsys, tmp_path, argv, t
     assert len(err.encode("utf-8")) < 1024
 
 
+def _long_ratio_kernel_text() -> str:
+    """A 1-point kernel with rows (1/p, (p-1)/p) and ((q-1)/q, 1/q), where p and
+    q have two thirds of the interpreter's digit limit: every input fits, but
+    the classic ratio q(p-1)/p has about 4/3 of the limit in its numerator."""
+    digits = sys.get_int_max_str_digits() * 2 // 3
+    p, q = 10**digits + 1, 10**digits + 3
+    return json.dumps({
+        "type": "kernel", "n": 1, "data_domain": [0, 1], "null_value": 0,
+        "output_domain": ["a", "b"],
+        "table": [[[0], [["a", f"1/{p}"], ["b", f"{p - 1}/{p}"]]],
+                  [[1], [["a", f"{q - 1}/{q}"], ["b", f"1/{q}"]]]],
+    })
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                    reason="no limit on int-to-string conversion")
+@pytest.mark.parametrize("argv", [
+    ["epsilon", "{k}"],
+    ["check", "classic", "{k}", "--target-ratio", "2", "--witness-out", "{w}"],
+], ids=["epsilon", "check_classic_witness_out"])
+def test_ratio_too_long_to_print_exits_four(capsys, tmp_path, argv):
+    """Nothing reaches stdout and no witness file is written."""
+    kpath, wpath = tmp_path / "k.json", tmp_path / "w.json"
+    kpath.write_text(_long_ratio_kernel_text(), encoding="utf-8")
+    code = main([arg.format(k=kpath, w=wpath) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"an integer may have at most {sys.get_int_max_str_digits()} digits" in err
+    assert not wpath.exists()
+
+
 # --- validation rules reached from a file --------------------------------------------
 
 
@@ -698,6 +731,22 @@ GOLDEN_SCENARIO_SHA256 = {
         "randomized_response.json":
             "bd56bb4221373df03d9c6d2ff3f80643ece44554cdd9d6c6e41addf2b641c3ed",
     },
+    # version 4: the effect-ratio and semantic-gap folds sweep their pairs
+    # with outputs innermost; only the version field changes here
+    4: {
+        "ada_byron.json":
+            "1ba2d5fa8a6f16020aa9426a9f57394128fc409f122cb8cbe9cd702a64ef5ec8",
+        "composition_demo.json":
+            "247ba2bd285e9eeb7f58e6b3b99724a97fb7cc8ac9ba15ca73aab4a1bad01fa7",
+        "geometric_count_n3.json":
+            "5063186de286267bcd83440c7be176485f289733b4fd9e6564243aef279501f9",
+        "hidden_pair.json":
+            "076d1aafa00dadd8a47fc2267aed2484a5cd9a1b8016d10722e268c8bd8f8b48",
+        "hidden_value.json":
+            "1b06d438a4a79c6fab8c4812ca1d455f0ba2a3469ec3bc7918061fb14c2449b1",
+        "randomized_response.json":
+            "5f61190a5d8fa659ca8c2a26a4e164f2f6fa8f6a96b69dbaa4cf081c82f8a290",
+    },
 }
 
 
@@ -715,7 +764,8 @@ def test_scenarios_run_all_matches_golden_digests(capsys, tmp_path):
 # and 32 outputs), frozen per enumeration order version like the scenario
 # digests: every check must keep its sweep order, its first witness and its
 # skipped count, not only its supremum.  In a case, a kernel name stands for
-# its model file and `--pop` for a uniform population over its databases.
+# its model file, and `--pop` or `--prior` for a uniform population over its
+# databases.
 LARGE_KERNELS = {
     "rr4": '{"type": "kernel", "builtin": "randomized_response", "n": 4, '
            '"bias": "2/3"}',
@@ -781,6 +831,41 @@ LARGE_FAMILY_SHA256 = {
         "epsilon rr4":
             "5de670779f0d470e64840baa268ce4409bcbc50253afac5ad06740648c7d18ec",
     },
+    # version 4: the effect-ratio and semantic-gap folds sweep their pairs
+    # with outputs innermost, and compose and posterior join the cases
+    4: {
+        "check bayesian0 geo5 --pop":
+            "ff0858a4d2bb366cbf647eb8d8daf03d556e7a76876f15f8b93e8b5f52337a7f",
+        "check bayesian0 rr4 --pop":
+            "83117d2fedd81c59efd1d6a6468d859c006ac862a73cd42bef01850f319b7ec7",
+        "check classic geo5":
+            "c6263c74d1520a37d6742ca0cf9db71701f7f8414d840d0f19c6c5e75d958620",
+        "check classic rr4":
+            "f4cfe8057f0373d15b51faf659e38c237dfcf4388d218afc7da48fa10ea7237f",
+        "check single_point_universal geo5 --no-cross-check":
+            "3cd4b2fff81b805c192774d5fbded5448a9947febb32c4d94fd07a9b09626434",
+        "check single_point_universal rr4 --no-cross-check":
+            "95c3ecd57d33dba983816e4055e36093477f3b5c793a01967b3de2a9be92cc63",
+        "check strong_adversary_one_dist geo5 --pop":
+            "c9b0c4525273d1cb11906096afc481a08828df43e05114880bac8b5929783c8b",
+        "check strong_adversary_one_dist rr4 --pop":
+            "8f476351adc29b3d8e909d5d9c4ae5a4402e910dc379cce68ac29bdae3333b5a",
+        "check strong_adversary_universal geo5":
+            "956acf7f5ec42f647fc0bc1b1a79eb0411bf811aa972a3716ccde86d9bdac655",
+        "check strong_adversary_universal rr4":
+            "b62c460600137b003318f589e3ade995679877d2cf32a3af5bccaab27184d588",
+        "check whole_db_universal geo5 --no-cross-check":
+            "c7249371a89137e4ed5274a0a05bc8738a10ec63071050bee50fb2155b2f19fb",
+        "check whole_db_universal rr4 --no-cross-check":
+            "5cabaa889ecf0b1c67a6bf781f11c428c0369a31140b9157d0b1621286ff90c5",
+        "compose composition_demo":
+            "c099e3ec4acdd9c94fe1c39269e0bfeb68dee5c52724f39039a10cf5dfb59087",
+        "epsilon rr4":
+            "9ae7d6915a9db3df140e50716dbba0afebe8b3ed6a6095db56d03d8057e7f2be",
+        'posterior rr4 --prior --observe ["pos","neg","pos","pos"] '
+        '--force-point 2 --force-value "null"':
+            "025970f87bb8f2c1c797515cfa9c41b405fd12c210e8b1c92ae69199ad38783b",
+    },
 }
 
 
@@ -795,7 +880,7 @@ def test_large_family_stdout_matches_golden_digest(capsys, tmp_path, case):
             path = tmp_path / f"{word}.json"
             path.write_text(LARGE_KERNELS[word], encoding="utf-8")
             argv.append(str(path))
-        elif word == "--pop":
+        elif word in ("--pop", "--prior"):
             path = tmp_path / "pop.json"
             path.write_text(canonical_json(serialize_input(
                 c.Dist.uniform(c.data_point_names(kernel), kernel.databases())

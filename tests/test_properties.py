@@ -265,7 +265,7 @@ def test_conditional_closed_forms_equal_the_oracle(rng, n, dom_size, out_size, d
     exo = tuple(r for r in c.input_names(kernel) if r not in bound)
     pop = _population(data.draw, exo, kernel)
     engine = CanonicalEngine(kernel, pop, attr)
-    induced = c.induced_data_population(kernel, attr, pop)
+    induced = engine.base_joint()
     oracles = (
         engine.psem.lift(),
         c.as_sem(kernel, (), Dist(c.input_names(kernel), induced.weights)).lift(),
@@ -308,7 +308,7 @@ def test_every_witness_replays_to_the_achieved_ratio(rng, n, dom_size, out_size,
             assert definition is DefinitionId.INDEPENDENT_BAYESIAN0 and attr
             continue
         if definition in ASSOCIATIVE_GIVEN_P:
-            induced = c.induced_data_population(kernel, attr, given_pop)
+            induced = CanonicalEngine(kernel, given_pop, attr).base_joint()
             assert c.check_associative(definition, kernel, given_pop, F(1), attr) \
                 == c.check_associative(definition, kernel, induced, F(1))
         if report.witness is None:
@@ -363,9 +363,10 @@ def test_one_dist_under_full_support_equals_classic(rng, n, dom_size, out_size, 
 # --- the comparison sweep ------------------------------------------------------
 
 
-def _reference_sweep(outputs, pairs):
+def _reference_sweep(outputs, pairs, axis="o"):
     """The comparison loop as first written: one `SupTracker.offer` of a
-    `ratio_divide` per output, with a fresh witness dict every time."""
+    `ratio_divide` per output, with a fresh witness dict every time; `axis`
+    names the outputs in the witness."""
     tracker = SupTracker()
     skipped = 0
     for left, right, where in pairs:
@@ -374,7 +375,7 @@ def _reference_sweep(outputs, pairs):
             continue
         for o in outputs:
             tracker.offer(
-                ratio_divide(left.get(o, F(0)), right.get(o, F(0))), {**where, "o": o}
+                ratio_divide(left.get(o, F(0)), right.get(o, F(0))), {**where, axis: o}
             )
     return tracker.bound(), skipped
 
@@ -421,6 +422,193 @@ def test_sweep_equals_the_reference_fold(family):
     assert type(bound.value) is type(want.value)
     if want.witness is not None:
         assert list(bound.witness) == list(want.witness)
+
+
+# --- the effect-ratio and semantic-gap folds ---------------------------------------
+#
+# Each fold is compared with two `SupTracker` loops: the loop as first
+# written, whose order differs, for the value, and `_reference_sweep` in the
+# documented order for the first witness.  Rows and input joints drawn by
+# `_mixed_weights` hold zeros and point masses, so 0/0 and p/0 both occur.
+
+
+@st.composite
+def effect_queries(draw) -> tuple:
+    """A model, a source variable and a sink (one name, or a tuple of two)
+    that leaves the source out.  A source with children is preferred, and
+    then the sink starts with a child, so most effects are not all 1."""
+    psem = draw(small_psems(draw(st.sampled_from((_weights, _mixed_weights)))))
+    sem = psem.sem
+    children = {n: [m for m, eq in sem.equations.items() if n in eq.parents]
+                for n in sem.names}
+    sources = [n for n in sem.names if children[n]] or list(sem.names)
+    source = draw(st.sampled_from(sources))
+    first = draw(st.sampled_from(children[source] or
+                                 [n for n in sem.names if n != source]))
+    rest = [n for n in sem.names if n not in (source, first)]
+    if rest and draw(st.booleans()):
+        return psem, (first, draw(st.sampled_from(rest)))[::draw(st.sampled_from((1, -1)))], source
+    return psem, first, source
+
+
+def _sink_values(psem, sink) -> list:
+    names = (sink,) if isinstance(sink, str) else sink
+    ys = list(product(*(psem.sem.domain_of(n) for n in names)))
+    return [y for (y,) in ys] if isinstance(sink, str) else ys
+
+
+def _effect_rows(psem, sink, source) -> dict:
+    """Fr[y | do(source = x)] per x, keyed by y as the witness names it."""
+    names = (sink,) if isinstance(sink, str) else sink
+    rows = {}
+    for x in psem.sem.domain_of(source):
+        lifted = psem.do({source: x}).lift(names)
+        rows[x] = {y: lifted.weight_of(y if isinstance(sink, tuple) else (y,))
+                   for y in _sink_values(psem, sink)}
+    return rows
+
+
+def _first_written_effect_fold(psem, sink, source):
+    """`max_relative_probability` as first written: y outermost."""
+    rows = _effect_rows(psem, sink, source)
+    tracker = SupTracker()
+    for y in _sink_values(psem, sink):
+        for x_num in rows:
+            for x_den in rows:
+                ratio = ratio_divide(rows[x_num][y], rows[x_den][y])
+                if ratio is not None:
+                    tracker.offer(ratio, {"y": y, "x_num": x_num, "x_den": x_den})
+    return tracker.bound()
+
+
+def _documented_effect_fold(psem, sink, source):
+    """The documented order: pairs (x_num, x_den) in domain order, y innermost."""
+    rows = _effect_rows(psem, sink, source)
+    pairs = [(rows[a], rows[b], {"x_num": a, "x_den": b}) for a in rows for b in rows]
+    return _reference_sweep(_sink_values(psem, sink), pairs, "y")[0]
+
+
+def _replays_effect(psem, sink, source, bound) -> bool:
+    if bound.witness is None:
+        return bound.value == 1
+    w = bound.witness
+    return c.relative_probability(psem, sink, w["y"], source, w["x_num"],
+                                  w["x_den"]) == (bound.value, False)
+
+
+def _same(bound, want) -> bool:
+    return (bound.value, bound.witness) == (want.value, want.witness) \
+        and type(bound.value) is type(want.value)
+
+
+@given(effect_queries())
+def test_max_relative_probability_equals_the_reference_folds(query):
+    psem, sink, source = query
+    bound = c.max_relative_probability(psem, sink, source)
+    first_written = _first_written_effect_fold(psem, sink, source)
+    assert (bound.value, type(bound.value)) \
+        == (first_written.value, type(first_written.value))
+    assert _same(bound, _documented_effect_fold(psem, sink, source))
+    assert _replays_effect(psem, sink, source, bound)
+
+
+@given(effect_queries())
+def test_brp_bound_equals_the_reference_folds(query):
+    """Over the point-mass vertices in input-domain order, the first vertex
+    whose bound is strictly greater wins."""
+    psem, sink, source = query
+    sem = psem.sem
+    exo = sem.exogenous
+    first_written, documented = SupTracker(), SupTracker()
+    vertices = {}
+    for assignment in product(*(sem.domains[n] for n in exo)):
+        vertex = ProbabilisticSem(sem, Dist.point_mass(exo, assignment))
+        vertices[assignment] = vertex
+        inputs = {"inputs": dict(zip(exo, assignment))}
+        for tracker, fold in ((first_written, _first_written_effect_fold),
+                              (documented, _documented_effect_fold)):
+            inner = fold(vertex, sink, source)
+            tracker.offer(inner.value, inner.witness and {**inputs, **inner.witness})
+    bound = c.brp_bound(sem, sink, source)
+    assert (bound.value, type(bound.value)) \
+        == (first_written.value, type(first_written.value))
+    assert _same(bound, documented.bound())
+    if bound.witness is None:
+        assert bound.value == 1
+    else:
+        vertex = vertices[tuple(bound.witness["inputs"][n] for n in exo)]
+        inner = {k: v for k, v in bound.witness.items() if k != "inputs"}
+        assert _replays_effect(vertex, sink, source, c.RatioBound(bound.value, inner))
+
+
+@st.composite
+def gap_queries(draw) -> tuple:
+    """A kernel with zero entries, a prior over D_1..D_n with zero weights,
+    and the point and value to force."""
+    n, dom_size, out_size = (draw(st.integers(1, 2)), draw(st.integers(2, 3)),
+                             draw(st.integers(2, 3)))
+    dom = tuple(range(dom_size))
+    outs = tuple(f"o{j}" for j in range(out_size))
+    kernel = c.MechanismKernel(n, dom, dom[0], outs, {
+        db: dict(zip(outs, _weights(draw, out_size))) for db in product(dom, repeat=n)
+    })
+    prior = _population(draw, c.data_point_names(kernel), kernel)
+    point = draw(st.integers(1, kernel.n))
+    return kernel, prior, point, draw(st.sampled_from(kernel.data_domain))
+
+
+def _gap_rows(kernel, prior, point, value) -> dict:
+    """(plain, forced) posterior weights per output with nonzero evidence."""
+    rows = {}
+    for o in kernel.output_domain:
+        try:
+            plain = c.posterior(kernel, prior, o)
+            forced = c.posterior_under_intervention(kernel, prior, point, value, o)
+        except c.ZeroEvidence:
+            continue
+        rows[o] = plain.weights, forced.weights
+    return rows
+
+
+@given(gap_queries())
+def test_semantic_gap_equals_the_reference_folds(query):
+    """The loop as first written (o, then d, then direction) for the value;
+    the documented order (o, then direction, then the databases in the
+    prior's support) for the witness; and the witness replays through the
+    two posteriors."""
+    kernel, prior, point, value = query
+    rows = _gap_rows(kernel, prior, point, value)
+    first_written = SupTracker()
+    for o, (plain, forced) in rows.items():
+        for d in kernel.databases():
+            if prior.weight_of(d) == 0:
+                continue
+            a, b = plain.get(d, F(0)), forced.get(d, F(0))
+            for num, den, direction in ((b, a, "forced_over_plain"),
+                                        (a, b, "plain_over_forced")):
+                ratio = ratio_divide(num, den)
+                if ratio is not None:
+                    first_written.offer(ratio, {"o": o, "d": d, "direction": direction})
+    pairs = []
+    for o, (plain, forced) in rows.items():
+        pairs += [(forced, plain, {"o": o, "direction": "forced_over_plain"}),
+                  (plain, forced, {"o": o, "direction": "plain_over_forced"})]
+    support = [d for d in kernel.databases() if prior.weight_of(d)]
+    documented, _ = _reference_sweep(support, pairs, "d")
+    gap = c.semantic_gap(kernel, prior, point, value)
+    assert (gap.value, type(gap.value)) \
+        == (first_written.value, type(first_written.value))
+    assert _same(gap, documented)
+    if gap.witness is None:
+        assert gap.value == 1
+        return
+    w = gap.witness
+    plain = c.posterior(kernel, prior, w["o"]).weight_of(w["d"])
+    forced = c.posterior_under_intervention(kernel, prior, point, value,
+                                            w["o"]).weight_of(w["d"])
+    ratio = ratio_divide(*((forced, plain) if w["direction"] == "forced_over_plain"
+                           else (plain, forced)))
+    assert ratio == gap.value
 
 
 # --- population-free definitions -------------------------------------------------
@@ -503,7 +691,7 @@ def test_engine_data_joint_is_the_lifted_population(kernel_and_table, data):
     """Without attribute equations D_i := R_i, so the engine's data joint is
     the population itself (defaulted, or renamed from R_1..R_n) and equals
     the oracle's lift; a population the model cannot take is refused with
-    the same error by the engine, the oracle and the induced joint."""
+    the same error by the engine and the oracle."""
     kernel, _ = kernel_and_table
     d_names, r_names = c.data_point_names(kernel), c.input_names(kernel)
     naming = data.draw(st.sampled_from(["none", "D", "R", "other", "outside"]))
@@ -528,7 +716,6 @@ def test_engine_data_joint_is_the_lifted_population(kernel_and_table, data):
     builds = (
         lambda: CanonicalEngine(kernel, pop),
         lambda: c.as_sem(kernel, (), pop),
-        lambda: c.induced_data_population(kernel, (), pop),
     )
     if naming in ("other", "outside"):
         refusals = {_refusal(build) for build in builds}
@@ -536,7 +723,6 @@ def test_engine_data_joint_is_the_lifted_population(kernel_and_table, data):
         return
     joint = CanonicalEngine(kernel, pop).base_joint()
     assert joint == c.as_sem(kernel, (), pop).lift(d_names)
-    assert joint == c.induced_data_population(kernel, (), pop)
     assert joint.variables == d_names
 
 
