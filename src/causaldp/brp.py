@@ -16,7 +16,7 @@ from typing import Union
 
 from .dist import Dist
 from .errors import InvalidEffectQuery, NotInSequence, PremiseViolated
-from .exact import Ratio, Value, ratio_divide, ratio_le, ratio_mul
+from .exact import Ratio, Value, is_infinite, ratio_divide, ratio_le, ratio_mul
 from .reports import CheckReport, RatioBound, finish_report, sweep
 from .sem import ProbabilisticSem, Sem
 
@@ -88,7 +88,8 @@ def brp_bound(model: Sem | ProbabilisticSem, sink: Sink, source: str) -> RatioBo
     joint input distribution, and a ratio of linear functionals over the
     simplex attains its supremum at a vertex, so checking the point-mass
     input distributions is exhaustive.  The first vertex whose bound is
-    strictly greater, in input-domain order, gives the witness.
+    strictly greater, in input-domain order, gives the witness; nothing
+    beats an infinite bound, so the search stops at the first.
     """
     sem = model.sem if isinstance(model, ProbabilisticSem) else model
     sem.validate()
@@ -101,6 +102,8 @@ def brp_bound(model: Sem | ProbabilisticSem, sink: Sink, source: str) -> RatioBo
             best = RatioBound(
                 inner.value, {"inputs": dict(zip(exo, assignment)), **inner.witness}
             )
+            if is_infinite(best.value):
+                break
     return best
 
 

@@ -13,13 +13,18 @@ quantifier over populations was discharged:
     is a per-population checker plus a budgeted falsifier whose NotFound
     outcome is a search report, never a proof.
 
+The per-population checkers take one `CanonicalModel`: the kernel, its
+attribute equations and its population, with the data joint and the
+structural model each built once on the model and shared by every check on
+it; the population-free ones read only its kernel.  `run_check` is the one
+place that decides which population a definition sees.
 Conditional and interventional output distributions both come from one
 `CanonicalEngine` and differ only in the weights that mix kernel rows; every
-family of comparisons is folded by one `sweep`.  The engine reads the data
-joint straight from the population (`mechanisms.data_population`) and builds
-the structural model only for cross-checks, attribute equations and replay.
-The generic model semantics (lift, condition, intervene) are left to that
-oracle: cross-checks and `replay_witness`.
+family of comparisons is folded by one `sweep`.  The engine reads the
+model's data joint, and the structural model is built only for
+cross-checks, attribute equations and replay.  The generic model semantics
+(lift, condition, intervene) are left to that oracle: cross-checks and
+`replay_witness`.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .exact import Ratio, Value, ratio_divide
 from .mechanisms import (
     OUTPUT_VAR,
     CanonicalEngine,
+    CanonicalModel,
     MechanismKernel,
     as_sem,
     classic_epsilon,
@@ -55,7 +61,7 @@ from .reports import (
     finish_report,
     sweep,
 )
-from .sem import ProbabilisticSem, StochasticEquation
+from .sem import StochasticEquation
 
 ASSOCIATIVE_GIVEN_P = frozenset(
     {
@@ -87,14 +93,9 @@ def check_classic(kernel: MechanismKernel, target_ratio: Ratio) -> CheckReport:
 
 
 def check_associative(
-    definition: DefinitionId,
-    kernel: MechanismKernel,
-    population: Dist,
-    target_ratio: Ratio,
-    attribute_equations: Iterable[StochasticEquation] = (),
-    psem: ProbabilisticSem | None = None,
+    definition: DefinitionId, model: CanonicalModel, target_ratio: Ratio
 ) -> CheckReport:
-    """Compare conditional output distributions under one fixed population.
+    """Compare conditional output distributions under the model's population.
 
     The conditionals come from the same engine as the interventional
     checkers: kernel rows mixed by the joint of the other data points given
@@ -106,7 +107,8 @@ def check_associative(
     if definition not in ASSOCIATIVE_GIVEN_P:
         raise DomainMismatch(f"{definition.value} is not a per-population "
                              f"conditional definition")
-    engine = CanonicalEngine(kernel, population, attribute_equations, psem=psem)
+    kernel = model.kernel
+    engine = CanonicalEngine(model)
     # the data joint the conditionals see, attribute equations included
     independent = definition is DefinitionId.INDEPENDENT_BAYESIAN0
     if independent and not engine.base_joint().factors_as_product():
@@ -163,14 +165,11 @@ def check_strong_adversary_universal(
 
 def check_causal(
     definition: DefinitionId,
-    kernel: MechanismKernel,
-    population: Dist,
-    attribute_equations: Iterable[StochasticEquation] = (),
-    target_ratio: Ratio = Fraction(1),
+    model: CanonicalModel,
+    target_ratio: Ratio,
     cross_check: bool = True,
-    psem: ProbabilisticSem | None = None,
 ) -> CheckReport:
-    """Compare interventional output distributions under one population.
+    """Compare interventional output distributions under the model's population.
 
     Interventions are defined for every domain value, including ones the
     population never produces, so no comparison is ever skipped.
@@ -179,7 +178,8 @@ def check_causal(
     if definition not in CAUSAL_GIVEN_P:
         raise DomainMismatch(f"{definition.value} is not a per-population "
                              f"interventional definition")
-    engine = CanonicalEngine(kernel, population, attribute_equations, cross_check, psem)
+    kernel = model.kernel
+    engine = CanonicalEngine(model, cross_check)
 
     if definition is DefinitionId.WHOLE_DB_INTERVENTION:
         pairs = neighbours(kernel, engine.output_given_db)
@@ -208,7 +208,7 @@ def check_universal_causal(
     definition = DefinitionId(definition)
     if definition is DefinitionId.WHOLE_DB_UNIVERSAL:
         # evaluated under the uniform population; the rows ignore it anyway
-        engine = CanonicalEngine(kernel, cross_check=cross_check)
+        engine = CanonicalEngine(CanonicalModel(kernel), cross_check)
         bound, _ = sweep(kernel.output_domain, neighbours(kernel, engine.output_given_db))
         return finish_report(
             definition,
@@ -234,7 +234,7 @@ def check_universal_causal(
             for others in product(dom, repeat=n - 1):
                 dbs = {v: others[: i - 1] + (v,) + others[i - 1 :] for v in dom}
                 pop = Dist.point_mass(data_point_names(kernel), dbs[dom[0]])
-                engine = CanonicalEngine(kernel, pop, (), cross_check=True)
+                engine = CanonicalEngine(CanonicalModel(kernel, (), pop), True)
                 for v in dom:
                     if engine.output_given_point(i, v) != kernel.table[dbs[v]]:
                         raise RuntimeError(
@@ -259,42 +259,35 @@ def check_universal_causal(
 
 def run_check(
     definition: DefinitionId,
-    kernel: MechanismKernel,
+    model: MechanismKernel | CanonicalModel,
     target_ratio: Ratio,
     population: Dist | None = None,
-    attribute_equations: Iterable[StochasticEquation] = (),
     cross_check: bool = True,
-    psem: ProbabilisticSem | None = None,
 ) -> CheckReport:
-    """Route to the right checker; enforce population expectations.
+    """Route to the right checker; the one place the population rules live.
 
-    `psem` is the release model already built for exactly this kernel,
-    population and attribute equations, if the caller has it (a parsed
-    `canonical_model` builds one to validate itself); the per-population
-    checks then reuse it rather than build their own."""
+    A definition that quantifies over populations refuses `population` and
+    ignores one the model embeds; the others run on
+    `model.given(population)`, which must then have a population."""
     definition = DefinitionId(definition)
-    if definition in NEEDS_POPULATION and population is None:
-        raise MissingPopulation(
-            f"{definition.value} needs a population distribution"
-        )
-    if definition not in NEEDS_POPULATION and population is not None:
+    if isinstance(model, MechanismKernel):
+        model = CanonicalModel(model)
+    if definition in NEEDS_POPULATION:
+        model = model.given(population)
+        if model.population is None:
+            raise MissingPopulation(f"{definition.value} needs a population distribution")
+        if definition in ASSOCIATIVE_GIVEN_P:
+            return check_associative(definition, model, target_ratio)
+        return check_causal(definition, model, target_ratio, cross_check)
+    if population is not None:
         raise UnexpectedPopulation(
             f"{definition.value} quantifies over populations; do not fix one"
         )
     if definition is DefinitionId.CLASSIC:
-        return check_classic(kernel, target_ratio)
+        return check_classic(model.kernel, target_ratio)
     if definition is DefinitionId.STRONG_ADVERSARY_UNIVERSAL:
-        return check_strong_adversary_universal(kernel, target_ratio)
-    if definition in ASSOCIATIVE_GIVEN_P:
-        return check_associative(
-            definition, kernel, population, target_ratio, attribute_equations, psem
-        )
-    if definition in CAUSAL_GIVEN_P:
-        return check_causal(
-            definition, kernel, population, attribute_equations, target_ratio,
-            cross_check, psem,
-        )
-    return check_universal_causal(definition, kernel, target_ratio, cross_check)
+        return check_strong_adversary_universal(model.kernel, target_ratio)
+    return check_universal_causal(definition, model.kernel, target_ratio, cross_check)
 
 
 # --- falsification of the universal bayesian0 claim ----------------------------
@@ -356,7 +349,9 @@ def falsify_bayesian0(
         if key in seen:
             continue
         seen.add(key)
-        report = check_associative(DefinitionId.BAYESIAN0, kernel, pop, target_ratio)
+        report = check_associative(
+            DefinitionId.BAYESIAN0, CanonicalModel(kernel, (), pop), target_ratio
+        )
         if not report.passed:
             return FalsificationOutcome(
                 True, report, pop, len(seen), search_budget,

@@ -32,13 +32,12 @@ from .errors import (
     MissingPopulation,
     ParseError,
     PremiseViolated,
-    UnexpectedPopulation,
     ValidationError,
     ZeroEvidence,
     preview,
 )
 from .exact import epsilon_of, format_ratio, parse_rational
-from .mechanisms import CanonicalEngine, CanonicalModel, MechanismKernel, classic_epsilon
+from .mechanisms import CanonicalModel, MechanismKernel, classic_epsilon
 from .modelfile import (
     CompositionSpec,
     canonical_json,
@@ -52,7 +51,7 @@ from .modelfile import (
     value_to_json,
     witness_to_json,
 )
-from .reports import NEEDS_POPULATION, CheckReport, DefinitionId
+from .reports import CheckReport, DefinitionId
 from .scenarios import SCENARIOS
 
 EXIT_PASS = 0
@@ -79,30 +78,27 @@ def _load_input(arg: str):
     return parse_text(text)
 
 
-def _kernel_context(model, pop_path: str | None):
-    """Resolve (kernel, attribute equations, population, population source)."""
-    explicit: Dist | None = None
-    if pop_path is not None:
-        parsed = _load_input(pop_path)
-        if not isinstance(parsed, Dist):
-            raise ValidationError("the distribution file must hold a distribution")
-        explicit = parsed
-    if isinstance(model, MechanismKernel):
-        return model, (), explicit, "flag" if explicit is not None else None
-    if isinstance(model, CanonicalModel):
-        if model.population is not None:
-            if explicit is not None:
-                raise ValidationError(
-                    "input already embeds a population; do not pass another"
-                )
-            return model.kernel, model.attribute_equations, model.population, "embedded"
-        if explicit is not None:
-            return model.kernel, model.attribute_equations, explicit, "flag"
-        return model.kernel, model.attribute_equations, None, None
+def _model(obj) -> CanonicalModel:
+    """A loaded input as a canonical model; a bare kernel has no equations
+    and no population."""
+    if isinstance(obj, MechanismKernel):
+        return CanonicalModel(obj)
+    if isinstance(obj, CanonicalModel):
+        return obj
     raise ValidationError(
         f"this command needs a kernel or canonical_model input, got "
-        f"{type(model).__name__}"
+        f"{type(obj).__name__}"
     )
+
+
+def _population(path: str | None) -> Dist | None:
+    """The distribution in the file at `path`, or None without one."""
+    if path is None:
+        return None
+    parsed = _load_input(path)
+    if not isinstance(parsed, Dist):
+        raise ValidationError("the distribution file must hold a distribution")
+    return parsed
 
 
 def _render_text(obj, indent: int = 0) -> list[str]:
@@ -157,8 +153,7 @@ def _target_ratio(args):
 
 def _cmd_epsilon(args) -> int:
     model = _load_input(args.input)
-    kernel, _, _, _ = _kernel_context(model, None)
-    bound = classic_epsilon(kernel)
+    bound = classic_epsilon(_model(model).kernel)
     _emit(
         {
             "type": "epsilon_report",
@@ -182,24 +177,12 @@ def _cmd_check(args) -> int:
         ) from None
     target = _target_ratio(args)
     model = _load_input(args.input)
-    kernel, attr, pop, source = _kernel_context(model, args.pop)
-    psem = None
-    if definition not in NEEDS_POPULATION:
-        if source == "flag":
-            raise UnexpectedPopulation(
-                f"{definition.value} quantifies over populations; drop --pop"
-            )
-        pop = None  # an embedded population is model context, not a request
-    elif source == "embedded" and attr:
-        psem = model.psem  # a parsed file built it to validate itself
     report = run_check(
         definition,
-        kernel,
+        _model(model),
         target,
-        pop,
-        attr,
+        _population(args.pop),
         cross_check=not args.no_cross_check,
-        psem=psem,
     )
     digest = input_digest(model)
     if args.witness_out:  # first, so a failed write leaves stdout empty
@@ -211,8 +194,8 @@ def _cmd_check(args) -> int:
 def _cmd_falsify(args) -> int:
     target = _target_ratio(args)
     model = _load_input(args.input)
-    kernel, attr, _, _ = _kernel_context(model, None)
-    if attr:
+    canonical = _model(model)
+    if canonical.attribute_equations:
         raise ValidationError(
             "falsify searches populations for a bare kernel; remove the "
             "attribute equations"
@@ -222,7 +205,7 @@ def _cmd_falsify(args) -> int:
             "--budget must be at least 2: at budget 1 every candidate is a point "
             "mass, under which bayesian0 skips every comparison"
         )
-    outcome = falsify_bayesian0(kernel, target, search_budget=args.budget)
+    outcome = falsify_bayesian0(canonical.kernel, target, search_budget=args.budget)
     digest = input_digest(model)
     if args.witness_out and outcome.found:
         _write_witness(
@@ -235,13 +218,12 @@ def _cmd_falsify(args) -> int:
 
 def _cmd_posterior(args) -> int:
     model = _load_input(args.input)
-    kernel, attr, pop, source = _kernel_context(model, args.prior)
-    if pop is None:
+    given = _model(model).given(_population(args.prior))
+    if given.population is None:
         raise MissingPopulation(
             "provide --prior or an input that embeds a population"
         )
-    psem = model.psem if source == "embedded" and attr else None
-    prior = CanonicalEngine(kernel, pop, attr, psem=psem).base_joint()
+    kernel, prior = given.kernel, given.data_joint
     observe = parse_value(args.observe, "--observe")
     if (args.force_point is None) != (args.force_value is None):
         raise ValidationError(

@@ -29,6 +29,7 @@ from .errors import (
     DomainMismatch,
     RatioOutOfRange,
     UnknownVariable,
+    ValidationError,
     ValueOutOfDomain,
     preview,
 )
@@ -317,9 +318,37 @@ class CanonicalModel:
     @cached_property
     def psem(self) -> ProbabilisticSem:
         """The release model under this population, as `as_sem` builds and
-        validates it; built once per model, so a check can reuse the model
-        its file was validated with."""
+        validates it; built once per model, so every engine and check on the
+        model shares it."""
         return as_sem(self.kernel, self.attribute_equations, self.population)
+
+    @cached_property
+    def data_joint(self) -> Dist:
+        """The joint of D_1..D_n: read from the population (D_i := R_i), and
+        lifted through `psem` only under attribute equations.  A default
+        uniform joint is built here, so only when a query needs it."""
+        if self.attribute_equations:
+            return self.psem.lift(data_point_names(self.kernel))
+        return data_population(self.kernel, self.population)
+
+    def validate(self) -> None:
+        """Check the attribute equations and the population against the
+        kernel, building only what a check would build anyway."""
+        if self.attribute_equations:
+            self.psem
+        elif self.population is not None:
+            self.data_joint
+
+    def given(self, population: Dist | None) -> CanonicalModel:
+        """This model under `population`: itself for None; an input that
+        already embeds a population takes no other."""
+        if population is None:
+            return self
+        if self.population is not None:
+            raise ValidationError(
+                "input already embeds a population; do not pass another"
+            )
+        return CanonicalModel(self.kernel, self.attribute_equations, population)
 
 
 def data_population(kernel: MechanismKernel, population: Dist | None) -> Dist:
@@ -433,60 +462,34 @@ class CanonicalEngine:
     conditional only where the database has positive probability).  Given
     one point D_i = v, conditioning weighs the other points by their joint
     given D_i = v, while intervening weighs them by their undisturbed
-    marginal.  The weights come from `base_joint`, the joint of the data
-    points: read straight from the population (D_i := R_i), and lifted
-    through the model only when attribute equations tie the inputs together.
+    marginal.  The weights come from `base_joint`, the model's `data_joint`.
 
-    The model, `psem`, is built on first use: by attribute equations and by
-    cross-checks.  A caller that already built it for this kernel,
-    population and attribute equations (`CanonicalModel.psem`, which a
-    parsed file builds to validate itself) hands it in instead.  With
+    The engine builds nothing the model owns: the structural model
+    (`CanonicalModel.psem`) is built once per model, by attribute equations
+    and by cross-checks, and every engine on that model shares it.  With
     `cross_check` every interventional answer is also recomputed by the
     `sem` oracle, which enumerates the output's ancestors in the intervened
     model and never calls a closed form, and must match exactly: a
     cross-check is one exact row comparison.  Conditional answers
-    meet the oracle in the property tests and in witness replay.  The
-    population is validated on construction.
+    meet the oracle in the property tests and in witness replay.  The model
+    is validated on construction.
 
     Externally pure: caches only memoize exact results.
     """
 
-    def __init__(
-        self,
-        kernel: MechanismKernel,
-        population: Dist | None = None,
-        attribute_equations: Iterable[StochasticEquation] = (),
-        cross_check: bool = False,
-        psem: ProbabilisticSem | None = None,
-    ):
-        self.kernel = kernel
-        self.attribute_equations = tuple(attribute_equations)
+    def __init__(self, model: CanonicalModel, cross_check: bool = False):
+        model.validate()
+        self.model = model
+        self.kernel = model.kernel
         self.cross_check = cross_check
         self.cross_checks_done = 0
-        self._population = population
-        if psem is not None:
-            self.psem = psem
-        if self.attribute_equations:
-            self.psem  # validates the equations and the population
-        elif population is not None:
-            self._population = data_population(kernel, population)
 
-    @cached_property
-    def psem(self) -> ProbabilisticSem:
-        """The canonical release model under this population."""
-        return as_sem(self.kernel, self.attribute_equations, self._population)
-
-    @memoized
     def base_joint(self) -> Dist:
-        """The joint of D_1..D_n; lifts only the data points, and only under
-        attribute equations.  A default uniform joint is built here, so only
-        when a query needs it."""
-        if self.attribute_equations:
-            return self.psem.lift(data_point_names(self.kernel))
-        return data_population(self.kernel, self._population)
+        """The joint of D_1..D_n the conditionals and the mixes read."""
+        return self.model.data_joint
 
     def _enumerated(self, interventions: list[tuple[str, Value]]) -> Row:
-        out = self.psem.do(dict(interventions)).lift((OUTPUT_VAR,))
+        out = self.model.psem.do(dict(interventions)).lift((OUTPUT_VAR,))
         return {point[0]: w for point, w in out.weights.items()}
 
     def _verify(self, fast: Row, interventions) -> None:

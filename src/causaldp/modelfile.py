@@ -39,7 +39,6 @@ from .exact import (
 from .mechanisms import (
     CanonicalModel,
     MechanismKernel,
-    data_population,
     geometric_count_kernel,
     hidden_pair_kernel,
     hidden_value_kernel,
@@ -352,10 +351,7 @@ def parse_canonical_model(obj: dict, loc: str = "canonical_model") -> CanonicalM
             )
         )
     model = CanonicalModel(kernel, attr, population)
-    if attr:  # builds and validates the model once; its checks reuse it
-        _wrap_model_error(lambda: model.psem, loc)
-    elif population is not None:
-        _wrap_model_error(lambda: data_population(kernel, population), loc)
+    _wrap_model_error(model.validate, loc)  # what it builds, its checks reuse
     return model
 
 

@@ -32,7 +32,7 @@ from .modelfile import (
     report_to_json,
     serialize_input,
 )
-from .reports import NEEDS_POPULATION, DefinitionId
+from .reports import DefinitionId
 from .sem import Sem, StochasticEquation, copy_equation, deterministic_equation
 
 TWO = Fraction(2)
@@ -59,21 +59,11 @@ class Scenario:
 
 
 def _checks(*definitions: DefinitionId, target: Fraction) -> Callable:
-    """Reports of `definitions` in order, each run on the model's kernel and
-    attribute equations; only definitions that need a population get the
-    model's."""
+    """Reports of `definitions` in order, each run on the model by
+    `run_check`."""
 
     def reports(model) -> list[dict]:
-        if isinstance(model, CanonicalModel):
-            kernel, attr, pop = model.kernel, model.attribute_equations, model.population
-        else:
-            kernel, attr, pop = model, (), None
-        return [
-            report_to_json(run_check(
-                d, kernel, target, pop if d in NEEDS_POPULATION else None, attr
-            ))
-            for d in definitions
-        ]
+        return [report_to_json(run_check(d, model, target)) for d in definitions]
 
     return reports
 

@@ -30,16 +30,22 @@ def test_hiding_counterexamples_exact(acceptance):
     # everything causally, and the other way around
     hv = c.hidden_value_kernel()
     hv_pop = Dist.uniform(("R_1",), [(0,), (1,)])
-    assoc = c.check_associative(DId.STRONG_ADVERSARY_ONE_DIST, hv, hv_pop, F(1))
+    assoc = c.check_associative(
+        DId.STRONG_ADVERSARY_ONE_DIST, c.CanonicalModel(hv, (), hv_pop), F(1)
+    )
     hv_classic = c.classic_epsilon(hv)
 
     hp = c.hidden_pair_kernel()
     hp_pop = Dist.uniform(("R_1", "R_2"), list(product((0, 1), repeat=2)))
-    causal = c.check_causal(DId.SINGLE_POINT_INTERVENTION, hp, hp_pop, (), F(1))
+    causal = c.check_causal(
+        DId.SINGLE_POINT_INTERVENTION, c.CanonicalModel(hp, (), hp_pop), F(1)
+    )
     hp_classic = c.classic_epsilon(hp)
 
     # under the hiding population every forced value gives the same fair coin
-    engine = c.CanonicalEngine(hp, Dist(("R_1", "R_2"), dict(hp_pop.weights)))
+    engine = c.CanonicalEngine(
+        c.CanonicalModel(hp, (), Dist(("R_1", "R_2"), dict(hp_pop.weights)))
+    )
     coin = {0: F(1, 2), 1: F(1, 2)}
     do_dists_are_coins = all(
         engine.output_given_point(i, v) == coin
@@ -122,7 +128,9 @@ def test_classic_pass_implies_single_point_pass(acceptance):
             checked += 1
     hp = c.hidden_pair_kernel()
     hp_pop = Dist.uniform(("R_1", "R_2"), list(product((0, 1), repeat=2)))
-    strict = c.check_causal(DId.SINGLE_POINT_INTERVENTION, hp, hp_pop, (), F(1))
+    strict = c.check_causal(
+        DId.SINGLE_POINT_INTERVENTION, c.CanonicalModel(hp, (), hp_pop), F(1)
+    )
     strictly_smaller = strict.achieved == F(1) and c.is_infinite(
         c.classic_epsilon(hp).value
     )
@@ -144,7 +152,7 @@ def test_closed_forms_match_enumeration(acceptance):
         k = random_kernel(rng, n, dom, 2, full_support=rng.random() < 0.5)
         pop = random_population(rng, k, full_support=True)
         pop_r = Dist(c.input_names(k), dict(pop.weights))
-        engine = c.CanonicalEngine(k, pop_r, cross_check=True)
+        engine = c.CanonicalEngine(c.CanonicalModel(k, (), pop_r), cross_check=True)
         for db in k.databases():
             engine.output_given_db(db)
         for i in range(1, n + 1):
@@ -209,10 +217,10 @@ def test_correlated_attribute_doubles_conditional_only(acceptance):
     k = c.geometric_count_kernel(2, F(1, 2))
     attr = (c.copy_equation("R_2", "R_1", k.data_domain),)
     pop = Dist(("R_1",), {(c.POS,): F(1, 2), (c.NEG,): F(1, 2)})
-    data_pop = c.CanonicalEngine(k, pop, attr).base_joint()
-    cond2 = c.check_associative(DId.BAYESIAN0, k, data_pop, F(2))
-    cond4 = c.check_associative(DId.BAYESIAN0, k, data_pop, F(4))
-    point = c.check_causal(DId.SINGLE_POINT_INTERVENTION, k, pop, attr, F(2))
+    model = c.CanonicalModel(k, attr, pop)
+    cond2 = c.check_associative(DId.BAYESIAN0, model, F(2))
+    cond4 = c.check_associative(DId.BAYESIAN0, model, F(4))
+    point = c.check_causal(DId.SINGLE_POINT_INTERVENTION, model, F(2))
     ok = (
         not cond2.passed and cond2.achieved == F(4)
         and cond4.passed

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import causaldp as c
-from causaldp import Dist, ProbabilisticSem, Sem
+from causaldp import Dist, ProbabilisticSem, Sem, brp
 from conftest import random_two_stage
 
 
@@ -156,6 +156,23 @@ def test_brp_bound_witness_names_the_vertex():
     assert c.is_infinite(b.value)
     assert set(b.witness) == {"inputs", "y", "x_num", "x_den"}
     assert set(b.witness["inputs"]) == {"R_1"}
+
+
+def test_brp_bound_stops_at_the_first_infinite_vertex(monkeypatch):
+    # nothing beats an infinite bound, so the vertices after it are not read:
+    # hidden_pair's vertex (R_1, R_2) = (0, 2) is the third of nine
+    calls = []
+    inner = brp.max_relative_probability
+
+    def counted(psem, sink, source):
+        calls.append(psem.exogenous_dist)
+        return inner(psem, sink, source)
+
+    monkeypatch.setattr(brp, "max_relative_probability", counted)
+    b = c.brp_bound(c.as_sem(c.hidden_pair_kernel()).sem, "O", "R_1")
+    assert c.is_infinite(b.value)
+    assert b.witness["inputs"] == {"R_1": 0, "R_2": 2}
+    assert len(calls) == 3
 
 
 def test_hidden_pair_effect_vanishes_under_hiding_population():

@@ -23,13 +23,18 @@ def ada_model():
     return k, attr, pop
 
 
+def model(k, pop, attr=()):
+    """A kernel with its population and attribute equations, as the
+    checkers take it."""
+    return c.CanonicalModel(k, tuple(attr), pop)
+
+
 # --- the copied-attribute separation, frozen ----------------------------------------
 
 
 def test_ada_conditional_ratio_doubles():
     k, attr, pop = ada_model()
-    data_pop = c.CanonicalEngine(k, pop, attr).base_joint()
-    rep = c.check_associative(DId.BAYESIAN0, k, data_pop, F(2))
+    rep = c.check_associative(DId.BAYESIAN0, model(k, pop, attr), F(2))
     assert not rep.passed
     assert rep.achieved == F(4)
     # both copies move together, so conditioning shifts the count by two
@@ -39,7 +44,7 @@ def test_ada_conditional_ratio_doubles():
 
 def test_ada_interventional_ratio_stays_single_point():
     k, attr, pop = ada_model()
-    rep = c.check_causal(DId.SINGLE_POINT_INTERVENTION, k, pop, attr, F(2))
+    rep = c.check_causal(DId.SINGLE_POINT_INTERVENTION, model(k, pop, attr), F(2))
     assert rep.passed
     assert rep.achieved == F(2)
     assert rep.skipped_comparisons == 0
@@ -47,15 +52,14 @@ def test_ada_interventional_ratio_stays_single_point():
 
 def test_ada_whole_db_matches_classic():
     k, attr, pop = ada_model()
-    rep = c.check_causal(DId.WHOLE_DB_INTERVENTION, k, pop, attr, F(2))
+    rep = c.check_causal(DId.WHOLE_DB_INTERVENTION, model(k, pop, attr), F(2))
     assert rep.passed and rep.achieved == F(2)
     assert c.classic_epsilon(k).value == F(2)
 
 
 def test_ada_bayesian0_at_four_passes():
     k, attr, pop = ada_model()
-    data_pop = c.CanonicalEngine(k, pop, attr).base_joint()
-    rep = c.check_associative(DId.BAYESIAN0, k, data_pop, F(4))
+    rep = c.check_associative(DId.BAYESIAN0, model(k, pop, attr), F(4))
     assert rep.passed and rep.achieved == F(4)
 
 
@@ -65,7 +69,7 @@ def test_ada_bayesian0_at_four_passes():
 def test_point_mass_population_passes_vacuously():
     k = c.hidden_value_kernel()
     pop = Dist.point_mass(("R_1",), (0,))
-    rep = c.check_associative(DId.BAYESIAN0, k, pop, F(1))
+    rep = c.check_associative(DId.BAYESIAN0, model(k, pop), F(1))
     assert rep.passed and rep.achieved == F(1)
     assert rep.witness is None
     # every pair needs both values supported; a point mass supports one
@@ -77,14 +81,14 @@ def test_full_support_population_skips_nothing():
     k = random_kernel(rng, 2, 2, 2, full_support=True)
     pop = random_population(rng, k, full_support=True)
     for did in (DId.STRONG_ADVERSARY_ONE_DIST, DId.BAYESIAN0):
-        rep = c.check_associative(did, k, pop, F(100))
+        rep = c.check_associative(did, model(k, pop), F(100))
         assert rep.skipped_comparisons == 0
 
 
 def test_zero_weight_databases_are_skipped_not_crashed():
     k = c.hidden_value_kernel()
     pop = Dist(("R_1",), {(0,): F(1, 2), (1,): F(1, 2)})  # value 2 unsupported
-    rep = c.check_associative(DId.BAYESIAN0, k, pop, F(1))
+    rep = c.check_associative(DId.BAYESIAN0, model(k, pop), F(1))
     assert rep.passed  # the 0-vs-1 comparisons are all fair coins
     assert rep.skipped_comparisons > 0
 
@@ -121,7 +125,7 @@ def test_universal_single_point_never_exceeds_classic():
 def test_hidden_pair_single_point_strictly_better_than_classic():
     k = c.hidden_pair_kernel()
     pop = Dist.uniform(("R_1", "R_2"), [(0, 0), (0, 1), (1, 0), (1, 1)])
-    rep = c.check_causal(DId.SINGLE_POINT_INTERVENTION, k, pop, (), F(1))
+    rep = c.check_causal(DId.SINGLE_POINT_INTERVENTION, model(k, pop), F(1))
     assert rep.passed and rep.achieved == F(1)
     assert c.is_infinite(c.classic_epsilon(k).value)
 
@@ -129,9 +133,9 @@ def test_hidden_pair_single_point_strictly_better_than_classic():
 def test_hidden_value_conditional_perfect_interventional_broken():
     k = c.hidden_value_kernel()
     pop = Dist.uniform(("R_1",), [(0,), (1,)])
-    assoc = c.check_associative(DId.STRONG_ADVERSARY_ONE_DIST, k, pop, F(1))
+    assoc = c.check_associative(DId.STRONG_ADVERSARY_ONE_DIST, model(k, pop), F(1))
     assert assoc.passed and assoc.achieved == F(1)
-    caus = c.check_causal(DId.SINGLE_POINT_INTERVENTION, k, pop, (), F(1))
+    caus = c.check_causal(DId.SINGLE_POINT_INTERVENTION, model(k, pop), F(1))
     assert not caus.passed and c.is_infinite(caus.achieved)
 
 
@@ -142,7 +146,7 @@ def test_independent_bayesian0_requires_product():
     k = c.hidden_pair_kernel()
     correlated = Dist(("R_1", "R_2"), {(0, 0): F(1, 2), (1, 1): F(1, 2)})
     with pytest.raises(c.NotAProductDistribution):
-        c.check_associative(DId.INDEPENDENT_BAYESIAN0, k, correlated, F(2))
+        c.check_associative(DId.INDEPENDENT_BAYESIAN0, model(k, correlated), F(2))
 
 
 def test_independent_bayesian0_accepts_skewed_product():
@@ -153,7 +157,7 @@ def test_independent_bayesian0_accepts_skewed_product():
         (a[0], b[0]): wa * wb for a, wa in marg1.items() for b, wb in marg2.items()
     }
     pop = Dist(("R_1", "R_2"), weights)
-    rep = c.check_associative(DId.INDEPENDENT_BAYESIAN0, k, pop, F(2))
+    rep = c.check_associative(DId.INDEPENDENT_BAYESIAN0, model(k, pop), F(2))
     assert rep.passed and rep.achieved == F(2)
 
 
@@ -164,8 +168,8 @@ def test_bayesian0_on_product_matches_independent_variant():
         m1 = random_population(rng, k, full_support=True).marginal(("D_1",))
         m2 = random_population(rng, k, full_support=True).marginal(("D_2",))
         pop = Dist.product(m1, m2)
-        a = c.check_associative(DId.BAYESIAN0, k, pop, F(50))
-        b = c.check_associative(DId.INDEPENDENT_BAYESIAN0, k, pop, F(50))
+        a = c.check_associative(DId.BAYESIAN0, model(k, pop), F(50))
+        b = c.check_associative(DId.INDEPENDENT_BAYESIAN0, model(k, pop), F(50))
         assert a.achieved == b.achieved
 
 
@@ -206,7 +210,7 @@ def test_rr_posneg_diagonal_is_another_violation():
     # the other correlated family: pos/neg diagonal reaches the squared ratio
     k = c.randomized_response_kernel(2, F(2, 3))
     pop = Dist(("R_1", "R_2"), {(c.POS, c.POS): F(1, 2), (c.NEG, c.NEG): F(1, 2)})
-    rep = c.check_associative(DId.BAYESIAN0, k, pop, F(2))
+    rep = c.check_associative(DId.BAYESIAN0, model(k, pop), F(2))
     assert not rep.passed and rep.achieved == F(4)
 
 
@@ -233,9 +237,7 @@ def test_run_check_accepts_data_point_named_population():
 
 def test_run_check_routes_attribute_equations_to_induced_population():
     k, attr, pop = ada_model()
-    rep = c.run_check(
-        DId.BAYESIAN0, k, population=pop, attribute_equations=attr, target_ratio=F(2)
-    )
+    rep = c.run_check(DId.BAYESIAN0, model(k, None, attr), F(2), pop)
     assert not rep.passed and rep.achieved == F(4)
 
 
@@ -258,8 +260,7 @@ def collect_reports(k, pop, attr=()):
     if pop is not None:
         for did in ALL_NEEDS_POP:
             try:
-                rep = c.run_check(did, k, population=pop,
-                                  attribute_equations=attr, target_ratio=F(1))
+                rep = c.run_check(did, model(k, pop, attr), target_ratio=F(1))
             except c.NotAProductDistribution:
                 continue  # correlated population, product-only definition
             reports.append((did, rep))
@@ -306,9 +307,9 @@ def test_cross_check_flag_controls_engine_verification():
     k = c.geometric_count_kernel(2, F(1, 2))
     pop = Dist.uniform(("R_1", "R_2"),
                        list(product(k.data_domain, repeat=2)))
-    fast = c.check_causal(DId.WHOLE_DB_INTERVENTION, k, pop, (), F(2),
+    fast = c.check_causal(DId.WHOLE_DB_INTERVENTION, model(k, pop), F(2),
                           cross_check=False)
-    slow = c.check_causal(DId.WHOLE_DB_INTERVENTION, k, pop, (), F(2),
+    slow = c.check_causal(DId.WHOLE_DB_INTERVENTION, model(k, pop), F(2),
                           cross_check=True)
     assert fast.achieved == slow.achieved == F(2)
 
@@ -328,7 +329,7 @@ def test_only_cross_checks_and_attribute_equations_build_the_model():
     c.semantic_gap(k, pop, 1, c.NULL)
     assert "_canonical_sem" not in k.__dict__
 
-    engine = c.CanonicalEngine(k, pop, cross_check=True)
+    engine = c.CanonicalEngine(model(k, pop), cross_check=True)
     assert "_canonical_sem" not in k.__dict__
     for db in k.databases():
         engine.output_given_db(db)
@@ -339,5 +340,5 @@ def test_only_cross_checks_and_attribute_equations_build_the_model():
     assert engine.cross_checks_done == 9 + 2 * 3
 
     tied, attr, tied_pop = ada_model()
-    c.run_check(DId.BAYESIAN0, tied, F(2), tied_pop, attr)
+    c.run_check(DId.BAYESIAN0, model(tied, tied_pop, attr), F(2))
     assert "_canonical_sem" in tied.__dict__

@@ -237,6 +237,19 @@ def test_embedded_population_is_model_context(capsys, tmp_path):
     assert json.loads(out)["achieved"] == "4/1"
 
 
+def _counting(monkeypatch, module, name) -> list:
+    """Wrap `module.name` for this test; returns the list of its calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_a_canonical_model_file_builds_its_model_once(capsys, tmp_path, monkeypatch):
     """Parsing a `canonical_model` with attribute equations builds and
     validates its release model; the command reuses that model."""
@@ -245,14 +258,7 @@ def test_a_canonical_model_file_builds_its_model_once(capsys, tmp_path, monkeypa
     path = tmp_path / "ada.json"
     path.write_text(canonical_json(serialize_input(c.SCENARIOS["ada_byron"].build())),
                     encoding="utf-8")
-    built = []
-    as_sem = mechanisms.as_sem
-
-    def counting(*args, **kwargs):
-        built.append(args)
-        return as_sem(*args, **kwargs)
-
-    monkeypatch.setattr(mechanisms, "as_sem", counting)
+    built = _counting(monkeypatch, mechanisms, "as_sem")
     for argv in (
         ("check", "bayesian0", str(path), "--target-ratio", "4/1"),
         ("check", "classic", str(path), "--target-ratio", "2/1"),
@@ -272,6 +278,82 @@ def test_embedded_plus_flag_population_rejected(capsys, tmp_path):
     code, _ = run(capsys, "check", "bayesian0", "ada_byron",
                   "--target-ratio", "4/1", "--pop", str(pop))
     assert code == 4
+
+
+# Which population each definition sees, for every kind of input: what
+# `run_check` raises (None for a report) with and without `--pop`.
+_POPULATION_RULES = [
+    ("kernel", False, "classic", None),
+    ("kernel", False, "bayesian0", c.MissingPopulation),
+    ("kernel", True, "classic", c.UnexpectedPopulation),
+    ("kernel", True, "bayesian0", None),
+    ("model", False, "classic", None),
+    ("model", False, "bayesian0", c.MissingPopulation),
+    ("model", True, "classic", c.UnexpectedPopulation),
+    ("model", True, "bayesian0", None),
+    ("embedded", False, "classic", None),
+    ("embedded", False, "bayesian0", None),
+    ("embedded", True, "classic", c.UnexpectedPopulation),
+    ("embedded", True, "bayesian0", c.ValidationError),
+]
+
+
+@pytest.mark.parametrize("kind, flag, definition, raised", _POPULATION_RULES)
+def test_population_rules_agree_between_run_check_and_the_cli(
+        capsys, tmp_path, kind, flag, definition, raised):
+    uniform = c.Dist.uniform(("D_1", "D_2"), [(a, b) for a in _DOM for b in _DOM])
+    text = {"kernel": RR_TEXT, "model": _model_text(),
+            "embedded": _model_text(population=uniform)}[kind]
+    path, pop_path = tmp_path / "input.json", tmp_path / "pop.json"
+    path.write_text(text, encoding="utf-8")
+    pop_path.write_text(canonical_json(serialize_input(uniform)), encoding="utf-8")
+    argv = ["check", definition, str(path), "--target-ratio", "2"]
+    argv += ["--pop", str(pop_path)] if flag else []
+
+    code = main(argv)
+    out, err = capsys.readouterr()
+    try:
+        report = c.run_check(c.DefinitionId(definition), parse_text(text), F(2),
+                             uniform if flag else None)
+    except c.CausalDpError as e:
+        assert type(e) is raised
+        assert (code, out, err) == (4, "", f"error: {e}\n")
+        return
+    assert raised is None
+    assert code == (0 if report.passed else 1)
+    assert json.loads(out)["achieved"] == c.format_ratio(report.achieved)
+
+
+def test_a_population_reaches_run_check_the_same_way_by_every_route():
+    kernel = c.randomized_response_kernel(2, F(2, 3))
+    pop = c.Dist.uniform(("R_1", "R_2"), list(kernel.databases()))
+    for definition in sorted(c.NEEDS_POPULATION):
+        by_flag = c.run_check(definition, kernel, F(2), pop)
+        assert c.run_check(definition, c.CanonicalModel(kernel, (), pop), F(2)) \
+            == by_flag
+        assert c.run_check(definition, c.CanonicalModel(kernel), F(2), pop) \
+            == by_flag
+
+
+def test_a_parsed_population_is_resolved_once(capsys, tmp_path, monkeypatch):
+    """The data joint a `canonical_model` file is validated with is the one
+    its check reads."""
+    import causaldp.mechanisms as mechanisms
+
+    uniform = c.Dist.uniform(("D_1", "D_2"), [(a, b) for a in _DOM for b in _DOM])
+    path = tmp_path / "model.json"
+    path.write_text(_model_text(population=uniform), encoding="utf-8")
+    resolved = _counting(monkeypatch, mechanisms, "data_population")
+    assert run(capsys, "check", "bayesian0", str(path), "--target-ratio", "9/4")[0] == 0
+    assert len(resolved) == 1
+
+
+def test_a_scenario_builds_its_release_model_once(monkeypatch):
+    import causaldp.mechanisms as mechanisms
+
+    built = _counting(monkeypatch, mechanisms, "as_sem")
+    c.SCENARIOS["ada_byron"].run()
+    assert len(built) == 1
 
 
 # --- posterior command ------------------------------------------------------------
@@ -640,8 +722,8 @@ def test_attribute_equations_without_a_population_default_to_uniform_inputs(
     assert code == 0 and json.loads(out)["ratio"] == "2/1"
     kernel = c.randomized_response_kernel(2, F(2, 3))
     uniform = c.Dist.uniform(("R_1",), [(v,) for v in _DOM])
-    assert c.CanonicalEngine(kernel, None, [_COPY_R2]).base_joint() \
-        == c.CanonicalEngine(kernel, uniform, [_COPY_R2]).base_joint()
+    assert c.CanonicalModel(kernel, (_COPY_R2,)).data_joint \
+        == c.CanonicalModel(kernel, (_COPY_R2,), uniform).data_joint
 
 
 # --- witness files -----------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_data_point_population_with_attribute_equations_is_rejected(tmp_path, ca
     path.write_text(c.canonical_json(c.serialize_input(model)), encoding="utf-8")
     for definition in sorted(c.NEEDS_POPULATION):
         with pytest.raises(c.DomainMismatch):
-            c.run_check(definition, k, F(2), over_d, attr)
+            c.run_check(definition, model, F(2))
         argv = ["check", definition.value, str(path), "--target-ratio", "2"]
         assert main(argv) == 4
         assert "error:" in capsys.readouterr().err
@@ -276,7 +276,7 @@ def test_engine_closed_forms_match_enumeration_random():
         k = random_kernel(rng, n, rng.choice((2, 3)), rng.choice((2, 3)))
         pop = random_population(rng, k, full_support=rng.random() < 0.5)
         pop_r = Dist(c.input_names(k), dict(pop.weights))
-        engine = CanonicalEngine(k, pop_r, cross_check=True)
+        engine = CanonicalEngine(c.CanonicalModel(k, (), pop_r), cross_check=True)
         for db in k.databases():
             engine.output_given_db(db)  # raises RuntimeError on any mismatch
         for i in range(1, n + 1):
@@ -303,10 +303,10 @@ def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
         return {2: row.pop(2), **row}
 
     monkeypatch.setattr(CanonicalEngine, "_enumerated", perturbed)
-    engine = CanonicalEngine(k, cross_check=True)
+    engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
     with pytest.raises(RuntimeError) as raised:
         getattr(engine, query)(*args)
-    fast = getattr(CanonicalEngine(k), query)(*args)
+    fast = getattr(CanonicalEngine(c.CanonicalModel(k)), query)(*args)
     slow = fast[1] + F(1, 100)
     assert str(raised.value).endswith(f"at output 1: {fast[1]} vs {slow}")
     assert engine.cross_checks_done == 0
@@ -345,8 +345,8 @@ def test_engine_db_query_ignores_population():
     uniform = Dist.uniform(
         c.input_names(k), product(k.data_domain, repeat=2)
     )
-    e1 = CanonicalEngine(k, skew, cross_check=True)
-    e2 = CanonicalEngine(k, uniform, cross_check=True)
+    e1 = CanonicalEngine(c.CanonicalModel(k, (), skew), cross_check=True)
+    e2 = CanonicalEngine(c.CanonicalModel(k, (), uniform), cross_check=True)
     for db in k.databases():
         assert e1.output_given_db(db) == e2.output_given_db(db)
 
@@ -355,7 +355,7 @@ def test_engine_point_query_uses_undisturbed_marginal():
     # hand-computable: n=2, correlated population, do(D_1 = v)
     k = c.hidden_pair_kernel()
     pop = Dist(("R_1", "R_2"), {(0, 0): F(1, 2), (2, 2): F(1, 2)})
-    engine = CanonicalEngine(k, pop, cross_check=True)
+    engine = CanonicalEngine(c.CanonicalModel(k, (), pop), cross_check=True)
     got = engine.output_given_point(1, 2)
     # other point keeps its marginal: 0 or 2 with prob 1/2 each
     # db (2,0): coin; db (2,2): always 0
@@ -364,7 +364,7 @@ def test_engine_point_query_uses_undisturbed_marginal():
 
 def test_engine_rejects_bad_point_queries():
     k = c.hidden_value_kernel()
-    engine = CanonicalEngine(k)
+    engine = CanonicalEngine(c.CanonicalModel(k))
     for query in (engine.output_given_point, engine.output_conditioned_on_point):
         with pytest.raises(c.ValueOutOfDomain):
             query(2, 0)
@@ -378,7 +378,7 @@ def test_engine_conditioning_and_intervening_differ_only_in_weights():
     # same correlated population as above: D_1 = D_2 = 0 or 2, half each
     k = c.hidden_pair_kernel()
     pop = Dist(("R_1", "R_2"), {(0, 0): F(1, 2), (2, 2): F(1, 2)})
-    engine = CanonicalEngine(k, pop)
+    engine = CanonicalEngine(c.CanonicalModel(k, (), pop))
     # conditioning on D_1 = 2 fixes D_2 = 2; intervening leaves D_2 alone
     assert engine.output_conditioned_on_point(1, 2) == {0: F(1)}
     assert engine.output_given_point(1, 2) == {0: F(3, 4), 1: F(1, 4)}

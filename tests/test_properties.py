@@ -226,7 +226,7 @@ def test_cross_checked_engine_agrees_everywhere(rng, n, dom_size, out_size, data
     exo = tuple(r for r in c.input_names(kernel) if r not in bound)
     points = list(product(kernel.data_domain, repeat=len(exo)))
     pop = Dist(exo, dict(zip(points, _weights(data.draw, len(points)))))
-    engine = CanonicalEngine(kernel, pop, attr, cross_check=True)
+    engine = CanonicalEngine(c.CanonicalModel(kernel, attr, pop), cross_check=True)
     for db in kernel.databases():
         engine.output_given_db(db)  # raises RuntimeError on any mismatch
     for i in range(1, n + 1):
@@ -264,10 +264,10 @@ def test_conditional_closed_forms_equal_the_oracle(rng, n, dom_size, out_size, d
     bound = {eq.target for eq in attr}
     exo = tuple(r for r in c.input_names(kernel) if r not in bound)
     pop = _population(data.draw, exo, kernel)
-    engine = CanonicalEngine(kernel, pop, attr)
+    engine = CanonicalEngine(c.CanonicalModel(kernel, attr, pop))
     induced = engine.base_joint()
     oracles = (
-        engine.psem.lift(),
+        engine.model.psem.lift(),
         c.as_sem(kernel, (), Dist(c.input_names(kernel), induced.weights)).lift(),
     )
     for joint in oracles:
@@ -302,15 +302,17 @@ def test_every_witness_replays_to_the_achieved_ratio(rng, n, dom_size, out_size,
             independent = definition is DefinitionId.INDEPENDENT_BAYESIAN0
             given_pop = product_pop if independent or not correlated else pop
         try:
-            report = c.run_check(definition, kernel, F(1), given_pop, attr)
+            report = c.run_check(definition, c.CanonicalModel(kernel, attr), F(1),
+                                 given_pop)
         except NotAProductDistribution:
             # a product over the inputs can induce a correlated data joint
             assert definition is DefinitionId.INDEPENDENT_BAYESIAN0 and attr
             continue
         if definition in ASSOCIATIVE_GIVEN_P:
-            induced = CanonicalEngine(kernel, given_pop, attr).base_joint()
-            assert c.check_associative(definition, kernel, given_pop, F(1), attr) \
-                == c.check_associative(definition, kernel, induced, F(1))
+            model = c.CanonicalModel(kernel, attr, given_pop)
+            induced = c.CanonicalModel(kernel, (), model.data_joint)
+            assert c.check_associative(definition, model, F(1)) \
+                == c.check_associative(definition, induced, F(1))
         if report.witness is None:
             assert report.achieved == 1
             continue
@@ -714,14 +716,14 @@ def test_engine_data_joint_is_the_lifted_population(kernel_and_table, data):
                     for j in range(kernel.n))
         pop = Dist(names, {bad: F(1, 2), (kernel.data_domain[0],) * kernel.n: F(1, 2)})
     builds = (
-        lambda: CanonicalEngine(kernel, pop),
+        lambda: CanonicalEngine(c.CanonicalModel(kernel, (), pop)),
         lambda: c.as_sem(kernel, (), pop),
     )
     if naming in ("other", "outside"):
         refusals = {_refusal(build) for build in builds}
         assert len(refusals) == 1
         return
-    joint = CanonicalEngine(kernel, pop).base_joint()
+    joint = CanonicalEngine(c.CanonicalModel(kernel, (), pop)).base_joint()
     assert joint == c.as_sem(kernel, (), pop).lift(d_names)
     assert joint.variables == d_names
 
@@ -919,7 +921,9 @@ def _reference_falsify_bayesian0(kernel, target_ratio, search_budget=4):
             return None
         seen.add(key)
         tried += 1
-        report = c.check_associative(DefinitionId.BAYESIAN0, kernel, pop, target_ratio)
+        report = c.check_associative(
+            DefinitionId.BAYESIAN0, c.CanonicalModel(kernel, (), pop), target_ratio
+        )
         if not report.passed:
             return c.FalsificationOutcome(
                 True, report, pop, tried, search_budget,
