@@ -8,7 +8,9 @@ quantifier over populations was discharged:
     population (conditioning then reproduces kernel rows exactly);
   * full-database interventions do not depend on the population at all;
   * the universal single-point definition is discharged by point-mass
-    populations on the other data points;
+    populations on the other data points; the cross-check reads every point
+    mass as a slice of one lift per (i, v) under the uniform input, so it
+    verifies the reduction in n*|D| oracle lifts of one structural model;
   * for bayesian0's quantifier the package has no exact check yet, so there
     is a per-population checker plus a budgeted falsifier whose NotFound
     outcome is a search report, never a proof.
@@ -52,6 +54,7 @@ from .mechanisms import (
     d_name,
     data_point_names,
     neighbours,
+    r_name,
     value_pairs,
 )
 from .reports import (
@@ -225,22 +228,8 @@ def check_universal_causal(
         raise DomainMismatch(f"{definition.value} is not a universal "
                              f"interventional definition")
 
-    n = kernel.n
-    dom = kernel.data_domain
     if cross_check:
-        # under the point mass on the other coordinates, the single-point
-        # intervention must reproduce the kernel row
-        for i in range(1, n + 1):
-            for others in product(dom, repeat=n - 1):
-                dbs = {v: others[: i - 1] + (v,) + others[i - 1 :] for v in dom}
-                pop = Dist.point_mass(data_point_names(kernel), dbs[dom[0]])
-                engine = CanonicalEngine(CanonicalModel(kernel, (), pop), True)
-                for v in dom:
-                    if engine.output_given_point(i, v) != kernel.table[dbs[v]]:
-                        raise RuntimeError(
-                            f"point-mass reduction failed at i={i}, "
-                            f"others={others!r}, v={v!r}"
-                        )
+        _verify_point_masses(kernel)
     return finish_report(
         definition,
         target_ratio,
@@ -252,6 +241,44 @@ def check_universal_causal(
         )
         + ("; reductions verified by enumeration" if cross_check else ""),
     )
+
+
+def _verify_point_masses(kernel: MechanismKernel) -> None:
+    """Check through the oracle that under the point mass on any database,
+    intervening D_i = v outputs the kernel row of that database with v at i.
+
+    The inputs R_1..R_n are independent roots under the uniform input, so
+    the intervened model conditioned on R_{-i} = r is the model under the
+    point mass on r: one lift of (R_{-i}, O) per (i, v) holds every point
+    mass as a slice, and scaling a slice by |D|^(n-1) conditions it.  That
+    is n*|D| lifts of one structural model.  Every (i, others, v) is
+    compared exactly, in that order, and a missing slice is a mismatch.
+    """
+    n, dom = kernel.n, kernel.data_domain
+    psem = CanonicalModel(kernel).psem
+    scale = len(dom) ** (n - 1)
+    for i in range(1, n + 1):
+        rest = tuple(r_name(j) for j in range(1, n + 1) if j != i)
+        slices: dict[Value, dict[tuple, dict]] = {}
+        for v in dom:
+            joint = psem.do({d_name(i): v}).lift(rest + (OUTPUT_VAR,))
+            by_others = slices[v] = {}
+            for point, w in joint.weights.items():
+                by_others.setdefault(point[:-1], {})[point[-1]] = w
+        for others in product(dom, repeat=n - 1):
+            for v in dom:
+                row = kernel.table[others[: i - 1] + (v,) + others[i - 1 :]]
+                got = slices[v].get(others, {})
+                # scale * got == row, cell by cell in integers
+                if got.keys() != row.keys() or any(
+                    w.numerator * scale * row[o].denominator
+                    != row[o].numerator * w.denominator
+                    for o, w in got.items()
+                ):
+                    raise RuntimeError(
+                        f"point-mass reduction failed at i={i}, "
+                        f"others={others!r}, v={v!r}"
+                    )
 
 
 # --- dispatcher ----------------------------------------------------------------

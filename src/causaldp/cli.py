@@ -300,22 +300,7 @@ def _cmd_scenarios(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("json", "text"), default="json",
-        help="output format (default: json, canonical and byte-stable)",
-    )
-    parser = argparse.ArgumentParser(
-        prog="causaldp",
-        description=(
-            "Exact checkers for privacy definitions over finite mechanisms: "
-            "conditional and interventional variants, effect-ratio bounds, "
-            "composition, and Bayesian adversaries."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_epsilon(sub, fmt) -> None:
     p = sub.add_parser(
         "epsilon", parents=[fmt],
         help="worst-case single-point row ratio of a mechanism",
@@ -323,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="scenario name or model file")
     p.set_defaults(handler=_cmd_epsilon)
 
+
+def _add_check(sub, fmt) -> None:
     p = sub.add_parser(
         "check", parents=[fmt], help="run one privacy definition at a target ratio",
     )
@@ -336,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-out", help="write a replayable witness file")
     p.set_defaults(handler=_cmd_check)
 
+
+def _add_falsify(sub, fmt) -> None:
     p = sub.add_parser(
         "falsify", parents=[fmt],
         help="search populations for a conditional-definition violation",
@@ -347,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-out", help="write a replayable witness file")
     p.set_defaults(handler=_cmd_falsify)
 
+
+def _add_posterior(sub, fmt) -> None:
     p = sub.add_parser(
         "posterior", parents=[fmt],
         help="Bayesian adversary update, optionally against a forced point",
@@ -360,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-value", help="value forced, as a JSON fragment")
     p.set_defaults(handler=_cmd_posterior)
 
+
+def _add_compose(sub, fmt) -> None:
     p = sub.add_parser(
         "compose", parents=[fmt],
         help="verify a two-stage composition against its per-stage claims",
@@ -367,16 +360,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="scenario name or composition file")
     p.set_defaults(handler=_cmd_compose)
 
+
+def _add_scenarios(sub, fmt) -> None:
     p = sub.add_parser("scenarios", parents=[fmt], help="list or run the bundled scenarios")
     p.add_argument("action", choices=("list", "run-all"))
     p.add_argument("--out", help="directory for run-all report files")
     p.set_defaults(handler=_cmd_scenarios)
 
+
+# each subcommand's parser, in the order the help lists them
+SUBCOMMANDS = {
+    "epsilon": _add_epsilon,
+    "check": _add_check,
+    "falsify": _add_falsify,
+    "posterior": _add_posterior,
+    "compose": _add_compose,
+    "scenarios": _add_scenarios,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: the whole tree, or only `command`'s subparser
+    when it names a subcommand.  The one-command tree prints the same usage
+    line; every message that lists the subcommands (help, a missing or
+    unknown command) comes from the whole tree."""
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format", choices=("json", "text"), default="json",
+        help="output format (default: json, canonical and byte-stable)",
+    )
+    parser = argparse.ArgumentParser(
+        prog="causaldp",
+        description=(
+            "Exact checkers for privacy definitions over finite mechanisms: "
+            "conditional and interventional variants, effect-ratio bounds, "
+            "composition, and Bayesian adversaries."
+        ),
+    )
+    names = (command,) if command in SUBCOMMANDS else tuple(SUBCOMMANDS)
+    # a one-command tree still names every subcommand in its usage line
+    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        SUBCOMMANDS[name](sub, fmt)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

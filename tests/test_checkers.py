@@ -122,6 +122,52 @@ def test_universal_single_point_never_exceeds_classic():
         assert c.ratio_le(spu.achieved, cls)
 
 
+def test_a_broken_oracle_row_fails_the_point_mass_reduction():
+    """The oracle's O row of one database is wrong: the cross-check names the
+    first (i, others, v) that reads it, and without the cross-check the
+    report is unchanged."""
+    k = c.randomized_response_kernel(3, F(2, 3))
+    honest = c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
+    broken_db = (c.NEG, c.NULL, c.POS)
+    sem = k._canonical_sem
+    out = sem.equations["O"]
+    rows = dict(out.rows)
+    rows[(broken_db,)] = {(c.POS,) * 3: F(1)}
+    equations = {**sem.equations, "O": c.StochasticEquation("O", out.parents, rows)}
+    k.__dict__["_canonical_sem"] = c.Sem(sem.names, sem.domains, equations)
+
+    with pytest.raises(RuntimeError) as raised:
+        c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
+    assert str(raised.value) == ("point-mass reduction failed at i=1, "
+                                 "others=('null', 'pos'), v='neg'")
+    unchecked = c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2), cross_check=False)
+    assert (unchecked.achieved, unchecked.witness) == (honest.achieved, honest.witness)
+
+
+def test_the_point_mass_reduction_is_checked_in_n_times_d_lifts(monkeypatch):
+    """One structural model and one oracle lift per (i, v), not one per
+    point mass."""
+    import causaldp.mechanisms as mechanisms
+
+    calls = []
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(c.ProbabilisticSem, "lift")
+    counted(mechanisms, "as_sem")
+    k = c.randomized_response_kernel(3, F(2, 3))
+    report = c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
+    assert report.passed and report.reduction.endswith("verified by enumeration")
+    assert (calls.count("lift"), calls.count("as_sem")) == (3 * 3, 1)
+
+
 def test_hidden_pair_single_point_strictly_better_than_classic():
     k = c.hidden_pair_kernel()
     pop = Dist.uniform(("R_1", "R_2"), [(0, 0), (0, 1), (1, 0), (1, 1)])

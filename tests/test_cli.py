@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import causaldp as c
+from causaldp import cli
 from causaldp.cli import main
 from causaldp.modelfile import (
     canonical_json,
@@ -190,6 +191,50 @@ def test_help_exits_zero(capsys):
     code = main(["--help"])
     assert code == 0
     assert "causaldp" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    *([command, "-h"] for command in cli.SUBCOMMANDS),
+    [],
+    ["no_such_command"],
+    ["check", "classic"],
+    ["epsilon", "randomized_response", "--format", "yaml"],
+    ["scenarios", "no_such_action"],
+    ["epsilon", "randomized_response", "extra"],
+], ids=repr)
+def test_one_subcommand_parser_prints_what_the_whole_tree_prints(capsys, monkeypatch,
+                                                                 argv):
+    """`main` builds only the subparser `argv[0]` names; usage, help and
+    errors are byte-identical to the whole tree's."""
+    code = main(argv)
+    printed = capsys.readouterr()
+    whole_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: whole_tree())
+    assert (main(argv), capsys.readouterr()) == (code, printed)
+    assert code in (0, 4)
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch):
+    built = []
+
+    def recorded(name, add):
+        def wrapper(sub, fmt):
+            built.append(name)
+            add(sub, fmt)
+
+        return wrapper
+
+    for name, add in list(cli.SUBCOMMANDS.items()):
+        monkeypatch.setitem(cli.SUBCOMMANDS, name, recorded(name, add))
+    assert main(["scenarios", "list", "--format", "text"]) == 0
+    assert built == ["scenarios"]
+    built.clear()
+    assert main(["--help"]) == 0
+    assert built == list(cli.SUBCOMMANDS)
+    built.clear()
+    cli.build_parser()
+    assert built == list(cli.SUBCOMMANDS)
 
 
 # --- population plumbing ----------------------------------------------------------

@@ -646,6 +646,40 @@ def test_single_point_never_exceeds_classic(rng, n, dom_size, out_size, data):
         assert c.ratio_le(report.achieved, classic)
 
 
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3))
+def test_point_masses_are_slices_of_one_uniform_lift(rng, n, dom_size, out_size):
+    """`single_point_universal`'s cross-check reads every point mass off one
+    lift under the uniform input.  For every i, v and assignment r of the
+    other inputs: the lift of (R_{-i}, O) under do(D_i = v), conditioned on
+    R_{-i} = r, equals the model under the point mass on r (with any value
+    at i) under the same intervention, and both are the kernel row of r
+    with v at i; so is the engine's closed form under that point mass.
+    Kernels with zero entries."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    r_names = c.input_names(kernel)
+    uniform = c.as_sem(kernel)
+
+    def row(dist: Dist) -> dict:
+        return {point[-1]: w for point, w in dist.marginal(("O",)).weights.items()}
+
+    for i in range(1, n + 1):
+        rest = r_names[: i - 1] + r_names[i:]
+        for v in kernel.data_domain:
+            joint = uniform.do({c.d_name(i): v}).lift(rest + ("O",))
+            for others in product(kernel.data_domain, repeat=n - 1):
+                d = others[: i - 1] + (v,) + others[i - 1 :]
+                anywhere = others[: i - 1] + (rng.choice(kernel.data_domain),) \
+                    + others[i - 1 :]
+                point_mass = Dist.point_mass(r_names, anywhere)
+                sliced = row(joint.condition(dict(zip(rest, others))))
+                alone = row(c.as_sem(kernel, (), point_mass).do({c.d_name(i): v})
+                            .lift(("O",)))
+                mixed = CanonicalEngine(c.CanonicalModel(kernel, (), point_mass)) \
+                    .output_given_point(i, v)
+                assert sliced == alone == mixed == kernel.table[d]
+
+
 # --- exact rows and the file format ------------------------------------------------
 
 
