@@ -7,6 +7,8 @@ quantifier over populations was discharged:
   * the universal strong-adversary definition needs only one full-support
     population (conditioning then reproduces kernel rows exactly);
   * full-database interventions do not depend on the population at all;
+    the cross-check reads every database's row as a slice of one lift of
+    (R_1..R_n, O) under the uniform input, one lift per engine;
   * the universal single-point definition is discharged by point-mass
     populations on the other data points; the cross-check reads every point
     mass as a slice of one lift per (i, v) under the uniform input, so it

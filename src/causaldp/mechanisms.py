@@ -466,13 +466,23 @@ class CanonicalEngine:
 
     The engine builds nothing the model owns: the structural model
     (`CanonicalModel.psem`) is built once per model, by attribute equations
-    and by cross-checks, and every engine on that model shares it.  With
-    `cross_check` every interventional answer is also recomputed by the
-    `sem` oracle, which enumerates the output's ancestors in the intervened
-    model and never calls a closed form, and must match exactly: a
-    cross-check is one exact row comparison.  Conditional answers
-    meet the oracle in the property tests and in witness replay.  The model
-    is validated on construction.
+    and by single-point cross-checks, and every engine on that model shares
+    it.  With `cross_check` every interventional answer is also recomputed
+    by the `sem` oracle, which enumerates the output's ancestors and never
+    calls a closed form, and must match exactly: a cross-check is one exact
+    row comparison.  A single-point answer meets one lift of O under
+    do(D_i = v) in the model's own structural model.  Every whole-database
+    answer meets a slice of one lift per engine: (R_1..R_n, O) in the
+    kernel's structural model under the uniform input.  The slice at
+    R = db, scaled by |DB|, is what do(D_1..D_n = db) lifts to under any
+    population and attribute equations, so it must be db's row, and a
+    missing slice is a mismatch.  Two facts make it so.  Under the uniform
+    input the R_i are independent full-support roots and D_i := R_i, so the
+    slice is the model under the point mass on db, where forcing D = db
+    changes nothing.  And forcing D_1..D_n leaves O no exogenous ancestor,
+    so that intervention never reads the population or the attribute
+    equations.  Conditional answers meet the oracle in the property tests
+    and in witness replay.  The model is validated on construction.
 
     Externally pure: caches only memoize exact results.
     """
@@ -492,10 +502,22 @@ class CanonicalEngine:
         out = self.model.psem.do(dict(interventions)).lift((OUTPUT_VAR,))
         return {point[0]: w for point, w in out.weights.items()}
 
-    def _verify(self, fast: Row, interventions) -> None:
-        if not self.cross_check:
-            return
-        slow = self._enumerated(interventions)
+    @memoized
+    def _db_slices(self) -> dict[tuple, Row]:
+        """Database -> its slice of the one whole-database lift, scaled by
+        |DB|: the oracle's row under do(D_1..D_n = db)."""
+        kernel = self.kernel
+        inputs = input_names(kernel)
+        psem = ProbabilisticSem(kernel._canonical_sem,
+                                Dist.uniform(inputs, kernel.databases()))
+        joint = psem.lift(inputs + (OUTPUT_VAR,))
+        scale = len(kernel.table)
+        slices: dict[tuple, Row] = {}
+        for point, w in joint.weights.items():
+            slices.setdefault(point[:-1], {})[point[-1]] = w * scale
+        return slices
+
+    def _verify(self, fast: Row, slow: Row, interventions) -> None:
         if fast != slow:  # both rows are zero-free, so equal rows are equal dicts
             o = next(o for o in self.kernel.output_domain if fast.get(o) != slow.get(o))
             raise RuntimeError(
@@ -542,7 +564,9 @@ class CanonicalEngine:
         """Fr[O | do(D_1 = db_1, ..., D_n = db_n)]: the kernel row itself,
         for every population and every attribute equation."""
         fast = dict(self.kernel.row(db))
-        self._verify(fast, [(d_name(k + 1), db[k]) for k in range(self.kernel.n)])
+        if self.cross_check:
+            self._verify(fast, self._db_slices().get(tuple(db), {}),
+                         [(d_name(k + 1), db[k]) for k in range(self.kernel.n)])
         return fast
 
     @memoized
@@ -558,7 +582,9 @@ class CanonicalEngine:
         disturb."""
         self._check_point(i, v)
         fast = self._mix(i, v, self._point_weights(i)[0])
-        self._verify(fast, [(d_name(i), v)])
+        if self.cross_check:
+            interventions = [(d_name(i), v)]
+            self._verify(fast, self._enumerated(interventions), interventions)
         return fast
 
     @memoized

@@ -29,9 +29,11 @@ object that owns them: a model keeps each intervened sub-model per
 model keeps each query's plan (the exogenous variables and equations it
 enumerates); and an input `Dist` keeps its integer marginal per exogenous
 set, so a model and all its sub-models sum their shared population onto
-one set of coordinates once.  A cross-check of `do(D_1..D_n = db)`, which
-needs no exogenous variable, thus costs its own enumeration and no scan of
-the population.  Every call still checks its arguments, and every returned
+one set of coordinates once.  A query that needs no exogenous variable
+thus costs its own enumeration and no scan of the population; a caller
+asking one such question per assignment of some inputs can instead ask
+once for the joint of those inputs and the answer, and read each answer
+as a slice.  Every call still checks its arguments, and every returned
 `Dist` still passes `exact_row`.
 """
 

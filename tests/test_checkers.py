@@ -122,19 +122,37 @@ def test_universal_single_point_never_exceeds_classic():
         assert c.ratio_le(spu.achieved, cls)
 
 
+def break_oracle_row(k, db):
+    """Make the O row of `db` in the kernel's structural model, the one the
+    oracle enumerates, answer all-pos for sure."""
+    sem = k._canonical_sem
+    out = sem.equations["O"]
+    rows = {**out.rows, (db,): {(c.POS,) * k.n: F(1)}}
+    equations = {**sem.equations, "O": c.StochasticEquation("O", out.parents, rows)}
+    k.__dict__["_canonical_sem"] = c.Sem(sem.names, sem.domains, equations)
+
+
+def count_calls(monkeypatch, *targets):
+    """Wrap each (owner, name) to record its name per call; the record."""
+    calls = []
+    for owner, name in targets:
+        inner = getattr(owner, name)
+
+        def wrapper(*args, _inner=inner, _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def test_a_broken_oracle_row_fails_the_point_mass_reduction():
     """The oracle's O row of one database is wrong: the cross-check names the
     first (i, others, v) that reads it, and without the cross-check the
     report is unchanged."""
     k = c.randomized_response_kernel(3, F(2, 3))
     honest = c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
-    broken_db = (c.NEG, c.NULL, c.POS)
-    sem = k._canonical_sem
-    out = sem.equations["O"]
-    rows = dict(out.rows)
-    rows[(broken_db,)] = {(c.POS,) * 3: F(1)}
-    equations = {**sem.equations, "O": c.StochasticEquation("O", out.parents, rows)}
-    k.__dict__["_canonical_sem"] = c.Sem(sem.names, sem.domains, equations)
+    break_oracle_row(k, (c.NEG, c.NULL, c.POS))
 
     with pytest.raises(RuntimeError) as raised:
         c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
@@ -149,23 +167,56 @@ def test_the_point_mass_reduction_is_checked_in_n_times_d_lifts(monkeypatch):
     point mass."""
     import causaldp.mechanisms as mechanisms
 
-    calls = []
-
-    def counted(owner, name):
-        inner = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(c.ProbabilisticSem, "lift")
-    counted(mechanisms, "as_sem")
+    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "lift"),
+                        (mechanisms, "as_sem"))
     k = c.randomized_response_kernel(3, F(2, 3))
     report = c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
     assert report.passed and report.reduction.endswith("verified by enumeration")
     assert (calls.count("lift"), calls.count("as_sem")) == (3 * 3, 1)
+
+
+def test_a_broken_oracle_row_fails_the_whole_database_cross_check():
+    """The oracle's O row of one database is wrong: both whole-database
+    definitions, under any population, raise at the first query of it with
+    the comparison's own message, and without the cross-check their reports
+    are unchanged."""
+    k = c.randomized_response_kernel(3, F(2, 3))
+    skewed = Dist(c.input_names(k), {(c.POS, c.NEG, c.NULL): F(1, 3),
+                                     (c.NULL, c.NULL, c.NULL): F(2, 3)})
+    runs = [(DId.WHOLE_DB_UNIVERSAL, None), (DId.WHOLE_DB_INTERVENTION, skewed)]
+    honest = [c.run_check(did, k, F(2), pop) for did, pop in runs]
+    break_oracle_row(k, (c.NEG, c.NULL, c.POS))
+
+    for (did, pop), report in zip(runs, honest):
+        with pytest.raises(RuntimeError) as raised:
+            c.run_check(did, k, F(2), pop)
+        assert str(raised.value) == (
+            "closed form disagrees with enumeration under "
+            "do([('D_1', 'neg'), ('D_2', 'null'), ('D_3', 'pos')]) at output "
+            "('pos', 'pos', 'pos'): 1/9 vs 1"
+        )
+        unchecked = c.run_check(did, k, F(2), pop, cross_check=False)
+        assert (unchecked.achieved, unchecked.witness) == \
+            (report.achieved, report.witness)
+
+
+def test_whole_db_cross_checks_take_one_lift_and_no_model_build(monkeypatch):
+    """One oracle lift of the kernel's own structural model covers all 27
+    databases of RR n=3, and no release model is built for it; without the
+    cross-check there is no lift at all."""
+    import causaldp.mechanisms as mechanisms
+
+    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "lift"),
+                        (mechanisms, "as_sem"))
+    k = c.randomized_response_kernel(3, F(2, 3))
+    report = c.run_check(DId.WHOLE_DB_UNIVERSAL, k, F(2))
+    assert report.passed and report.reduction.endswith("cross-checked by enumeration")
+    assert (calls.count("lift"), calls.count("as_sem")) == (1, 0)
+
+    calls.clear()
+    unchecked = c.run_check(DId.WHOLE_DB_UNIVERSAL, k, F(2), cross_check=False)
+    assert (unchecked.achieved, unchecked.witness) == (report.achieved, report.witness)
+    assert calls == []
 
 
 def test_hidden_pair_single_point_strictly_better_than_classic():

@@ -286,23 +286,33 @@ def test_engine_closed_forms_match_enumeration_random():
         assert engine.cross_checks_done == expected
 
 
+def _moved(row):
+    """`row` with 1/100 moved from output 2 to output 1, listing 2 first."""
+    row = dict(row)
+    row[1] = row.get(1, F(0)) + F(1, 100)
+    row[2] = row.get(2, F(0)) - F(1, 100)
+    return {2: row.pop(2), **row}
+
+
 @pytest.mark.parametrize("query, args", [
     ("output_given_point", (2, NULL)),
     ("output_given_db", ((POS, NULL),)),
 ])
 def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
-    # the enumeration moves 1/100 from output 2 to output 1 and lists 2
+    # the oracle's row (one lift, or the database's slice of the one
+    # whole-database lift) moves 1/100 from output 2 to output 1 and lists 2
     # first, so the first difference in the row's own order would be 2
     k = c.geometric_count_kernel(2, F(1, 2))
-    honest = CanonicalEngine._enumerated
+    path = "_db_slices" if query == "output_given_db" else "_enumerated"
+    honest = getattr(CanonicalEngine, path)
 
-    def perturbed(self, interventions):
-        row = dict(honest(self, interventions))
-        row[1] = row.get(1, F(0)) + F(1, 100)
-        row[2] = row.get(2, F(0)) - F(1, 100)
-        return {2: row.pop(2), **row}
+    def perturbed(self, *rest):
+        found = honest(self, *rest)
+        if path == "_db_slices":
+            return {**found, args[0]: _moved(found[args[0]])}
+        return _moved(found)
 
-    monkeypatch.setattr(CanonicalEngine, "_enumerated", perturbed)
+    monkeypatch.setattr(CanonicalEngine, path, perturbed)
     engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
     with pytest.raises(RuntimeError) as raised:
         getattr(engine, query)(*args)
@@ -312,16 +322,43 @@ def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
     assert engine.cross_checks_done == 0
 
 
+def test_a_missing_database_slice_is_a_mismatch(monkeypatch):
+    k = c.geometric_count_kernel(2, F(1, 2))
+    honest = CanonicalEngine._db_slices
+
+    def without(self):
+        return {db: row for db, row in honest(self).items() if db != (POS, NULL)}
+
+    monkeypatch.setattr(CanonicalEngine, "_db_slices", without)
+    engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
+    assert engine.output_given_db((POS, POS)) == k.row((POS, POS))
+    with pytest.raises(RuntimeError) as raised:
+        engine.output_given_db((POS, NULL))
+    assert str(raised.value) == (
+        "closed form disagrees with enumeration under "
+        "do([('D_1', 'pos'), ('D_2', 'null')]) at output 0: "
+        f"{k.row((POS, NULL))[0]} vs None"
+    )
+    assert engine.cross_checks_done == 1
+
+
 def test_whole_db_cross_checks_sum_the_population_once(monkeypatch):
-    """Each whole-database cross-check enumerates only its own sub-model:
-    the population is summed onto the (empty) exogenous set once per
-    engine, not once per database."""
+    """All whole-database cross-checks of an engine read one oracle lift:
+    the uniform input is summed onto R_1..R_n once per engine, not once per
+    database, and every database is still compared."""
     summed = []
     raw = Dist.integer_marginal.__wrapped__
 
     def counting(self, names):
         summed.append(names)
         return raw(self, names)
+
+    lifts = []
+    lift = c.ProbabilisticSem.lift
+
+    def counted_lift(self, *args):
+        lifts.append(args)
+        return lift(self, *args)
 
     engines = []
 
@@ -331,12 +368,14 @@ def test_whole_db_cross_checks_sum_the_population_once(monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(Dist, "integer_marginal", memoized(counting))
+    monkeypatch.setattr(c.ProbabilisticSem, "lift", counted_lift)
     monkeypatch.setattr(checkers, "CanonicalEngine", Recorded)
     k = c.randomized_response_kernel(3, F(2, 3))
     report = c.run_check(c.DefinitionId.WHOLE_DB_UNIVERSAL, k, F(2))
     assert report.passed
     assert [e.cross_checks_done for e in engines] == [27]
-    assert summed == [()]
+    assert lifts == [(("R_1", "R_2", "R_3", "O"),)]
+    assert summed == [("R_1", "R_2", "R_3")]
 
 
 def test_engine_db_query_ignores_population():

@@ -680,6 +680,53 @@ def test_point_masses_are_slices_of_one_uniform_lift(rng, n, dom_size, out_size)
                 assert sliced == alone == mixed == kernel.table[d]
 
 
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+def test_whole_database_rows_are_slices_of_one_uniform_lift(rng, n, dom_size,
+                                                            out_size, data):
+    """The whole-database cross-check reads every database's oracle row off
+    one lift of (R_1..R_n, O) under the uniform input.  For every db, that
+    slice scaled by |DB| equals the per-database query do(D_1..D_n = db)
+    lifted to O in the model's own structural model, and both are db's
+    kernel row: under a drawn population with zero-weight databases, and
+    (for n >= 2) under the attribute equation R_n := R_1.  Kernels with
+    zero entries."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    inputs = c.input_names(kernel)
+    models = [c.CanonicalModel(kernel, (), _population(data.draw, inputs, kernel))]
+    if n > 1:
+        tie = (c.copy_equation(inputs[-1], inputs[0], kernel.data_domain),)
+        models.append(c.CanonicalModel(
+            kernel, tie, _population(data.draw, inputs[:-1], kernel)))
+    for model in models:
+        slices = CanonicalEngine(model, cross_check=True)._db_slices()
+        for db in kernel.databases():
+            forced = model.psem.do(dict(zip(c.data_point_names(kernel), db)))
+            old = {point[0]: w for point, w in forced.lift(("O",)).weights.items()}
+            assert slices[db] == old == kernel.table[db]
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+def test_whole_db_intervention_equals_classic(rng, n, dom_size, out_size, data):
+    """`whole_db_intervention` equals classic in value and witness, key
+    order included, under every population, zero-weight databases and
+    point masses included, with the cross-check on: forcing every data
+    point leaves the population no path to the output.  Kernels with zero
+    entries, so some classic ratios are infinite."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    classic = c.classic_epsilon(kernel)
+    names = c.data_point_names(kernel)
+    db = data.draw(st.sampled_from(list(kernel.databases())))
+    for pop in (_population(data.draw, names, kernel), Dist.point_mass(names, db)):
+        report = c.run_check(DefinitionId.WHOLE_DB_INTERVENTION, kernel, F(1), pop,
+                             cross_check=True)
+        assert (report.achieved, report.witness) == (classic.value, classic.witness)
+        assert type(report.achieved) is type(classic.value)
+        if classic.witness is not None:
+            assert list(report.witness) == list(classic.witness)
+
+
 # --- exact rows and the file format ------------------------------------------------
 
 
