@@ -253,30 +253,29 @@ def _verify_point_masses(kernel: MechanismKernel) -> None:
     the intervened model conditioned on R_{-i} = r is the model under the
     point mass on r: one lift of (R_{-i}, O) per (i, v) holds every point
     mass as a slice, and scaling a slice by |D|^(n-1) conditions it.  That
-    is n*|D| lifts of one structural model.  Every (i, others, v) is
-    compared exactly, in that order, and a missing slice is a mismatch.
+    is n*|D| integer lifts of one structural model.  Every (i, others, v)
+    is compared with the kernel's integer row by cross-multiplication, in
+    that order, and a missing slice is a mismatch.
     """
     n, dom = kernel.n, kernel.data_domain
     psem = CanonicalModel(kernel).psem
-    scale = len(dom) ** (n - 1)
+    common, rows = kernel._integer_rows
+    factor = len(dom) ** (n - 1) * common
     for i in range(1, n + 1):
         rest = tuple(r_name(j) for j in range(1, n + 1) if j != i)
-        slices: dict[Value, dict[tuple, dict]] = {}
+        slices: dict[Value, tuple[int, dict[tuple, dict]]] = {}
         for v in dom:
-            joint = psem.do({d_name(i): v}).lift(rest + (OUTPUT_VAR,))
-            by_others = slices[v] = {}
-            for point, w in joint.weights.items():
-                by_others.setdefault(point[:-1], {})[point[-1]] = w
+            scale, cells = psem.do({d_name(i): v}).integer_lift(rest + (OUTPUT_VAR,))
+            by_others: dict[tuple, dict] = {}
+            for point, w in cells.items():
+                by_others.setdefault(point[:-1], {})[point[-1]] = w * factor
+            slices[v] = scale, by_others
         for others in product(dom, repeat=n - 1):
             for v in dom:
-                row = kernel.table[others[: i - 1] + (v,) + others[i - 1 :]]
-                got = slices[v].get(others, {})
-                # scale * got == row, cell by cell in integers
-                if got.keys() != row.keys() or any(
-                    w.numerator * scale * row[o].denominator
-                    != row[o].numerator * w.denominator
-                    for o, w in got.items()
-                ):
+                scale, by_others = slices[v]
+                row = rows[others[: i - 1] + (v,) + others[i - 1 :]]
+                # the slice * |D|^(n-1) / scale == row / common, in integers
+                if by_others.get(others) != {o: p * scale for o, p in row}:
                     raise RuntimeError(
                         f"point-mass reduction failed at i={i}, "
                         f"others={others!r}, v={v!r}"

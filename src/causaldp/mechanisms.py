@@ -470,7 +470,10 @@ class CanonicalEngine:
     it.  With `cross_check` every interventional answer is also recomputed
     by the `sem` oracle, which enumerates the output's ancestors and never
     calls a closed form, and must match exactly: a cross-check is one exact
-    row comparison.  A single-point answer meets one lift of O under
+    row comparison, made by integer cross-multiplication against the
+    oracle's integer lift (`ProbabilisticSem.integer_lift`, whose numerators
+    sum to its scale); a `Fraction` of the oracle's is built only to word a
+    mismatch.  A single-point answer meets one lift of O under
     do(D_i = v) in the model's own structural model.  Every whole-database
     answer meets a slice of one lift per engine: (R_1..R_n, O) in the
     kernel's structural model under the uniform input.  The slice at
@@ -498,32 +501,46 @@ class CanonicalEngine:
         """The joint of D_1..D_n the conditionals and the mixes read."""
         return self.model.data_joint
 
-    def _enumerated(self, interventions: list[tuple[str, Value]]) -> Row:
-        out = self.model.psem.do(dict(interventions)).lift((OUTPUT_VAR,))
-        return {point[0]: w for point, w in out.weights.items()}
+    def _enumerated(self, interventions: list[tuple[str, Value]]) -> tuple[int, dict]:
+        """The oracle's row under the interventions: (scale, output ->
+        numerator over scale)."""
+        forced = self.model.psem.do(dict(interventions))
+        scale, cells = forced.integer_lift((OUTPUT_VAR,))
+        return scale, {point[0]: w for point, w in cells.items()}
 
     @memoized
-    def _db_slices(self) -> dict[tuple, Row]:
-        """Database -> its slice of the one whole-database lift, scaled by
-        |DB|: the oracle's row under do(D_1..D_n = db)."""
+    def _db_slices(self) -> tuple[int, dict[tuple, dict]]:
+        """(scale, database -> output -> numerator over scale): each
+        database's slice of the one whole-database lift, scaled by |DB|, is
+        the oracle's row under do(D_1..D_n = db)."""
         kernel = self.kernel
         inputs = input_names(kernel)
         psem = ProbabilisticSem(kernel._canonical_sem,
                                 Dist.uniform(inputs, kernel.databases()))
-        joint = psem.lift(inputs + (OUTPUT_VAR,))
-        scale = len(kernel.table)
-        slices: dict[tuple, Row] = {}
-        for point, w in joint.weights.items():
-            slices.setdefault(point[:-1], {})[point[-1]] = w * scale
-        return slices
+        scale, cells = psem.integer_lift(inputs + (OUTPUT_VAR,))
+        size = len(kernel.table)
+        slices: dict[tuple, dict] = {}
+        for point, w in cells.items():
+            slices.setdefault(point[:-1], {})[point[-1]] = w * size
+        return scale, slices
 
-    def _verify(self, fast: Row, slow: Row, interventions) -> None:
-        if fast != slow:  # both rows are zero-free, so equal rows are equal dicts
-            o = next(o for o in self.kernel.output_domain if fast.get(o) != slow.get(o))
+    def _verify(self, fast: Row, scale: int, slow: dict, interventions) -> None:
+        """`fast` must equal the oracle's row, output -> numerator over
+        `scale`.  Both rows are zero-free, so equal sizes and equal cells at
+        `fast`'s outputs make equal rows; cells compare by integer
+        cross-multiplication, and `Fraction`s are built only to word a
+        mismatch."""
+        if len(fast) != len(slow) or any(
+            w.numerator * scale != slow.get(o, 0) * w.denominator
+            for o, w in fast.items()
+        ):
+            oracle = {o: Fraction(w, scale) for o, w in slow.items()}
+            o = next(o for o in self.kernel.output_domain
+                     if fast.get(o) != oracle.get(o))
             raise RuntimeError(
                 f"closed form disagrees with enumeration under "
                 f"do({interventions}) at output {o!r}: "
-                f"{fast.get(o)} vs {slow.get(o)}"
+                f"{fast.get(o)} vs {oracle.get(o)}"
             )
         self.cross_checks_done += 1
 
@@ -565,7 +582,8 @@ class CanonicalEngine:
         for every population and every attribute equation."""
         fast = dict(self.kernel.row(db))
         if self.cross_check:
-            self._verify(fast, self._db_slices().get(tuple(db), {}),
+            scale, slices = self._db_slices()
+            self._verify(fast, scale, slices.get(tuple(db), {}),
                          [(d_name(k + 1), db[k]) for k in range(self.kernel.n)])
         return fast
 
@@ -584,7 +602,7 @@ class CanonicalEngine:
         fast = self._mix(i, v, self._point_weights(i)[0])
         if self.cross_check:
             interventions = [(d_name(i), v)]
-            self._verify(fast, self._enumerated(interventions), interventions)
+            self._verify(fast, *self._enumerated(interventions), interventions)
         return fast
 
     @memoized

@@ -20,8 +20,10 @@ calls a closed form.  A query enumerates only the queried variables and
 their ancestors in the current, possibly intervened, graph; every other
 variable is barren for the query and summing it out contributes exactly one.
 The enumeration runs in integers over a running common denominator, from
-integer tables each equation builds from its own rows (never the engine's),
-and builds one `Fraction` per returned cell.
+integer tables each equation builds from its own rows (never the engine's).
+`ProbabilisticSem.integer_lift` returns its cells as that denominator and
+positive numerators, and checks in integers that they sum to it; `lift`
+builds one `Fraction` per cell from them, in a `Dist`.
 
 Models are immutable, so three pieces of structure are memoized on the
 object that owns them: a model keeps each intervened sub-model per
@@ -33,8 +35,8 @@ one set of coordinates once.  A query that needs no exogenous variable
 thus costs its own enumeration and no scan of the population; a caller
 asking one such question per assignment of some inputs can instead ask
 once for the joint of those inputs and the answer, and read each answer
-as a slice.  Every call still checks its arguments, and every returned
-`Dist` still passes `exact_row`.
+as a slice.  Every call still checks its arguments; every integer lift
+sums to one, and every returned `Dist` still passes `exact_row`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .dist import Dist, Event, check_table, exact_row
@@ -123,6 +126,14 @@ def deterministic_equation(
         key: {fn(*key): Fraction(1)} for key in product(*map(tuple, parent_domains))
     }
     return StochasticEquation(target, tuple(parents), rows)
+
+
+def _picker(idx: list[int]):
+    """point -> tuple(point[i] for i in idx), in one call."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda point: (point[i],)
+    return itemgetter(*idx) if idx else (lambda point: ())
 
 
 @dataclass(frozen=True)
@@ -299,38 +310,38 @@ class Sem:
         exo: tuple[str, ...],
         steps: tuple[str, ...],
         variables: tuple[str, ...],
-    ) -> Dist:
+    ) -> tuple[int, dict[tuple, int]]:
         """The one enumeration loop: sum the input distribution onto its `exo`
         coordinates, extend those weighted assignments by the equations of
-        `steps`, in order, then sum onto `variables`.
+        `steps`, in order, then sum onto `variables`.  Returns (scale, point
+        -> numerator over scale), in first-seen order.
 
         The loop runs in integers over a running common denominator: the
         inputs' marginal comes over theirs (`Dist.integer_marginal`, memoized
-        on the distribution), each step multiplies it by its equation's own
-        (from `_integer_table`, never the engine's rows), and one `Fraction`
-        is built per returned cell.  `steps` must be topologically ordered
-        and closed under parents given `exo`.
+        on the distribution), and each step multiplies it by its equation's
+        own (from `_integer_table`, never the engine's rows).  A step extends
+        each assignment by distinct values, so its assignments stay distinct
+        and a list of pairs holds them.  `steps` must be topologically
+        ordered and closed under parents given `exo`.
         """
         scale, support = inputs.integer_marginal(exo)
         positions = {name: i for i, name in enumerate(exo)}
         for name in steps:
             eq = self.equations[name]
             common, rows = eq._integer_table
-            parent_idx = [positions[p] for p in eq.parents]
+            parents = _picker([positions[p] for p in eq.parents])
             positions[name] = len(positions)
-            grown: dict[tuple, int] = {}
-            for point, w in support:
-                for value, p in rows[tuple(point[i] for i in parent_idx)]:
-                    grown[point + (value,)] = w * p
-            support = grown.items()
+            support = [(point + (value,), w * p)
+                       for point, w in support
+                       for value, p in rows[parents(point)]]
             scale *= common
 
-        idx = [positions[n] for n in variables]
+        pick = _picker([positions[n] for n in variables])
         out: dict[tuple, int] = {}
         for point, w in support:
-            key = tuple(point[i] for i in idx)
+            key = pick(point)
             out[key] = out.get(key, 0) + w
-        return Dist(variables, {key: Fraction(w, scale) for key, w in out.items()})
+        return scale, out
 
 
 @dataclass(frozen=True)
@@ -365,9 +376,10 @@ class ProbabilisticSem:
                     )
         return order
 
-    def lift(self, variables: Iterable[str] | None = None) -> Dist:
-        """The joint over `variables`, in the order given; by default the
-        full joint over all declared variables, in declared order.
+    def integer_lift(self, variables: Iterable[str]) -> tuple[int, dict[tuple, int]]:
+        """The joint over `variables`, in the order given, as integers:
+        (scale, point -> positive numerator over scale), in the order `lift`
+        lists its cells.
 
         Only `variables` and their ancestors in the current, possibly
         intervened, graph are enumerated, starting from the input
@@ -376,15 +388,33 @@ class ProbabilisticSem:
         `lift(T) == lift().marginal(T)` exactly.  The model memoizes the
         plan per query (`Sem._plan`) and the input distribution its marginal
         per exogenous set, so a repeated query costs only its enumeration.
+        The numerators must sum to the scale; if they do not, the `Dist` of
+        these cells is built, so the error is the one `lift` raises.
+
+        Raises:
+          UnknownVariable for an undeclared name in `variables`;
+          InvalidDistribution if the cells do not sum to one.
+        """
+        self.validate()
+        variables = tuple(variables)
+        exo, steps = self.sem._plan(variables)
+        scale, cells = self.sem._enumerate(self.exogenous_dist, exo, steps, variables)
+        if sum(cells.values()) != scale:  # the Dist raises lift's error
+            Dist(variables, {key: Fraction(w, scale) for key, w in cells.items()})
+        return scale, cells
+
+    def lift(self, variables: Iterable[str] | None = None) -> Dist:
+        """The joint over `variables`, in the order given; by default the
+        full joint over all declared variables, in declared order: the
+        integer lift with one `Fraction` per cell, in a `Dist` that passes
+        `exact_row`.
 
         Raises:
           UnknownVariable for an undeclared name in `variables`.
         """
-        self.validate()
-        sem = self.sem
-        variables = sem.names if variables is None else tuple(variables)
-        exo, steps = sem._plan(variables)
-        return sem._enumerate(self.exogenous_dist, exo, steps, variables)
+        variables = self.sem.names if variables is None else tuple(variables)
+        scale, cells = self.integer_lift(variables)
+        return Dist(variables, {key: Fraction(w, scale) for key, w in cells.items()})
 
     def intervene(self, name: str, value: Value) -> ProbabilisticSem:
         child = ProbabilisticSem(self.sem.intervene(name, value), self.exogenous_dist)

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import causaldp as c
 
@@ -138,3 +139,20 @@ def random_two_stage(rng: random.Random, postprocessing: bool = False,
         {"Y2": eq},
     )
     return first, second
+
+
+# --- hypothesis draws -------------------------------------------------------------
+
+
+def _weights(draw, size: int) -> list[Fraction]:
+    raw = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    if sum(raw) == 0:
+        raw[draw(st.integers(0, size - 1))] = 1
+    return [Fraction(w, sum(raw)) for w in raw]
+
+
+def _population(draw, names: tuple, kernel: c.MechanismKernel) -> c.Dist:
+    """A joint over `names` on the data domain; weights may be zero, so
+    some databases (or values of a point) can have probability zero."""
+    points = list(product(kernel.data_domain, repeat=len(names)))
+    return c.Dist(names, dict(zip(points, _weights(draw, len(points)))))

@@ -162,17 +162,37 @@ def test_a_broken_oracle_row_fails_the_point_mass_reduction():
     assert (unchecked.achieved, unchecked.witness) == (honest.achieved, honest.witness)
 
 
+def test_a_missing_point_mass_slice_is_a_mismatch(monkeypatch):
+    """The oracle's lifts for point 2 lack the slice R_{-2} = (neg, pos): the
+    cross-check names the first (i, others, v) that reads it."""
+    honest = c.ProbabilisticSem.integer_lift
+
+    def without(self, variables):
+        scale, cells = honest(self, variables)
+        if variables[:-1] == ("R_1", "R_3"):
+            cells = {point: w for point, w in cells.items()
+                     if point[:-1] != (c.NEG, c.POS)}
+        return scale, cells
+
+    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", without)
+    k = c.randomized_response_kernel(3, F(2, 3))
+    with pytest.raises(RuntimeError) as raised:
+        c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
+    assert str(raised.value) == ("point-mass reduction failed at i=2, "
+                                 f"others=('neg', 'pos'), v={k.data_domain[0]!r}")
+
+
 def test_the_point_mass_reduction_is_checked_in_n_times_d_lifts(monkeypatch):
-    """One structural model and one oracle lift per (i, v), not one per
-    point mass."""
+    """One structural model and one integer oracle lift per (i, v), not one
+    per point mass."""
     import causaldp.mechanisms as mechanisms
 
-    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "lift"),
+    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "integer_lift"),
                         (mechanisms, "as_sem"))
     k = c.randomized_response_kernel(3, F(2, 3))
     report = c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
     assert report.passed and report.reduction.endswith("verified by enumeration")
-    assert (calls.count("lift"), calls.count("as_sem")) == (3 * 3, 1)
+    assert (calls.count("integer_lift"), calls.count("as_sem")) == (3 * 3, 1)
 
 
 def test_a_broken_oracle_row_fails_the_whole_database_cross_check():
@@ -201,17 +221,17 @@ def test_a_broken_oracle_row_fails_the_whole_database_cross_check():
 
 
 def test_whole_db_cross_checks_take_one_lift_and_no_model_build(monkeypatch):
-    """One oracle lift of the kernel's own structural model covers all 27
-    databases of RR n=3, and no release model is built for it; without the
-    cross-check there is no lift at all."""
+    """One integer oracle lift of the kernel's own structural model covers
+    all 27 databases of RR n=3, and no release model is built for it;
+    without the cross-check there is no lift at all."""
     import causaldp.mechanisms as mechanisms
 
-    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "lift"),
+    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "integer_lift"),
                         (mechanisms, "as_sem"))
     k = c.randomized_response_kernel(3, F(2, 3))
     report = c.run_check(DId.WHOLE_DB_UNIVERSAL, k, F(2))
     assert report.passed and report.reduction.endswith("cross-checked by enumeration")
-    assert (calls.count("lift"), calls.count("as_sem")) == (1, 0)
+    assert (calls.count("integer_lift"), calls.count("as_sem")) == (1, 0)
 
     calls.clear()
     unchecked = c.run_check(DId.WHOLE_DB_UNIVERSAL, k, F(2), cross_check=False)

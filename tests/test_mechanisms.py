@@ -286,33 +286,28 @@ def test_engine_closed_forms_match_enumeration_random():
         assert engine.cross_checks_done == expected
 
 
-def _moved(row):
-    """`row` with 1/100 moved from output 2 to output 1, listing 2 first."""
-    row = dict(row)
-    row[1] = row.get(1, F(0)) + F(1, 100)
-    row[2] = row.get(2, F(0)) - F(1, 100)
-    return {2: row.pop(2), **row}
-
-
 @pytest.mark.parametrize("query, args", [
     ("output_given_point", (2, NULL)),
     ("output_given_db", ((POS, NULL),)),
 ])
 def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
-    # the oracle's row (one lift, or the database's slice of the one
-    # whole-database lift) moves 1/100 from output 2 to output 1 and lists 2
-    # first, so the first difference in the row's own order would be 2
+    # the oracle's row (one integer lift of O, or the database's slice of the
+    # one whole-database integer lift, scaled by |DB|) moves 1/100 from
+    # output 2 to output 1 and lists 2 first, so the first difference in the
+    # row's own order would be 2
     k = c.geometric_count_kernel(2, F(1, 2))
-    path = "_db_slices" if query == "output_given_db" else "_enumerated"
-    honest = getattr(CanonicalEngine, path)
+    prefix, size = (args[0], len(k.table)) if query == "output_given_db" else ((), 1)
+    honest = c.ProbabilisticSem.integer_lift
 
-    def perturbed(self, *rest):
-        found = honest(self, *rest)
-        if path == "_db_slices":
-            return {**found, args[0]: _moved(found[args[0]])}
-        return _moved(found)
+    def perturbed(self, variables):
+        scale, cells = honest(self, variables)
+        grow = 100 * size
+        cells = {point: w * grow for point, w in cells.items()}
+        moved = {prefix + (2,): cells.pop(prefix + (2,)) - scale, **cells}
+        moved[prefix + (1,)] = moved.get(prefix + (1,), 0) + scale
+        return scale * grow, moved
 
-    monkeypatch.setattr(CanonicalEngine, path, perturbed)
+    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", perturbed)
     engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
     with pytest.raises(RuntimeError) as raised:
         getattr(engine, query)(*args)
@@ -324,12 +319,14 @@ def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
 
 def test_a_missing_database_slice_is_a_mismatch(monkeypatch):
     k = c.geometric_count_kernel(2, F(1, 2))
-    honest = CanonicalEngine._db_slices
+    honest = c.ProbabilisticSem.integer_lift
 
-    def without(self):
-        return {db: row for db, row in honest(self).items() if db != (POS, NULL)}
+    def without(self, variables):
+        scale, cells = honest(self, variables)
+        return scale, {point: w for point, w in cells.items()
+                       if point[:-1] != (POS, NULL)}
 
-    monkeypatch.setattr(CanonicalEngine, "_db_slices", without)
+    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", without)
     engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
     assert engine.output_given_db((POS, POS)) == k.row((POS, POS))
     with pytest.raises(RuntimeError) as raised:
@@ -342,10 +339,39 @@ def test_a_missing_database_slice_is_a_mismatch(monkeypatch):
     assert engine.cross_checks_done == 1
 
 
+@pytest.mark.parametrize("change, mismatch", [
+    ("moved", "'a': 1 vs None"),
+    ("added", "'b': None vs 1/2"),
+])
+def test_an_oracle_cell_off_the_row_is_a_mismatch(monkeypatch, change, mismatch):
+    # database (0,)'s row is a point mass on 'a'; its slice of the
+    # whole-database lift moves that weight to 'b' (same size, no cell in
+    # common) or gains a cell at 'b' (every cell of the row still matched)
+    k = c.MechanismKernel(1, (0, 1), 0, ("a", "b"),
+                          {(0,): {"a": F(1)}, (1,): {"a": F(1, 2), "b": F(1, 2)}})
+    honest = c.ProbabilisticSem.integer_lift
+
+    def perturbed(self, variables):
+        scale, cells = honest(self, variables)
+        if change == "moved":
+            cells[(0, "b")] = cells.pop((0, "a"))
+        else:
+            cells[(0, "b")] = cells[(0, "a")] // 2
+        return scale, cells
+
+    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", perturbed)
+    engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
+    with pytest.raises(RuntimeError) as raised:
+        engine.output_given_db((0,))
+    assert str(raised.value) == ("closed form disagrees with enumeration under "
+                                 f"do([('D_1', 0)]) at output {mismatch}")
+    assert engine.cross_checks_done == 0
+
+
 def test_whole_db_cross_checks_sum_the_population_once(monkeypatch):
-    """All whole-database cross-checks of an engine read one oracle lift:
-    the uniform input is summed onto R_1..R_n once per engine, not once per
-    database, and every database is still compared."""
+    """All whole-database cross-checks of an engine read one integer oracle
+    lift: the uniform input is summed onto R_1..R_n once per engine, not
+    once per database, and every database is still compared."""
     summed = []
     raw = Dist.integer_marginal.__wrapped__
 
@@ -354,11 +380,11 @@ def test_whole_db_cross_checks_sum_the_population_once(monkeypatch):
         return raw(self, names)
 
     lifts = []
-    lift = c.ProbabilisticSem.lift
+    integer_lift = c.ProbabilisticSem.integer_lift
 
     def counted_lift(self, *args):
         lifts.append(args)
-        return lift(self, *args)
+        return integer_lift(self, *args)
 
     engines = []
 
@@ -368,7 +394,7 @@ def test_whole_db_cross_checks_sum_the_population_once(monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(Dist, "integer_marginal", memoized(counting))
-    monkeypatch.setattr(c.ProbabilisticSem, "lift", counted_lift)
+    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", counted_lift)
     monkeypatch.setattr(checkers, "CanonicalEngine", Recorded)
     k = c.randomized_response_kernel(3, F(2, 3))
     report = c.run_check(c.DefinitionId.WHOLE_DB_UNIVERSAL, k, F(2))

@@ -1,0 +1,59 @@
+"""The paper's propositions, one generated property each.
+
+Tschantz, Sen & Datta, "Differential Privacy as a Causal Property", read
+differential privacy two ways: associatively, by conditioning on data, and
+causally, by intervening on it.  Each property states one relation between
+a definition and classic differential privacy, on generated kernels with
+zero entries (so some classic ratios are infinite) under generated
+populations that may give some databases zero weight.  Each docstring names
+its claim.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import causaldp as c
+from causaldp import DefinitionId, Dist
+from conftest import _population, random_kernel
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+def test_whole_db_intervention_equals_classic(rng, n, dom_size, out_size, data):
+    """`whole_db_intervention` equals classic in value and witness, key
+    order included, under every population, zero-weight databases and
+    point masses included, with the cross-check on: forcing every data
+    point leaves the population no path to the output.  Kernels with zero
+    entries, so some classic ratios are infinite."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    classic = c.classic_epsilon(kernel)
+    names = c.data_point_names(kernel)
+    db = data.draw(st.sampled_from(list(kernel.databases())))
+    for pop in (_population(data.draw, names, kernel), Dist.point_mass(names, db)):
+        report = c.run_check(DefinitionId.WHOLE_DB_INTERVENTION, kernel, F(1), pop,
+                             cross_check=True)
+        assert (report.achieved, report.witness) == (classic.value, classic.witness)
+        assert type(report.achieved) is type(classic.value)
+        if classic.witness is not None:
+            assert list(report.witness) == list(classic.witness)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+def test_strong_adversary_one_dist_never_exceeds_classic(rng, n, dom_size,
+                                                         out_size, data):
+    """`strong_adversary_one_dist` is at most classic under every
+    population, zero-weight databases and point masses included:
+    conditioning on a whole database of positive probability reads its
+    kernel row, so the definition compares some of classic's neighbouring
+    rows and skips the pairs with a zero-probability side.  Kernels with
+    zero entries, so some classic ratios are infinite."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    classic = c.classic_epsilon(kernel).value
+    names = c.data_point_names(kernel)
+    db = data.draw(st.sampled_from(list(kernel.databases())))
+    for pop in (_population(data.draw, names, kernel), Dist.point_mass(names, db)):
+        report = c.run_check(DefinitionId.STRONG_ADVERSARY_ONE_DIST, kernel, F(1), pop)
+        assert c.ratio_le(report.achieved, classic)

@@ -38,14 +38,7 @@ from causaldp.modelfile import (
     serialize_kernel,
 )
 from causaldp.reports import SupTracker, sweep
-from conftest import random_kernel
-
-
-def _weights(draw, size: int) -> list[F]:
-    raw = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-    if sum(raw) == 0:
-        raw[draw(st.integers(0, size - 1))] = 1
-    return [F(w, sum(raw)) for w in raw]
+from conftest import _population, _weights, random_kernel
 
 
 def _mixed_weights(draw, size: int) -> list[F]:
@@ -118,11 +111,8 @@ def _reference_lift(psem: ProbabilisticSem, variables=None) -> Dist:
     return Dist(variables, out)
 
 
-@given(small_psems(_mixed_weights), st.data())
-def test_integer_oracle_equals_the_fraction_oracle(psem, data):
-    """Same cells in the same order.  Queries over exogenous variables only,
-    over variables with no exogenous ancestor (possibly none), over a random
-    subset and over the full joint."""
+def _forced(psem: ProbabilisticSem, data) -> ProbabilisticSem:
+    """`psem` after up to two random interventions and exogenous pins."""
     for _ in range(data.draw(st.integers(0, 2))):
         name = data.draw(st.sampled_from(psem.sem.names))
         value = data.draw(st.sampled_from(psem.sem.domains[name]))
@@ -130,6 +120,15 @@ def test_integer_oracle_equals_the_fraction_oracle(psem, data):
             psem = psem.intervene(name, value)
         else:
             psem = psem.pin_exogenous(name, value)
+    return psem
+
+
+@given(small_psems(_mixed_weights), st.data())
+def test_integer_oracle_equals_the_fraction_oracle(psem, data):
+    """Same cells in the same order.  Queries over exogenous variables only,
+    over variables with no exogenous ancestor (possibly none), over a random
+    subset and over the full joint."""
+    psem = _forced(psem, data)
     sem = psem.sem
     exo = sem.exogenous
     unrooted = tuple(n for n in sem.endogenous if not sem.ancestors_of(n) & set(exo))
@@ -141,6 +140,23 @@ def test_integer_oracle_equals_the_fraction_oracle(psem, data):
         assert got == want
         assert list(got.weights) == list(want.weights)
         assert got == full.marginal(got.variables)
+
+
+@given(small_psems(_mixed_weights), st.data())
+def test_integer_lift_is_the_lift_over_one_scale(psem, data):
+    """`integer_lift(q)` is `lift(q)` in integers: the same cells in the same
+    order, each `lift` cell its numerator over the scale, every numerator
+    positive and the numerators summing to the scale.  Queries over
+    exogenous variables only, over a random subset and over the full joint."""
+    psem = _forced(psem, data)
+    sem = psem.sem
+    picked = tuple(data.draw(st.lists(st.sampled_from(sem.names), unique=True)))
+    for query in (data.draw(st.permutations(sem.exogenous)), picked, sem.names):
+        scale, cells = psem.integer_lift(query)
+        assert [(point, F(w, scale)) for point, w in cells.items()] == \
+            list(psem.lift(query).weights.items())
+        assert all(w > 0 for w in cells.values())
+        assert sum(cells.values()) == scale
 
 
 @given(small_psems(_mixed_weights), st.data())
@@ -234,13 +250,6 @@ def test_cross_checked_engine_agrees_everywhere(rng, n, dom_size, out_size, data
             engine.output_given_point(i, v)
     dbs = len(kernel.data_domain) ** n
     assert engine.cross_checks_done == dbs + n * len(kernel.data_domain)
-
-
-def _population(draw, names: tuple, kernel: c.MechanismKernel) -> Dist:
-    """A joint over `names` on the data domain; weights may be zero, so
-    some databases (or values of a point) can have probability zero."""
-    points = list(product(kernel.data_domain, repeat=len(names)))
-    return Dist(names, dict(zip(points, _weights(draw, len(points)))))
 
 
 def _oracle_conditional(joint: Dist, event: dict) -> dict | None:
@@ -685,12 +694,12 @@ def test_point_masses_are_slices_of_one_uniform_lift(rng, n, dom_size, out_size)
 def test_whole_database_rows_are_slices_of_one_uniform_lift(rng, n, dom_size,
                                                             out_size, data):
     """The whole-database cross-check reads every database's oracle row off
-    one lift of (R_1..R_n, O) under the uniform input.  For every db, that
-    slice scaled by |DB| equals the per-database query do(D_1..D_n = db)
-    lifted to O in the model's own structural model, and both are db's
-    kernel row: under a drawn population with zero-weight databases, and
-    (for n >= 2) under the attribute equation R_n := R_1.  Kernels with
-    zero entries."""
+    one integer lift of (R_1..R_n, O) under the uniform input.  For every
+    db, that slice scaled by |DB| equals the per-database query
+    do(D_1..D_n = db) lifted to O in the model's own structural model, and
+    both are db's kernel row: under a drawn population with zero-weight
+    databases, and (for n >= 2) under the attribute equation R_n := R_1.
+    Kernels with zero entries."""
     kernel = random_kernel(rng, n, dom_size, out_size)
     inputs = c.input_names(kernel)
     models = [c.CanonicalModel(kernel, (), _population(data.draw, inputs, kernel))]
@@ -699,32 +708,12 @@ def test_whole_database_rows_are_slices_of_one_uniform_lift(rng, n, dom_size,
         models.append(c.CanonicalModel(
             kernel, tie, _population(data.draw, inputs[:-1], kernel)))
     for model in models:
-        slices = CanonicalEngine(model, cross_check=True)._db_slices()
+        scale, slices = CanonicalEngine(model, cross_check=True)._db_slices()
         for db in kernel.databases():
             forced = model.psem.do(dict(zip(c.data_point_names(kernel), db)))
             old = {point[0]: w for point, w in forced.lift(("O",)).weights.items()}
-            assert slices[db] == old == kernel.table[db]
-
-
-@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
-       st.integers(1, 3), st.data())
-def test_whole_db_intervention_equals_classic(rng, n, dom_size, out_size, data):
-    """`whole_db_intervention` equals classic in value and witness, key
-    order included, under every population, zero-weight databases and
-    point masses included, with the cross-check on: forcing every data
-    point leaves the population no path to the output.  Kernels with zero
-    entries, so some classic ratios are infinite."""
-    kernel = random_kernel(rng, n, dom_size, out_size)
-    classic = c.classic_epsilon(kernel)
-    names = c.data_point_names(kernel)
-    db = data.draw(st.sampled_from(list(kernel.databases())))
-    for pop in (_population(data.draw, names, kernel), Dist.point_mass(names, db)):
-        report = c.run_check(DefinitionId.WHOLE_DB_INTERVENTION, kernel, F(1), pop,
-                             cross_check=True)
-        assert (report.achieved, report.witness) == (classic.value, classic.witness)
-        assert type(report.achieved) is type(classic.value)
-        if classic.witness is not None:
-            assert list(report.witness) == list(classic.witness)
+            sliced = {o: F(w, scale) for o, w in slices[db].items()}
+            assert sliced == old == kernel.table[db]
 
 
 # --- exact rows and the file format ------------------------------------------------

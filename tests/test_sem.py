@@ -9,6 +9,7 @@ from causaldp import (
     Dist,
     DomainMismatch,
     ExogenousTarget,
+    InvalidDistribution,
     MissingEquation,
     ProbabilisticSem,
     Sem,
@@ -262,6 +263,24 @@ def test_lift_of_queried_variables_only():
     assert forced.lift(()) == Dist((), {(): F(1)})
     with pytest.raises(UnknownVariable):
         forced.lift(("Q",))
+
+
+def test_a_wrong_integer_table_fails_both_lifts(monkeypatch):
+    """The integer lift checks that its numerators sum to its scale: with one
+    numerator of Y's integer table one too large, `integer_lift` and `lift`
+    both raise the InvalidDistribution of the cells' `Dist`."""
+    psem = ProbabilisticSem(chain_model(), Dist.uniform(("U",), [(0,), (1,)]))
+    eq = psem.sem.equations["Y"]
+    common, rows = eq._integer_table
+    (value, p), *rest = rows[(0,)]
+    monkeypatch.setitem(eq.__dict__, "_integer_table",
+                        (common, {**rows, (0,): ((value, p + 1), *rest)}))
+    for lift in (psem.integer_lift, psem.lift):
+        with pytest.raises(InvalidDistribution) as raised:
+            lift(("X", "Y"))
+        # P(X = 0) = 1/2, and Y's row at X = 0 now sums to 1 + 1/4
+        assert str(raised.value) == \
+            "distribution: weights sum to 9/8, expected exactly 1"
 
 
 def test_downstream_only_influence():
