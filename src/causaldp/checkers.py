@@ -7,12 +7,12 @@ quantifier over populations was discharged:
   * the universal strong-adversary definition needs only one full-support
     population (conditioning then reproduces kernel rows exactly);
   * full-database interventions do not depend on the population at all;
-    the cross-check reads every database's row as a slice of one lift of
-    (R_1..R_n, O) under the uniform input, one lift per engine;
   * the universal single-point definition is discharged by point-mass
-    populations on the other data points; the cross-check reads every point
-    mass as a slice of one lift per (i, v) under the uniform input, so it
-    verifies the reduction in n*|D| oracle lifts of one structural model;
+    populations on the other data points;
+  * the engine cross-checks these two reductions: each database and each
+    point mass is a row of an integer oracle lift from one helper,
+    `CanonicalEngine._oracle_rows`, one lift per engine for the databases
+    and n*|D| for the point masses;
   * for bayesian0's quantifier the package has no exact check yet, so there
     is a per-population checker plus a budgeted falsifier whose NotFound
     outcome is a search report, never a proof.
@@ -56,7 +56,6 @@ from .mechanisms import (
     d_name,
     data_point_names,
     neighbours,
-    r_name,
     value_pairs,
 )
 from .reports import (
@@ -209,11 +208,12 @@ def check_universal_causal(
     target_ratio: Ratio,
     cross_check: bool = True,
 ) -> CheckReport:
-    """The for-all-populations interventional definitions."""
+    """The for-all-populations interventional definitions, on one engine
+    under the uniform population."""
     definition = DefinitionId(definition)
+    engine = CanonicalEngine(CanonicalModel(kernel), cross_check)
     if definition is DefinitionId.WHOLE_DB_UNIVERSAL:
-        # evaluated under the uniform population; the rows ignore it anyway
-        engine = CanonicalEngine(CanonicalModel(kernel), cross_check)
+        # the rows ignore the population anyway
         bound, _ = sweep(kernel.output_domain, neighbours(kernel, engine.output_given_db))
         return finish_report(
             definition,
@@ -231,7 +231,7 @@ def check_universal_causal(
                              f"interventional definition")
 
     if cross_check:
-        _verify_point_masses(kernel)
+        engine.verify_point_masses()
     return finish_report(
         definition,
         target_ratio,
@@ -243,43 +243,6 @@ def check_universal_causal(
         )
         + ("; reductions verified by enumeration" if cross_check else ""),
     )
-
-
-def _verify_point_masses(kernel: MechanismKernel) -> None:
-    """Check through the oracle that under the point mass on any database,
-    intervening D_i = v outputs the kernel row of that database with v at i.
-
-    The inputs R_1..R_n are independent roots under the uniform input, so
-    the intervened model conditioned on R_{-i} = r is the model under the
-    point mass on r: one lift of (R_{-i}, O) per (i, v) holds every point
-    mass as a slice, and scaling a slice by |D|^(n-1) conditions it.  That
-    is n*|D| integer lifts of one structural model.  Every (i, others, v)
-    is compared with the kernel's integer row by cross-multiplication, in
-    that order, and a missing slice is a mismatch.
-    """
-    n, dom = kernel.n, kernel.data_domain
-    psem = CanonicalModel(kernel).psem
-    common, rows = kernel._integer_rows
-    factor = len(dom) ** (n - 1) * common
-    for i in range(1, n + 1):
-        rest = tuple(r_name(j) for j in range(1, n + 1) if j != i)
-        slices: dict[Value, tuple[int, dict[tuple, dict]]] = {}
-        for v in dom:
-            scale, cells = psem.do({d_name(i): v}).integer_lift(rest + (OUTPUT_VAR,))
-            by_others: dict[tuple, dict] = {}
-            for point, w in cells.items():
-                by_others.setdefault(point[:-1], {})[point[-1]] = w * factor
-            slices[v] = scale, by_others
-        for others in product(dom, repeat=n - 1):
-            for v in dom:
-                scale, by_others = slices[v]
-                row = rows[others[: i - 1] + (v,) + others[i - 1 :]]
-                # the slice * |D|^(n-1) / scale == row / common, in integers
-                if by_others.get(others) != {o: p * scale for o, p in row}:
-                    raise RuntimeError(
-                        f"point-mass reduction failed at i={i}, "
-                        f"others={others!r}, v={v!r}"
-                    )
 
 
 # --- dispatcher ----------------------------------------------------------------

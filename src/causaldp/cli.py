@@ -13,6 +13,9 @@ Exit codes:
   4  unparseable or invalid input (an oversized rational, a --target-ratio
      of 0 or below), a path that cannot be read or written, wrong
      population usage, bad definition
+  5  a closed form disagreed with its enumeration cross-check: a fault in
+     the package, reported on stderr with nothing on stdout and no witness
+     file
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .checkers import falsify_bayesian0, run_check
 from .dist import Dist
 from .errors import (
     CausalDpError,
+    CrossCheckMismatch,
     MissingPopulation,
     ParseError,
     PremiseViolated,
@@ -59,6 +63,7 @@ EXIT_FAIL = 1
 EXIT_NOT_FOUND = 2
 EXIT_DEGENERATE = 3
 EXIT_INVALID = 4
+EXIT_CROSS_CHECK = 5
 
 
 def _load_input(arg: str):
@@ -423,6 +428,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CausalDpError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except CrossCheckMismatch as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CROSS_CHECK
     except OSError as e:  # a path that cannot be read or written
         where = "" if e.filename is None else f": {preview(e.filename)}"
         print(f"error: {e.strerror or type(e).__name__}{where}", file=sys.stderr)

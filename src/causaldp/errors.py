@@ -106,6 +106,10 @@ class RatioTooLong(CausalDpError):
     """A reported rational has more digits than the interpreter will print."""
 
 
+class CrossCheckMismatch(RuntimeError):
+    """A closed form disagrees with the enumeration oracle (a package fault)."""
+
+
 # --- file handling --------------------------------------------------------
 
 _PREVIEW_CHARS = 40

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .dist import Dist, check_table, exact_row
 from .errors import (
     BiasOutOfRange,
+    CrossCheckMismatch,
     DomainMismatch,
     RatioOutOfRange,
     UnknownVariable,
@@ -128,7 +129,7 @@ class MechanismKernel:
         numerator), ...)), each row in the table's own order.  Built once, so
         mixing rows costs integer products rather than Fraction arithmetic."""
         rows = self.table.values()
-        common = math.lcm(*(w.denominator for row in rows for w in row.values()))
+        common = math.lcm(*{w.denominator for row in rows for w in row.values()})
         return common, {
             db: tuple((o, p.numerator * (common // p.denominator))
                       for o, p in row.items())
@@ -453,6 +454,13 @@ def _build_canonical_sem(kernel: MechanismKernel) -> Sem:
     return Sem(names, domains, equations)
 
 
+def _disagreement(points: Iterable[tuple[int, Value]]) -> Callable:
+    """A closed form's mismatch message under do(D_j = x), (j, x) in `points`."""
+    return lambda o, fast, slow: (
+        f"closed form disagrees with enumeration under "
+        f"do({[(d_name(j), x) for j, x in points]}) at output {o!r}: {fast} vs {slow}")
+
+
 class CanonicalEngine:
     """Conditional and interventional output distributions of a canonical model.
 
@@ -469,23 +477,11 @@ class CanonicalEngine:
     and by single-point cross-checks, and every engine on that model shares
     it.  With `cross_check` every interventional answer is also recomputed
     by the `sem` oracle, which enumerates the output's ancestors and never
-    calls a closed form, and must match exactly: a cross-check is one exact
-    row comparison, made by integer cross-multiplication against the
-    oracle's integer lift (`ProbabilisticSem.integer_lift`, whose numerators
-    sum to its scale); a `Fraction` of the oracle's is built only to word a
-    mismatch.  A single-point answer meets one lift of O under
-    do(D_i = v) in the model's own structural model.  Every whole-database
-    answer meets a slice of one lift per engine: (R_1..R_n, O) in the
-    kernel's structural model under the uniform input.  The slice at
-    R = db, scaled by |DB|, is what do(D_1..D_n = db) lifts to under any
-    population and attribute equations, so it must be db's row, and a
-    missing slice is a mismatch.  Two facts make it so.  Under the uniform
-    input the R_i are independent full-support roots and D_i := R_i, so the
-    slice is the model under the point mass on db, where forcing D = db
-    changes nothing.  And forcing D_1..D_n leaves O no exogenous ancestor,
-    so that intervention never reads the population or the attribute
-    equations.  Conditional answers meet the oracle in the property tests
-    and in witness replay.  The model is validated on construction.
+    calls a closed form, and must match exactly.  Every cross-check, and
+    each point mass of `verify_point_masses`, is a row of one integer lift
+    (`_oracle_rows`); all whole-database rows come from one lift per engine.
+    Conditional answers meet the oracle in the property tests and in
+    witness replay.  The model is validated on construction.
 
     Externally pure: caches only memoize exact results.
     """
@@ -501,48 +497,76 @@ class CanonicalEngine:
         """The joint of D_1..D_n the conditionals and the mixes read."""
         return self.model.data_joint
 
-    def _enumerated(self, interventions: list[tuple[str, Value]]) -> tuple[int, dict]:
-        """The oracle's row under the interventions: (scale, output ->
-        numerator over scale)."""
-        forced = self.model.psem.do(dict(interventions))
-        scale, cells = forced.integer_lift((OUTPUT_VAR,))
-        return scale, {point[0]: w for point, w in cells.items()}
-
-    @memoized
-    def _db_slices(self) -> tuple[int, dict[tuple, dict]]:
-        """(scale, database -> output -> numerator over scale): each
-        database's slice of the one whole-database lift, scaled by |DB|, is
-        the oracle's row under do(D_1..D_n = db)."""
+    @cached_property
+    def _uniform(self) -> ProbabilisticSem:
+        """The kernel's structural model under the uniform input, validated
+        before any intervention so its sub-models inherit the checked order."""
         kernel = self.kernel
-        inputs = input_names(kernel)
         psem = ProbabilisticSem(kernel._canonical_sem,
-                                Dist.uniform(inputs, kernel.databases()))
-        scale, cells = psem.integer_lift(inputs + (OUTPUT_VAR,))
-        size = len(kernel.table)
-        slices: dict[tuple, dict] = {}
-        for point, w in cells.items():
-            slices.setdefault(point[:-1], {})[point[-1]] = w * size
-        return scale, slices
+                                Dist.uniform(input_names(kernel), kernel.databases()))
+        psem.validate()
+        return psem
 
-    def _verify(self, fast: Row, scale: int, slow: dict, interventions) -> None:
-        """`fast` must equal the oracle's row, output -> numerator over
-        `scale`.  Both rows are zero-free, so equal sizes and equal cells at
-        `fast`'s outputs make equal rows; cells compare by integer
-        cross-multiplication, and `Fraction`s are built only to word a
-        mismatch."""
-        if len(fast) != len(slow) or any(
-            w.numerator * scale != slow.get(o, 0) * w.denominator
-            for o, w in fast.items()
-        ):
-            oracle = {o: Fraction(w, scale) for o, w in slow.items()}
+    def _oracle_rows(self, psem: ProbabilisticSem, forced: dict,
+                     sliced: tuple[str, ...], common: int) -> tuple[int, dict]:
+        """One integer lift of (`sliced`, O) under do(`forced`), split into
+        rows keyed by the `sliced` values: (scale, key -> output ->
+        numerator), each row scaled by |D|^len(sliced) and put over
+        scale * `common`, the denominator of the rows `_verify` compares.
+
+        Inputs are sliced only under the uniform input, where the R_i are
+        independent full-support roots and D_i := R_i, so the row at R = r
+        is the model under the point mass on r (any value at an input whose
+        data point is forced) under the same intervention.  Forcing
+        D_1..D_n leaves O with no exogenous ancestor, so the row at
+        R_1..R_n = db is what do(D_1..D_n = db) lifts to under every
+        population and attribute equation.
+        """
+        scale, cells = psem.do(forced).integer_lift(sliced + (OUTPUT_VAR,))
+        factor = len(self.kernel.data_domain) ** len(sliced) * common
+        rows: dict[tuple, dict] = {}
+        for point, w in cells.items():
+            rows.setdefault(point[:-1], {})[point[-1]] = w * factor
+        return scale, rows
+
+    @cached_property
+    def _db_rows(self) -> tuple[int, dict[tuple, dict]]:
+        return self._oracle_rows(self._uniform, {}, input_names(self.kernel),
+                                 self.kernel._integer_rows[0])
+
+    def _verify(self, common: int, fast, oracle, key, mismatch: Callable) -> None:
+        """`fast`, (output, numerator over `common`) pairs, must be the
+        oracle's row at `key`, both over scale * `common`, else `mismatch`
+        words the first differing output and both its values."""
+        scale, rows = oracle
+        slow = rows.get(key, {})
+        if slow != {o: p * scale for o, p in fast}:
+            ours = {o: Fraction(p, common) for o, p in fast}
+            theirs = {o: Fraction(w, scale * common) for o, w in slow.items()}
             o = next(o for o in self.kernel.output_domain
-                     if fast.get(o) != oracle.get(o))
-            raise RuntimeError(
-                f"closed form disagrees with enumeration under "
-                f"do({interventions}) at output {o!r}: "
-                f"{fast.get(o)} vs {oracle.get(o)}"
-            )
+                     if ours.get(o) != theirs.get(o))
+            raise CrossCheckMismatch(mismatch(o, ours.get(o), theirs.get(o)))
         self.cross_checks_done += 1
+
+    def verify_point_masses(self) -> None:
+        """Check through the oracle that under the point mass on any
+        database, intervening D_i = v outputs the kernel row of that
+        database with v at i: every point mass is a row of the lift of
+        (R_{-i}, O) under do(D_i = v), so n*|D| lifts.  Each (i, others, v)
+        is compared with the kernel's integer row, in that order."""
+        kernel = self.kernel
+        n, dom, inputs = kernel.n, kernel.data_domain, input_names(kernel)
+        common, rows = kernel._integer_rows
+        for i in range(1, n + 1):
+            rest = inputs[: i - 1] + inputs[i:]
+            lifts = {v: self._oracle_rows(self._uniform, {d_name(i): v}, rest, common)
+                     for v in dom}
+            for others in product(dom, repeat=n - 1):
+                for v in dom:
+                    self._verify(common, rows[others[: i - 1] + (v,) + others[i - 1 :]],
+                                 lifts[v], others,
+                                 lambda *_: f"point-mass reduction failed at i={i}, "
+                                            f"others={others!r}, v={v!r}")
 
     def _check_point(self, i: int, v: Value) -> None:
         if not 1 <= i <= self.kernel.n:
@@ -561,9 +585,10 @@ class CanonicalEngine:
             by_value.setdefault(db[i - 1], {})[rest] = w
         return others, by_value
 
-    def _mix(self, i: int, v: Value, weights: dict[tuple, Fraction]) -> Row:
+    def _mix(self, i: int, v: Value, weights: dict[tuple, Fraction]) -> tuple:
         """Kernel rows of the databases with D_i = v, mixed by positive weights
-        on the other points and normalized by their total.  The sums run in
+        on the other points and normalized by their total: the row, and its
+        integer form (denominator, output -> numerator).  The sums run in
         integers over the weights' and the table's common denominators."""
         common, rows = self.kernel._integer_rows
         scale = math.lcm(*(w.denominator for w in weights.values()))
@@ -574,7 +599,8 @@ class CanonicalEngine:
             total += w
             for o, p in rows[rest[: i - 1] + (v,) + rest[i - 1 :]]:
                 acc[o] = acc.get(o, 0) + w * p
-        return {o: Fraction(p, total * common) for o, p in acc.items()}
+        common *= total
+        return {o: Fraction(p, common) for o, p in acc.items()}, common, acc
 
     @memoized
     def output_given_db(self, db: tuple) -> Row:
@@ -582,9 +608,9 @@ class CanonicalEngine:
         for every population and every attribute equation."""
         fast = dict(self.kernel.row(db))
         if self.cross_check:
-            scale, slices = self._db_slices()
-            self._verify(fast, scale, slices.get(tuple(db), {}),
-                         [(d_name(k + 1), db[k]) for k in range(self.kernel.n)])
+            common, rows = self.kernel._integer_rows
+            self._verify(common, rows[db], self._db_rows, db,
+                         _disagreement(enumerate(db, 1)))
         return fast
 
     @memoized
@@ -599,10 +625,11 @@ class CanonicalEngine:
         marginal of the other data points, which the intervention does not
         disturb."""
         self._check_point(i, v)
-        fast = self._mix(i, v, self._point_weights(i)[0])
+        fast, common, mixed = self._mix(i, v, self._point_weights(i)[0])
         if self.cross_check:
-            interventions = [(d_name(i), v)]
-            self._verify(fast, *self._enumerated(interventions), interventions)
+            oracle = self._oracle_rows(self.model.psem, {d_name(i): v}, (), common)
+            self._verify(common, mixed.items(), oracle, (),
+                         _disagreement([(i, v)]))
         return fast
 
     @memoized
@@ -611,4 +638,4 @@ class CanonicalEngine:
         points given D_i = v, or None when P(D_i = v) = 0."""
         self._check_point(i, v)
         given = self._point_weights(i)[1].get(v)
-        return None if given is None else self._mix(i, v, given)
+        return None if given is None else self._mix(i, v, given)[0]

@@ -242,9 +242,5 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
-def run_scenario(name: str) -> dict:
-    return SCENARIOS[name].run()
-
-
 def run_all() -> dict[str, dict]:
     return {name: scenario.run() for name, scenario in SCENARIOS.items()}

@@ -154,7 +154,7 @@ def test_a_broken_oracle_row_fails_the_point_mass_reduction():
     honest = c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
     break_oracle_row(k, (c.NEG, c.NULL, c.POS))
 
-    with pytest.raises(RuntimeError) as raised:
+    with pytest.raises(c.CrossCheckMismatch) as raised:
         c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
     assert str(raised.value) == ("point-mass reduction failed at i=1, "
                                  "others=('null', 'pos'), v='neg'")
@@ -176,15 +176,15 @@ def test_a_missing_point_mass_slice_is_a_mismatch(monkeypatch):
 
     monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", without)
     k = c.randomized_response_kernel(3, F(2, 3))
-    with pytest.raises(RuntimeError) as raised:
+    with pytest.raises(c.CrossCheckMismatch) as raised:
         c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
     assert str(raised.value) == ("point-mass reduction failed at i=2, "
                                  f"others=('neg', 'pos'), v={k.data_domain[0]!r}")
 
 
 def test_the_point_mass_reduction_is_checked_in_n_times_d_lifts(monkeypatch):
-    """One structural model and one integer oracle lift per (i, v), not one
-    per point mass."""
+    """One integer oracle lift per (i, v), not one per point mass, of the
+    kernel's own structural model: no release model is built for it."""
     import causaldp.mechanisms as mechanisms
 
     calls = count_calls(monkeypatch, (c.ProbabilisticSem, "integer_lift"),
@@ -192,7 +192,25 @@ def test_the_point_mass_reduction_is_checked_in_n_times_d_lifts(monkeypatch):
     k = c.randomized_response_kernel(3, F(2, 3))
     report = c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
     assert report.passed and report.reduction.endswith("verified by enumeration")
-    assert (calls.count("integer_lift"), calls.count("as_sem")) == (3 * 3, 1)
+    assert (calls.count("integer_lift"), calls.count("as_sem")) == (3 * 3, 0)
+
+
+def test_every_point_mass_comparison_is_a_counted_cross_check(monkeypatch):
+    """`single_point_universal` runs on one engine, which counts one
+    cross-check per (i, others, v): n*|D|^n on RR n=3."""
+    import causaldp.checkers as checkers
+
+    engines = []
+
+    class Recorded(c.CanonicalEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(checkers, "CanonicalEngine", Recorded)
+    k = c.randomized_response_kernel(3, F(2, 3))
+    assert c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2)).passed
+    assert [e.cross_checks_done for e in engines] == [3 * 3**3]
 
 
 def test_a_broken_oracle_row_fails_the_whole_database_cross_check():
@@ -208,7 +226,7 @@ def test_a_broken_oracle_row_fails_the_whole_database_cross_check():
     break_oracle_row(k, (c.NEG, c.NULL, c.POS))
 
     for (did, pop), report in zip(runs, honest):
-        with pytest.raises(RuntimeError) as raised:
+        with pytest.raises(c.CrossCheckMismatch) as raised:
             c.run_check(did, k, F(2), pop)
         assert str(raised.value) == (
             "closed form disagrees with enumeration under "

@@ -107,6 +107,31 @@ def test_premise_violation_exits_three(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("definition, message", [
+    ("whole_db_universal", "closed form disagrees with enumeration under "
+                           "do([('D_1', 0), ('D_2', 0)]) at output 0: 1/2 vs 1/4"),
+    ("single_point_universal", "point-mass reduction failed at i=1, "
+                               "others=(0,), v=0"),
+], ids=["whole_db_universal", "single_point_universal"])
+def test_a_cross_check_mismatch_exits_five(capsys, tmp_path, monkeypatch,
+                                           definition, message):
+    """An oracle whose every lift is worth half is a fault in the package,
+    not a failed check: exit 5, one `error:` line on stderr, nothing on
+    stdout and no witness file."""
+    honest = c.ProbabilisticSem.integer_lift
+
+    def halved(self, variables):
+        scale, cells = honest(self, variables)
+        return 2 * scale, cells
+
+    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", halved)
+    witness = tmp_path / "w.json"
+    code = main(["check", definition, "hidden_pair", "--target-ratio", "2",
+                 "--witness-out", str(witness)])
+    assert (code, *capsys.readouterr()) == (5, "", f"error: {message}\n")
+    assert not witness.exists()
+
+
 def test_parse_error_exits_four(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "kernel", "builtin": "randomized_response", '

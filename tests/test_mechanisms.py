@@ -278,7 +278,7 @@ def test_engine_closed_forms_match_enumeration_random():
         pop_r = Dist(c.input_names(k), dict(pop.weights))
         engine = CanonicalEngine(c.CanonicalModel(k, (), pop_r), cross_check=True)
         for db in k.databases():
-            engine.output_given_db(db)  # raises RuntimeError on any mismatch
+            engine.output_given_db(db)  # raises CrossCheckMismatch on any mismatch
         for i in range(1, n + 1):
             for v in k.data_domain:
                 engine.output_given_point(i, v)
@@ -309,11 +309,14 @@ def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
 
     monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", perturbed)
     engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
-    with pytest.raises(RuntimeError) as raised:
+    with pytest.raises(c.CrossCheckMismatch) as raised:
         getattr(engine, query)(*args)
     fast = getattr(CanonicalEngine(c.CanonicalModel(k)), query)(*args)
     slow = fast[1] + F(1, 100)
-    assert str(raised.value).endswith(f"at output 1: {fast[1]} vs {slow}")
+    forced = {"output_given_point": "[('D_2', 'null')]",
+              "output_given_db": "[('D_1', 'pos'), ('D_2', 'null')]"}[query]
+    assert str(raised.value) == ("closed form disagrees with enumeration under "
+                                 f"do({forced}) at output 1: {fast[1]} vs {slow}")
     assert engine.cross_checks_done == 0
 
 
@@ -329,7 +332,7 @@ def test_a_missing_database_slice_is_a_mismatch(monkeypatch):
     monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", without)
     engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
     assert engine.output_given_db((POS, POS)) == k.row((POS, POS))
-    with pytest.raises(RuntimeError) as raised:
+    with pytest.raises(c.CrossCheckMismatch) as raised:
         engine.output_given_db((POS, NULL))
     assert str(raised.value) == (
         "closed form disagrees with enumeration under "
@@ -361,7 +364,7 @@ def test_an_oracle_cell_off_the_row_is_a_mismatch(monkeypatch, change, mismatch)
 
     monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", perturbed)
     engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
-    with pytest.raises(RuntimeError) as raised:
+    with pytest.raises(c.CrossCheckMismatch) as raised:
         engine.output_given_db((0,))
     assert str(raised.value) == ("closed form disagrees with enumeration under "
                                  f"do([('D_1', 0)]) at output {mismatch}")

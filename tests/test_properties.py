@@ -244,7 +244,7 @@ def test_cross_checked_engine_agrees_everywhere(rng, n, dom_size, out_size, data
     pop = Dist(exo, dict(zip(points, _weights(data.draw, len(points)))))
     engine = CanonicalEngine(c.CanonicalModel(kernel, attr, pop), cross_check=True)
     for db in kernel.databases():
-        engine.output_given_db(db)  # raises RuntimeError on any mismatch
+        engine.output_given_db(db)  # raises CrossCheckMismatch on any mismatch
     for i in range(1, n + 1):
         for v in kernel.data_domain:
             engine.output_given_point(i, v)
@@ -659,15 +659,17 @@ def test_single_point_never_exceeds_classic(rng, n, dom_size, out_size, data):
        st.integers(1, 3))
 def test_point_masses_are_slices_of_one_uniform_lift(rng, n, dom_size, out_size):
     """`single_point_universal`'s cross-check reads every point mass off one
-    lift under the uniform input.  For every i, v and assignment r of the
-    other inputs: the lift of (R_{-i}, O) under do(D_i = v), conditioned on
-    R_{-i} = r, equals the model under the point mass on r (with any value
-    at i) under the same intervention, and both are the kernel row of r
-    with v at i; so is the engine's closed form under that point mass.
+    lift under the uniform input (`CanonicalEngine._oracle_rows`).  For
+    every i, v and assignment r of the other inputs: the helper's row at
+    R_{-i} = r and the lift of (R_{-i}, O) under do(D_i = v), conditioned
+    on R_{-i} = r, equal the model under the point mass on r (with any
+    value at i) under the same intervention, and all are the kernel row of
+    r with v at i; so is the engine's closed form under that point mass.
     Kernels with zero entries."""
     kernel = random_kernel(rng, n, dom_size, out_size)
     r_names = c.input_names(kernel)
     uniform = c.as_sem(kernel)
+    engine = CanonicalEngine(c.CanonicalModel(kernel))
 
     def row(dist: Dist) -> dict:
         return {point[-1]: w for point, w in dist.marginal(("O",)).weights.items()}
@@ -675,18 +677,20 @@ def test_point_masses_are_slices_of_one_uniform_lift(rng, n, dom_size, out_size)
     for i in range(1, n + 1):
         rest = r_names[: i - 1] + r_names[i:]
         for v in kernel.data_domain:
-            joint = uniform.do({c.d_name(i): v}).lift(rest + ("O",))
+            forced = {c.d_name(i): v}
+            scale, rows = engine._oracle_rows(engine._uniform, forced, rest, 1)
+            joint = uniform.do(forced).lift(rest + ("O",))
             for others in product(kernel.data_domain, repeat=n - 1):
                 d = others[: i - 1] + (v,) + others[i - 1 :]
                 anywhere = others[: i - 1] + (rng.choice(kernel.data_domain),) \
                     + others[i - 1 :]
                 point_mass = Dist.point_mass(r_names, anywhere)
+                helper = {o: F(w, scale) for o, w in rows[others].items()}
                 sliced = row(joint.condition(dict(zip(rest, others))))
-                alone = row(c.as_sem(kernel, (), point_mass).do({c.d_name(i): v})
-                            .lift(("O",)))
+                alone = row(c.as_sem(kernel, (), point_mass).do(forced).lift(("O",)))
                 mixed = CanonicalEngine(c.CanonicalModel(kernel, (), point_mass)) \
                     .output_given_point(i, v)
-                assert sliced == alone == mixed == kernel.table[d]
+                assert helper == sliced == alone == mixed == kernel.table[d]
 
 
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
@@ -694,12 +698,12 @@ def test_point_masses_are_slices_of_one_uniform_lift(rng, n, dom_size, out_size)
 def test_whole_database_rows_are_slices_of_one_uniform_lift(rng, n, dom_size,
                                                             out_size, data):
     """The whole-database cross-check reads every database's oracle row off
-    one integer lift of (R_1..R_n, O) under the uniform input.  For every
-    db, that slice scaled by |DB| equals the per-database query
-    do(D_1..D_n = db) lifted to O in the model's own structural model, and
-    both are db's kernel row: under a drawn population with zero-weight
-    databases, and (for n >= 2) under the attribute equation R_n := R_1.
-    Kernels with zero entries."""
+    one integer lift of (R_1..R_n, O) under the uniform input
+    (`CanonicalEngine._oracle_rows`).  For every db, that row equals the
+    per-database query do(D_1..D_n = db) lifted to O in the model's own
+    structural model, and both are db's kernel row: under a drawn
+    population with zero-weight databases, and (for n >= 2) under the
+    attribute equation R_n := R_1.  Kernels with zero entries."""
     kernel = random_kernel(rng, n, dom_size, out_size)
     inputs = c.input_names(kernel)
     models = [c.CanonicalModel(kernel, (), _population(data.draw, inputs, kernel))]
@@ -708,7 +712,8 @@ def test_whole_database_rows_are_slices_of_one_uniform_lift(rng, n, dom_size,
         models.append(c.CanonicalModel(
             kernel, tie, _population(data.draw, inputs[:-1], kernel)))
     for model in models:
-        scale, slices = CanonicalEngine(model, cross_check=True)._db_slices()
+        engine = CanonicalEngine(model, cross_check=True)
+        scale, slices = engine._oracle_rows(engine._uniform, {}, inputs, 1)
         for db in kernel.databases():
             forced = model.psem.do(dict(zip(c.data_point_names(kernel), db)))
             old = {point[0]: w for point, w in forced.lift(("O",)).weights.items()}
