@@ -23,12 +23,12 @@ structural model each built once on the model and shared by every check on
 it; the population-free ones read only its kernel.  `run_check` is the one
 place that decides which population a definition sees.
 Conditional and interventional output distributions both come from one
-`CanonicalEngine` and differ only in the weights that mix kernel rows; every
-family of comparisons is folded by one `sweep`.  The engine reads the
-model's data joint, and the structural model is built only for
-cross-checks, attribute equations and replay.  The generic model semantics
-(lift, condition, intervene) are left to that oracle: cross-checks and
-`replay_witness`.
+`CanonicalEngine` and differ only in the weights that mix kernel rows; the
+database family is folded by `neighbour_sweep` and the value family by
+`sweep`.  The engine reads the model's data joint, and the structural
+model is built only for cross-checks, attribute equations and replay.  The
+generic model semantics (lift, condition, intervene) are left to that
+oracle: cross-checks and `replay_witness`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .mechanisms import (
     classic_epsilon,
     d_name,
     data_point_names,
-    neighbours,
+    neighbour_sweep,
     value_pairs,
 )
 from .reports import (
@@ -122,9 +122,7 @@ def check_associative(
         )
 
     if definition is DefinitionId.STRONG_ADVERSARY_ONE_DIST:
-        bound, skipped = sweep(
-            kernel.output_domain, neighbours(kernel, engine.output_conditioned_on_db)
-        )
+        bound, skipped = neighbour_sweep(kernel, engine.output_conditioned_on_db)
         reduction = (
             "conditional on each realizable database, compared across "
             "databases at point distance at most one"
@@ -186,16 +184,16 @@ def check_causal(
     engine = CanonicalEngine(model, cross_check)
 
     if definition is DefinitionId.WHOLE_DB_INTERVENTION:
-        pairs = neighbours(kernel, engine.output_given_db)
+        bound, _ = neighbour_sweep(kernel, engine.output_given_db)
         reduction = "full-database interventions read kernel rows directly " \
                     "(population cannot influence them)"
     else:
-        pairs = value_pairs(kernel, engine.output_given_point)
+        bound, _ = sweep(kernel.output_domain,
+                         value_pairs(kernel, engine.output_given_point))
         reduction = (
             "single-point interventions mix kernel rows by the undisturbed "
             "marginal of the other data points"
         )
-    bound, _ = sweep(kernel.output_domain, pairs)
     if cross_check:
         reduction += "; every distribution cross-checked by enumerating the " \
                      "intervened model"
@@ -214,7 +212,7 @@ def check_universal_causal(
     engine = CanonicalEngine(CanonicalModel(kernel), cross_check)
     if definition is DefinitionId.WHOLE_DB_UNIVERSAL:
         # the rows ignore the population anyway
-        bound, _ = sweep(kernel.output_domain, neighbours(kernel, engine.output_given_db))
+        bound, _ = neighbour_sweep(kernel, engine.output_given_db)
         return finish_report(
             definition,
             target_ratio,

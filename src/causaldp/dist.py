@@ -184,11 +184,12 @@ class Dist:
         (a model and its intervened sub-models) sum it onto one set of
         coordinates once."""
         idx = [self._index(n) for n in names]
-        scale = math.lcm(*(w.denominator for w in self.weights.values()))
+        terms = [w.as_integer_ratio() for w in self.weights.values()]
+        scale = math.lcm(*{den for _, den in terms})
         out: dict[tuple, int] = {}
-        for point, w in self.weights.items():
+        for point, (num, den) in zip(self.weights, terms):
             key = tuple(point[i] for i in idx)
-            out[key] = out.get(key, 0) + w.numerator * (scale // w.denominator)
+            out[key] = out.get(key, 0) + num * (scale // den)
         return scale, tuple(out.items())
 
     # --- conveniences -------------------------------------------------------
@@ -203,6 +204,26 @@ class Dist:
 
     def factors_as_product(self) -> bool:
         """True iff the joint equals the product of its 1-D marginals exactly:
-        the same support, each point weighted by its marginals' product."""
-        marginals = (self.marginal((name,)) for name in self.variables)
-        return Dist.product(*marginals).weights == self.weights
+        the same support, each point weighted by its marginals' product.
+
+        Tested in integers over the joint's common denominator L: with J_p
+        the numerator of point p and M_i those of the marginals, every
+        support point must have J_p * L^n == L * prod_i M_i(p_i).  Then the
+        product's mass on the joint's support is 1, so it has no mass
+        elsewhere and the supports are equal.
+        """
+        names = self.variables
+        for j, name in enumerate(names):
+            if name in names[:j]:
+                raise InvalidDistribution(
+                    f"product factors share variables: {names[:j]} / {(name,)}")
+        scale, joint = self.integer_marginal(names)
+        marginals: list[dict] = [{} for _ in names]
+        for point, w in joint:
+            for marginal, x in zip(marginals, point):
+                marginal[x] = marginal.get(x, 0) + w
+        power = scale ** len(names)
+        return all(
+            w * power == scale * math.prod(map(dict.__getitem__, marginals, point))
+            for point, w in joint
+        )

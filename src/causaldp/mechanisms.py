@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
-from operator import eq
+from itertools import chain, product
+from operator import add, eq
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dist import Dist, check_table, exact_row
@@ -34,8 +34,8 @@ from .errors import (
     ValueOutOfDomain,
     preview,
 )
-from .exact import Value, memoized
-from .reports import RatioBound, sweep
+from .exact import INF, Value, memoized
+from .reports import RatioBound
 from .sem import (
     ProbabilisticSem,
     Sem,
@@ -124,17 +124,23 @@ class MechanismKernel:
             ) from None
 
     @cached_property
-    def _integer_rows(self) -> tuple[int, dict[tuple, tuple]]:
-        """The table over one common denominator L: (L, database -> ((output,
-        numerator), ...)), each row in the table's own order.  Built once, so
-        mixing rows costs integer products rather than Fraction arithmetic."""
-        rows = self.table.values()
-        common = math.lcm(*{w.denominator for row in rows for w in row.values()})
-        return common, {
-            db: tuple((o, p.numerator * (common // p.denominator))
-                      for o, p in row.items())
-            for db, row in self.table.items()
-        }
+    def integer_table(self) -> tuple[int, dict[tuple, tuple[int, ...]]]:
+        """The table over one common denominator L: (L, database -> the row's
+        numerators in `output_domain` order, 0 where the row has no entry),
+        databases in `databases()` order.  Each distinct weight object is
+        converted once, so rows are mixed and compared in integers."""
+        zeros = dict.fromkeys(self.output_domain, Fraction(0))
+        databases = list(self.databases())
+        cells = list(chain.from_iterable(
+            {**zeros, **self.table[db]}.values() for db in databases))
+        ids = list(map(id, cells))  # unique while `cells` holds every weight
+        terms = {key: w.as_integer_ratio() for key, w in dict(zip(ids, cells)).items()}
+        common = math.lcm(*{den for _, den in terms.values()})
+        scaled = {key: num * (common // den) for key, (num, den) in terms.items()}
+        numerators = list(map(scaled.__getitem__, ids))
+        width = len(self.output_domain)
+        return common, {db: tuple(numerators[j * width : (j + 1) * width])
+                        for j, db in enumerate(databases)}
 
     @cached_property
     def _canonical_sem(self) -> Sem:
@@ -265,16 +271,88 @@ def constant_kernel(
 Row = dict[Value, Fraction]
 
 
-def neighbours(kernel: MechanismKernel, output_of: Callable) -> Iterator[tuple]:
-    """Comparisons of databases d, d' differing at most at one point, for
-    `sweep`: coordinate i ascending, database d lexicographic, replacement
-    value in domain order.  Both orders of every pair are enumerated."""
-    for i in range(kernel.n):
-        for d in kernel.databases():
-            left = output_of(d)
-            for v_prime in kernel.data_domain:
-                d_prime = d[:i] + (v_prime,) + d[i + 1 :]
-                yield left, output_of(d_prime), {"i": i + 1, "d": d, "d_prime_i": v_prime}
+def neighbour_sweep(kernel: MechanismKernel,
+                    output_of: Callable) -> tuple[RatioBound, int]:
+    """`sweep` over the comparisons of databases d, d' differing at most at
+    one point, (supremum, skipped).  `output_of(d)` returns d's kernel row,
+    or None to skip every comparison of d; the rows are read from the
+    kernel's `integer_table`.  The comparisons run in the order coordinate
+    i ascending, database d lexicographic, replacement value v' in domain
+    order, output o in report order, both orders of every pair included,
+    with witness {"i", "d", "d_prime_i", "o"}; `output_of` is called once
+    per database, in the order those comparisons first read it.
+
+    They are folded by groups: at each coordinate, the |D| databases that
+    agree off it compare with one another, all over the table's one
+    denominator.  Within a group the largest ratio at o over ordered pairs
+    is the column maximum over the column minimum (p/0 infinite, 0/0
+    vacuous), and when it exceeds 1 two distinct rows attain it.  So one
+    pass takes the supremum from the columns, and a second pass finds the
+    first comparison in the order above whose ratio is that supremum, or
+    infinite: the witness a strict-improvement fold ends on.  A group of k
+    rows that are not None skips |O| * (|D|^2 - k^2) comparisons.
+    """
+    n, dom, outputs = kernel.n, kernel.data_domain, kernel.output_domain
+    size, width = len(dom), len(outputs)
+    table = kernel.integer_table[1]
+    kept = {(v,) + rest: output_of((v,) + rest) is not None
+            for rest in product(dom, repeat=n - 1) for v in dom}
+    rows = [row if kept[db] else None for db, row in table.items()]
+    strides = [size ** (n - 1 - i) for i in range(n)]
+
+    def group(base: int, stride: int) -> list:
+        """The rows of the group whose first database is at index `base`."""
+        return rows[base : base + stride * size : stride]
+
+    def extremes(present: list) -> Iterator[tuple[int, int]]:
+        """(maximum, minimum) of each column of two or more rows."""
+        return zip(map(max, *present), map(min, *present))
+
+    # pass 1: the supremum num/den, den == 0 for infinity
+    num, den, skipped = 1, 1, 0
+    for stride in strides:
+        for top in range(0, len(rows), stride * size):
+            for base in range(top, top + stride):
+                present = [row for row in group(base, stride) if row is not None]
+                skipped += width * (size * size - len(present) ** 2)
+                if not den or len(present) < 2:
+                    continue
+                for hi, lo in extremes(present):
+                    if not lo:
+                        if hi:
+                            num, den = 1, 0
+                            break
+                    elif hi * den > num * lo:
+                        num, den = hi, lo
+    if (num, den) == (1, 1):
+        return RatioBound(Fraction(1)), skipped
+
+    def attains(left: int, right: int) -> bool:
+        """Whether left/right is the supremum."""
+        return bool(left and not right if not den else right and left * den == num * right)
+
+    # pass 2: the first comparison attaining it; the columns where a group
+    # attains it are found when the walk first reaches the group
+    names = list(table)
+    for i, stride in enumerate(strides):
+        hot: dict[int, list[int]] = {}
+        for index, left in enumerate(rows):
+            base = index - index // stride % size * stride
+            members = group(base, stride)
+            columns = hot.get(base)
+            if columns is None:
+                present = [row for row in members if row is not None]
+                columns = hot[base] = [] if len(present) < 2 else [
+                    j for j, pair in enumerate(extremes(present)) if attains(*pair)]
+            if left is None or not columns:
+                continue
+            for k, right in enumerate(members):
+                for j in columns if right is not None else ():
+                    if attains(left[j], right[j]):
+                        return RatioBound(Fraction(num, den) if den else INF, {
+                            "i": i + 1, "d": names[index], "d_prime_i": dom[k],
+                            "o": outputs[j]}), skipped
+    raise AssertionError("a supremum above 1 is attained by some comparison")
 
 
 def value_pairs(kernel: MechanismKernel, output_of: Callable) -> Iterator[tuple]:
@@ -291,10 +369,10 @@ def classic_epsilon(kernel: MechanismKernel) -> RatioBound:
     """Supremum of row(d)(o) / row(d')(o) over single-point changes d -> d'.
 
     Conventions: 0/0 comparisons are vacuous; positive/0 is infinite.  The
-    witness is the first maximizer in `neighbours` order, output in report
-    order; the supremum is symmetric and at least 1.
+    witness is the first maximizer in `neighbour_sweep` order, output in
+    report order; the supremum is symmetric and at least 1.
     """
-    return sweep(kernel.output_domain, neighbours(kernel, kernel.table.__getitem__))[0]
+    return neighbour_sweep(kernel, kernel.table.__getitem__)[0]
 
 
 # --- the canonical release model ---------------------------------------------
@@ -532,19 +610,20 @@ class CanonicalEngine:
     @cached_property
     def _db_rows(self) -> tuple[int, dict[tuple, dict]]:
         return self._oracle_rows(self._uniform, {}, input_names(self.kernel),
-                                 self.kernel._integer_rows[0])
+                                 self.kernel.integer_table[0])
 
     def _verify(self, common: int, fast, oracle, key, mismatch: Callable) -> None:
-        """`fast`, (output, numerator over `common`) pairs, must be the
-        oracle's row at `key`, both over scale * `common`, else `mismatch`
-        words the first differing output and both its values."""
+        """`fast`, numerators over `common` in output order (zero cells are
+        no entry), must be the oracle's row at `key`, both over scale *
+        `common`, else `mismatch` words the first differing output and both
+        its values."""
         scale, rows = oracle
         slow = rows.get(key, {})
-        if slow != {o: p * scale for o, p in fast}:
-            ours = {o: Fraction(p, common) for o, p in fast}
+        outputs = self.kernel.output_domain
+        if slow != {o: p * scale for o, p in zip(outputs, fast) if p}:
+            ours = {o: Fraction(p, common) for o, p in zip(outputs, fast) if p}
             theirs = {o: Fraction(w, scale * common) for o, w in slow.items()}
-            o = next(o for o in self.kernel.output_domain
-                     if ours.get(o) != theirs.get(o))
+            o = next(o for o in outputs if ours.get(o) != theirs.get(o))
             raise CrossCheckMismatch(mismatch(o, ours.get(o), theirs.get(o)))
         self.cross_checks_done += 1
 
@@ -556,7 +635,7 @@ class CanonicalEngine:
         is compared with the kernel's integer row, in that order."""
         kernel = self.kernel
         n, dom, inputs = kernel.n, kernel.data_domain, input_names(kernel)
-        common, rows = kernel._integer_rows
+        common, rows = kernel.integer_table
         for i in range(1, n + 1):
             rest = inputs[: i - 1] + inputs[i:]
             lifts = {v: self._oracle_rows(self._uniform, {d_name(i): v}, rest, common)
@@ -576,31 +655,30 @@ class CanonicalEngine:
 
     @memoized
     def _point_weights(self, i: int) -> tuple[dict, dict]:
-        """The other points' marginal, and their joint grouped by D_i's value."""
-        others: dict[tuple, Fraction] = {}
-        by_value: dict[Value, dict[tuple, Fraction]] = {}
-        for db, w in self.base_joint().weights.items():
+        """The other points' marginal, and their joint grouped by D_i's
+        value, as numerators over the data joint's common denominator."""
+        joint = self.base_joint()
+        others: dict[tuple, int] = {}
+        by_value: dict[Value, dict[tuple, int]] = {}
+        for db, w in joint.integer_marginal(joint.variables)[1]:
             rest = db[: i - 1] + db[i:]
-            others[rest] = others.get(rest, Fraction(0)) + w
+            others[rest] = others.get(rest, 0) + w
             by_value.setdefault(db[i - 1], {})[rest] = w
         return others, by_value
 
-    def _mix(self, i: int, v: Value, weights: dict[tuple, Fraction]) -> tuple:
-        """Kernel rows of the databases with D_i = v, mixed by positive weights
-        on the other points and normalized by their total: the row, and its
-        integer form (denominator, output -> numerator).  The sums run in
-        integers over the weights' and the table's common denominators."""
-        common, rows = self.kernel._integer_rows
-        scale = math.lcm(*(w.denominator for w in weights.values()))
-        total = 0
-        acc: dict[Value, int] = {}
+    def _mix(self, i: int, v: Value, weights: dict[tuple, int]) -> tuple:
+        """Kernel rows of the databases with D_i = v, mixed by positive
+        integer weights on the other points and normalized by their total:
+        the row, and its integer form (denominator, numerators in output
+        order).  The sums run in integers over the table's denominator."""
+        common, rows = self.kernel.integer_table
+        acc = [0] * len(self.kernel.output_domain)
         for rest, w in weights.items():
-            w = w.numerator * (scale // w.denominator)
-            total += w
-            for o, p in rows[rest[: i - 1] + (v,) + rest[i - 1 :]]:
-                acc[o] = acc.get(o, 0) + w * p
-        common *= total
-        return {o: Fraction(p, common) for o, p in acc.items()}, common, acc
+            row = rows[rest[: i - 1] + (v,) + rest[i - 1 :]]
+            acc = list(map(add, acc, map(w.__mul__, row)))
+        common *= sum(weights.values())
+        return {o: Fraction(p, common)
+                for o, p in zip(self.kernel.output_domain, acc) if p}, common, acc
 
     @memoized
     def output_given_db(self, db: tuple) -> Row:
@@ -608,7 +686,7 @@ class CanonicalEngine:
         for every population and every attribute equation."""
         fast = dict(self.kernel.row(db))
         if self.cross_check:
-            common, rows = self.kernel._integer_rows
+            common, rows = self.kernel.integer_table
             self._verify(common, rows[db], self._db_rows, db,
                          _disagreement(enumerate(db, 1)))
         return fast
@@ -628,7 +706,7 @@ class CanonicalEngine:
         fast, common, mixed = self._mix(i, v, self._point_weights(i)[0])
         if self.cross_check:
             oracle = self._oracle_rows(self.model.psem, {d_name(i): v}, (), common)
-            self._verify(common, mixed.items(), oracle, (),
+            self._verify(common, mixed, oracle, (),
                          _disagreement([(i, v)]))
         return fast
 

@@ -342,6 +342,50 @@ def test_a_missing_database_slice_is_a_mismatch(monkeypatch):
     assert engine.cross_checks_done == 1
 
 
+@pytest.mark.parametrize("definition", ["whole_db_universal", "whole_db_intervention"])
+def test_whole_db_check_names_the_first_database_the_pairs_read(monkeypatch,
+                                                                definition):
+    # two databases lose their oracle slices; (pos, neg) comes first in
+    # lexicographic order, but the comparisons read (neg, pos) first, as the
+    # replacement of point 1 in (pos, pos)
+    k = c.geometric_count_kernel(2, F(1, 2))
+    honest = c.ProbabilisticSem.integer_lift
+
+    def without(self, variables):
+        scale, cells = honest(self, variables)
+        return scale, {point: w for point, w in cells.items()
+                       if point[:-1] not in {(POS, NEG), (NEG, POS)}}
+
+    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", without)
+    pop = c.Dist.uniform(c.data_point_names(k), k.databases()) \
+        if definition.endswith("intervention") else None
+    with pytest.raises(c.CrossCheckMismatch) as raised:
+        c.run_check(definition, k, F(2), pop)
+    assert str(raised.value) == (
+        "closed form disagrees with enumeration under "
+        "do([('D_1', 'neg'), ('D_2', 'pos')]) at output 0: "
+        f"{k.row((NEG, POS))[0]} vs None"
+    )
+
+
+@pytest.mark.parametrize("definition", ["whole_db_universal", "whole_db_intervention"])
+def test_whole_db_check_cross_checks_every_database_once(monkeypatch, definition):
+    engines = []
+
+    class Recorded(CanonicalEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(checkers, "CanonicalEngine", Recorded)
+    k = c.randomized_response_kernel(3, F(3, 4))
+    pop = random_population(random.Random(5), k, full_support=False)
+    report = c.run_check(definition, k, F(3),
+                         pop if definition.endswith("intervention") else None)
+    assert report.achieved == F(3)
+    assert [e.cross_checks_done for e in engines] == [len(k.table)] == [3**3]
+
+
 @pytest.mark.parametrize("change, mismatch", [
     ("moved", "'a': 1 vs None"),
     ("added", "'b': None vs 1/2"),

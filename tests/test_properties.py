@@ -6,9 +6,11 @@ small random models.  The hypothesis profile is set in conftest.py.
 """
 
 import json
+import math
 import re
 from fractions import Fraction as F
 from itertools import product
+from typing import Iterator
 
 import pytest
 from hypothesis import given
@@ -28,6 +30,7 @@ from causaldp import (
 )
 from causaldp.checkers import ASSOCIATIVE_GIVEN_P, _grid_marginals
 from causaldp.exact import format_rational, ratio_divide, value_sort_key
+from causaldp.mechanisms import neighbour_sweep
 from causaldp.modelfile import (
     canonical_json,
     digest_of_text,
@@ -389,6 +392,66 @@ def _reference_sweep(outputs, pairs, axis="o"):
                 ratio_divide(left.get(o, F(0)), right.get(o, F(0))), {**where, axis: o}
             )
     return tracker.bound(), skipped
+
+
+def neighbours(kernel: c.MechanismKernel, output_of) -> Iterator[tuple]:
+    """Comparisons of databases d, d' differing at most at one point, for
+    `sweep`: coordinate i ascending, database d lexicographic, replacement
+    value in domain order.  Both orders of every pair are enumerated."""
+    for i in range(kernel.n):
+        for d in kernel.databases():
+            left = output_of(d)
+            for v_prime in kernel.data_domain:
+                d_prime = d[:i] + (v_prime,) + d[i + 1 :]
+                yield left, output_of(d_prime), {"i": i + 1, "d": d, "d_prime_i": v_prime}
+
+
+@pytest.mark.parametrize("source", ["kernel", "intervened", "conditioned"])
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.data())
+def test_neighbour_sweep_equals_the_reference_family(source, rng, n, dom_size,
+                                                     out_size, data):
+    """`neighbour_sweep` folds groups of |D| rows over the integer table;
+    `sweep` over `neighbours` compares them pair by pair.  Same value,
+    witness (in the same key order) and skipped count, and the same
+    databases read in the order the pairs first read them, for kernel rows,
+    cross-checked whole-database interventions and conditionals on the
+    database under populations with zero weights or a point mass.  Kernels
+    keep zero entries, so some ratios are infinite and some vacuous, and
+    some move the first output's weight onto the second, so every group
+    has a vacuous column ahead of its finite ratios."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    if out_size > 1 and data.draw(st.booleans()):
+        first, second = kernel.output_domain[:2]
+        table = {db: {**row, first: F(0),
+                      second: row.get(first, F(0)) + row.get(second, F(0))}
+                 for db, row in kernel.table.items()}
+        kernel = c.MechanismKernel(n, kernel.data_domain, kernel.null_value,
+                                   kernel.output_domain, table)
+    dbs = list(kernel.databases())
+    pop = Dist(c.data_point_names(kernel),
+               dict(zip(dbs, _mixed_weights(data.draw, len(dbs)))))
+    engine = CanonicalEngine(c.CanonicalModel(kernel, (), pop),
+                             cross_check=source == "intervened")
+    output_of = {"kernel": kernel.table.__getitem__,
+                 "intervened": engine.output_given_db,
+                 "conditioned": engine.output_conditioned_on_db}[source]
+    read, first_read = [], []
+
+    def reading(log: list):
+        return lambda db: log.append(db) or output_of(db)
+
+    bound, skipped = neighbour_sweep(kernel, reading(read))
+    want, want_skipped = sweep(kernel.output_domain,
+                               neighbours(kernel, reading(first_read)))
+    assert (bound.value, bound.witness, skipped) == (want.value, want.witness,
+                                                     want_skipped)
+    assert type(bound.value) is type(want.value)
+    if want.witness is not None:
+        assert list(bound.witness) == list(want.witness)
+    assert read == list(dict.fromkeys(first_read))
+    if source == "intervened":
+        assert engine.cross_checks_done == len(dbs)
 
 
 @st.composite
@@ -755,6 +818,26 @@ def test_serialize_parse_serialize_is_byte_stable(kernel_and_table, psem):
     assert input_digest(parse_text(json.dumps(spelled_out))) == input_digest(kernel)
 
 
+@given(kernels_with_zero_entries())
+def test_integer_table_is_the_table_over_one_denominator(kernel_and_table):
+    """Cell by cell, the integer table is L times the kernel's weight (0
+    where the row has no entry), L the lcm of the table's denominators, in
+    database and output order; also on the parsed kernel, whose cells share
+    one `Fraction` per distinct weight."""
+    kernel, _ = kernel_and_table
+    parsed = parse_text(canonical_json(serialize_input(kernel)))
+    for k in (kernel, parsed):
+        common, rows = k.integer_table
+        weights = [w for row in k.table.values() for w in row.values()]
+        assert common == math.lcm(*(w.denominator for w in weights))
+        assert list(rows) == list(k.databases())
+        for db, row in rows.items():
+            assert row == tuple(common * k.table[db].get(o, F(0))
+                                for o in k.output_domain)
+            assert all(type(p) is int for p in row)
+    assert parsed.integer_table == kernel.integer_table
+
+
 def _refusal(build) -> tuple:
     try:
         build()
@@ -1096,3 +1179,60 @@ def test_factors_as_product_equals_the_reference_test(rng, sizes, as_product):
     else:
         joint = Dist(names, _random_row(rng, list(product(*map(range, sizes)))))
     assert joint.factors_as_product() == _reference_factors_as_product(joint)
+
+
+def _product_definition(joint: Dist) -> bool:
+    """`factors_as_product` as first written: the product of the 1-D
+    marginals, built as a `Dist`, has the joint's weights."""
+    marginals = (joint.marginal((name,)) for name in joint.variables)
+    return Dist.product(*marginals).weights == joint.weights
+
+
+@st.composite
+def joints_near_products(draw) -> tuple[str, Dist, Dist | None]:
+    """(kind, joint, the product it was made from) over 1-3 variables of 1-3
+    values: a product of drawn marginals (zero weights allowed), a drawn
+    joint, or a product with mass e moved around a rectangle of two values
+    of its first two variables, which keeps every marginal; at the largest
+    e two points leave the support."""
+    kind = draw(st.sampled_from(["product", "drawn", "same marginals"]))
+    moved = kind == "same marginals"
+    sizes = draw(st.lists(st.integers(1 + moved, 3), min_size=1 + moved, max_size=3))
+    names = tuple(f"X{j}" for j in range(len(sizes)))
+    if kind == "drawn":
+        points = list(product(*map(range, sizes)))
+        return kind, Dist(names, dict(zip(points, _weights(draw, len(points))))), None
+    marginals = []
+    for j, (name, k) in enumerate(zip(names, sizes)):
+        # the moved variables keep their first two values in the support
+        raw = [draw(st.integers(int(moved and j < 2 and v < 2), 3)) for v in range(k)]
+        raw[0] += not sum(raw)
+        marginals.append(Dist((name,), {(v,): F(w, sum(raw)) for v, w in enumerate(raw)}))
+    joint = Dist.product(*marginals)
+    if not moved:
+        return kind, joint, joint
+    base = draw(st.sampled_from(sorted(joint.weights)))
+
+    def at(x: int, y: int) -> tuple:
+        return (x, y) + base[2:]
+
+    weights = dict(joint.weights)
+    e = min(weights[at(0, 1)], weights[at(1, 0)]) / draw(st.sampled_from([1, 2]))
+    for point, sign in ((at(0, 0), 1), (at(1, 1), 1), (at(0, 1), -1), (at(1, 0), -1)):
+        weights[point] += sign * e
+    return kind, Dist(names, weights), joint
+
+
+@given(joints_near_products())
+def test_factors_as_product_equals_the_product_definition(drawn):
+    """The integer test agrees with building the product of the marginals:
+    on products (every 1-D joint is one), on drawn joints and on joints
+    with a product's marginals that are no product."""
+    kind, joint, made_from = drawn
+    assert joint.factors_as_product() == _product_definition(joint)
+    if kind == "product":
+        assert joint.factors_as_product()
+    if kind == "same marginals":
+        assert all(joint.marginal((name,)) == made_from.marginal((name,))
+                   for name in joint.variables)
+        assert not joint.factors_as_product()
