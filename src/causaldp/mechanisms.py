@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, product
-from operator import add, eq
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dist import Dist, check_table, exact_row
@@ -74,6 +74,35 @@ def _require_points(n: int) -> None:
         raise DomainMismatch("a mechanism needs at least one data point")
 
 
+def _tabulate(table: dict, databases: Iterable[tuple],
+              outputs: tuple) -> tuple[int, dict[tuple, tuple]] | None:
+    """The table over one common denominator L, the lcm of its weights'
+    denominators: (L, database -> the row's numerators in `outputs` order,
+    0 where the row has no entry), databases in the given order.  None
+    unless every weight is a positive `Fraction` and every row's numerators
+    sum to L.  Each distinct weight object is tested and converted once."""
+    databases = list(databases)
+    blank = dict.fromkeys(outputs)  # None where a row has no entry
+    cells = list(chain.from_iterable(
+        {**blank, **table[db]}.values() for db in databases))
+    ids = list(map(id, cells))  # unique while `cells` holds every weight
+    terms = {id(None): (0, 1)}  # no entry
+    for key, w in dict(zip(ids, cells)).items():
+        if w is not None:
+            if not isinstance(w, Fraction):
+                return None
+            num, den = terms[key] = w.as_integer_ratio()
+            if num <= 0:
+                return None
+    common = math.lcm(*{den for _, den in terms.values()})
+    scaled = {key: num * (common // den) for key, (num, den) in terms.items()}
+    numerators = map(scaled.__getitem__, ids)
+    rows = dict(zip(databases, zip(*[numerators] * len(outputs))))  # |O| at a time
+    if not all(map(common.__eq__, map(sum, rows.values()))):
+        return None
+    return common, rows
+
+
 @dataclass(frozen=True)
 class MechanismKernel:
     """An extensional release mechanism.
@@ -86,6 +115,10 @@ class MechanismKernel:
       output_domain: the mechanism's output values, in report order.
       table: database tuple -> {output: positive weight}; one row per database
         in data_domain^n, each summing to exactly 1 (zero entries dropped).
+      integer_table: set on construction, not an argument: the table over
+        one common denominator as `_tabulate` gives it, (L, database -> the
+        row's numerators in `output_domain` order), so rows are mixed and
+        compared in integers.
     """
 
     n: int
@@ -95,6 +128,13 @@ class MechanismKernel:
     table: dict[tuple, dict[Value, Fraction]]
 
     def __post_init__(self):
+        """Validate by building `integer_table` in one walk over the cells:
+        each distinct weight object is tested once to be a positive
+        `Fraction`, and each row's numerators must sum to L.  Only a table
+        that fails (rare: a zero entry, a weight of another type or sign, a
+        wrong row sum) is walked again row by row through `exact_row`, which
+        raises the first error in `table` order, or drops the zeros and
+        leaves a table that tabulates."""
         _require_points(self.n)
         if len(set(self.data_domain)) != len(self.data_domain) or not self.data_domain:
             raise DomainMismatch("data domain must be nonempty without duplicates")
@@ -105,11 +145,17 @@ class MechanismKernel:
         if len(set(self.output_domain)) != len(self.output_domain) or not self.output_domain:
             raise DomainMismatch("output domain must be nonempty without duplicates")
         check_table(self.table, self.databases(), self.output_domain, "kernel table")
-        cleaned = {
-            db: exact_row(row, DomainMismatch, "kernel row", db)
-            for db, row in self.table.items()
-        }
+        tabulated = _tabulate(self.table, self.databases(), self.output_domain)
+        if tabulated is None:
+            cleaned = {
+                db: exact_row(row, DomainMismatch, "kernel row", db)
+                for db, row in self.table.items()
+            }
+            tabulated = _tabulate(cleaned, self.databases(), self.output_domain)
+        else:  # the kernel owns its rows, as after the row walk
+            cleaned = {db: dict(row) for db, row in self.table.items()}
         object.__setattr__(self, "table", cleaned)
+        object.__setattr__(self, "integer_table", tabulated)
 
     def databases(self) -> Iterator[tuple]:
         """All databases in lexicographic (domain declaration) order."""
@@ -122,25 +168,6 @@ class MechanismKernel:
             raise ValueOutOfDomain(
                 f"{preview(db)} is not a database over the domain"
             ) from None
-
-    @cached_property
-    def integer_table(self) -> tuple[int, dict[tuple, tuple[int, ...]]]:
-        """The table over one common denominator L: (L, database -> the row's
-        numerators in `output_domain` order, 0 where the row has no entry),
-        databases in `databases()` order.  Each distinct weight object is
-        converted once, so rows are mixed and compared in integers."""
-        zeros = dict.fromkeys(self.output_domain, Fraction(0))
-        databases = list(self.databases())
-        cells = list(chain.from_iterable(
-            {**zeros, **self.table[db]}.values() for db in databases))
-        ids = list(map(id, cells))  # unique while `cells` holds every weight
-        terms = {key: w.as_integer_ratio() for key, w in dict(zip(ids, cells)).items()}
-        common = math.lcm(*{den for _, den in terms.values()})
-        scaled = {key: num * (common // den) for key, (num, den) in terms.items()}
-        numerators = list(map(scaled.__getitem__, ids))
-        width = len(self.output_domain)
-        return common, {db: tuple(numerators[j * width : (j + 1) * width])
-                        for j, db in enumerate(databases)}
 
     @cached_property
     def _canonical_sem(self) -> Sem:
@@ -174,10 +201,20 @@ def randomized_response_kernel(n: int, truth_bias: Fraction) -> MechanismKernel:
         for c in range(n + 1)
     ]
     outputs = tuple(product((POS, NEG), repeat=n))
-    table: dict[tuple, dict[Value, Fraction]] = {}
-    for db in product(RESPONDENT_DOMAIN, repeat=n):
-        values = cell[db.count(NULL)]
-        table[db] = {report: values[sum(map(eq, db, report))] for report in outputs}
+    # Databases and reports both vary their last coordinate fastest, so a
+    # database's agreement counts with every report extend its prefix's by
+    # one coordinate: (counts in report order, nulls) per prefix.
+    agrees = {POS: (1, 0), NEG: (0, 1), NULL: (0, 0)}
+    prefixes: dict[tuple, tuple[list[int], int]] = {(): ([0], 0)}
+    for _ in range(n):
+        prefixes = {
+            prefix + (x,): ([a + b for a in counts for b in agrees[x]],
+                            nulls + (x == NULL))
+            for prefix, (counts, nulls) in prefixes.items()
+            for x in RESPONDENT_DOMAIN
+        }
+    table = {db: dict(zip(outputs, map(cell[nulls].__getitem__, counts)))
+             for db, (counts, nulls) in prefixes.items()}
     return MechanismKernel(n, RESPONDENT_DOMAIN, NULL, outputs, table)
 
 

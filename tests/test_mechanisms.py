@@ -1,5 +1,6 @@
 """Mechanism kernels and the canonical release model."""
 
+import operator
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -16,9 +17,10 @@ from causaldp import (
     Dist,
     RatioOutOfRange,
 )
-from causaldp import checkers
+from causaldp import checkers, dist, mechanisms, sem
 from causaldp.cli import main
 from causaldp.exact import memoized
+from causaldp.modelfile import canonical_json, parse_text, serialize_input
 from conftest import random_kernel, random_population
 
 
@@ -78,6 +80,32 @@ def test_rr_row_sums_and_support():
         assert len(k.table[db]) == 8
 
 
+def _rr_per_cell(n, q):
+    """Randomized response as first written: each cell looked up by its
+    database's null count and its agreement count with the report."""
+    cell = [[q**a * (1 - q) ** (n - c - a) / 2**c for a in range(n - c + 1)]
+            for c in range(n + 1)]
+    outputs = tuple(product((POS, NEG), repeat=n))
+    return {db: {report: cell[db.count(NULL)][sum(map(operator.eq, db, report))]
+                 for report in outputs}
+            for db in product((POS, NEG, NULL), repeat=n)}
+
+
+@pytest.mark.parametrize("q", [F(2, 3), F(3, 4), F(5, 8)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rr_kernel_equals_the_per_cell_formula(n, q):
+    """Rows built by prefix equal the per-cell formula, cell by cell and in
+    database and report order, and share at most (n+1)(n+2)/2 distinct
+    `Fraction` objects."""
+    k = c.randomized_response_kernel(n, q)
+    reference = _rr_per_cell(n, q)
+    assert k.table == reference
+    assert list(k.table) == list(reference)
+    assert all(list(k.table[db]) == list(row) for db, row in reference.items())
+    cells = {id(w) for row in k.table.values() for w in row.values()}
+    assert len(cells) <= (n + 1) * (n + 2) // 2
+
+
 @pytest.mark.parametrize("n,q,expected", [
     (1, F(2, 3), F(2)),
     (2, F(2, 3), F(2)),
@@ -128,6 +156,27 @@ def test_geometric_row_symmetry_mirror():
     assert low == {n - o: w for o, w in high.items()}
 
 
+@pytest.mark.parametrize("r", [F(1, 2), F(1, 3), F(2, 3)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_geometric_kernel_equals_its_closed_form(n, r):
+    """Every cell is the docstring's closed form at the database's count of
+    `pos` entries: r^c/(1+r) at 0, r^(n-c)/(1+r) at n, and
+    (1-r)/(1+r) r^|o-c| between."""
+    k = c.geometric_count_kernel(n, r)
+
+    def closed_form(count, o):
+        if o == 0:
+            return r**count / (1 + r)
+        if o == n:
+            return r ** (n - count) / (1 + r)
+        return (1 - r) / (1 + r) * r ** abs(o - count)
+
+    assert list(k.table) == list(product((POS, NEG, NULL), repeat=n))
+    for db, row in k.table.items():
+        assert list(row) == list(range(n + 1))
+        assert row == {o: closed_form(db.count(POS), o) for o in range(n + 1)}
+
+
 @pytest.mark.parametrize("n,r", [(1, F(1, 2)), (2, F(1, 2)), (3, F(1, 2)),
                                  (2, F(1, 3)), (4, F(2, 3))])
 def test_geometric_classic_ratio_is_inverse_noise(n, r):
@@ -135,6 +184,30 @@ def test_geometric_classic_ratio_is_inverse_noise(n, r):
     bound = c.classic_epsilon(k)
     assert bound.value == 1 / r
     assert brute_force_classic(k) == 1 / r
+
+
+# --- reading a kernel ----------------------------------------------------------------
+
+
+def test_a_valid_kernel_is_read_in_one_walk(monkeypatch):
+    """A builtin kernel and a parsed one hold their integer table from
+    construction, and neither their construction nor `classic_epsilon` on
+    them walks a row through `exact_row`: a valid table is validated by
+    building the integer table, once."""
+    text = canonical_json(serialize_input(c.geometric_count_kernel(3, F(1, 3))))
+    calls = []
+    for module in (dist, mechanisms, sem):
+        inner = module.exact_row
+
+        def counted(*args, inner=inner, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "exact_row", counted)
+    for kernel in (c.randomized_response_kernel(3, F(2, 3)), parse_text(text)):
+        assert "integer_table" in vars(kernel)
+        c.classic_epsilon(kernel)
+    assert calls == []
 
 
 # --- the hiding counterexample kernels -----------------------------------------------

@@ -57,3 +57,31 @@ def test_strong_adversary_one_dist_never_exceeds_classic(rng, n, dom_size,
     for pop in (_population(data.draw, names, kernel), Dist.point_mass(names, db)):
         report = c.run_check(DefinitionId.STRONG_ADVERSARY_ONE_DIST, kernel, F(1), pop)
         assert c.ratio_le(report.achieved, classic)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+def test_bayesian0_never_exceeds_classic_to_the_n(rng, n, dom_size, out_size, data):
+    """`bayesian0` is at most classic^n under every population, zero-weight
+    databases and point masses included: conditioning on D_i = v mixes the
+    rows of every database with v at i, and two databases differ in at most
+    n points, so conditioning can compound row ratios over all n points, the
+    group-privacy bound, but no further.  Generated kernels with and without
+    zero entries, so some classic ratios are infinite, and randomized
+    response, where the population that copies one value into every point
+    attains the bound."""
+    rr = data.draw(st.booleans())
+    if rr:
+        q = data.draw(st.sampled_from([F(2, 3), F(3, 4)]))
+        kernel = c.randomized_response_kernel(n, q)
+    else:
+        kernel = random_kernel(rng, n, dom_size, out_size, data.draw(st.booleans()))
+    bound = c.classic_epsilon(kernel).value ** n
+    names = c.data_point_names(kernel)
+    db = data.draw(st.sampled_from(list(kernel.databases())))
+    copies = Dist.uniform(names, [(v,) * n for v in kernel.data_domain])
+    drawn = _population(data.draw, names, kernel)
+    for pop in (drawn, Dist.point_mass(names, db), copies):
+        report = c.run_check(DefinitionId.BAYESIAN0, kernel, F(1), pop)
+        assert c.ratio_le(report.achieved, bound)
+    assert not rr or report.achieved == bound

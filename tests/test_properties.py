@@ -29,6 +29,7 @@ from causaldp import (
     constant_equation,
 )
 from causaldp.checkers import ASSOCIATIVE_GIVEN_P, _grid_marginals
+from causaldp.dist import exact_row
 from causaldp.exact import format_rational, ratio_divide, value_sort_key
 from causaldp.mechanisms import neighbour_sweep
 from causaldp.modelfile import (
@@ -916,6 +917,74 @@ def test_constructors_reject_inexact_rows(size, fault, data):
         StochasticEquation("Y", (), {(): dict(zip(values, row))})
     with pytest.raises(c.DomainMismatch, match=match):
         c.MechanismKernel(1, (0,), 0, values, {(0,): dict(zip(values, row))})
+
+
+def _positive_weights(draw, size: int) -> list[F]:
+    raw = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    return [F(w, sum(raw)) for w in raw]
+
+
+def _row_walk(table: dict):
+    """The reference reading of a kernel table: `exact_row` on each row in
+    `table.items()` order; the cleaned table, or the first error's class
+    and message."""
+    try:
+        return {db: exact_row(row, c.DomainMismatch, "kernel row", db)
+                for db, row in table.items()}
+    except c.DomainMismatch as e:
+        return type(e), str(e)
+
+
+_ROW_FAULTS = ("float", "exact float", "negative", "sum", "int", "bool")
+
+
+@pytest.mark.parametrize("fault", (None,) + _ROW_FAULTS)
+@pytest.mark.parametrize("weights", (_weights, _positive_weights),
+                         ids=("zeros", "positive"))
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(2, 3), st.data())
+def test_kernel_errors_are_those_of_the_row_walk(weights, fault, n, dom_size,
+                                                 out_size, data):
+    """The constructor validates through its integer table and walks rows
+    with `exact_row` only to word an error.  On a multi-row table given in
+    shuffled row order, with `fault` in one drawn row and maybe a second
+    fault in another, the error's class and message are those of the row
+    walk in `table.items()` order; a table without a fault keeps its row
+    order and loses its zero entries.  Weights with zero entries send every
+    table to the row walk; positive ones let the integer table judge it."""
+    dom = tuple(range(dom_size))
+    outs = tuple(f"o{j}" for j in range(out_size))
+    order = data.draw(st.permutations(list(product(dom, repeat=n))))
+    table = {db: dict(zip(outs, weights(data.draw, out_size))) for db in order}
+    more = data.draw(st.lists(st.sampled_from(_ROW_FAULTS), max_size=1))
+    kinds = ([] if fault is None else [fault]) + more
+    for kind, db in zip(kinds, data.draw(st.permutations(order))):
+        row = table[db]
+        o, other = data.draw(st.permutations(outs))[:2]
+        if kind == "float":
+            row[o] = float(row[o])
+        elif kind == "exact float":  # the row sums to 1; a type is wrong
+            rest = [key for key in outs if key != o]
+            row.update(dict.fromkeys(rest, F(1, 2 * len(rest))))
+            row[o] = 0.5
+        elif kind == "negative":
+            row[o] -= 2  # still sums to 1
+            row[other] += 2
+        elif kind == "sum":
+            row[o] += F(1, 7)
+        elif kind == "int":
+            row[o] = row[o].numerator // row[o].denominator  # 0 or 1
+        else:
+            row[o] = True
+    expected = _row_walk(table)
+    build = lambda: c.MechanismKernel(n, dom, dom[0], outs, table)  # noqa: E731
+    if isinstance(expected, tuple):
+        with pytest.raises(Exception) as exc:
+            build()
+        assert (type(exc.value), str(exc.value)) == expected
+        return
+    kernel = build()
+    assert kernel.table == expected and list(kernel.table) == order
+    assert all(w > 0 for row in kernel.table.values() for w in row.values())
 
 
 def _repeating_weights(draw, size: int) -> list[F]:
