@@ -41,7 +41,7 @@ def _plain(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
     _check_observation(kernel, observation)
     return _bayes(
         prior,
-        lambda db: kernel.table[db].get(observation, Fraction(0)),
+        lambda db: kernel.row(db).get(observation, Fraction(0)),
         f"output {preview(observation)} has probability zero under this prior",
     )
 
@@ -58,9 +58,9 @@ def _forced(
         raise ValueOutOfDomain(f"{preview(value)} not a data value")
     return _bayes(
         prior,
-        lambda db: kernel.table[
+        lambda db: kernel.row(
             db[: point_index - 1] + (value,) + db[point_index:]
-        ].get(observation, Fraction(0)),
+        ).get(observation, Fraction(0)),
         f"output {preview(observation)} has probability zero under this prior "
         f"once point {point_index} is forced to {preview(value)}",
     )

@@ -109,8 +109,14 @@ def parse_rational(text: str, location: str = "") -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical "p/q" form (denominator always written, e.g. "2/1")."""
+    return format_terms(x.numerator, x.denominator)
+
+
+def format_terms(numerator: int, denominator: int) -> str:
+    """"p/q" of a reduced fraction's two terms, as `format_rational` writes
+    it, without building the `Fraction`."""
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{numerator}/{denominator}"
     except ValueError:
         raise RatioTooLong(
             f"a reported ratio is too long to print: an integer may have at "

@@ -16,10 +16,11 @@ the R side.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, compress, product
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -115,10 +116,14 @@ class MechanismKernel:
       output_domain: the mechanism's output values, in report order.
       table: database tuple -> {output: positive weight}; one row per database
         in data_domain^n, each summing to exactly 1 (zero entries dropped).
-      integer_table: set on construction, not an argument: the table over
-        one common denominator as `_tabulate` gives it, (L, database -> the
-        row's numerators in `output_domain` order), so rows are mixed and
-        compared in integers.
+        A kernel built from a table keeps it, in its own order; a builtin is
+        built from its integer rows and derives its table on first read.
+      integer_table: the kernel's own representation, set on construction,
+        not an argument: the table over one common denominator L, the lcm
+        of its weights' denominators, as (L, database -> the row's
+        numerators in `output_domain` order, 0 for no entry), databases in
+        `databases()` order.  Checks mix and compare rows in these
+        integers, and `row` reads them.
     """
 
     n: int
@@ -135,15 +140,7 @@ class MechanismKernel:
         wrong row sum) is walked again row by row through `exact_row`, which
         raises the first error in `table` order, or drops the zeros and
         leaves a table that tabulates."""
-        _require_points(self.n)
-        if len(set(self.data_domain)) != len(self.data_domain) or not self.data_domain:
-            raise DomainMismatch("data domain must be nonempty without duplicates")
-        if self.null_value not in self.data_domain:
-            raise ValueOutOfDomain(
-                f"null value {preview(self.null_value)} missing from data domain"
-            )
-        if len(set(self.output_domain)) != len(self.output_domain) or not self.output_domain:
-            raise DomainMismatch("output domain must be nonempty without duplicates")
+        self._check_domains()
         check_table(self.table, self.databases(), self.output_domain, "kernel table")
         tabulated = _tabulate(self.table, self.databases(), self.output_domain)
         if tabulated is None:
@@ -157,13 +154,51 @@ class MechanismKernel:
         object.__setattr__(self, "table", cleaned)
         object.__setattr__(self, "integer_table", tabulated)
 
+    def _check_domains(self) -> None:
+        _require_points(self.n)
+        if len(set(self.data_domain)) != len(self.data_domain) or not self.data_domain:
+            raise DomainMismatch("data domain must be nonempty without duplicates")
+        if self.null_value not in self.data_domain:
+            raise ValueOutOfDomain(
+                f"null value {preview(self.null_value)} missing from data domain"
+            )
+        if len(set(self.output_domain)) != len(self.output_domain) or not self.output_domain:
+            raise DomainMismatch("output domain must be nonempty without duplicates")
+
+    def __getattr__(self, name: str):
+        """`table`, derived from `integer_table` on its first read by a
+        kernel built from integer rows (`_integer_kernel`): rows in
+        `databases()` order, outputs in report order, and one `Fraction`
+        per distinct numerator, shared by every cell that holds it.  No
+        other attribute is ever derived."""
+        if name != "table":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        outputs, fractions = self.output_domain, self._fractions
+        table = {db: {o: fractions[p] for o, p in zip(outputs, row) if p}
+                 for db, row in self.integer_table[1].items()}
+        object.__setattr__(self, "table", table)
+        return table
+
+    @cached_property
+    def _fractions(self) -> dict[int, Fraction]:
+        """numerator -> its weight over L, one object per distinct numerator."""
+        common, rows = self.integer_table
+        return {p: Fraction(p, common) for p in set(chain.from_iterable(rows.values()))}
+
+    @cached_property
+    def _output_index(self) -> dict[Value, int]:
+        return {o: j for j, o in enumerate(self.output_domain)}
+
     def databases(self) -> Iterator[tuple]:
         """All databases in lexicographic (domain declaration) order."""
         return product(self.data_domain, repeat=self.n)
 
-    def row(self, db: tuple) -> dict[Value, Fraction]:
+    def row(self, db: tuple) -> KernelRow:
+        """The row of `db`, read from `integer_table`: equal to `table[db]`,
+        without deriving `table`."""
         try:
-            return self.table[tuple(db)]
+            return KernelRow(self, self.integer_table[1][tuple(db)])
         except KeyError:
             raise ValueOutOfDomain(
                 f"{preview(db)} is not a database over the domain"
@@ -176,6 +211,54 @@ class MechanismKernel:
         sem = _build_canonical_sem(self)
         sem.validate()
         return sem
+
+
+class KernelRow(Mapping):
+    """One kernel row as a read-only mapping, output -> positive weight in
+    report order, over the row's numerators in `integer_table`: each weight
+    is the kernel's one `Fraction` for its numerator.  Building one reads no
+    cell, so a caller that only needs a row to exist (a sweep's reading of
+    it) pays for no weight; it equals the row's dict."""
+
+    __slots__ = ("kernel", "numerators")
+
+    def __init__(self, kernel: MechanismKernel, numerators: tuple[int, ...]):
+        self.kernel, self.numerators = kernel, numerators
+
+    def __getitem__(self, o: Value) -> Fraction:
+        p = self.numerators[self.kernel._output_index[o]]
+        if not p:
+            raise KeyError(o)
+        return self.kernel._fractions[p]
+
+    def __iter__(self) -> Iterator[Value]:
+        return compress(self.kernel.output_domain, self.numerators)
+
+    def __len__(self) -> int:
+        return len(self.numerators) - self.numerators.count(0)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def _integer_kernel(n: int, data_domain: tuple, null_value: Value,
+                    output_domain: tuple, common: int,
+                    rows: dict[tuple, tuple[int, ...]]) -> MechanismKernel:
+    """The kernel whose `integer_table` is (common, rows), with every
+    database's row in `databases()` order over L = `common`, the lcm of the
+    reduced weights' denominators; its `table` is derived on first read.
+    Validated in integers: one sign test per distinct numerator, then each
+    row must sum to L.  A kernel that fails is built from its derived
+    `Fraction` table instead, whose validation words the first error."""
+    kernel = object.__new__(MechanismKernel)
+    for name, value in (("n", n), ("data_domain", data_domain),
+                        ("null_value", null_value), ("output_domain", output_domain),
+                        ("integer_table", (common, rows))):
+        object.__setattr__(kernel, name, value)
+    kernel._check_domains()
+    if min(kernel._fractions) < 0 or not all(map(common.__eq__, map(sum, rows.values()))):
+        return MechanismKernel(n, data_domain, null_value, output_domain, kernel.table)
+    return kernel
 
 
 # --- concrete mechanisms ----------------------------------------------------
@@ -195,11 +278,14 @@ def randomized_response_kernel(n: int, truth_bias: Fraction) -> MechanismKernel:
         raise BiasOutOfRange(f"truth bias must satisfy 1/2 < q < 1, got {q}")
     _require_points(n)
     # A cell is q^a (1-q)^b (1/2)^c for a agreeing, b disagreeing and c null
-    # coordinates, so each distinct value is built once: cell[c][a].
-    cell = [
+    # coordinates, so each distinct value is built once, then put over the
+    # lcm L of their denominators: cell[c][a] is its numerator over L.
+    weights = [
         [q**a * (1 - q) ** (n - c - a) / 2**c for a in range(n - c + 1)]
         for c in range(n + 1)
     ]
+    common = math.lcm(*(w.denominator for w in chain.from_iterable(weights)))
+    cell = [[w.numerator * (common // w.denominator) for w in ws] for ws in weights]
     outputs = tuple(product((POS, NEG), repeat=n))
     # Databases and reports both vary their last coordinate fastest, so a
     # database's agreement counts with every report extend its prefix's by
@@ -213,9 +299,9 @@ def randomized_response_kernel(n: int, truth_bias: Fraction) -> MechanismKernel:
             for prefix, (counts, nulls) in prefixes.items()
             for x in RESPONDENT_DOMAIN
         }
-    table = {db: dict(zip(outputs, map(cell[nulls].__getitem__, counts)))
-             for db, (counts, nulls) in prefixes.items()}
-    return MechanismKernel(n, RESPONDENT_DOMAIN, NULL, outputs, table)
+    rows = {db: tuple(map(cell[nulls].__getitem__, counts))
+            for db, (counts, nulls) in prefixes.items()}
+    return _integer_kernel(n, RESPONDENT_DOMAIN, NULL, outputs, common, rows)
 
 
 def geometric_count_kernel(n: int, noise_ratio: Fraction) -> MechanismKernel:
@@ -238,22 +324,22 @@ def geometric_count_kernel(n: int, noise_ratio: Fraction) -> MechanismKernel:
     if not 0 < r < 1:
         raise RatioOutOfRange(f"noise ratio must satisfy 0 < r < 1, got {r}")
     _require_points(n)
-    rows: dict[int, dict[Value, Fraction]] = {}
+    weights = []  # by true count c, outputs 0..n
     for c in range(n + 1):
-        row: dict[Value, Fraction] = {}
+        row = []
         for o in range(n + 1):
             if o == 0:
-                row[o] = (r**c if c > 0 else Fraction(1)) / (1 + r)
+                row.append((r**c if c > 0 else Fraction(1)) / (1 + r))
             elif o == n:
-                row[o] = (r ** (n - c) if c < n else Fraction(1)) / (1 + r)
+                row.append((r ** (n - c) if c < n else Fraction(1)) / (1 + r))
             else:
-                row[o] = (1 - r) / (1 + r) * r ** abs(o - c)
-        rows[c] = row
-    table: dict[tuple, dict[Value, Fraction]] = {}
-    for db in product(RESPONDENT_DOMAIN, repeat=n):
-        c = sum(1 for x in db if x == POS)
-        table[db] = dict(rows[c])
-    return MechanismKernel(n, RESPONDENT_DOMAIN, NULL, tuple(range(n + 1)), table)
+                row.append((1 - r) / (1 + r) * r ** abs(o - c))
+        weights.append(row)
+    common = math.lcm(*(w.denominator for w in chain.from_iterable(weights)))
+    by_count = [tuple(w.numerator * (common // w.denominator) for w in row)
+                for row in weights]
+    rows = {db: by_count[db.count(POS)] for db in product(RESPONDENT_DOMAIN, repeat=n)}
+    return _integer_kernel(n, RESPONDENT_DOMAIN, NULL, tuple(range(n + 1)), common, rows)
 
 
 def hidden_pair_kernel() -> MechanismKernel:
@@ -305,16 +391,17 @@ def constant_kernel(
 
 # --- comparison families ------------------------------------------------------
 
-Row = dict[Value, Fraction]
+Row = Mapping[Value, Fraction]
 
 
 def neighbour_sweep(kernel: MechanismKernel,
                     output_of: Callable) -> tuple[RatioBound, int]:
     """`sweep` over the comparisons of databases d, d' differing at most at
-    one point, (supremum, skipped).  `output_of(d)` returns d's kernel row,
-    or None to skip every comparison of d; the rows are read from the
-    kernel's `integer_table`.  The comparisons run in the order coordinate
-    i ascending, database d lexicographic, replacement value v' in domain
+    one point, (supremum, skipped).  `output_of(d)` returns None to skip
+    every comparison of d, and anything else (d's row, in any form) to keep
+    them; only that test is read, and the rows compared are the kernel's
+    `integer_table`.  The comparisons run in the order coordinate i
+    ascending, database d lexicographic, replacement value v' in domain
     order, output o in report order, both orders of every pair included,
     with witness {"i", "d", "d_prime_i", "o"}; `output_of` is called once
     per database, in the order those comparisons first read it.
@@ -409,7 +496,7 @@ def classic_epsilon(kernel: MechanismKernel) -> RatioBound:
     witness is the first maximizer in `neighbour_sweep` order, output in
     report order; the supremum is symmetric and at least 1.
     """
-    return neighbour_sweep(kernel, kernel.table.__getitem__)[0]
+    return neighbour_sweep(kernel, kernel.integer_table[1].__getitem__)[0]
 
 
 # --- the canonical release model ---------------------------------------------
@@ -564,7 +651,7 @@ def _build_canonical_sem(kernel: MechanismKernel) -> Sem:
         DB_VAR, d_names, [kernel.data_domain] * n, lambda *vals: tuple(vals)
     )
     equations[OUTPUT_VAR] = StochasticEquation(
-        OUTPUT_VAR, (DB_VAR,), {(db,): dict(kernel.table[db]) for db in db_domain}
+        OUTPUT_VAR, (DB_VAR,), {(db,): kernel.table[db] for db in db_domain}
     )
     return Sem(names, domains, equations)
 
@@ -721,7 +808,7 @@ class CanonicalEngine:
     def output_given_db(self, db: tuple) -> Row:
         """Fr[O | do(D_1 = db_1, ..., D_n = db_n)]: the kernel row itself,
         for every population and every attribute equation."""
-        fast = dict(self.kernel.row(db))
+        fast = self.kernel.row(db)
         if self.cross_check:
             common, rows = self.kernel.integer_table
             self._verify(common, rows[db], self._db_rows, db,

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from typing import Any, Callable, Iterator
 
 from .brp import SequentialComposition
@@ -33,6 +35,7 @@ from .exact import (
     Value,
     epsilon_of,
     format_ratio,
+    format_terms,
     parse_rational,
     value_sort_key,
 )
@@ -452,14 +455,7 @@ def serialize_kernel(kernel: MechanismKernel) -> dict:
     return {
         **_kernel_header(kernel),
         "table": [
-            [
-                value_to_json(db),
-                _rows(
-                    (o, kernel.table[db][o])
-                    for o in kernel.output_domain
-                    if o in kernel.table[db]
-                ),
-            ]
+            [value_to_json(db), _rows(kernel.row(db).items())]
             for db in kernel.databases()
         ],
     }
@@ -626,10 +622,20 @@ def _indented(node, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
+# Cells per piece of a streamed kernel text: a piece of RR n=5 (32 outputs)
+# holds 4 rows, about 20 KB of its 1.25 MB text: a digest holds little text
+# at a time, and each piece still joins many cells at once.
+_DIGEST_CHUNK_CELLS = 128
+
+
 def _kernel_text(kernel: MechanismKernel, depth: int) -> Iterator[str]:
-    """`_indented(serialize_kernel(kernel), depth)` in pieces, one per
-    database: each distinct output value, data value and ratio is rendered
-    once, and neither the serialized tree nor the whole text is built."""
+    """`_indented(serialize_kernel(kernel), depth)` in pieces of about
+    `_DIGEST_CHUNK_CELLS` cells, rendered from `integer_table`: each
+    distinct output value, data value and numerator is rendered once, and
+    neither the serialized tree, the `Fraction` table nor the whole text is
+    built.  A piece whose rows all have full support fills the ratio slots
+    of one precomputed list of pieces by slice assignment and joins it once;
+    a row with an absent output is written cell by cell."""
 
     def at(text: str) -> str:  # a depth-0 template, `depth` levels deeper
         return text.replace("\n", "\n" + "  " * depth)
@@ -638,34 +644,41 @@ def _kernel_text(kernel: MechanismKernel, depth: int) -> Iterator[str]:
     header = _indented({**_kernel_header(kernel), "table": []}, depth)
     head, _, tail = header.rpartition("[]")
     # depths: table 1, [db, row] 2, db and row 3, [output, ratio] 4, output 5
-    point = {v: _indented(value_to_json(v), depth + 4) for v in kernel.data_domain}
-    cell = {
-        o: at("[\n" + " " * 10) + _indented(value_to_json(o), depth + 5)
+    point = [_indented(value_to_json(v), depth + 4) for v in kernel.data_domain]
+    cell = [
+        at("[\n" + " " * 10) + _indented(value_to_json(o), depth + 5)
         + at(",\n" + " " * 10 + '"')
         for o in kernel.output_domain
-    }
-    close_cell = at('"\n        ]')
-    open_db, open_row = at("[\n      [\n        "), at("\n      ],\n      [\n        ")
+    ]
     comma, close_db = at(",\n        "), at("\n      ]\n    ]")
-    # keyed by identity: a parsed or builtin table shares one Fraction per
-    # distinct weight, the table keeps every key alive, and hashing a
-    # Fraction costs more than formatting it
-    ratios: dict[int, str] = {}
-    opened, between = head + at("[\n    "), at(",\n    ")
-    for db in kernel.databases():
-        row = kernel.table[db]
-        cells = []
-        for o in kernel.output_domain:
-            w = row.get(o)
-            if w is not None:
-                text = ratios.get(id(w))
-                if text is None:
-                    text = ratios[id(w)] = format_ratio(w) + close_cell
-                cells.append(cell[o] + text)
-        yield (opened + open_db + comma.join(point[v] for v in db) + open_row
-               + comma.join(cells) + close_db)
-        opened = between
-    yield at("\n  ]") + tail
+    open_db, open_row = at("[\n      [\n        "), at("\n      ],\n      [\n        ")
+    close_cell = at('"\n        ]')
+    common, table = kernel.integer_table
+    ratio = {}  # numerator -> its text, the weight p/L reduced by g
+    for p in set(chain.from_iterable(table.values())):
+        g = math.gcd(p, common)
+        ratio[p] = format_terms(p // g, common // g) + close_cell
+    # a full-support row is [lead, ratio, comma + cell, ratio, ...]: its
+    # ratios sit at the odd places of a list of 2|O| pieces per row
+    width = len(cell)
+    block = [None, None] + [x for c in cell[1:] for x in (comma + c, None)]
+    rows = list(table.values())
+    opened, between = head + at("[\n    "), close_db + at(",\n    ")
+    leads = [(between if i else opened) + open_db + points + open_row
+             for i, points in enumerate(map(comma.join, product(point, repeat=kernel.n)))]
+    size = max(1, _DIGEST_CHUNK_CELLS // width)
+    for start in range(0, len(rows), size):
+        chunk, heads = rows[start : start + size], leads[start : start + size]
+        if any(0 in row for row in chunk):  # some row has no entry at some output
+            yield "".join(
+                lead + comma.join(c + ratio[p] for c, p in zip(cell, row) if p)
+                for lead, row in zip(heads, chunk))
+            continue
+        pieces = block * len(chunk)
+        pieces[:: 2 * width] = [lead + cell[0] for lead in heads]
+        pieces[1::2] = map(ratio.__getitem__, chain.from_iterable(chunk))
+        yield "".join(pieces)
+    yield close_db + at("\n  ]") + tail
 
 
 def input_digest(obj) -> str:
@@ -673,9 +686,10 @@ def input_digest(obj) -> str:
 
     Two files describing the same model (different key order, whitespace, or
     a builtin shorthand versus its expanded table) get the same digest.  A
-    kernel's text, bare or inside a `canonical_model`, is streamed into the
-    hash one database at a time (`_kernel_text`); every other input is
-    rendered whole by `canonical_json`.
+    kernel's text, bare or inside a `canonical_model`, is rendered from its
+    integer table and streamed into the hash a chunk of rows at a time
+    (`_kernel_text`), so neither the kernel's `Fraction` table nor the whole
+    text is built; every other input is rendered whole by `canonical_json`.
     """
     if isinstance(obj, MechanismKernel):
         kernel, head, depth, tail = obj, "", 0, "\n"

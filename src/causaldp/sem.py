@@ -62,6 +62,33 @@ from .errors import (
 from .exact import Value, memoized
 
 
+def _tabulate(rows: dict, width: int) -> tuple[int, dict[tuple, tuple]] | None:
+    """The rows over one common denominator L, the lcm of their weights'
+    denominators: (L, parent key -> ((value, numerator), ...)), each row in
+    its own order.  None unless every key is a tuple of `width` values,
+    every weight is a positive `Fraction` and every row's numerators sum to
+    L.  Each distinct weight object is tested and converted once."""
+    if not all(isinstance(key, tuple) and len(key) == width for key in rows):
+        return None
+    weights = [w for row in rows.values() for w in row.values()]
+    terms: dict[int, tuple[int, int]] = {}
+    for w in {id(w): w for w in weights}.values():  # `weights` keeps ids unique
+        if not isinstance(w, Fraction):
+            return None
+        num, den = terms[id(w)] = w.as_integer_ratio()
+        if num <= 0:
+            return None
+    common = math.lcm(*{den for _, den in terms.values()})
+    scaled = {key: num * (common // den) for key, (num, den) in terms.items()}
+    table = {}
+    for key, row in rows.items():
+        numerators = list(map(scaled.__getitem__, map(id, row.values())))
+        if sum(numerators) != common:
+            return None
+        table[key] = tuple(zip(row, numerators))
+    return common, table
+
+
 @dataclass(frozen=True)
 class StochasticEquation:
     """An extensional stochastic equation: target := F(parents).
@@ -72,6 +99,11 @@ class StochasticEquation:
       rows: parent-value tuple -> {target value: positive weight}; every row
         must sum to exactly one.  Zero entries are dropped at construction so
         structurally equal equations compare equal.
+      _integer_table: set on construction, not an argument: the rows over
+        one common denominator as `_tabulate` gives them, (L, parent key ->
+        ((value, numerator), ...)), each row in its own order.  Built from
+        these rows alone, so the oracle shares no arithmetic with the
+        engine; a deterministic or constant equation has L = 1.
     """
 
     target: str
@@ -79,28 +111,27 @@ class StochasticEquation:
     rows: dict[tuple, dict[Value, Fraction]]
 
     def __post_init__(self):
-        cleaned = {}
-        where = f"equation for {preview(self.target)}, row"
-        for key, row in self.rows.items():
-            if not isinstance(key, tuple) or len(key) != len(self.parents):
-                raise DomainMismatch(f"{where} {preview(key)}: key does not match "
-                                     f"parents {preview(self.parents)}")
-            cleaned[key] = exact_row(row, DomainMismatch, where, key)
+        """Validate by building `_integer_table` in one walk over the cells,
+        as `MechanismKernel` does: each distinct weight object is tested
+        once, and each row's numerators must sum to L.  Only rows that fail
+        (a key that does not match the parents, a zero entry, a weight of
+        another type or sign, a wrong row sum) are walked again in order
+        through the key check and `exact_row`, which raise the first error,
+        or drop the zeros and leave rows that tabulate."""
+        tabulated = _tabulate(self.rows, len(self.parents))
+        if tabulated is None:
+            cleaned = {}
+            where = f"equation for {preview(self.target)}, row"
+            for key, row in self.rows.items():
+                if not isinstance(key, tuple) or len(key) != len(self.parents):
+                    raise DomainMismatch(f"{where} {preview(key)}: key does not match "
+                                         f"parents {preview(self.parents)}")
+                cleaned[key] = exact_row(row, DomainMismatch, where, key)
+            tabulated = _tabulate(cleaned, len(self.parents))
+        else:  # the equation owns its rows, as after the row walk
+            cleaned = {key: dict(row) for key, row in self.rows.items()}
         object.__setattr__(self, "rows", cleaned)
-
-    @cached_property
-    def _integer_table(self) -> tuple[int, dict[tuple, tuple]]:
-        """The rows over one common denominator L: (L, parent key ->
-        ((value, numerator), ...)), each row in its own order.  Built from
-        these rows alone, so the oracle shares no arithmetic with the
-        engine; a deterministic or constant equation has L = 1."""
-        common = math.lcm(*(w.denominator for row in self.rows.values()
-                            for w in row.values()))
-        return common, {
-            key: tuple((v, w.numerator * (common // w.denominator))
-                       for v, w in row.items())
-            for key, row in self.rows.items()
-        }
+        object.__setattr__(self, "_integer_table", tabulated)
 
 
 def constant_equation(target: str, value: Value) -> StochasticEquation:
@@ -110,9 +141,8 @@ def constant_equation(target: str, value: Value) -> StochasticEquation:
 
 def copy_equation(target: str, source: str, domain: Iterable[Value]) -> StochasticEquation:
     """target := source (deterministic identity over the given domain)."""
-    return StochasticEquation(
-        target, (source,), {(v,): {v: Fraction(1)} for v in domain}
-    )
+    one = Fraction(1)  # one object, so validation tests it once
+    return StochasticEquation(target, (source,), {(v,): {v: one} for v in domain})
 
 
 def deterministic_equation(
@@ -122,9 +152,8 @@ def deterministic_equation(
     fn,
 ) -> StochasticEquation:
     """target := fn(parent values), tabulated over the parent domains."""
-    rows = {
-        key: {fn(*key): Fraction(1)} for key in product(*map(tuple, parent_domains))
-    }
+    one = Fraction(1)  # one object, so validation tests it once
+    rows = {key: {fn(*key): one} for key in product(*map(tuple, parent_domains))}
     return StochasticEquation(target, tuple(parents), rows)
 
 

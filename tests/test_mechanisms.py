@@ -20,7 +20,7 @@ from causaldp import (
 from causaldp import checkers, dist, mechanisms, sem
 from causaldp.cli import main
 from causaldp.exact import memoized
-from causaldp.modelfile import canonical_json, parse_text, serialize_input
+from causaldp.modelfile import canonical_json, input_digest, parse_text, serialize_input
 from conftest import random_kernel, random_population
 
 
@@ -94,10 +94,11 @@ def _rr_per_cell(n, q):
 @pytest.mark.parametrize("q", [F(2, 3), F(3, 4), F(5, 8)], ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rr_kernel_equals_the_per_cell_formula(n, q):
-    """Rows built by prefix equal the per-cell formula, cell by cell and in
-    database and report order, and share at most (n+1)(n+2)/2 distinct
-    `Fraction` objects."""
+    """Integer rows built by prefix give, once the table is derived from
+    them, the per-cell formula, cell by cell and in database and report
+    order, sharing at most (n+1)(n+2)/2 distinct `Fraction` objects."""
     k = c.randomized_response_kernel(n, q)
+    assert "table" not in vars(k)
     reference = _rr_per_cell(n, q)
     assert k.table == reference
     assert list(k.table) == list(reference)
@@ -189,11 +190,14 @@ def test_geometric_classic_ratio_is_inverse_noise(n, r):
 # --- reading a kernel ----------------------------------------------------------------
 
 
-def test_a_valid_kernel_is_read_in_one_walk(monkeypatch):
+def test_a_valid_kernel_is_read_in_one_walk(monkeypatch, tmp_path, capsys):
     """A builtin kernel and a parsed one hold their integer table from
     construction, and neither their construction nor `classic_epsilon` on
     them walks a row through `exact_row`: a valid table is validated by
-    building the integer table, once."""
+    building the integer table, once.  A builtin never derives its
+    `Fraction` table for the checks that only compare its rows (`classic`,
+    `strong_adversary_universal`, `whole_db_universal` without the
+    cross-check, the CLI's too) or for its digest."""
     text = canonical_json(serialize_input(c.geometric_count_kernel(3, F(1, 3))))
     calls = []
     for module in (dist, mechanisms, sem):
@@ -208,6 +212,28 @@ def test_a_valid_kernel_is_read_in_one_walk(monkeypatch):
         assert "integer_table" in vars(kernel)
         c.classic_epsilon(kernel)
     assert calls == []
+    builtins = [c.randomized_response_kernel(3, F(2, 3)), c.geometric_count_kernel(3, F(1, 3))]
+    for kernel in builtins:
+        for definition in ("classic", "strong_adversary_universal", "whole_db_universal"):
+            c.run_check(definition, kernel, F(2), cross_check=False)
+        input_digest(kernel)
+        assert "table" not in vars(kernel)
+    created, build = [], mechanisms._integer_kernel
+
+    def recorded(*args):
+        created.append(build(*args))
+        return created[-1]
+
+    monkeypatch.setattr(mechanisms, "_integer_kernel", recorded)
+    for builtin in ('"randomized_response", "n": 3, "bias": "2/3"',
+                    '"geometric_count", "n": 3, "ratio": "1/3"'):
+        for definition in ("classic", "strong_adversary_universal", "whole_db_universal"):
+            path = tmp_path / "k.json"
+            path.write_text(f'{{"type": "kernel", "builtin": {builtin}}}')
+            argv = ["check", definition, str(path), "--target-ratio", "2", "--no-cross-check"]
+            assert main(argv) in (0, 1)  # a report either way
+    assert len(created) == 6
+    assert not any("table" in vars(kernel) for kernel in created)
 
 
 # --- the hiding counterexample kernels -----------------------------------------------

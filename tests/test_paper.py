@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import causaldp as c
 from causaldp import DefinitionId, Dist
-from conftest import _population, random_kernel
+from conftest import _population, _weights, random_kernel
 
 
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
@@ -85,3 +85,37 @@ def test_bayesian0_never_exceeds_classic_to_the_n(rng, n, dom_size, out_size, da
         report = c.run_check(DefinitionId.BAYESIAN0, kernel, F(1), pop)
         assert c.ratio_le(report.achieved, bound)
     assert not rr or report.achieved == bound
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+def test_independent_bayesian0_never_exceeds_classic(rng, n, dom_size, out_size, data):
+    """`independent_bayesian0` is at most classic under every product
+    population, zero weights and point masses included: with the other
+    points independent of D_i, conditioning on D_i = v mixes the rows of
+    the databases with v at i by one weighting that is the same for every
+    v, so each ratio is a mediant of neighbouring row ratios.  It equals
+    classic on the product built from classic's witness (d, i, d'_i): point
+    masses on d's other points and 1/2 each on d_i and d'_i at i, under
+    which the two conditionals are the rows of d and of d with d'_i at i.
+    Kernels with zero entries, so some classic ratios are infinite."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    classic = c.classic_epsilon(kernel)
+    names = c.data_point_names(kernel)
+    dom = kernel.data_domain
+    drawn = Dist.product(*(Dist((name,), dict(zip([(v,) for v in dom],
+                                                  _weights(data.draw, len(dom)))))
+                           for name in names))
+    report = c.run_check(DefinitionId.INDEPENDENT_BAYESIAN0, kernel, F(1), drawn)
+    assert c.ratio_le(report.achieved, classic.value)
+    if classic.witness is None:  # classic is 1, and so is every supremum
+        assert report.achieved == classic.value
+        return
+    i, d = classic.witness["i"], classic.witness["d"]
+    halves = {(d[i - 1],): F(1, 2), (classic.witness["d_prime_i"],): F(1, 2)}
+    witness = Dist.product(*(Dist((name,), halves) if j == i
+                             else Dist.point_mass((name,), (d[j - 1],))
+                             for j, name in enumerate(names, 1)))
+    report = c.run_check(DefinitionId.INDEPENDENT_BAYESIAN0, kernel, F(1), witness)
+    assert report.achieved == classic.value
+    assert type(report.achieved) is type(classic.value)

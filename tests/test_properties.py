@@ -800,6 +800,16 @@ def kernels_with_zero_entries(draw) -> tuple:
     return c.MechanismKernel(n, dom, dom[0], outs, table), table
 
 
+@st.composite
+def builtin_kernels(draw) -> c.MechanismKernel:
+    """Randomized response at a bias in (1/2, 1) or a geometric count at a
+    ratio in (0, 1), at n = 1..4."""
+    n, den = draw(st.integers(1, 4)), draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        return c.randomized_response_kernel(n, F(draw(st.integers(den // 2 + 1, den - 1)), den))
+    return c.geometric_count_kernel(n, F(draw(st.integers(1, den - 1)), den))
+
+
 @given(kernels_with_zero_entries(), small_psems())
 def test_serialize_parse_serialize_is_byte_stable(kernel_and_table, psem):
     """Equation rows and input joints of the generated SEMs, like the kernel
@@ -837,6 +847,30 @@ def test_integer_table_is_the_table_over_one_denominator(kernel_and_table):
                                 for o in k.output_domain)
             assert all(type(p) is int for p in row)
     assert parsed.integer_table == kernel.integer_table
+
+
+@given(kernels_with_zero_entries(), builtin_kernels())
+def test_a_row_reads_the_integer_table(kernel_and_table, builtin):
+    """`kernel.row(db)` is a read-only view of db's integer row: equal to
+    `table[db]`, its outputs in report order and only those with an entry,
+    an absent or unknown output missing from it; reading it, or all of a
+    builtin's rows, never derives the builtin's table."""
+    kernel, table = kernel_and_table
+    for k in (kernel, builtin):
+        rows = {db: k.row(db) for db in k.databases()}
+        assert "table" not in vars(builtin)
+        for db, row in rows.items():
+            entries = {o: w for o, w in table[db].items() if w} if k is kernel else k.table[db]
+            assert row == entries and dict(row) == entries
+            assert list(row) == [o for o in k.output_domain if o in entries]
+            assert len(row) == len(entries)
+            for o in k.output_domain + ("no such output",):
+                assert row.get(o) == entries.get(o)
+                assert (o in row) == (o in entries)
+            with pytest.raises(TypeError):
+                row[k.output_domain[0]] = F(1)
+    with pytest.raises(c.ValueOutOfDomain):
+        kernel.row(("no such database",))
 
 
 def _refusal(build) -> tuple:
@@ -1044,10 +1078,11 @@ def test_a_corrupt_weight_is_reported_at_its_own_cell(obj, corrupt, data):
 
 # Domain values a kernel file can hold: nested arrays, negative integers and
 # strings the writer must escape (quotes, backslashes, control characters,
-# newlines) or keep as non-ASCII text.
+# newlines) or keep as non-ASCII text, or that hold format characters a
+# template- or slot-based renderer could misread.
 _awkward_values = st.recursive(
     st.integers(-5, 5)
-    | st.text(alphabet=st.sampled_from('ab"\\\n\t\x00\x1féü€𝔘 /'), max_size=4),
+    | st.text(alphabet=st.sampled_from('ab"\\\n\t\x00\x1féü€𝔘 /%{}'), max_size=4),
     lambda inner: st.lists(inner, max_size=3).map(tuple),
     max_leaves=4,
 )
@@ -1102,6 +1137,24 @@ def test_streamed_model_digest_equals_the_canonical_text(model):
     text = canonical_json(serialize_input(model))
     assert input_digest(model) == digest_of_text(text)
     assert input_digest(parse_text(text)) == digest_of_text(text)
+
+
+@given(builtin_kernels(), st.booleans())
+def test_builtin_kernel_digest_equals_the_canonical_text(kernel, in_model):
+    """A builtin kernel's digest, rendered from its integer rows without its
+    `Fraction` table, hashes exactly the bytes `canonical_json` writes for
+    the serialized kernel, bare or inside a canonical model with a uniform
+    population; and it equals the digest of the same kernel spelled out
+    from its table."""
+    names = c.data_point_names(kernel)
+    obj = (c.CanonicalModel(kernel, (), Dist.uniform(names, kernel.databases()))
+           if in_model else kernel)
+    digest = input_digest(obj)
+    assert "table" not in vars(kernel)
+    assert digest == digest_of_text(canonical_json(serialize_input(obj)))
+    spelled = c.MechanismKernel(kernel.n, kernel.data_domain, kernel.null_value,
+                                kernel.output_domain, kernel.table)
+    assert input_digest(spelled) == input_digest(kernel)
 
 
 # --- the falsifier's search and product test, against their first versions -----
