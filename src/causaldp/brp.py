@@ -9,6 +9,7 @@ across a two-stage pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,7 @@ from typing import Union
 from .dist import Dist
 from .errors import InvalidEffectQuery, NotInSequence, PremiseViolated
 from .exact import Ratio, Value, is_infinite, ratio_divide, ratio_le, ratio_mul
-from .reports import CheckReport, RatioBound, finish_report, sweep
+from .reports import CheckReport, RatioBound, finish_report, group_sweep
 from .sem import ProbabilisticSem, Sem
 
 Sink = Union[str, tuple]
@@ -69,16 +70,19 @@ def max_relative_probability(
     Interventions go through the model surgery, so the source may be any
     variable, including an input; vacuous 0/0 comparisons are neutral.  Order:
     pairs (x_num, x_den) in domain order, then y; a one-name sink's y is bare.
+    The effect rows are one `group_sweep` group: each intervention's integer
+    lift, put over the lcm of their scales.
     """
     names = _sink_names(psem.sem, sink, source)
     dom = psem.sem.domain_of(source)
     ys = list(product(*(psem.sem.domain_of(n) for n in names)))
-    effects = {x: psem.do({source: x}).lift(names).weights for x in dom}
+    lifts = [psem.do({source: x}).integer_lift(names) for x in dom]
+    common = math.lcm(*(scale for scale, _ in lifts))
+    rows = [[cells.get(y, 0) * (common // scale) for y in ys] for scale, cells in lifts]
     if isinstance(sink, str):
         ys = [y for (y,) in ys]
-        effects = {x: {y: w for (y,), w in row.items()} for x, row in effects.items()}
-    pairs = ((effects[a], effects[b], {"x_num": a, "x_den": b}) for a in dom for b in dom)
-    return sweep(ys, pairs, "y")[0]
+    return group_sweep(ys, [rows], ((0, a) for a in range(len(dom))),
+                       lambda _, a, b: {"x_num": dom[a], "x_den": dom[b]}, "y")[0]
 
 
 def brp_bound(model: Sem | ProbabilisticSem, sink: Sink, source: str) -> RatioBound:

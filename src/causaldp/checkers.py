@@ -23,9 +23,10 @@ structural model each built once on the model and shared by every check on
 it; the population-free ones read only its kernel.  `run_check` is the one
 place that decides which population a definition sees.
 Conditional and interventional output distributions both come from one
-`CanonicalEngine` and differ only in the weights that mix kernel rows; the
-database family is folded by `neighbour_sweep` and the value family by
-`sweep`.  The engine reads the model's data joint, and the structural
+`CanonicalEngine` and differ only in the weights that mix kernel rows, as
+integer rows that one fold, `reports.group_sweep`, compares by groups: the
+database family through `neighbour_sweep` and the value family through
+`value_sweep`.  The engine reads the model's data joint, and the structural
 model is built only for cross-checks, attribute equations and replay.  The
 generic model semantics (lift, condition, intervene) are left to that
 oracle: cross-checks and `replay_witness`.
@@ -56,15 +57,9 @@ from .mechanisms import (
     d_name,
     data_point_names,
     neighbour_sweep,
-    value_pairs,
+    value_sweep,
 )
-from .reports import (
-    NEEDS_POPULATION,
-    CheckReport,
-    DefinitionId,
-    finish_report,
-    sweep,
-)
+from .reports import NEEDS_POPULATION, CheckReport, DefinitionId, finish_report
 from .sem import StochasticEquation
 
 ASSOCIATIVE_GIVEN_P = frozenset(
@@ -128,10 +123,7 @@ def check_associative(
             "databases at point distance at most one"
         )
     else:
-        bound, skipped = sweep(
-            kernel.output_domain,
-            value_pairs(kernel, engine.output_conditioned_on_point),
-        )
+        bound, skipped = value_sweep(kernel, engine.output_conditioned_on_point)
         reduction = (
             "conditional on each realizable value of each data point, "
             "compared across values"
@@ -188,8 +180,7 @@ def check_causal(
         reduction = "full-database interventions read kernel rows directly " \
                     "(population cannot influence them)"
     else:
-        bound, _ = sweep(kernel.output_domain,
-                         value_pairs(kernel, engine.output_given_point))
+        bound, _ = value_sweep(kernel, engine.output_given_point)
         reduction = (
             "single-point interventions mix kernel rows by the undisturbed "
             "marginal of the other data points"

@@ -35,8 +35,8 @@ from .errors import (
     ValueOutOfDomain,
     preview,
 )
-from .exact import INF, Value, memoized
-from .reports import RatioBound
+from .exact import Value, memoized
+from .reports import RatioBound, group_sweep
 from .sem import (
     ProbabilisticSem,
     Sem,
@@ -197,8 +197,9 @@ class MechanismKernel:
     def row(self, db: tuple) -> KernelRow:
         """The row of `db`, read from `integer_table`: equal to `table[db]`,
         without deriving `table`."""
+        common, rows = self.integer_table
         try:
-            return KernelRow(self, self.integer_table[1][tuple(db)])
+            return KernelRow(self, rows[tuple(db)], common)
         except KeyError:
             raise ValueOutOfDomain(
                 f"{preview(db)} is not a database over the domain"
@@ -214,22 +215,25 @@ class MechanismKernel:
 
 
 class KernelRow(Mapping):
-    """One kernel row as a read-only mapping, output -> positive weight in
-    report order, over the row's numerators in `integer_table`: each weight
-    is the kernel's one `Fraction` for its numerator.  Building one reads no
-    cell, so a caller that only needs a row to exist (a sweep's reading of
-    it) pays for no weight; it equals the row's dict."""
+    """A kernel row over L (its `integer_table` row), or a mix of rows over
+    its own denominator, as a read-only mapping, output -> positive weight
+    in report order; a weight over L is the kernel's one `Fraction` for its
+    numerator.  A fold reads `numerators` and `denominator` and builds no
+    weight; the view equals the row's dict."""
 
-    __slots__ = ("kernel", "numerators")
+    __slots__ = ("kernel", "numerators", "denominator")
 
-    def __init__(self, kernel: MechanismKernel, numerators: tuple[int, ...]):
-        self.kernel, self.numerators = kernel, numerators
+    def __init__(self, kernel: MechanismKernel, numerators: Sequence[int],
+                 denominator: int):
+        self.kernel, self.numerators, self.denominator = kernel, numerators, denominator
 
     def __getitem__(self, o: Value) -> Fraction:
         p = self.numerators[self.kernel._output_index[o]]
         if not p:
             raise KeyError(o)
-        return self.kernel._fractions[p]
+        if self.denominator == self.kernel.integer_table[0]:
+            return self.kernel._fractions[p]
+        return Fraction(p, self.denominator)
 
     def __iter__(self) -> Iterator[Value]:
         return compress(self.kernel.output_domain, self.numerators)
@@ -247,7 +251,7 @@ def _integer_kernel(n: int, data_domain: tuple, null_value: Value,
     """The kernel whose `integer_table` is (common, rows), with every
     database's row in `databases()` order over L = `common`, the lcm of the
     reduced weights' denominators; its `table` is derived on first read.
-    Validated in integers: one sign test per distinct numerator, then each
+    Validated in integers: every numerator must be nonnegative, then each
     row must sum to L.  A kernel that fails is built from its derived
     `Fraction` table instead, whose validation words the first error."""
     kernel = object.__new__(MechanismKernel)
@@ -256,7 +260,8 @@ def _integer_kernel(n: int, data_domain: tuple, null_value: Value,
                         ("integer_table", (common, rows))):
         object.__setattr__(kernel, name, value)
     kernel._check_domains()
-    if min(kernel._fractions) < 0 or not all(map(common.__eq__, map(sum, rows.values()))):
+    if min(map(min, rows.values())) < 0 \
+            or not all(map(common.__eq__, map(sum, rows.values()))):
         return MechanismKernel(n, data_domain, null_value, output_domain, kernel.table)
     return kernel
 
@@ -391,102 +396,71 @@ def constant_kernel(
 
 # --- comparison families ------------------------------------------------------
 
-Row = Mapping[Value, Fraction]
-
-
 def neighbour_sweep(kernel: MechanismKernel,
                     output_of: Callable) -> tuple[RatioBound, int]:
-    """`sweep` over the comparisons of databases d, d' differing at most at
-    one point, (supremum, skipped).  `output_of(d)` returns None to skip
-    every comparison of d, and anything else (d's row, in any form) to keep
-    them; only that test is read, and the rows compared are the kernel's
-    `integer_table`.  The comparisons run in the order coordinate i
-    ascending, database d lexicographic, replacement value v' in domain
-    order, output o in report order, both orders of every pair included,
-    with witness {"i", "d", "d_prime_i", "o"}; `output_of` is called once
-    per database, in the order those comparisons first read it.
+    """The comparisons of databases d, d' differing at most at one point,
+    folded by `group_sweep`: (supremum, skipped).  `output_of(d)` returns
+    None to skip every comparison of d, and anything else (d's row, in any
+    form) to keep them; only that test is read, and the rows compared are
+    the kernel's `integer_table`.  The comparisons run in the order
+    coordinate i ascending, database d lexicographic, replacement value v'
+    in domain order, output o in report order, both orders of every pair
+    included, with witness {"i", "d", "d_prime_i", "o"}; `output_of` is
+    called once per database, in the order those comparisons first read it.
 
-    They are folded by groups: at each coordinate, the |D| databases that
-    agree off it compare with one another, all over the table's one
-    denominator.  Within a group the largest ratio at o over ordered pairs
-    is the column maximum over the column minimum (p/0 infinite, 0/0
-    vacuous), and when it exceeds 1 two distinct rows attain it.  So one
-    pass takes the supremum from the columns, and a second pass finds the
-    first comparison in the order above whose ratio is that supremum, or
-    infinite: the witness a strict-improvement fold ends on.  A group of k
-    rows that are not None skips |O| * (|D|^2 - k^2) comparisons.
+    At coordinate i the |D| databases that agree off it form a group.  With
+    s = |D|^(n-1-i), the table falls into blocks of |D| runs of s rows, and
+    group b*s + t of the coordinate holds rows (b*|D| + k)*s + t, k < |D|.
     """
-    n, dom, outputs = kernel.n, kernel.data_domain, kernel.output_domain
-    size, width = len(dom), len(outputs)
+    n, dom = kernel.n, kernel.data_domain
+    size = len(dom)
     table = kernel.integer_table[1]
     kept = {(v,) + rest: output_of((v,) + rest) is not None
             for rest in product(dom, repeat=n - 1) for v in dom}
     rows = [row if kept[db] else None for db, row in table.items()]
+    count, per = len(rows), len(rows) // size  # per: groups per coordinate
     strides = [size ** (n - 1 - i) for i in range(n)]
 
-    def group(base: int, stride: int) -> list:
-        """The rows of the group whose first database is at index `base`."""
-        return rows[base : base + stride * size : stride]
+    def coordinate(s: int) -> Iterator[tuple]:
+        """The groups at stride s: each block's runs, zipped."""
+        runs = zip(*[iter(rows)] * s)
+        return chain.from_iterable(zip(*block) for block in zip(*[runs] * size))
 
-    def extremes(present: list) -> Iterator[tuple[int, int]]:
-        """(maximum, minimum) of each column of two or more rows."""
-        return zip(map(max, *present), map(min, *present))
+    groups = chain.from_iterable(map(coordinate, strides))
+    walk = ((i * per + x // (s * size) * s + x % s, x // s % size)
+            for i, s in enumerate(strides) for x in range(count))
 
-    # pass 1: the supremum num/den, den == 0 for infinity
-    num, den, skipped = 1, 1, 0
-    for stride in strides:
-        for top in range(0, len(rows), stride * size):
-            for base in range(top, top + stride):
-                present = [row for row in group(base, stride) if row is not None]
-                skipped += width * (size * size - len(present) ** 2)
-                if not den or len(present) < 2:
-                    continue
-                for hi, lo in extremes(present):
-                    if not lo:
-                        if hi:
-                            num, den = 1, 0
-                            break
-                    elif hi * den > num * lo:
-                        num, den = hi, lo
-    if (num, den) == (1, 1):
-        return RatioBound(Fraction(1)), skipped
+    def witness(g: int, a: int, b: int) -> dict:
+        i, r = divmod(g, per)
+        block, t = divmod(r, strides[i])
+        d = list(table)[(block * size + a) * strides[i] + t]
+        return {"i": i + 1, "d": d, "d_prime_i": dom[b]}
 
-    def attains(left: int, right: int) -> bool:
-        """Whether left/right is the supremum."""
-        return bool(left and not right if not den else right and left * den == num * right)
-
-    # pass 2: the first comparison attaining it; the columns where a group
-    # attains it are found when the walk first reaches the group
-    names = list(table)
-    for i, stride in enumerate(strides):
-        hot: dict[int, list[int]] = {}
-        for index, left in enumerate(rows):
-            base = index - index // stride % size * stride
-            members = group(base, stride)
-            columns = hot.get(base)
-            if columns is None:
-                present = [row for row in members if row is not None]
-                columns = hot[base] = [] if len(present) < 2 else [
-                    j for j, pair in enumerate(extremes(present)) if attains(*pair)]
-            if left is None or not columns:
-                continue
-            for k, right in enumerate(members):
-                for j in columns if right is not None else ():
-                    if attains(left[j], right[j]):
-                        return RatioBound(Fraction(num, den) if den else INF, {
-                            "i": i + 1, "d": names[index], "d_prime_i": dom[k],
-                            "o": outputs[j]}), skipped
-    raise AssertionError("a supremum above 1 is attained by some comparison")
+    return group_sweep(kernel.output_domain, groups, walk, witness, "o")
 
 
-def value_pairs(kernel: MechanismKernel, output_of: Callable) -> Iterator[tuple]:
-    """Comparisons of two values v, v' of one data point i (1-based), for
-    `sweep`: i ascending, then v and v' in domain order."""
-    for i in range(1, kernel.n + 1):
-        dists = {v: output_of(i, v) for v in kernel.data_domain}
-        for v in kernel.data_domain:
-            for v_prime in kernel.data_domain:
-                yield dists[v], dists[v_prime], {"i": i, "v": v, "v_prime": v_prime}
+def value_sweep(kernel: MechanismKernel,
+                output_of: Callable) -> tuple[RatioBound, int]:
+    """The comparisons of two values v, v' of one data point i (1-based),
+    folded by `group_sweep`: (supremum, skipped).  `output_of(i, v)` returns
+    the output distribution given D_i = v as a `KernelRow`, or None to skip
+    its comparisons; it is called for i ascending, then v in domain order.
+    The comparisons run in the order i, v, v' in domain order, output o in
+    report order, with witness {"i", "v", "v_prime", "o"}.  Each i is one
+    group, its rows put over the lcm of their denominators."""
+    dom = kernel.data_domain
+
+    def group(i: int) -> list:
+        rows = [output_of(i, v) for v in dom]
+        common = math.lcm(*(row.denominator for row in rows if row is not None))
+        return [None if row is None
+                else [p * (common // row.denominator) for p in row.numerators]
+                for row in rows]
+
+    return group_sweep(
+        kernel.output_domain, map(group, range(1, kernel.n + 1)),
+        ((i, a) for i in range(kernel.n) for a in range(len(dom))),
+        lambda i, a, b: {"i": i + 1, "v": dom[a], "v_prime": dom[b]}, "o")
 
 
 def classic_epsilon(kernel: MechanismKernel) -> RatioBound:
@@ -790,22 +764,20 @@ class CanonicalEngine:
             by_value.setdefault(db[i - 1], {})[rest] = w
         return others, by_value
 
-    def _mix(self, i: int, v: Value, weights: dict[tuple, int]) -> tuple:
+    def _mix(self, i: int, v: Value, weights: dict[tuple, int]) -> KernelRow:
         """Kernel rows of the databases with D_i = v, mixed by positive
-        integer weights on the other points and normalized by their total:
-        the row, and its integer form (denominator, numerators in output
-        order).  The sums run in integers over the table's denominator."""
+        integer weights on the other points and normalized by their total,
+        as a `KernelRow` over the table's denominator times that total.  The
+        sums run in integers."""
         common, rows = self.kernel.integer_table
         acc = [0] * len(self.kernel.output_domain)
         for rest, w in weights.items():
             row = rows[rest[: i - 1] + (v,) + rest[i - 1 :]]
             acc = list(map(add, acc, map(w.__mul__, row)))
-        common *= sum(weights.values())
-        return {o: Fraction(p, common)
-                for o, p in zip(self.kernel.output_domain, acc) if p}, common, acc
+        return KernelRow(self.kernel, acc, common * sum(weights.values()))
 
     @memoized
-    def output_given_db(self, db: tuple) -> Row:
+    def output_given_db(self, db: tuple) -> KernelRow:
         """Fr[O | do(D_1 = db_1, ..., D_n = db_n)]: the kernel row itself,
         for every population and every attribute equation."""
         fast = self.kernel.row(db)
@@ -816,28 +788,28 @@ class CanonicalEngine:
         return fast
 
     @memoized
-    def output_conditioned_on_db(self, db: tuple) -> Row | None:
+    def output_conditioned_on_db(self, db: tuple) -> KernelRow | None:
         """Fr[O | D = db]: the kernel row, or None when P(D = db) = 0."""
         row = self.kernel.row(db)
         return row if self.base_joint().weight_of(db) > 0 else None
 
     @memoized
-    def output_given_point(self, i: int, v: Value) -> Row:
+    def output_given_point(self, i: int, v: Value) -> KernelRow:
         """Fr[O | do(D_i = v)] (i is 1-based): kernel rows mixed by the
         marginal of the other data points, which the intervention does not
         disturb."""
         self._check_point(i, v)
-        fast, common, mixed = self._mix(i, v, self._point_weights(i)[0])
+        fast = self._mix(i, v, self._point_weights(i)[0])
         if self.cross_check:
+            common = fast.denominator
             oracle = self._oracle_rows(self.model.psem, {d_name(i): v}, (), common)
-            self._verify(common, mixed, oracle, (),
-                         _disagreement([(i, v)]))
+            self._verify(common, fast.numerators, oracle, (), _disagreement([(i, v)]))
         return fast
 
     @memoized
-    def output_conditioned_on_point(self, i: int, v: Value) -> Row | None:
+    def output_conditioned_on_point(self, i: int, v: Value) -> KernelRow | None:
         """Fr[O | D_i = v]: kernel rows mixed by the joint of the other data
         points given D_i = v, or None when P(D_i = v) = 0."""
         self._check_point(i, v)
         given = self._point_weights(i)[1].get(v)
-        return None if given is None else self._mix(i, v, given)[0]
+        return None if given is None else self._mix(i, v, given)

@@ -55,8 +55,8 @@ TOOL_VERSION = "0.1.0"
 # Bumped whenever report content changes by design; lets old reports be read.
 # 2 reworded a reduction note; 3 gave strong_adversary_one_dist and
 # single_point_universal classic's witness, and posterior's prior D_i names;
-# 4 moved the effect-ratio and semantic-gap folds onto `sweep`, whose order
-# can pick another first witness on ties.
+# 4 put the swept values innermost in the effect-ratio and semantic-gap folds
+# (now groups of `group_sweep`), which can pick another first witness on ties.
 ENUMERATION_ORDER_VERSION = 4
 
 # Values nest a few arrays deep (a database of report vectors); deeper nesting

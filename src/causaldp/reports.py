@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import INF, Ratio, Value, is_infinite, ratio_le
 
@@ -103,7 +103,7 @@ def finish_report(
 
 class SupTracker:
     """Running supremum of ratios with a deterministic first witness: the
-    reference fold `test_sweep_equals_the_reference_fold` checks `sweep`
+    pair-by-pair reference fold the property tests check `group_sweep`
     against.  No package code builds one; the benchmark traces its `offer`.
 
     Suprema start at the neutral 1 (every checked family compares each pair
@@ -127,52 +127,74 @@ class SupTracker:
         return RatioBound(self.value, self.witness)
 
 
-def sweep(
+def group_sweep(
     outputs: Sequence[Value],
-    pairs: Iterable[tuple[dict | None, dict | None, dict]],
-    axis: str = "o",
+    groups: Iterable[Sequence[Sequence[int] | None]],
+    walk: Iterable[tuple[int, int]],
+    witness: Callable[[int, int, int], dict],
+    axis: str,
 ) -> tuple[RatioBound, int]:
-    """Fold a family of comparisons into its supremum and a skipped count.
+    """Fold a family of comparisons that falls into groups into its supremum
+    and a skipped count.
 
-    `pairs` yields (left, right, where): two rows (value -> weight, missing
-    is 0) and the comparison's index.  Every output o, in `outputs` order,
-    compares left(o)/right(o) with witness {**where, axis: o}; `axis` names
-    the swept values ("o" outputs, "y" sink values, "d" databases).  0/0 is
-    vacuous and p/0 infinite (`ratio_divide`), the supremum starts at 1, the
-    first strict maximizer wins and nothing beats infinity.  A None side (a
-    conditional on a zero-probability event) skips the comparison at every
-    output instead, also once the supremum is infinite.
+    `groups` yields lists of rows: a row holds a distribution's numerators
+    in `outputs` order over a denominator its group shares, or is None (a
+    conditional on a zero-probability event).  Each ordered pair (left,
+    right) of a group's rows compares left[j]/right[j] at each column j, in
+    the order `walk` gives as (group index, left index), then right in group
+    order, then j.  0/0 is vacuous and p/0 infinite, the supremum starts at
+    1, the first strict maximizer wins and its witness is `witness(group,
+    left, right)` plus {axis: outputs[j]}; `axis` names the swept values
+    ("o" outputs, "y" sink values, "d" databases).  A group of m rows, k of
+    them not None, skips |outputs| * (m^2 - k^2) comparisons.
 
-    The running supremum is an integer pair num/den (den == 0: infinity),
-    and l/r > num/den is tested as l.num*r.den*den > num*l.den*r.num, so a
-    `Fraction` and a witness dict are built only for a new maximum.
+    A group's largest ratio at j is its column maximum over its column
+    minimum.  So the first pass reads every group, in order, and takes the
+    supremum from the columns until it is infinite; the second walks the
+    comparisons, tests only the columns where a group attains the supremum
+    and builds the witness at the first that does: the comparison a
+    strict-improvement fold ends on.
     """
-    # id -> (distribution, its (num, den) per output); holding the object
-    # keeps its id from being reused while the sweep runs
-    seen: dict[int, tuple[dict, list[tuple[int, int]]]] = {}
+    def extremes(present: list) -> Iterator[tuple[int, int]]:
+        """(maximum, minimum) of each column of two or more rows."""
+        return zip(map(max, *present), map(min, *present))
 
-    def terms(dist: dict) -> list[tuple[int, int]]:
-        hit = seen.get(id(dist))
-        if hit is None:
-            hit = seen[id(dist)] = dist, [
-                dist.get(o, 0).as_integer_ratio() for o in outputs
-            ]
-        return hit[1]
-
-    num, den, witness = 1, 1, None
-    skipped = 0
-    for left, right, where in pairs:
-        if left is None or right is None:
-            skipped += len(outputs)
+    width = len(outputs)
+    groups = list(groups)
+    num, den, skipped = 1, 1, 0  # the supremum num/den, den == 0 for infinity
+    for rows in groups:
+        present = [row for row in rows if row is not None]
+        skipped += width * (len(rows) ** 2 - len(present) ** 2)
+        if not den or len(present) < 2:
             continue
-        if left is right or den == 0:  # ratios of 1 or 0/0, or nothing beats inf
-            continue
-        for (ln, ld), (rn, rd), o in zip(terms(left), terms(right), outputs):
-            if not rn:
-                if ln:
-                    num, den, witness = 1, 0, {**where, axis: o}
+        for hi, lo in extremes(present):
+            if not lo:
+                if hi:
+                    num, den = 1, 0
                     break
-            elif ln * rd * den > num * ld * rn:
-                num, den, witness = ln * rd, ld * rn, {**where, axis: o}
-    value = Fraction(num, den) if den else INF
-    return RatioBound(value, witness), skipped
+            elif hi * den > num * lo:
+                num, den = hi, lo
+    if (num, den) == (1, 1):
+        return RatioBound(Fraction(1)), skipped
+
+    def attains(left: int, right: int) -> bool:
+        """Whether left/right is the supremum."""
+        return bool(left and not right if not den else right and left * den == num * right)
+
+    hot: dict[int, list[int]] = {}  # group -> the columns where it attains it
+    for g, a in walk:
+        rows = groups[g]
+        columns = hot.get(g)
+        if columns is None:
+            present = [row for row in rows if row is not None]
+            columns = hot[g] = [] if len(present) < 2 else [
+                j for j, pair in enumerate(extremes(present)) if attains(*pair)]
+        left = rows[a]
+        if left is None or not columns:
+            continue
+        for b, right in enumerate(rows):
+            for j in columns if right is not None else ():
+                if attains(left[j], right[j]):
+                    return RatioBound(Fraction(num, den) if den else INF,
+                                      {**witness(g, a, b), axis: outputs[j]}), skipped
+    raise AssertionError("a supremum above 1 is attained by some comparison")

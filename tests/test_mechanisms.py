@@ -107,6 +107,24 @@ def test_rr_kernel_equals_the_per_cell_formula(n, q):
     assert len(cells) <= (n + 1) * (n + 2) // 2
 
 
+def test_a_builtin_is_validated_in_its_numerators():
+    """`_integer_kernel` tests the numerators' signs and row sums itself: a
+    negative numerator or a row off L fails with the error and message of
+    the kernel built from the same `Fraction` table, and building RR n=5
+    and running `classic_epsilon` builds no `Fraction` weight."""
+    dom, outs = (0, 1), ("a", "b")
+    for rows in ({(0,): (3, -1), (1,): (1, 1)}, {(0,): (1, 2), (1,): (1, 1)}):
+        table = {db: {o: F(p, 2) for o, p in zip(outs, row) if p} for db, row in rows.items()}
+        with pytest.raises(c.DomainMismatch) as want:
+            c.MechanismKernel(1, dom, 0, outs, table)
+        with pytest.raises(c.DomainMismatch) as got:
+            mechanisms._integer_kernel(1, dom, 0, outs, 2, rows)
+        assert str(got.value) == str(want.value)
+    k = c.randomized_response_kernel(5, F(3, 4))
+    c.classic_epsilon(k)
+    assert "_fractions" not in vars(k) and "table" not in vars(k)
+
+
 @pytest.mark.parametrize("n,q,expected", [
     (1, F(2, 3), F(2)),
     (2, F(2, 3), F(2)),

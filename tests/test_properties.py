@@ -1,5 +1,5 @@
 """Generated-input properties of the enumeration oracle, the engine, the
-comparison sweep and the definitions built on them.
+comparison fold and the definitions built on them.
 
 The seeded loops elsewhere stay; these add shrinking counterexamples on
 small random models.  The hypothesis profile is set in conftest.py.
@@ -31,7 +31,7 @@ from causaldp import (
 from causaldp.checkers import ASSOCIATIVE_GIVEN_P, _grid_marginals
 from causaldp.dist import exact_row
 from causaldp.exact import format_rational, ratio_divide, value_sort_key
-from causaldp.mechanisms import neighbour_sweep
+from causaldp.mechanisms import neighbour_sweep, value_sweep
 from causaldp.modelfile import (
     canonical_json,
     digest_of_text,
@@ -41,7 +41,7 @@ from causaldp.modelfile import (
     serialize_input,
     serialize_kernel,
 )
-from causaldp.reports import SupTracker, sweep
+from causaldp.reports import SupTracker, group_sweep
 from conftest import _population, _weights, random_kernel
 
 
@@ -375,7 +375,7 @@ def test_one_dist_under_full_support_equals_classic(rng, n, dom_size, out_size, 
         assert list(report.witness) == list(classic.witness)
 
 
-# --- the comparison sweep ------------------------------------------------------
+# --- the comparison fold -------------------------------------------------------
 
 
 def _reference_sweep(outputs, pairs, axis="o"):
@@ -397,8 +397,9 @@ def _reference_sweep(outputs, pairs, axis="o"):
 
 def neighbours(kernel: c.MechanismKernel, output_of) -> Iterator[tuple]:
     """Comparisons of databases d, d' differing at most at one point, for
-    `sweep`: coordinate i ascending, database d lexicographic, replacement
-    value in domain order.  Both orders of every pair are enumerated."""
+    `_reference_sweep`: coordinate i ascending, database d lexicographic,
+    replacement value in domain order.  Both orders of every pair are
+    enumerated."""
     for i in range(kernel.n):
         for d in kernel.databases():
             left = output_of(d)
@@ -407,13 +408,37 @@ def neighbours(kernel: c.MechanismKernel, output_of) -> Iterator[tuple]:
                 yield left, output_of(d_prime), {"i": i + 1, "d": d, "d_prime_i": v_prime}
 
 
+def value_pairs(kernel: c.MechanismKernel, output_of) -> Iterator[tuple]:
+    """Comparisons of two values v, v' of one data point i (1-based), for
+    `_reference_sweep`: i ascending, then v and v' in domain order."""
+    for i in range(1, kernel.n + 1):
+        dists = {v: output_of(i, v) for v in kernel.data_domain}
+        for v in kernel.data_domain:
+            for v_prime in kernel.data_domain:
+                yield dists[v], dists[v_prime], {"i": i, "v": v, "v_prime": v_prime}
+
+
+def _reading(log: list, output_of):
+    """`output_of`, recording each call's arguments in `log`."""
+    return lambda *args: log.append(args) or output_of(*args)
+
+
+def _same_fold(got: tuple, want: tuple) -> bool:
+    """Same value and type, witness in the same key order, skipped count."""
+    (bound, skipped), (reference, reference_skipped) = got, want
+    return (bound.value, bound.witness, skipped) \
+        == (reference.value, reference.witness, reference_skipped) \
+        and type(bound.value) is type(reference.value) \
+        and list(bound.witness or ()) == list(reference.witness or ())
+
+
 @pytest.mark.parametrize("source", ["kernel", "intervened", "conditioned"])
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 3), st.data())
 def test_neighbour_sweep_equals_the_reference_family(source, rng, n, dom_size,
                                                      out_size, data):
     """`neighbour_sweep` folds groups of |D| rows over the integer table;
-    `sweep` over `neighbours` compares them pair by pair.  Same value,
+    `_reference_sweep` over `neighbours` compares them pair by pair.  Same value,
     witness (in the same key order) and skipped count, and the same
     databases read in the order the pairs first read them, for kernel rows,
     cross-checked whole-database interventions and conditionals on the
@@ -438,65 +463,97 @@ def test_neighbour_sweep_equals_the_reference_family(source, rng, n, dom_size,
                  "intervened": engine.output_given_db,
                  "conditioned": engine.output_conditioned_on_db}[source]
     read, first_read = [], []
-
-    def reading(log: list):
-        return lambda db: log.append(db) or output_of(db)
-
-    bound, skipped = neighbour_sweep(kernel, reading(read))
-    want, want_skipped = sweep(kernel.output_domain,
-                               neighbours(kernel, reading(first_read)))
-    assert (bound.value, bound.witness, skipped) == (want.value, want.witness,
-                                                     want_skipped)
-    assert type(bound.value) is type(want.value)
-    if want.witness is not None:
-        assert list(bound.witness) == list(want.witness)
+    got = neighbour_sweep(kernel, _reading(read, output_of))
+    want = _reference_sweep(kernel.output_domain,
+                            neighbours(kernel, _reading(first_read, output_of)))
+    assert _same_fold(got, want)
     assert read == list(dict.fromkeys(first_read))
     if source == "intervened":
         assert engine.cross_checks_done == len(dbs)
 
 
+@pytest.mark.parametrize("source", ["conditioned", "intervened"])
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.data())
+def test_value_sweep_equals_the_reference_family(source, rng, n, dom_size,
+                                                 out_size, data):
+    """`value_sweep` folds one group of |D| mixes per data point;
+    `_reference_sweep` over `value_pairs` compares them pair by pair.  Same
+    value, witness (in the same key order) and skipped count, and the same
+    `output_of` calls in the same order (the order decides which
+    cross-check mismatch is raised first), for conditionals on one point
+    and cross-checked single-point interventions.  Kernels keep zero
+    entries; populations have zero weights or are point masses, so some
+    conditionals are None and mixes have unlike denominators."""
+    kernel = random_kernel(rng, n, dom_size, out_size)
+    dbs = list(kernel.databases())
+    pop = Dist(c.data_point_names(kernel),
+               dict(zip(dbs, _mixed_weights(data.draw, len(dbs)))))
+    engine = CanonicalEngine(c.CanonicalModel(kernel, (), pop),
+                             cross_check=source == "intervened")
+    output_of = {"intervened": engine.output_given_point,
+                 "conditioned": engine.output_conditioned_on_point}[source]
+    read, first_read = [], []
+    got = value_sweep(kernel, _reading(read, output_of))
+    want = _reference_sweep(kernel.output_domain,
+                            value_pairs(kernel, _reading(first_read, output_of)))
+    assert _same_fold(got, want)
+    assert read == first_read == [(i, v) for i in range(1, n + 1) for v in kernel.data_domain]
+    if source == "intervened":
+        assert engine.cross_checks_done == n * dom_size
+
+
 @st.composite
-def comparison_families(draw):
-    """Outputs, a pool of rows and comparisons over it.  Rows keep some zero
-    entries as explicit `Fraction(0)` and drop others; the pool may hold
-    equal copies, pairs reuse row objects and sometimes compare a row with
-    itself, and either side may be None.  Some families end in infinite
-    comparisons followed by None sides."""
+def comparison_groups(draw):
+    """Outputs, groups of integer rows, a walk over every (group, left
+    member) in a drawn order that interleaves the groups, and the same rows
+    as `Fraction` mappings over each group's denominator.  Groups hold None
+    rows, the same row object more than once, one row only; a column may be
+    zero in every row of a group, or zero in some rows only (p/0)."""
     outputs = tuple(f"o{j}" for j in range(draw(st.integers(1, 4))))
-    pool = []
+    groups, mappings = [], []
     for _ in range(draw(st.integers(1, 4))):
-        row = {}
-        for o, w in zip(outputs, _weights(draw, len(outputs))):
-            if w or draw(st.booleans()):
-                row[o] = w
-        pool.append(row)
-        if draw(st.booleans()):
-            pool.append(dict(row))
-    side = st.one_of(st.none(), st.sampled_from(pool))
-    pairs = []
-    for k in range(draw(st.integers(0, 10))):
-        left = draw(side)
-        right = left if draw(st.booleans()) else draw(side)
-        pairs.append((left, right, {"k": k}))
-    if len(outputs) > 2 and draw(st.booleans()):
-        # positive over zero at two outputs, again, then None sides
-        positive = {outputs[0]: F(1, 2), outputs[1]: F(1, 2)}
-        zero = {outputs[0]: F(0), outputs[2]: F(1)}
-        pairs += [(positive, zero, {"k": "inf"}), (positive, zero, {"k": "again"}),
-                  (None, zero, {"k": "none"}), (positive, None, {"k": "none"})]
-    return outputs, pairs
+        den = draw(st.integers(1, 6))
+        zero = draw(st.sets(st.sampled_from(range(len(outputs))),  # all-zero columns
+                            max_size=len(outputs) - 1))
+        low = draw(st.integers(0, 1))  # 0: some rows may be zero where others are not
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["row", "row", "row", "none", "again"]))
+            if kind == "none":
+                rows.append(None)
+            elif kind == "again" and any(row is not None for row in rows):
+                rows.append(draw(st.sampled_from([row for row in rows if row is not None])))
+            else:
+                rows.append([0 if j in zero else draw(st.integers(low, 3))
+                             for j in range(len(outputs))])
+        groups.append(rows)
+        # explicit zero weights in some mappings, no entry in others
+        spelled = draw(st.booleans())
+        mappings.append([None if row is None else
+                         {o: F(p, den) for o, p in zip(outputs, row) if p or spelled}
+                         for row in rows])
+    walk = draw(st.permutations([(g, a) for g, rows in enumerate(groups)
+                                 for a in range(len(rows))]))
+    return outputs, groups, walk, mappings
 
 
-@given(comparison_families())
-def test_sweep_equals_the_reference_fold(family):
-    outputs, pairs = family
-    bound, skipped = sweep(outputs, iter(pairs))
-    want, want_skipped = _reference_sweep(outputs, pairs)
-    assert (bound.value, bound.witness, skipped) == (want.value, want.witness,
-                                                     want_skipped)
-    assert type(bound.value) is type(want.value)
-    if want.witness is not None:
-        assert list(bound.witness) == list(want.witness)
+@given(comparison_groups())
+def test_group_sweep_equals_the_reference_fold(family):
+    """`group_sweep` takes each group's supremum from its columns and then
+    finds the witness in the walk; `_reference_sweep` compares every
+    ordered pair of members of a group in the walk's order, the right
+    member in group order.  Same value, witness (key order included) and
+    skipped count."""
+    outputs, groups, walk, mappings = family
+
+    def witness(g: int, a: int, b: int) -> dict:
+        return {"g": g, "a": a, "b": b}
+
+    pairs = [(mappings[g][a], right, witness(g, a, b))
+             for g, a in walk for b, right in enumerate(mappings[g])]
+    assert _same_fold(group_sweep(outputs, iter(groups), iter(walk), witness, "o"),
+                      _reference_sweep(outputs, pairs))
 
 
 # --- the effect-ratio and semantic-gap folds ---------------------------------------
