@@ -64,6 +64,23 @@ def _row_error(error: type[Exception], where: str, row, problem: str) -> Excepti
     return error(f"{label}: {problem}")
 
 
+def integer_weights(weights: list) -> tuple[int, list[int]] | None:
+    """(L, the numerators of `weights` over L, in order), L the lcm of their
+    denominators; None unless every weight is a nonnegative `Fraction`.
+    Each distinct weight object is tested and converted once."""
+    ids = list(map(id, weights))  # unique while `weights` holds every weight
+    terms = {}
+    for key, w in dict(zip(ids, weights)).items():
+        if not isinstance(w, Fraction):
+            return None
+        num, den = terms[key] = w.as_integer_ratio()
+        if num < 0:
+            return None
+    common = math.lcm(*{den for _, den in terms.values()})
+    scaled = {key: num * (common // den) for key, (num, den) in terms.items()}
+    return common, list(map(scaled.__getitem__, ids))
+
+
 def check_table(table: Mapping, keys: Iterable, domain: Iterable, where: str) -> None:
     """One row per expected key, and every row value inside the domain; raises
     DomainMismatch or ValueOutOfDomain, the message starting with `where`."""

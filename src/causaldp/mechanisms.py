@@ -11,6 +11,13 @@ one to others), D_i := R_i are the data points handed to the mechanism,
 D := (D_1, ..., D_n) collects them, and O applies the kernel.  Data points
 never influence one another; correlations between them can only come from
 the R side.
+
+A kernel is its integer table: every row over one common denominator L, as
+the row's numerators in output order.  The builtins build those integers
+directly; a `Fraction` table comes in through `MechanismKernel.from_table`,
+which converts each distinct weight object once (`dist.integer_weights`).
+Either way the constructor checks the integers, and the `Fraction` table is
+derived from them only for the readers that need it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from itertools import chain, compress, product
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dist import Dist, check_table, exact_row
+from .dist import Dist, check_table, exact_row, integer_weights
 from .errors import (
     BiasOutOfRange,
     CrossCheckMismatch,
@@ -75,33 +82,15 @@ def _require_points(n: int) -> None:
         raise DomainMismatch("a mechanism needs at least one data point")
 
 
-def _tabulate(table: dict, databases: Iterable[tuple],
-              outputs: tuple) -> tuple[int, dict[tuple, tuple]] | None:
-    """The table over one common denominator L, the lcm of its weights'
-    denominators: (L, database -> the row's numerators in `outputs` order,
-    0 where the row has no entry), databases in the given order.  None
-    unless every weight is a positive `Fraction` and every row's numerators
-    sum to L.  Each distinct weight object is tested and converted once."""
-    databases = list(databases)
-    blank = dict.fromkeys(outputs)  # None where a row has no entry
-    cells = list(chain.from_iterable(
-        {**blank, **table[db]}.values() for db in databases))
-    ids = list(map(id, cells))  # unique while `cells` holds every weight
-    terms = {id(None): (0, 1)}  # no entry
-    for key, w in dict(zip(ids, cells)).items():
-        if w is not None:
-            if not isinstance(w, Fraction):
-                return None
-            num, den = terms[key] = w.as_integer_ratio()
-            if num <= 0:
-                return None
-    common = math.lcm(*{den for _, den in terms.values()})
-    scaled = {key: num * (common // den) for key, (num, den) in terms.items()}
-    numerators = map(scaled.__getitem__, ids)
-    rows = dict(zip(databases, zip(*[numerators] * len(outputs))))  # |O| at a time
-    if not all(map(common.__eq__, map(sum, rows.values()))):
-        return None
-    return common, rows
+def _check_domains(n: int, data_domain: tuple, null_value: Value,
+                   output_domain: tuple) -> None:
+    _require_points(n)
+    if len(set(data_domain)) != len(data_domain) or not data_domain:
+        raise DomainMismatch("data domain must be nonempty without duplicates")
+    if null_value not in data_domain:
+        raise ValueOutOfDomain(f"null value {preview(null_value)} missing from data domain")
+    if len(set(output_domain)) != len(output_domain) or not output_domain:
+        raise DomainMismatch("output domain must be nonempty without duplicates")
 
 
 @dataclass(frozen=True)
@@ -114,71 +103,81 @@ class MechanismKernel:
       null_value: the domain member standing for a missing/absent point; each
         mechanism defines how it treats nulls.
       output_domain: the mechanism's output values, in report order.
-      table: database tuple -> {output: positive weight}; one row per database
-        in data_domain^n, each summing to exactly 1 (zero entries dropped).
-        A kernel built from a table keeps it, in its own order; a builtin is
-        built from its integer rows and derives its table on first read.
-      integer_table: the kernel's own representation, set on construction,
-        not an argument: the table over one common denominator L, the lcm
-        of its weights' denominators, as (L, database -> the row's
-        numerators in `output_domain` order, 0 for no entry), databases in
-        `databases()` order.  Checks mix and compare rows in these
-        integers, and `row` reads them.
+      integer_table: the kernel itself, (L, database -> the row's numerators
+        over L in `output_domain` order, 0 for no entry), one tuple of ints
+        per database in data_domain^n.  Stored in `databases()` order with L
+        the lcm of the reduced weights' denominators, so equal kernels have
+        equal tables.  A `Fraction` table comes in through `from_table`.
     """
 
     n: int
     data_domain: tuple[Value, ...]
     null_value: Value
     output_domain: tuple[Value, ...]
-    table: dict[tuple, dict[Value, Fraction]]
+    integer_table: tuple[int, dict[tuple, tuple[int, ...]]]
 
     def __post_init__(self):
-        """Validate by building `integer_table` in one walk over the cells:
-        each distinct weight object is tested once to be a positive
-        `Fraction`, and each row's numerators must sum to L.  Only a table
-        that fails (rare: a zero entry, a weight of another type or sign, a
-        wrong row sum) is walked again row by row through `exact_row`, which
-        raises the first error in `table` order, or drops the zeros and
-        leaves a table that tabulates."""
-        self._check_domains()
-        check_table(self.table, self.databases(), self.output_domain, "kernel table")
-        tabulated = _tabulate(self.table, self.databases(), self.output_domain)
-        if tabulated is None:
-            cleaned = {
-                db: exact_row(row, DomainMismatch, "kernel row", db)
-                for db, row in self.table.items()
-            }
-            tabulated = _tabulate(cleaned, self.databases(), self.output_domain)
-        else:  # the kernel owns its rows, as after the row walk
-            cleaned = {db: dict(row) for db, row in self.table.items()}
-        object.__setattr__(self, "table", cleaned)
-        object.__setattr__(self, "integer_table", tabulated)
+        """Check the domains, then the table in integers: one row per
+        database, each a tuple of |O| nonnegative ints summing to L >= 1.
+        Only a table that fails is walked row by row, in its given order, to
+        word the first error."""
+        _check_domains(self.n, self.data_domain, self.null_value, self.output_domain)
+        common, rows = self.integer_table
+        databases = list(self.databases())
+        ordered = list(rows) == databases
+        if not ordered:  # the key check alone, on rows without values
+            check_table(dict.fromkeys(rows, ()), databases, (), "kernel table")
+        if type(common) is not int or common < 1:
+            raise DomainMismatch(
+                f"kernel table: denominator {preview(common)} is not a positive int")
+        outputs, width = self.output_domain, len(self.output_domain)
+        if (set(map(type, rows.values())) != {tuple} or set(map(len, rows.values())) != {width}
+                or set(map(type, chain.from_iterable(rows.values()))) != {int}
+                or min(chain.from_iterable(rows.values())) < 0
+                or not all(map(common.__eq__, map(sum, rows.values())))):
+            for db, row in rows.items():  # the first error: a shape, a sign or a sum
+                if type(row) is not tuple or len(row) != width or set(map(type, row)) != {int}:
+                    raise DomainMismatch(f"kernel row {preview(db)}: expected {width} int "
+                                         f"numerators, got {preview(row)}")
+                exact_row({o: Fraction(p, common) for o, p in zip(outputs, row)},
+                          DomainMismatch, "kernel row", db)
+        factor = math.gcd(*next(iter(rows.values())))  # a row sums to L, so g | L
+        if factor > 1:
+            factor = math.gcd(factor, *chain.from_iterable(rows.values()))
+        if factor > 1 or not ordered:
+            rows = {db: tuple(p // factor for p in rows[db]) for db in databases}
+        object.__setattr__(self, "integer_table", (common // factor, rows))
 
-    def _check_domains(self) -> None:
-        _require_points(self.n)
-        if len(set(self.data_domain)) != len(self.data_domain) or not self.data_domain:
-            raise DomainMismatch("data domain must be nonempty without duplicates")
-        if self.null_value not in self.data_domain:
-            raise ValueOutOfDomain(
-                f"null value {preview(self.null_value)} missing from data domain"
-            )
-        if len(set(self.output_domain)) != len(self.output_domain) or not self.output_domain:
-            raise DomainMismatch("output domain must be nonempty without duplicates")
+    @staticmethod
+    def from_table(n: int, data_domain: tuple, null_value: Value, output_domain: tuple,
+                   table: dict[tuple, dict[Value, Fraction]]) -> MechanismKernel:
+        """The kernel of a `Fraction` table, database -> {output: weight},
+        each row summing to exactly 1 (no entry weighs 0).  After the domain
+        checks and `check_table`, one walk converts each distinct weight
+        object once into dense rows; a weight of another type or sign is
+        worded by `exact_row`, a wrong sum by the constructor, in `table`
+        order."""
+        _check_domains(n, data_domain, null_value, output_domain)
+        check_table(table, product(data_domain, repeat=n), output_domain, "kernel table")
+        blank = dict.fromkeys(output_domain, Fraction(0))
+        converted = integer_weights(list(chain.from_iterable(
+            {**blank, **row}.values() for row in table.values())))
+        if converted is None:
+            for db, row in table.items():
+                exact_row(row, DomainMismatch, "kernel row", db)
+        common, numerators = converted
+        rows = dict(zip(table, zip(*[iter(numerators)] * len(output_domain))))
+        return MechanismKernel(n, data_domain, null_value, output_domain, (common, rows))
 
-    def __getattr__(self, name: str):
-        """`table`, derived from `integer_table` on its first read by a
-        kernel built from integer rows (`_integer_kernel`): rows in
-        `databases()` order, outputs in report order, and one `Fraction`
-        per distinct numerator, shared by every cell that holds it.  No
-        other attribute is ever derived."""
-        if name != "table":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def table(self) -> dict[tuple, dict[Value, Fraction]]:
+        """database -> {output: positive weight}, derived from
+        `integer_table` on first read: rows in `databases()` order, outputs
+        in report order, and one `Fraction` per distinct numerator, shared
+        by every cell that holds it."""
         outputs, fractions = self.output_domain, self._fractions
-        table = {db: {o: fractions[p] for o, p in zip(outputs, row) if p}
-                 for db, row in self.integer_table[1].items()}
-        object.__setattr__(self, "table", table)
-        return table
+        return {db: {o: fractions[p] for o, p in zip(outputs, row) if p}
+                for db, row in self.integer_table[1].items()}
 
     @cached_property
     def _fractions(self) -> dict[int, Fraction]:
@@ -213,6 +212,17 @@ class MechanismKernel:
         sem.validate()
         return sem
 
+    @cached_property
+    def _uniform(self) -> ProbabilisticSem:
+        """The canonical release model under the uniform input, validated
+        once per kernel before any intervention, so its sub-models inherit
+        the checked order; every cross-checking engine on the kernel shares
+        it."""
+        psem = ProbabilisticSem(self._canonical_sem,
+                                Dist.uniform(input_names(self), self.databases()))
+        psem.validate()
+        return psem
+
 
 class KernelRow(Mapping):
     """A kernel row over L (its `integer_table` row), or a mix of rows over
@@ -243,27 +253,6 @@ class KernelRow(Mapping):
 
     def __repr__(self) -> str:
         return repr(dict(self))
-
-
-def _integer_kernel(n: int, data_domain: tuple, null_value: Value,
-                    output_domain: tuple, common: int,
-                    rows: dict[tuple, tuple[int, ...]]) -> MechanismKernel:
-    """The kernel whose `integer_table` is (common, rows), with every
-    database's row in `databases()` order over L = `common`, the lcm of the
-    reduced weights' denominators; its `table` is derived on first read.
-    Validated in integers: every numerator must be nonnegative, then each
-    row must sum to L.  A kernel that fails is built from its derived
-    `Fraction` table instead, whose validation words the first error."""
-    kernel = object.__new__(MechanismKernel)
-    for name, value in (("n", n), ("data_domain", data_domain),
-                        ("null_value", null_value), ("output_domain", output_domain),
-                        ("integer_table", (common, rows))):
-        object.__setattr__(kernel, name, value)
-    kernel._check_domains()
-    if min(map(min, rows.values())) < 0 \
-            or not all(map(common.__eq__, map(sum, rows.values()))):
-        return MechanismKernel(n, data_domain, null_value, output_domain, kernel.table)
-    return kernel
 
 
 # --- concrete mechanisms ----------------------------------------------------
@@ -306,7 +295,7 @@ def randomized_response_kernel(n: int, truth_bias: Fraction) -> MechanismKernel:
         }
     rows = {db: tuple(map(cell[nulls].__getitem__, counts))
             for db, (counts, nulls) in prefixes.items()}
-    return _integer_kernel(n, RESPONDENT_DOMAIN, NULL, outputs, common, rows)
+    return MechanismKernel(n, RESPONDENT_DOMAIN, NULL, outputs, (common, rows))
 
 
 def geometric_count_kernel(n: int, noise_ratio: Fraction) -> MechanismKernel:
@@ -344,7 +333,7 @@ def geometric_count_kernel(n: int, noise_ratio: Fraction) -> MechanismKernel:
     by_count = [tuple(w.numerator * (common // w.denominator) for w in row)
                 for row in weights]
     rows = {db: by_count[db.count(POS)] for db in product(RESPONDENT_DOMAIN, repeat=n)}
-    return _integer_kernel(n, RESPONDENT_DOMAIN, NULL, tuple(range(n + 1)), common, rows)
+    return MechanismKernel(n, RESPONDENT_DOMAIN, NULL, tuple(range(n + 1)), (common, rows))
 
 
 def hidden_pair_kernel() -> MechanismKernel:
@@ -362,7 +351,7 @@ def hidden_pair_kernel() -> MechanismKernel:
         db: ({0: Fraction(1)} if db == (2, 2) else dict(fair))
         for db in product(dom, repeat=2)
     }
-    return MechanismKernel(2, dom, 0, (0, 1), table)
+    return MechanismKernel.from_table(2, dom, 0, (0, 1), table)
 
 
 def hidden_value_kernel() -> MechanismKernel:
@@ -377,7 +366,7 @@ def hidden_value_kernel() -> MechanismKernel:
     dom = (0, 1, 2)
     fair = {0: Fraction(1, 2), 1: Fraction(1, 2)}
     table = {(0,): dict(fair), (1,): dict(fair), (2,): {0: Fraction(1)}}
-    return MechanismKernel(1, dom, 0, (0, 1), table)
+    return MechanismKernel.from_table(1, dom, 0, (0, 1), table)
 
 
 def constant_kernel(
@@ -389,7 +378,7 @@ def constant_kernel(
 ) -> MechanismKernel:
     """A mechanism that ignores its input: every database gets `row`."""
     table = {db: dict(row) for db in product(tuple(data_domain), repeat=n)}
-    return MechanismKernel(
+    return MechanismKernel.from_table(
         n, tuple(data_domain), null_value, tuple(output_domain), table
     )
 
@@ -673,16 +662,6 @@ class CanonicalEngine:
         """The joint of D_1..D_n the conditionals and the mixes read."""
         return self.model.data_joint
 
-    @cached_property
-    def _uniform(self) -> ProbabilisticSem:
-        """The kernel's structural model under the uniform input, validated
-        before any intervention so its sub-models inherit the checked order."""
-        kernel = self.kernel
-        psem = ProbabilisticSem(kernel._canonical_sem,
-                                Dist.uniform(input_names(kernel), kernel.databases()))
-        psem.validate()
-        return psem
-
     def _oracle_rows(self, psem: ProbabilisticSem, forced: dict,
                      sliced: tuple[str, ...], common: int) -> tuple[int, dict]:
         """One integer lift of (`sliced`, O) under do(`forced`), split into
@@ -707,7 +686,7 @@ class CanonicalEngine:
 
     @cached_property
     def _db_rows(self) -> tuple[int, dict[tuple, dict]]:
-        return self._oracle_rows(self._uniform, {}, input_names(self.kernel),
+        return self._oracle_rows(self.kernel._uniform, {}, input_names(self.kernel),
                                  self.kernel.integer_table[0])
 
     def _verify(self, common: int, fast, oracle, key, mismatch: Callable) -> None:
@@ -736,7 +715,7 @@ class CanonicalEngine:
         common, rows = kernel.integer_table
         for i in range(1, n + 1):
             rest = inputs[: i - 1] + inputs[i:]
-            lifts = {v: self._oracle_rows(self._uniform, {d_name(i): v}, rest, common)
+            lifts = {v: self._oracle_rows(kernel._uniform, {d_name(i): v}, rest, common)
                      for v in dom}
             for others in product(dom, repeat=n - 1):
                 for v in dom:

@@ -283,7 +283,7 @@ def parse_kernel(obj: dict, loc: str = "kernel") -> MechanismKernel:
     output_domain = _values(obj["output_domain"], f"{loc}.output_domain")
     table = _table(obj["table"], f"{loc}.table", "database", _row)
     return _wrap_model_error(
-        lambda: MechanismKernel(n, data_domain, null_value, output_domain, table),
+        lambda: MechanismKernel.from_table(n, data_domain, null_value, output_domain, table),
         loc,
     )
 

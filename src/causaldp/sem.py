@@ -20,7 +20,9 @@ calls a closed form.  A query enumerates only the queried variables and
 their ancestors in the current, possibly intervened, graph; every other
 variable is barren for the query and summing it out contributes exactly one.
 The enumeration runs in integers over a running common denominator, from
-integer tables each equation builds from its own rows (never the engine's).
+integer tables each equation builds from its own rows (never the engine's
+or the kernel's), through the converter `dist.integer_weights` that kernel
+tables also pass.
 `ProbabilisticSem.integer_lift` returns its cells as that denominator and
 positive numerators, and checks in integers that they sum to it; `lift`
 builds one `Fraction` per cell from them, in a `Dist`.
@@ -41,15 +43,14 @@ sums to one, and every returned `Dist` still passes `exact_row`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .dist import Dist, Event, check_table, exact_row
+from .dist import Dist, Event, check_table, exact_row, integer_weights
 from .errors import (
     CyclicModel,
     DomainMismatch,
@@ -64,25 +65,20 @@ from .exact import Value, memoized
 
 def _tabulate(rows: dict, width: int) -> tuple[int, dict[tuple, tuple]] | None:
     """The rows over one common denominator L, the lcm of their weights'
-    denominators: (L, parent key -> ((value, numerator), ...)), each row in
-    its own order.  None unless every key is a tuple of `width` values,
-    every weight is a positive `Fraction` and every row's numerators sum to
-    L.  Each distinct weight object is tested and converted once."""
+    denominators (`integer_weights`): (L, parent key -> ((value,
+    numerator), ...)), each row in its own order.  None unless every key is
+    a tuple of `width` values, every weight is a positive `Fraction` and
+    every row's numerators sum to L."""
     if not all(isinstance(key, tuple) and len(key) == width for key in rows):
         return None
-    weights = [w for row in rows.values() for w in row.values()]
-    terms: dict[int, tuple[int, int]] = {}
-    for w in {id(w): w for w in weights}.values():  # `weights` keeps ids unique
-        if not isinstance(w, Fraction):
-            return None
-        num, den = terms[id(w)] = w.as_integer_ratio()
-        if num <= 0:
-            return None
-    common = math.lcm(*{den for _, den in terms.values()})
-    scaled = {key: num * (common // den) for key, (num, den) in terms.items()}
+    converted = integer_weights([w for row in rows.values() for w in row.values()])
+    if converted is None or not all(converted[1]):  # a zero entry is cleaned
+        return None
+    common, numerators = converted
+    cells = iter(numerators)
     table = {}
     for key, row in rows.items():
-        numerators = list(map(scaled.__getitem__, map(id, row.values())))
+        numerators = list(islice(cells, len(row)))
         if sum(numerators) != common:
             return None
         table[key] = tuple(zip(row, numerators))
@@ -112,12 +108,13 @@ class StochasticEquation:
 
     def __post_init__(self):
         """Validate by building `_integer_table` in one walk over the cells,
-        as `MechanismKernel` does: each distinct weight object is tested
-        once, and each row's numerators must sum to L.  Only rows that fail
-        (a key that does not match the parents, a zero entry, a weight of
-        another type or sign, a wrong row sum) are walked again in order
-        through the key check and `exact_row`, which raise the first error,
-        or drop the zeros and leave rows that tabulate."""
+        through `integer_weights`, as `MechanismKernel.from_table` does: each
+        distinct weight object is tested once, and each row's numerators
+        must sum to L.  Only rows that fail (a key that does not match the
+        parents, a zero entry, a weight of another type or sign, a wrong row
+        sum) are walked again in order through the key check and
+        `exact_row`, which raise the first error, or drop the zeros and
+        leave rows that tabulate."""
         tabulated = _tabulate(self.rows, len(self.parents))
         if tabulated is None:
             cleaned = {}

@@ -67,7 +67,7 @@ def random_kernel(
             weights[rng.randrange(out_size)] = 1
         total = sum(weights)
         table[db] = {o: Fraction(w, total) for o, w in zip(outs, weights) if w}
-    return c.MechanismKernel(n, dom, dom[0], outs, table)
+    return c.MechanismKernel.from_table(n, dom, dom[0], outs, table)
 
 
 def random_population(

@@ -168,8 +168,8 @@ def test_semantic_gap_tie_goes_to_the_documented_order():
     # tie at 3/2 between plain/forced at (0,0) and forced/plain at (0,1);
     # forced over plain is swept first, over every database in the support
     same, cross = {"a": F(1, 2), "b": F(1, 2)}, {"a": F(1, 3), "b": F(2, 3)}
-    k = c.MechanismKernel(2, (0, 1), 0, ("a", "b"),
-                          {(0, 0): same, (0, 1): cross, (1, 0): cross, (1, 1): same})
+    k = c.MechanismKernel.from_table(2, (0, 1), 0, ("a", "b"),
+                                     {(0, 0): same, (0, 1): cross, (1, 0): cross, (1, 1): same})
     prior = Dist.uniform(("D_1", "D_2"), list(k.databases()))
     gap = c.semantic_gap(k, prior, 1, 1)
     assert gap.value == F(3, 2)

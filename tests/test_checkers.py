@@ -124,12 +124,15 @@ def test_universal_single_point_never_exceeds_classic():
 
 def break_oracle_row(k, db):
     """Make the O row of `db` in the kernel's structural model, the one the
-    oracle enumerates, answer all-pos for sure."""
+    oracle enumerates, answer all-pos for sure; the kernel's uniform-input
+    model, built from the structural model, is built again from the broken
+    one."""
     sem = k._canonical_sem
     out = sem.equations["O"]
     rows = {**out.rows, (db,): {(c.POS,) * k.n: F(1)}}
     equations = {**sem.equations, "O": c.StochasticEquation("O", out.parents, rows)}
     k.__dict__["_canonical_sem"] = c.Sem(sem.names, sem.domains, equations)
+    k.__dict__.pop("_uniform", None)
 
 
 def count_calls(monkeypatch, *targets):
@@ -477,3 +480,25 @@ def test_only_cross_checks_and_attribute_equations_build_the_model():
     tied, attr, tied_pop = ada_model()
     c.run_check(DId.BAYESIAN0, model(tied, tied_pop, attr), F(2))
     assert "_canonical_sem" in tied.__dict__
+
+
+def test_cross_checking_engines_on_one_kernel_share_its_uniform_model(monkeypatch):
+    """The kernel's structural model under the uniform input is built and
+    validated once per kernel (`MechanismKernel._uniform`): two
+    cross-checking engines on one kernel, under different populations, read
+    their whole-database rows and their point masses off one object."""
+    k = c.randomized_response_kernel(2, F(2, 3))
+    read, inner = [], c.CanonicalEngine._oracle_rows
+
+    def recorded(self, psem, *args):
+        read.append((self, psem))
+        return inner(self, psem, *args)
+
+    monkeypatch.setattr(c.CanonicalEngine, "_oracle_rows", recorded)
+    skewed = Dist(c.input_names(k), {(c.POS, c.NEG): F(1, 3), (c.NULL, c.NULL): F(2, 3)})
+    engines = [c.CanonicalEngine(model(k, pop), cross_check=True) for pop in (None, skewed)]
+    for engine in engines:
+        engine.output_given_db((c.POS, c.NEG))
+        engine.verify_point_masses()
+    assert [engine for engine, _ in read] == [engines[0]] * 7 + [engines[1]] * 7  # 1 + n|D| lifts
+    assert {id(psem) for _, psem in read} == {id(k._uniform)}

@@ -108,7 +108,7 @@ def test_rr_kernel_equals_the_per_cell_formula(n, q):
 
 
 def test_a_builtin_is_validated_in_its_numerators():
-    """`_integer_kernel` tests the numerators' signs and row sums itself: a
+    """The constructor tests the numerators' signs and row sums itself: a
     negative numerator or a row off L fails with the error and message of
     the kernel built from the same `Fraction` table, and building RR n=5
     and running `classic_epsilon` builds no `Fraction` weight."""
@@ -116,13 +116,57 @@ def test_a_builtin_is_validated_in_its_numerators():
     for rows in ({(0,): (3, -1), (1,): (1, 1)}, {(0,): (1, 2), (1,): (1, 1)}):
         table = {db: {o: F(p, 2) for o, p in zip(outs, row) if p} for db, row in rows.items()}
         with pytest.raises(c.DomainMismatch) as want:
-            c.MechanismKernel(1, dom, 0, outs, table)
+            c.MechanismKernel.from_table(1, dom, 0, outs, table)
         with pytest.raises(c.DomainMismatch) as got:
-            mechanisms._integer_kernel(1, dom, 0, outs, 2, rows)
+            c.MechanismKernel(1, dom, 0, outs, (2, rows))
         assert str(got.value) == str(want.value)
     k = c.randomized_response_kernel(5, F(3, 4))
     c.classic_epsilon(k)
     assert "_fractions" not in vars(k) and "table" not in vars(k)
+
+
+def test_the_integer_constructor_checks_its_table():
+    """`MechanismKernel(..., (L, rows))` refuses every table that is not one
+    tuple of |O| nonnegative ints summing to L >= 1 per database, with
+    `DomainMismatch`: a missing or extra database in `check_table`'s words,
+    a negative numerator in `exact_row`'s, each as `from_table` words the
+    same `Fraction` table.  A short row that still sums to L, even next to
+    a long one that keeps the cell count, is refused, so the derived
+    `table` never cuts a row short with `zip` and `neighbour_sweep` never
+    groups one row's cells with another's: padded, the same rows build a
+    kernel whose table and classic ratio are those of its `Fraction` table.
+    Rows in another order are stored in `databases()` order, and a factor
+    that L shares with every numerator is divided out."""
+    dom, outs = (0, 1), ("a", "b")
+    good = {(0, 0): (1, 1), (0, 1): (2, 0), (1, 0): (1, 1), (1, 1): (0, 2)}
+
+    def refused(rows, common):
+        with pytest.raises(c.DomainMismatch) as raised:
+            c.MechanismKernel(2, dom, 0, outs, (common, rows))
+        return str(raised.value)
+
+    for rows in ({db: good[db] for db in list(good)[1:]}, {**good, (2, 2): (1, 1)},
+                 {**good, (0, 0): (3, -1)}):
+        table = {db: {o: F(p, 2) for o, p in zip(outs, row) if p} for db, row in rows.items()}
+        with pytest.raises(c.DomainMismatch) as want:
+            c.MechanismKernel.from_table(2, dom, 0, outs, table)
+        assert refused(rows, 2) == str(want.value)
+    for row in ((2,), [2, 0], (True, 0), (2.0, 0), (F(2), 0), ("2", 0), (2, None)):
+        assert refused({**good, (0, 1): row}, 2) == \
+            f"kernel row (0, 1): expected 2 int numerators, got {row!r}"
+    assert refused({**good, (0, 1): (2,), (1, 1): (0, 2, 0)}, 2) == \
+        "kernel row (0, 1): expected 2 int numerators, got (2,)"
+    for common in (0, -2, True, 2.0):
+        assert refused(good, common) == \
+            f"kernel table: denominator {common!r} is not a positive int"
+    padded = c.MechanismKernel(2, dom, 0, outs, (2, {**good, (0, 1): (2, 0)}))
+    table = {db: {o: F(p, 2) for o, p in zip(outs, row) if p} for db, row in good.items()}
+    assert padded.table == table
+    assert c.classic_epsilon(padded) == \
+        c.classic_epsilon(c.MechanismKernel.from_table(2, dom, 0, outs, table))
+    shuffled = c.MechanismKernel(2, dom, 0, outs, (4, {db: tuple(2 * p for p in good[db])
+                                                       for db in reversed(good)}))
+    assert shuffled == padded and list(shuffled.integer_table[1]) == list(good)
 
 
 @pytest.mark.parametrize("n,q,expected", [
@@ -209,10 +253,11 @@ def test_geometric_classic_ratio_is_inverse_noise(n, r):
 
 
 def test_a_valid_kernel_is_read_in_one_walk(monkeypatch, tmp_path, capsys):
-    """A builtin kernel and a parsed one hold their integer table from
-    construction, and neither their construction nor `classic_epsilon` on
-    them walks a row through `exact_row`: a valid table is validated by
-    building the integer table, once.  A builtin never derives its
+    """A builtin kernel and parsed ones, one of them spelling out "0"
+    weights, hold their integer table from construction, and neither their
+    construction nor `classic_epsilon` on them walks a row through
+    `exact_row`: a valid table is validated by building the integer table,
+    once, and a zero weight is a zero numerator.  A builtin never derives its
     `Fraction` table for the checks that only compare its rows (`classic`,
     `strong_adversary_universal`, `whole_db_universal` without the
     cross-check, the CLI's too) or for its digest."""
@@ -226,7 +271,11 @@ def test_a_valid_kernel_is_read_in_one_walk(monkeypatch, tmp_path, capsys):
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(module, "exact_row", counted)
-    for kernel in (c.randomized_response_kernel(3, F(2, 3)), parse_text(text)):
+    zeros = ('{"type": "kernel", "n": 1, "data_domain": [0, 1], "null_value": 0, '
+             '"output_domain": ["a", "b"], "table": [[[0], [["a", "1"], ["b", "0"]]], '
+             '[[1], [["a", "0"], ["b", "1"]]]]}')
+    for kernel in (c.randomized_response_kernel(3, F(2, 3)), parse_text(text),
+                   parse_text(zeros)):
         assert "integer_table" in vars(kernel)
         c.classic_epsilon(kernel)
     assert calls == []
@@ -236,13 +285,13 @@ def test_a_valid_kernel_is_read_in_one_walk(monkeypatch, tmp_path, capsys):
             c.run_check(definition, kernel, F(2), cross_check=False)
         input_digest(kernel)
         assert "table" not in vars(kernel)
-    created, build = [], mechanisms._integer_kernel
+    created, post_init = [], c.MechanismKernel.__post_init__
 
-    def recorded(*args):
-        created.append(build(*args))
-        return created[-1]
+    def recorded(kernel):
+        post_init(kernel)
+        created.append(kernel)
 
-    monkeypatch.setattr(mechanisms, "_integer_kernel", recorded)
+    monkeypatch.setattr(c.MechanismKernel, "__post_init__", recorded)
     for builtin in ('"randomized_response", "n": 3, "bias": "2/3"',
                     '"geometric_count", "n": 3, "ratio": "1/3"'):
         for definition in ("classic", "strong_adversary_universal", "whole_db_universal"):
@@ -293,12 +342,12 @@ def test_classic_witness_is_first_maximizer_and_replays():
 
 def test_kernel_table_coverage_enforced():
     with pytest.raises(c.DomainMismatch):
-        c.MechanismKernel(2, (0, 1), 0, ("x",), {(0, 0): {"x": F(1)}})
+        c.MechanismKernel.from_table(2, (0, 1), 0, ("x",), {(0, 0): {"x": F(1)}})
 
 
 def test_kernel_rows_must_sum_to_one():
     with pytest.raises(c.DomainMismatch):
-        c.MechanismKernel(
+        c.MechanismKernel.from_table(
             1, (0,), 0, ("x", "y"), {(0,): {"x": F(1, 2), "y": F(1, 3)}}
         )
 
@@ -511,8 +560,8 @@ def test_an_oracle_cell_off_the_row_is_a_mismatch(monkeypatch, change, mismatch)
     # database (0,)'s row is a point mass on 'a'; its slice of the
     # whole-database lift moves that weight to 'b' (same size, no cell in
     # common) or gains a cell at 'b' (every cell of the row still matched)
-    k = c.MechanismKernel(1, (0, 1), 0, ("a", "b"),
-                          {(0,): {"a": F(1)}, (1,): {"a": F(1, 2), "b": F(1, 2)}})
+    k = c.MechanismKernel.from_table(1, (0, 1), 0, ("a", "b"),
+                                     {(0,): {"a": F(1)}, (1,): {"a": F(1, 2), "b": F(1, 2)}})
     honest = c.ProbabilisticSem.integer_lift
 
     def perturbed(self, variables):

@@ -341,7 +341,7 @@ def test_one_dist_witness_follows_the_neighbours_order():
         (1, 0): (F(4, 9), F(5, 9)),
         (1, 1): (F(1, 3), F(2, 3)),
     }
-    kernel = c.MechanismKernel(
+    kernel = c.MechanismKernel.from_table(
         2, (0, 1), 0, ("o0", "o1"),
         {db: dict(zip(("o0", "o1"), row)) for db, row in rows.items()},
     )
@@ -452,8 +452,8 @@ def test_neighbour_sweep_equals_the_reference_family(source, rng, n, dom_size,
         table = {db: {**row, first: F(0),
                       second: row.get(first, F(0)) + row.get(second, F(0))}
                  for db, row in kernel.table.items()}
-        kernel = c.MechanismKernel(n, kernel.data_domain, kernel.null_value,
-                                   kernel.output_domain, table)
+        kernel = c.MechanismKernel.from_table(n, kernel.data_domain, kernel.null_value,
+                                              kernel.output_domain, table)
     dbs = list(kernel.databases())
     pop = Dist(c.data_point_names(kernel),
                dict(zip(dbs, _mixed_weights(data.draw, len(dbs)))))
@@ -681,7 +681,7 @@ def gap_queries(draw) -> tuple:
                              draw(st.integers(2, 3)))
     dom = tuple(range(dom_size))
     outs = tuple(f"o{j}" for j in range(out_size))
-    kernel = c.MechanismKernel(n, dom, dom[0], outs, {
+    kernel = c.MechanismKernel.from_table(n, dom, dom[0], outs, {
         db: dict(zip(outs, _weights(draw, out_size))) for db in product(dom, repeat=n)
     })
     prior = _population(draw, c.data_point_names(kernel), kernel)
@@ -799,7 +799,7 @@ def test_point_masses_are_slices_of_one_uniform_lift(rng, n, dom_size, out_size)
         rest = r_names[: i - 1] + r_names[i:]
         for v in kernel.data_domain:
             forced = {c.d_name(i): v}
-            scale, rows = engine._oracle_rows(engine._uniform, forced, rest, 1)
+            scale, rows = engine._oracle_rows(kernel._uniform, forced, rest, 1)
             joint = uniform.do(forced).lift(rest + ("O",))
             for others in product(kernel.data_domain, repeat=n - 1):
                 d = others[: i - 1] + (v,) + others[i - 1 :]
@@ -834,7 +834,7 @@ def test_whole_database_rows_are_slices_of_one_uniform_lift(rng, n, dom_size,
             kernel, tie, _population(data.draw, inputs[:-1], kernel)))
     for model in models:
         engine = CanonicalEngine(model, cross_check=True)
-        scale, slices = engine._oracle_rows(engine._uniform, {}, inputs, 1)
+        scale, slices = engine._oracle_rows(kernel._uniform, {}, inputs, 1)
         for db in kernel.databases():
             forced = model.psem.do(dict(zip(c.data_point_names(kernel), db)))
             old = {point[0]: w for point, w in forced.lift(("O",)).weights.items()}
@@ -854,7 +854,7 @@ def kernels_with_zero_entries(draw) -> tuple:
     outs = tuple(f"o{j}" for j in range(out_size))
     table = {db: dict(zip(outs, _weights(draw, out_size)))
              for db in product(dom, repeat=n)}
-    return c.MechanismKernel(n, dom, dom[0], outs, table), table
+    return c.MechanismKernel.from_table(n, dom, dom[0], outs, table), table
 
 
 @st.composite
@@ -979,7 +979,7 @@ def test_engine_data_joint_is_the_lifted_population(kernel_and_table, data):
 
 
 @given(st.integers(2, 4),
-       st.sampled_from(("float", "negative", "sum", "excess", "int", "bool")),
+       st.sampled_from(("float", "negative", "sum", "excess", "int", "bool", "none")),
        st.data())
 def test_constructors_reject_inexact_rows(size, fault, data):
     row = _weights(data.draw, size)
@@ -995,6 +995,8 @@ def test_constructors_reject_inexact_rows(size, fault, data):
         row[i] += F(1, 2**61 - 1)
     elif fault == "int":
         row[i] = row[i].numerator // row[i].denominator  # 0 or 1: may sum to 1
+    elif fault == "none":
+        row[i] = None
     else:
         row[i] = True
     # the message reports the exact sum when only the sum is wrong
@@ -1007,7 +1009,7 @@ def test_constructors_reject_inexact_rows(size, fault, data):
     with pytest.raises(c.DomainMismatch, match=match):
         StochasticEquation("Y", (), {(): dict(zip(values, row))})
     with pytest.raises(c.DomainMismatch, match=match):
-        c.MechanismKernel(1, (0,), 0, values, {(0,): dict(zip(values, row))})
+        c.MechanismKernel.from_table(1, (0,), 0, values, {(0,): dict(zip(values, row))})
 
 
 def _positive_weights(draw, size: int) -> list[F]:
@@ -1026,7 +1028,7 @@ def _row_walk(table: dict):
         return type(e), str(e)
 
 
-_ROW_FAULTS = ("float", "exact float", "negative", "sum", "int", "bool")
+_ROW_FAULTS = ("float", "exact float", "negative", "sum", "int", "bool", "none")
 
 
 @pytest.mark.parametrize("fault", (None,) + _ROW_FAULTS)
@@ -1035,13 +1037,14 @@ _ROW_FAULTS = ("float", "exact float", "negative", "sum", "int", "bool")
 @given(st.integers(1, 3), st.integers(2, 3), st.integers(2, 3), st.data())
 def test_kernel_errors_are_those_of_the_row_walk(weights, fault, n, dom_size,
                                                  out_size, data):
-    """The constructor validates through its integer table and walks rows
+    """`from_table` validates through its integer table and walks rows
     with `exact_row` only to word an error.  On a multi-row table given in
     shuffled row order, with `fault` in one drawn row and maybe a second
     fault in another, the error's class and message are those of the row
-    walk in `table.items()` order; a table without a fault keeps its row
-    order and loses its zero entries.  Weights with zero entries send every
-    table to the row walk; positive ones let the integer table judge it."""
+    walk in `table.items()` order; a table without a fault loses its zero
+    entries, and its derived table lists the rows in `databases()` order.
+    Weights with zero entries and positive ones are both judged by the
+    integer table."""
     dom = tuple(range(dom_size))
     outs = tuple(f"o{j}" for j in range(out_size))
     order = data.draw(st.permutations(list(product(dom, repeat=n))))
@@ -1064,17 +1067,19 @@ def test_kernel_errors_are_those_of_the_row_walk(weights, fault, n, dom_size,
             row[o] += F(1, 7)
         elif kind == "int":
             row[o] = row[o].numerator // row[o].denominator  # 0 or 1
+        elif kind == "none":
+            row[o] = None
         else:
             row[o] = True
     expected = _row_walk(table)
-    build = lambda: c.MechanismKernel(n, dom, dom[0], outs, table)  # noqa: E731
+    build = lambda: c.MechanismKernel.from_table(n, dom, dom[0], outs, table)  # noqa: E731
     if isinstance(expected, tuple):
         with pytest.raises(Exception) as exc:
             build()
         assert (type(exc.value), str(exc.value)) == expected
         return
     kernel = build()
-    assert kernel.table == expected and list(kernel.table) == order
+    assert kernel.table == expected and list(kernel.table) == list(kernel.databases())
     assert all(w > 0 for row in kernel.table.values() for w in row.values())
 
 
@@ -1099,7 +1104,7 @@ def tables_with_repeated_weights(draw):
     outs = tuple(f"o{j}" for j in range(out_size))
     table = {db: dict(zip(outs, _repeating_weights(draw, out_size)))
              for db in product(dom, repeat=n)}
-    return c.MechanismKernel(n, dom, dom[0], outs, table)
+    return c.MechanismKernel.from_table(n, dom, dom[0], outs, table)
 
 
 def _weight_cells(node: dict) -> list:
@@ -1154,7 +1159,7 @@ def kernels_over_awkward_values(draw) -> c.MechanismKernel:
     outs = tuple(draw(st.lists(_awkward_values, min_size=1, max_size=3, unique=True)))
     table = {db: dict(zip(outs, _weights(draw, len(outs))))
              for db in product(dom, repeat=n)}
-    return c.MechanismKernel(n, dom, draw(st.sampled_from(dom)), outs, table)
+    return c.MechanismKernel.from_table(n, dom, draw(st.sampled_from(dom)), outs, table)
 
 
 @given(kernels_over_awkward_values())
@@ -1209,8 +1214,8 @@ def test_builtin_kernel_digest_equals_the_canonical_text(kernel, in_model):
     digest = input_digest(obj)
     assert "table" not in vars(kernel)
     assert digest == digest_of_text(canonical_json(serialize_input(obj)))
-    spelled = c.MechanismKernel(kernel.n, kernel.data_domain, kernel.null_value,
-                                kernel.output_domain, kernel.table)
+    spelled = c.MechanismKernel.from_table(kernel.n, kernel.data_domain, kernel.null_value,
+                                           kernel.output_domain, kernel.table)
     assert input_digest(spelled) == input_digest(kernel)
 
 
