@@ -28,7 +28,9 @@ Ratio = Union[Fraction, float]
 
 INF: float = math.inf
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+# ASCII digits only, and nothing after them: `\d` matches any Unicode digit
+# and `$` matches before a trailing newline.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def memoized(method):
@@ -81,30 +83,36 @@ def ratio_mul(a: Ratio, b: Ratio) -> Ratio:
 
 
 def parse_rational(text: str, location: str = "") -> Fraction:
-    """Parse "p/q" or "p" exactly; anything else (e.g. "0.5") is rejected."""
+    """Parse "p/q" or "p" exactly (see `rational_terms`)."""
+    return Fraction(*rational_terms(text, location))
+
+
+def rational_terms(text: str, location: str = "") -> tuple[int, int]:
+    """The integers p and q of "p/q" (q = 1 for "p"), as written: the one
+    reader of a rational string.  Only ASCII digits are read; anything else
+    (e.g. "0.5" or "1/2\\n") is rejected."""
     if not isinstance(text, str):
         raise ParseError(
             f"expected a rational written as a string like \"1/2\", got "
             f"{describe(text)}",
             location,
         )
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ParseError(
             f"malformed rational {describe(text)}; write exact integer ratios "
             f"like \"1/2\"",
             location,
         )
+    num, den = m.groups()
     try:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        return int(num), int(den or 1)
     except ValueError:  # more digits than Python's int-conversion limit
         raise ParseError(
             f"rational {describe(text)} is too long: an integer may have at "
             f"most {sys.get_int_max_str_digits()} digits",
             location,
         ) from None
-    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:

@@ -2,15 +2,21 @@
 
 The dialect is strict so that every file has exactly one meaning:
 
-  * probabilities and ratios are strings of integers like "2/3" (or "2");
-    float literals anywhere in a file are rejected outright, as are float
-    strings like "0.5";
+  * probabilities and ratios are strings of ASCII integers like "2/3" (or
+    "2"); float literals anywhere in a file are rejected outright, as are
+    float strings like "0.5";
   * domain values are strings, integers, or arrays of values (arrays become
     tuples);
   * anything keyed by a value (kernel tables, distribution weights, equation
     rows) is written as an array of [key, value] pairs, never as a JSON
     object, so non-string keys survive the trip;
-  * objects carry a "type" tag and unknown keys are errors.
+  * objects carry a "type" tag; unknown and repeated keys are errors.
+
+A spelled-out kernel table whose every row lists the whole output domain in
+order is read column-wise, straight into the kernel's integer table
+(`_kernel_of_table`).  Any other table, and every distribution and
+equation, is read entry by entry (`_table`, `_row`), which also words the
+first error of a malformed one.
 
 Serialization is canonical: fixed key order (alphabetical), two-space
 indent, a single trailing newline, and fixed row ordering.  Equal objects
@@ -29,7 +35,14 @@ from typing import Any, Callable, Iterator
 
 from .brp import SequentialComposition
 from .dist import Dist
-from .errors import CausalDpError, ParseError, ValidationError, describe, preview
+from .errors import (
+    CausalDpError,
+    ModelError,
+    ParseError,
+    ValidationError,
+    describe,
+    preview,
+)
 from .exact import (
     Ratio,
     Value,
@@ -37,6 +50,7 @@ from .exact import (
     format_ratio,
     format_terms,
     parse_rational,
+    rational_terms,
     value_sort_key,
 )
 from .mechanisms import (
@@ -81,10 +95,24 @@ def _reject_constant(literal: str):
     raise ParseError(f"JSON constant {literal} is not allowed")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: a repeated key would give a
+    file two readings, of which `json.loads` silently keeps the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {preview(key)}")
+            seen.add(key)
+    return obj
+
+
 def load_strict_json(text: str) -> Any:
     try:
         return json.loads(
-            text, parse_float=_reject_float, parse_constant=_reject_constant
+            text, parse_float=_reject_float, parse_constant=_reject_constant,
+            object_pairs_hook=_object,
         )
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
@@ -262,6 +290,59 @@ _BUILTIN_KERNELS = {
 }
 
 
+def _kernel_of_table(n: int, data_domain: tuple, null_value: Value,
+                     output_domain: tuple, node: Any) -> MechanismKernel | None:
+    """The kernel of a spelled-out table whose every row lists the whole
+    output domain in order, read in whole-table passes straight into its
+    integer table; None for any other table, which `_table`/`_row` and
+    `MechanismKernel.from_table` read or word the first error of.
+
+    It accepts only what that walk accepts, and builds the same kernel:
+    every entry and every cell a [key, value] pair; keys arrays of strings
+    and integers, no two equal; values strings, integers or such arrays
+    with no bool among them (`True == 1` would pass the comparison), which
+    taken together equal the output domain's JSON form once per row; every
+    weight a string `rational_terms` reads.  Each distinct weight string is
+    read once, its numerator put over the lcm L of the denominators as
+    written.  The constructor checks the databases, signs and sums, and
+    reduces the table."""
+    if type(node) is not list or set(map(type, node)) != {list} or set(map(len, node)) != {2}:
+        return None
+    keys, cells = zip(*node)
+    width = len(output_domain)
+    if (set(map(type, keys)) != {list} or set(map(type, cells)) != {list}
+            or set(map(len, cells)) != {width}  # some row is sparse
+            or not _FLAT.issuperset(map(type, chain.from_iterable(keys)))):
+        return None
+    pairs = list(chain.from_iterable(cells))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    values, weights = zip(*pairs)
+    if values != tuple(map(value_to_json, output_domain)) * len(cells):
+        return None
+    kinds = set(map(type, values))
+    if list in kinds:
+        arrays = values if kinds == {list} else [v for v in values if type(v) is list]
+        kinds.discard(list)
+        kinds.update(map(type, chain.from_iterable(arrays)))
+    if not _FLAT.issuperset(kinds) or set(map(type, weights)) != {str}:
+        return None
+    try:
+        terms = {w: rational_terms(w) for w in set(weights)}
+    except ParseError:
+        return None
+    common = math.lcm(*(den for _, den in terms.values()))
+    scaled = {w: num * (common // den) for w, (num, den) in terms.items()}
+    rows = zip(*[map(scaled.__getitem__, weights)] * width)
+    table = dict(zip(map(tuple, keys), rows))
+    if len(table) < len(node):  # a database given twice
+        return None
+    try:
+        return MechanismKernel(n, data_domain, null_value, output_domain, (common, table))
+    except ModelError:
+        return None
+
+
 def parse_kernel(obj: dict, loc: str = "kernel") -> MechanismKernel:
     if isinstance(obj, dict) and "builtin" in obj:
         name = _string(obj["builtin"], f"{loc}.builtin")
@@ -281,6 +362,9 @@ def parse_kernel(obj: dict, loc: str = "kernel") -> MechanismKernel:
     data_domain = _values(obj["data_domain"], f"{loc}.data_domain")
     null_value = _value(obj["null_value"], f"{loc}.null_value")
     output_domain = _values(obj["output_domain"], f"{loc}.output_domain")
+    kernel = _kernel_of_table(n, data_domain, null_value, output_domain, obj["table"])
+    if kernel is not None:
+        return kernel
     table = _table(obj["table"], f"{loc}.table", "database", _row)
     return _wrap_model_error(
         lambda: MechanismKernel.from_table(n, data_domain, null_value, output_domain, table),

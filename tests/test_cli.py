@@ -599,9 +599,10 @@ _COPY_R2 = c.copy_equation("R_2", "R_1", _DOM)
 # Each rejected node is named by its type and a short preview, never echoed,
 # and so is an out-of-domain value found once the input is built.
 @pytest.mark.parametrize("argv, text, where, message", [
-    (_EPSILON, _RR + ', "n": ' + json.dumps(list(range(200_000))) + "}", "(at kernel.n",
+    (_EPSILON, _RR.replace('"n": 2', '"n": ' + json.dumps(list(range(200_000)))) + "}",
+     "(at kernel.n",
      "expected an integer, got list [0, 1, 2"),
-    (_EPSILON, _RR + ', "bias": "' + "x" * 300_000 + '"}', "(at kernel.bias",
+    (_EPSILON, _RR.replace('"2/3"', '"' + "x" * 300_000 + '"') + "}", "(at kernel.bias",
      "malformed rational str 'xxx"),
     (_EPSILON, _RR + "".join(f', "k{i}": 0' for i in range(100_000)) + "}", "(at kernel",
      "unknown keys ['k0', 'k1'"),
@@ -652,6 +653,10 @@ _COPY_R2 = c.copy_equation("R_2", "R_1", _DOM)
      "(at distribution)", "assignment ('aaa"),
     (["check", "d" * 100_000, "randomized_response", "--target-ratio", "2"], "",
      "; one of classic", "unknown definition 'ddd"),
+    (_EPSILON, _RR.replace('"2/3"', '"3/4\\n"') + "}", "(at kernel.bias)",
+     "malformed rational str '3/4\\n'"),
+    (_EPSILON, _RR.replace('"n": 2', '"n": 2, "n": 3') + "}", "error: duplicate key 'n'",
+     "duplicate key 'n'"),
 ], ids=["integer_array", "long_rational", "many_keys", "long_duplicate", "array_tag",
         "overlong_integer", "long_output_value", "long_null_value",
         "long_negative_weight_key", "long_pop_value_bayesian0",
@@ -660,7 +665,8 @@ _COPY_R2 = c.copy_equation("R_2", "R_1", _DOM)
         "non_utf8_input", "non_utf8_pop", "witness_out_under_a_file",
         "run_all_out_under_a_file", "long_pop_variable", "long_input_variable_in_model",
         "long_undeclared_target", "long_undeclared_parent", "long_target_row_sum",
-        "long_point_of_wrong_arity", "long_definition"])
+        "long_point_of_wrong_arity", "long_definition", "bias_with_trailing_newline",
+        "duplicate_object_key"])
 def test_hostile_input_exits_four_with_a_short_message(capsys, tmp_path, argv, text,
                                                        where, message):
     path = tmp_path / "k.json"

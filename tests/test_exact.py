@@ -16,7 +16,7 @@ from causaldp import (
     ratio_le,
     ratio_mul,
 )
-from causaldp.exact import format_rational, value_sort_key
+from causaldp.exact import format_rational, rational_terms, value_sort_key
 
 
 def test_ratio_divide_conventions():
@@ -53,10 +53,17 @@ def test_parse_rational_accepts(text, expected):
         assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1/0", "1 / 2", "", "1e-3", "½", "+1"])
+@pytest.mark.parametrize("bad", ["0.5", "1/0", "1 / 2", "", "1e-3", "½", "+1",
+                                 "1/2\n", "\u0663/4", "\u0661"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+def test_rational_terms_are_the_integers_as_written():
+    assert rational_terms("2/4") == (2, 4)
+    assert rational_terms("-3") == (-3, 1)
+    assert rational_terms("0/7") == (0, 7)
 
 
 def test_format_rational_always_shows_denominator():

@@ -17,7 +17,7 @@ from causaldp import (
     Dist,
     RatioOutOfRange,
 )
-from causaldp import checkers, dist, mechanisms, sem
+from causaldp import checkers, dist, mechanisms, modelfile, sem
 from causaldp.cli import main
 from causaldp.exact import memoized
 from causaldp.modelfile import canonical_json, input_digest, parse_text, serialize_input
@@ -257,10 +257,12 @@ def test_a_valid_kernel_is_read_in_one_walk(monkeypatch, tmp_path, capsys):
     weights, hold their integer table from construction, and neither their
     construction nor `classic_epsilon` on them walks a row through
     `exact_row`: a valid table is validated by building the integer table,
-    once, and a zero weight is a zero numerator.  A builtin never derives its
-    `Fraction` table for the checks that only compare its rows (`classic`,
-    `strong_adversary_universal`, `whole_db_universal` without the
-    cross-check, the CLI's too) or for its digest."""
+    once, and a zero weight is a zero numerator.  A valid spelled-out table
+    whose rows list the output domain in order is read straight into its
+    integer table, without `modelfile._row` or `from_table`.  A builtin
+    never derives its `Fraction` table for the checks that only compare its
+    rows (`classic`, `strong_adversary_universal`, `whole_db_universal`
+    without the cross-check, the CLI's too) or for its digest."""
     text = canonical_json(serialize_input(c.geometric_count_kernel(3, F(1, 3))))
     calls = []
     for module in (dist, mechanisms, sem):
@@ -274,11 +276,16 @@ def test_a_valid_kernel_is_read_in_one_walk(monkeypatch, tmp_path, capsys):
     zeros = ('{"type": "kernel", "n": 1, "data_domain": [0, 1], "null_value": 0, '
              '"output_domain": ["a", "b"], "table": [[[0], [["a", "1"], ["b", "0"]]], '
              '[[1], [["a", "0"], ["b", "1"]]]]}')
+    walked, row, from_table = [], modelfile._row, c.MechanismKernel.from_table
+    monkeypatch.setattr(modelfile, "_row",
+                        lambda *args: walked.append("_row") or row(*args))
+    monkeypatch.setattr(c.MechanismKernel, "from_table", staticmethod(
+        lambda *args: walked.append("from_table") or from_table(*args)))
     for kernel in (c.randomized_response_kernel(3, F(2, 3)), parse_text(text),
                    parse_text(zeros)):
         assert "integer_table" in vars(kernel)
         c.classic_epsilon(kernel)
-    assert calls == []
+    assert calls == [] and walked == []
     builtins = [c.randomized_response_kernel(3, F(2, 3)), c.geometric_count_kernel(3, F(1, 3))]
     for kernel in builtins:
         for definition in ("classic", "strong_adversary_universal", "whole_db_universal"):

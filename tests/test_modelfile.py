@@ -57,6 +57,18 @@ def test_nan_and_infinity_literals_rejected():
             load_strict_json(f'{{"x": {literal}}}')
 
 
+def test_duplicate_object_key_rejected():
+    """json.loads keeps the last of two equal keys; the dialect gives a file
+    one meaning, so a repeated key is an error, at any depth."""
+    for text in ('{"n": 2, "n": 3}', '{"a": [{"x": 1, "y": 2, "x": 1}]}'):
+        with pytest.raises(c.ParseError) as exc:
+            load_strict_json(text)
+        assert "duplicate key" in str(exc.value)
+    with pytest.raises(c.ParseError, match="duplicate key 'n'"):
+        parse_text(RR_BUILTIN.replace('"n": 2', '"n": 2, "n": 3'))
+    assert load_strict_json('{"n": 2, "m": {"n": 3}}') == {"n": 2, "m": {"n": 3}}
+
+
 def test_malformed_json_is_parse_error():
     with pytest.raises(c.ParseError):
         parse_text("{not json")
@@ -120,9 +132,9 @@ def test_row_sum_error_carries_location():
     assert exc.value.location.startswith("kernel")
 
 
-def _kernel_table(table):
+def _kernel_table(table, output_domain=("h", "t")):
     return {"type": "kernel", "n": 1, "data_domain": [0, 1], "null_value": 0,
-            "output_domain": ["h", "t"], "table": table}
+            "output_domain": list(output_domain), "table": table}
 
 
 def _distribution(weights):
@@ -181,6 +193,14 @@ MALFORMED_TABLES = {
     "kernel boolean value": (
         _kernel_table([[[0], [[True, "1/2"], ["t", "1/2"]]], [[1], FAIR]]),
         c.ValidationError, "kernel.table[0][1][0][0]", None),
+    # true == 1 and [0, true] == [0, 1]: each row would equal the domain
+    "kernel boolean value among integer outputs": (
+        _kernel_table([[[0], [[0, "1/2"], [True, "1/2"]]], [[1], COIN]], [0, 1]),
+        c.ValidationError, "kernel.table[0][1][1][0]", None),
+    "kernel boolean inside an array value": (
+        _kernel_table([[[0], [[[0, True], "1/2"], [[1, 0], "1/2"]]],
+                       [[1], [[[0, 1], "1/2"], [[1, 0], "1/2"]]]], [[0, 1], [1, 0]]),
+        c.ValidationError, "kernel.table[0][1][0][0][1]", None),
     "distribution duplicate key": (
         _distribution([[[0, 0], "1/2"], [[0, 0], "1/2"]]),
         c.ValidationError, "distribution.weights[1][0]", None),

@@ -27,6 +27,7 @@ from causaldp import (
     StochasticEquation,
     ZeroProbabilityEvent,
     constant_equation,
+    modelfile,
 )
 from causaldp.checkers import ASSOCIATIVE_GIVEN_P, _grid_marginals
 from causaldp.dist import exact_row
@@ -40,6 +41,7 @@ from causaldp.modelfile import (
     parse_text,
     serialize_input,
     serialize_kernel,
+    value_to_json,
 )
 from causaldp.reports import SupTracker, group_sweep
 from conftest import _population, _weights, random_kernel
@@ -1160,6 +1162,129 @@ def kernels_over_awkward_values(draw) -> c.MechanismKernel:
     table = {db: dict(zip(outs, _weights(draw, len(outs))))
              for db in product(dom, repeat=n)}
     return c.MechanismKernel.from_table(n, dom, draw(st.sampled_from(dom)), outs, table)
+
+
+def _spelled(draw, w: F) -> str:
+    """`w` as a file may write it: reduced, with both terms scaled alike
+    (so "1/2" and "2/4" can meet in one table), or a zero as "0"."""
+    if w == 0 and draw(st.booleans()):
+        return "0"
+    k = draw(st.integers(1, 3))
+    return f"{w.numerator * k}/{w.denominator * k}"
+
+
+@st.composite
+def kernel_files(draw) -> dict:
+    """A kernel file over generated domain values at n <= 3, written as a
+    writer other than `serialize_kernel` may write it: rows maybe shuffled,
+    a row's outputs maybe out of order, zero weights left out or spelled
+    out, and each weight spelled by `_spelled`."""
+    n = draw(st.integers(1, 3))
+    dom = draw(st.lists(_awkward_values, min_size=1, max_size=3 if n < 3 else 2, unique=True))
+    outs = draw(st.lists(_awkward_values, min_size=1, max_size=3, unique=True))
+    databases = list(product(dom, repeat=n))
+    if draw(st.booleans()):
+        databases = draw(st.permutations(databases))
+    sparse, reordered = draw(st.booleans()), draw(st.booleans())
+    table = []
+    for db in databases:
+        cells = [[value_to_json(o), _spelled(draw, w)]
+                 for o, w in zip(outs, _weights(draw, len(outs)))
+                 if w or not sparse or draw(st.booleans())]
+        if reordered and draw(st.booleans()):
+            cells = draw(st.permutations(cells))
+        table.append([value_to_json(db), cells])
+    return {"type": "kernel", "n": n, "data_domain": [value_to_json(v) for v in dom],
+            "null_value": value_to_json(draw(st.sampled_from(dom))),
+            "output_domain": [value_to_json(o) for o in outs], "table": table}
+
+
+# The kernel faults of `MALFORMED_TABLES` (tests/test_modelfile.py), each
+# injected at a drawn entry and cell of a kernel file's table.
+_TABLE_FAULTS = ("duplicate key", "non-array key", "duplicate value", "negative weight",
+                 "wrong sum", "missing row", "value outside domain", "point of wrong width",
+                 "non-rational weight", "row entry not a pair", "table entry not a pair",
+                 "decimal weight", "boolean in key", "boolean value")
+
+
+def _inject(fault: str, table: list, data) -> None:
+    entry = table[data.draw(st.integers(0, len(table) - 1))]
+    key, row = entry
+    cell = row[data.draw(st.integers(0, len(row) - 1))]
+    if fault == "duplicate key":
+        table.insert(data.draw(st.integers(0, len(table))), json.loads(json.dumps(entry)))
+    elif fault == "non-array key":
+        entry[0] = key[0]
+    elif fault == "duplicate value":
+        row.insert(data.draw(st.integers(0, len(row))), list(cell))
+    elif fault == "negative weight":
+        cell[1] = "-" + cell[1]
+    elif fault == "wrong sum":
+        cell[1] = "1/7"
+    elif fault == "missing row":
+        table.remove(entry)
+    elif fault == "value outside domain":
+        cell[0] = "outside"  # longer than any generated string
+    elif fault == "point of wrong width":
+        key.append(key[0])
+    elif fault == "non-rational weight":
+        cell[1] = 1
+    elif fault == "row entry not a pair":
+        del cell[1]
+    elif fault == "table entry not a pair":
+        del entry[1]
+    elif fault == "decimal weight":
+        cell[1] = "0.5"
+    elif fault == "boolean in key":
+        key[data.draw(st.integers(0, len(key) - 1))] = True
+    elif type(cell[0]) is list and cell[0] and data.draw(st.booleans()):
+        cell[0][data.draw(st.integers(0, len(cell[0]) - 1))] = data.draw(st.booleans())
+    else:
+        cell[0] = data.draw(st.booleans())
+
+
+def _outcome(text: str):
+    """The kernel `parse_text` reads from `text`, or its error's class,
+    message, location and cause class."""
+    try:
+        return parse_text(text)
+    except c.CausalDpError as e:
+        return type(e), str(e), e.location, type(e.__cause__)
+
+
+def _dense(obj: dict) -> bool:
+    """Every row of the file lists the whole output domain, in order."""
+    return all([v for v, _ in row] == obj["output_domain"] for _, row in obj["table"])
+
+
+@pytest.mark.parametrize("fault", (None,) + _TABLE_FAULTS)
+@given(kernel_files(), st.data())
+def test_the_table_reader_equals_the_walk(fault, obj, data):
+    """`parse_kernel` reads a spelled-out table in whole-table passes
+    (`_kernel_of_table`) and leaves every table it refuses to the walk
+    (`_table`/`_row`, then `from_table`).  On generated files, sparse, out of
+    order, with weights spelled several ways and with each fault of
+    `MALFORMED_TABLES` injected, it gives the walk's kernel, with the same
+    integer table, or the walk's error: class, message, location and cause.
+    A valid table whose keys are arrays of strings and integers, and whose
+    rows list the output domain in order with values that are strings,
+    integers or such arrays, is never walked."""
+    if fault is not None:
+        _inject(fault, obj["table"], data)
+    text = json.dumps(obj)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modelfile, "_kernel_of_table", lambda *args: None)
+        walked = _outcome(text)
+    read = _outcome(text)
+    assert read == walked
+    if isinstance(walked, tuple):
+        return
+    assert read.integer_table == walked.integer_table
+    if _dense(obj) and all(type(v) is not tuple for v in walked.data_domain) and all(
+            type(o) is not tuple or tuple not in map(type, o) for o in walked.output_domain):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modelfile, "_row", None)  # a walk would call it
+            assert parse_text(text).integer_table == walked.integer_table
 
 
 @given(kernels_over_awkward_values())
