@@ -16,8 +16,9 @@ A kernel is its integer table: every row over one common denominator L, as
 the row's numerators in output order.  The builtins build those integers
 directly; a `Fraction` table comes in through `MechanismKernel.from_table`,
 which converts each distinct weight object once (`dist.integer_weights`).
-Either way the constructor checks the integers, and the `Fraction` table is
-derived from them only for the readers that need it.
+Either way the constructor checks the integers.  `MechanismKernel.row`
+reads a row as `Fraction` weights, and the canonical model's O equation is
+built from the integers themselves.
 """
 
 from __future__ import annotations
@@ -170,16 +171,6 @@ class MechanismKernel:
         return MechanismKernel(n, data_domain, null_value, output_domain, (common, rows))
 
     @cached_property
-    def table(self) -> dict[tuple, dict[Value, Fraction]]:
-        """database -> {output: positive weight}, derived from
-        `integer_table` on first read: rows in `databases()` order, outputs
-        in report order, and one `Fraction` per distinct numerator, shared
-        by every cell that holds it."""
-        outputs, fractions = self.output_domain, self._fractions
-        return {db: {o: fractions[p] for o, p in zip(outputs, row) if p}
-                for db, row in self.integer_table[1].items()}
-
-    @cached_property
     def _fractions(self) -> dict[int, Fraction]:
         """numerator -> its weight over L, one object per distinct numerator."""
         common, rows = self.integer_table
@@ -194,8 +185,8 @@ class MechanismKernel:
         return product(self.data_domain, repeat=self.n)
 
     def row(self, db: tuple) -> KernelRow:
-        """The row of `db`, read from `integer_table`: equal to `table[db]`,
-        without deriving `table`."""
+        """The row of `db`, read from `integer_table`: output -> positive
+        weight, in report order."""
         common, rows = self.integer_table
         try:
             return KernelRow(self, rows[tuple(db)], common)
@@ -596,27 +587,19 @@ def as_sem(
 
 
 def _build_canonical_sem(kernel: MechanismKernel) -> Sem:
-    n = kernel.n
-    r_names = [r_name(i) for i in range(1, n + 1)]
-    d_names = [d_name(i) for i in range(1, n + 1)]
-    names = tuple(r_names + d_names + [DB_VAR, OUTPUT_VAR])
-    db_domain = tuple(product(kernel.data_domain, repeat=n))
-    domains: dict[str, tuple[Value, ...]] = {}
-    for v in r_names + d_names:
-        domains[v] = kernel.data_domain
-    domains[DB_VAR] = db_domain
-    domains[OUTPUT_VAR] = kernel.output_domain
-
-    equations: dict[str, StochasticEquation] = {}
-    for i in range(1, n + 1):
-        equations[d_name(i)] = copy_equation(d_name(i), r_name(i), kernel.data_domain)
+    """R_i -> D_i -> D -> O, whose O equation is the kernel's integer table
+    with zero numerators left out."""
+    r_names, d_names = list(input_names(kernel)), list(data_point_names(kernel))
+    common, rows = kernel.integer_table
+    outputs = kernel.output_domain
+    domains = {**dict.fromkeys(r_names + d_names, kernel.data_domain),
+               DB_VAR: tuple(rows), OUTPUT_VAR: outputs}
+    equations = {d: copy_equation(d, r, kernel.data_domain) for r, d in zip(r_names, d_names)}
     equations[DB_VAR] = deterministic_equation(
-        DB_VAR, d_names, [kernel.data_domain] * n, lambda *vals: tuple(vals)
-    )
-    equations[OUTPUT_VAR] = StochasticEquation(
-        OUTPUT_VAR, (DB_VAR,), {(db,): kernel.table[db] for db in db_domain}
-    )
-    return Sem(names, domains, equations)
+        DB_VAR, d_names, [kernel.data_domain] * kernel.n, lambda *vals: tuple(vals))
+    equations[OUTPUT_VAR] = StochasticEquation(OUTPUT_VAR, (DB_VAR,), (common, {
+        (db,): {o: p for o, p in zip(outputs, row) if p} for db, row in rows.items()}))
+    return Sem(tuple(r_names + d_names + [DB_VAR, OUTPUT_VAR]), domains, equations)
 
 
 def _disagreement(points: Iterable[tuple[int, Value]]) -> Callable:

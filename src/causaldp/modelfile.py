@@ -391,7 +391,7 @@ def parse_equation(obj: dict, loc: str) -> StochasticEquation:
     )
     rows = _table(obj["rows"], f"{loc}.rows", "parent row", _row)
     return _wrap_model_error(
-        lambda: StochasticEquation(target, parents, rows), loc
+        lambda: StochasticEquation.from_rows(target, parents, rows), loc
     )
 
 

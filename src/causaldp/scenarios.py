@@ -155,13 +155,13 @@ def _composition_model() -> CompositionSpec:
     first = Sem(
         ("X", "Y1"),
         {"X": (0, 1), "Y1": (0, 1)},
-        {"Y1": StochasticEquation("Y1", ("X",), _flip_rows())},
+        {"Y1": StochasticEquation.from_rows("Y1", ("X",), _flip_rows())},
     )
     second = Sem(
         ("X", "Y1", "Z", "Y2"),
         {"X": (0, 1), "Y1": (0, 1), "Z": (0, 1), "Y2": (0, 1, 2)},
         {
-            "Z": StochasticEquation("Z", ("X",), _flip_rows()),
+            "Z": StochasticEquation.from_rows("Z", ("X",), _flip_rows()),
             "Y2": deterministic_equation(
                 "Y2", ("Y1", "Z"), [(0, 1), (0, 1)], lambda y1, z: y1 + z
             ),

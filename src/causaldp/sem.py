@@ -20,9 +20,9 @@ calls a closed form.  A query enumerates only the queried variables and
 their ancestors in the current, possibly intervened, graph; every other
 variable is barren for the query and summing it out contributes exactly one.
 The enumeration runs in integers over a running common denominator, from
-integer tables each equation builds from its own rows (never the engine's
-or the kernel's), through the converter `dist.integer_weights` that kernel
-tables also pass.
+each equation's integer table.  The enumeration is the oracle's own; its
+input is not: the canonical release model's O equation is the kernel's
+integer table, checked again by the equation's constructor.
 `ProbabilisticSem.integer_lift` returns its cells as that denominator and
 positive numerators, and checks in integers that they sum to it; `lift`
 builds one `Fraction` per cell from them, in a `Dist`.
@@ -43,10 +43,11 @@ sums to one, and every returned `Dist` still passes `exact_row`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -63,26 +64,13 @@ from .errors import (
 from .exact import Value, memoized
 
 
-def _tabulate(rows: dict, width: int) -> tuple[int, dict[tuple, tuple]] | None:
-    """The rows over one common denominator L, the lcm of their weights'
-    denominators (`integer_weights`): (L, parent key -> ((value,
-    numerator), ...)), each row in its own order.  None unless every key is
-    a tuple of `width` values, every weight is a positive `Fraction` and
-    every row's numerators sum to L."""
-    if not all(isinstance(key, tuple) and len(key) == width for key in rows):
-        return None
-    converted = integer_weights([w for row in rows.values() for w in row.values()])
-    if converted is None or not all(converted[1]):  # a zero entry is cleaned
-        return None
-    common, numerators = converted
-    cells = iter(numerators)
-    table = {}
-    for key, row in rows.items():
-        numerators = list(islice(cells, len(row)))
-        if sum(numerators) != common:
-            return None
-        table[key] = tuple(zip(row, numerators))
-    return common, table
+def _check_row(target: str, parents: tuple, key, row: Mapping) -> None:
+    """Raise the first error of one equation row of `Fraction` weights: a key
+    that does not match the parents, then `exact_row`'s."""
+    if not isinstance(key, tuple) or len(key) != len(parents):
+        raise DomainMismatch(f"equation for {preview(target)}, row {preview(key)}: key "
+                             f"does not match parents {preview(parents)}")
+    exact_row(row, DomainMismatch, f"equation for {preview(target)}, row", key)
 
 
 @dataclass(frozen=True)
@@ -92,54 +80,82 @@ class StochasticEquation:
     Attributes:
       target: the variable being assigned.
       parents: parent variable names, in the order the row keys use.
-      rows: parent-value tuple -> {target value: positive weight}; every row
-        must sum to exactly one.  Zero entries are dropped at construction so
-        structurally equal equations compare equal.
-      _integer_table: set on construction, not an argument: the rows over
-        one common denominator as `_tabulate` gives them, (L, parent key ->
-        ((value, numerator), ...)), each row in its own order.  Built from
-        these rows alone, so the oracle shares no arithmetic with the
-        engine; a deterministic or constant equation has L = 1.
+      integer_table: the equation itself, (L, parent key -> {target value:
+        positive numerator over L}), every row summing to L.  Stored with L
+        the lcm of the reduced weights' denominators, so equal equations have
+        equal tables; a deterministic or constant equation has L = 1.  A
+        table of `Fraction` rows comes in through `from_rows`.  The oracle
+        shares this input (the canonical O equation is the kernel's integer
+        table), never its enumeration.
     """
 
     target: str
     parents: tuple[str, ...]
-    rows: dict[tuple, dict[Value, Fraction]]
+    integer_table: tuple[int, dict[tuple, dict[Value, int]]]
 
     def __post_init__(self):
-        """Validate by building `_integer_table` in one walk over the cells,
-        through `integer_weights`, as `MechanismKernel.from_table` does: each
-        distinct weight object is tested once, and each row's numerators
-        must sum to L.  Only rows that fail (a key that does not match the
-        parents, a zero entry, a weight of another type or sign, a wrong row
-        sum) are walked again in order through the key check and
-        `exact_row`, which raise the first error, or drop the zeros and
-        leave rows that tabulate."""
-        tabulated = _tabulate(self.rows, len(self.parents))
-        if tabulated is None:
-            cleaned = {}
-            where = f"equation for {preview(self.target)}, row"
-            for key, row in self.rows.items():
-                if not isinstance(key, tuple) or len(key) != len(self.parents):
-                    raise DomainMismatch(f"{where} {preview(key)}: key does not match "
-                                         f"parents {preview(self.parents)}")
-                cleaned[key] = exact_row(row, DomainMismatch, where, key)
-            tabulated = _tabulate(cleaned, len(self.parents))
-        else:  # the equation owns its rows, as after the row walk
-            cleaned = {key: dict(row) for key, row in self.rows.items()}
-        object.__setattr__(self, "rows", cleaned)
-        object.__setattr__(self, "_integer_table", tabulated)
+        """Check the table in integers: every key a tuple of `len(parents)`
+        values, every numerator a positive int, every row summing to L >= 1.
+        Only a table that fails is walked row by row, in its given order, to
+        word the first error; a valid one is put over its least L."""
+        common, rows = self.integer_table
+        if type(common) is not int or common < 1:
+            raise DomainMismatch(f"equation for {preview(self.target)}: denominator "
+                                 f"{preview(common)} is not a positive int")
+        width = len(self.parents)
+        numerators = [p for row in rows.values() for p in row.values()]
+        if (not all(isinstance(key, tuple) and len(key) == width for key in rows)
+                or set(map(type, numerators)) - {int} or min(numerators, default=1) < 1
+                or not all(sum(row.values()) == common for row in rows.values())):
+            for key, row in rows.items():  # the first error: a key, a numerator or a sum
+                for value, p in row.items():
+                    if type(p) is not int or p < 1:
+                        raise DomainMismatch(
+                            f"equation for {preview(self.target)}, row {preview(key)}: "
+                            f"numerator {preview(p)} at {preview(value)} is not a positive int")
+                _check_row(self.target, self.parents, key,
+                           {value: Fraction(p, common) for value, p in row.items()})
+        factor = math.gcd(common, *next(iter(rows.values()), {}).values())
+        if factor > 1:  # a row sums to L, so the first row's gcd bounds the table's
+            factor = math.gcd(factor, *numerators)
+            rows = {key: {value: p // factor for value, p in row.items()}
+                    for key, row in rows.items()}
+            object.__setattr__(self, "integer_table", (common // factor, rows))
+
+    @staticmethod
+    def from_rows(target: str, parents: tuple[str, ...],
+                  rows: Mapping[tuple, Mapping[Value, Fraction]]) -> StochasticEquation:
+        """The equation of `Fraction` rows, parent key -> {target value:
+        weight}, zero entries dropped, converting each distinct weight object
+        once (`dist.integer_weights`).  A weight of another type or sign is
+        worded by `exact_row`, a key or a wrong sum by the constructor."""
+        converted = integer_weights([w for row in rows.values() for w in row.values()])
+        if converted is None:
+            for key, row in rows.items():
+                _check_row(target, parents, key, row)
+        common, numerators = converted
+        cells = iter(numerators)
+        table = {key: {value: p for value, p in zip(row, cells) if p}
+                 for key, row in rows.items()}
+        return StochasticEquation(target, parents, (common, table))
+
+    @cached_property
+    def rows(self) -> dict[tuple, dict[Value, Fraction]]:
+        """parent key -> {target value: positive weight}, derived from
+        `integer_table` on first read."""
+        common, rows = self.integer_table
+        return {key: {value: Fraction(p, common) for value, p in row.items()}
+                for key, row in rows.items()}
 
 
 def constant_equation(target: str, value: Value) -> StochasticEquation:
     """target := value, the form interventions install."""
-    return StochasticEquation(target, (), {(): {value: Fraction(1)}})
+    return StochasticEquation(target, (), (1, {(): {value: 1}}))
 
 
 def copy_equation(target: str, source: str, domain: Iterable[Value]) -> StochasticEquation:
     """target := source (deterministic identity over the given domain)."""
-    one = Fraction(1)  # one object, so validation tests it once
-    return StochasticEquation(target, (source,), {(v,): {v: one} for v in domain})
+    return StochasticEquation(target, (source,), (1, {(v,): {v: 1} for v in domain}))
 
 
 def deterministic_equation(
@@ -149,9 +165,8 @@ def deterministic_equation(
     fn,
 ) -> StochasticEquation:
     """target := fn(parent values), tabulated over the parent domains."""
-    one = Fraction(1)  # one object, so validation tests it once
-    rows = {key: {fn(*key): one} for key in product(*map(tuple, parent_domains))}
-    return StochasticEquation(target, tuple(parents), rows)
+    rows = {key: {fn(*key): 1} for key in product(*map(tuple, parent_domains))}
+    return StochasticEquation(target, tuple(parents), (1, rows))
 
 
 def _picker(idx: list[int]):
@@ -253,7 +268,7 @@ class Sem:
                         f"{preview(p)}"
                     )
             keys = product(*(self.domains[p] for p in eq.parents))
-            check_table(eq.rows, keys, self.domains[target],
+            check_table(eq.integer_table[1], keys, self.domains[target],
                         f"equation for {preview(target)}")
 
     def _topological_order(self) -> tuple[str, ...]:
@@ -345,7 +360,8 @@ class Sem:
         The loop runs in integers over a running common denominator: the
         inputs' marginal comes over theirs (`Dist.integer_marginal`, memoized
         on the distribution), and each step multiplies it by its equation's
-        own (from `_integer_table`, never the engine's rows).  A step extends
+        own (`integer_table`, the input the oracle shares with the kernel;
+        the loop and its arithmetic are the oracle's alone).  A step extends
         each assignment by distinct values, so its assignments stay distinct
         and a list of pairs holds them.  `steps` must be topologically
         ordered and closed under parents given `exo`.
@@ -354,12 +370,12 @@ class Sem:
         positions = {name: i for i, name in enumerate(exo)}
         for name in steps:
             eq = self.equations[name]
-            common, rows = eq._integer_table
+            common, rows = eq.integer_table
             parents = _picker([positions[p] for p in eq.parents])
             positions[name] = len(positions)
             support = [(point + (value,), w * p)
                        for point, w in support
-                       for value, p in rows[parents(point)]]
+                       for value, p in rows[parents(point)].items()]
             scale *= common
 
         pick = _picker([positions[n] for n in variables])

@@ -70,6 +70,12 @@ def random_kernel(
     return c.MechanismKernel.from_table(n, dom, dom[0], outs, table)
 
 
+def kernel_table(kernel: c.MechanismKernel) -> dict:
+    """database -> {output: positive weight}: every row of the kernel as a
+    `Fraction` row, in `databases()` order."""
+    return {db: dict(kernel.row(db)) for db in kernel.databases()}
+
+
 def random_population(
     rng: random.Random,
     kernel: c.MechanismKernel,
@@ -118,17 +124,17 @@ def random_two_stage(rng: random.Random, postprocessing: bool = False,
         ("X", "Y1"),
         {"X": x_dom, "Y1": y1_dom},
         {
-            "Y1": c.StochasticEquation(
+            "Y1": c.StochasticEquation.from_rows(
                 "Y1", ("X",), random_stage_rows(rng, [x_dom], y1_dom, full_support)
             )
         },
     )
     if postprocessing:
-        eq = c.StochasticEquation(
+        eq = c.StochasticEquation.from_rows(
             "Y2", ("Y1",), random_stage_rows(rng, [y1_dom], y2_dom, full_support)
         )
     else:
-        eq = c.StochasticEquation(
+        eq = c.StochasticEquation.from_rows(
             "Y2",
             ("X", "Y1"),
             random_stage_rows(rng, [x_dom, y1_dom], y2_dom, full_support),

@@ -16,7 +16,7 @@ def coin_table(var, parents, flip):
     rows = {}
     for p in (0, 1):
         rows[(p,)] = {p: 1 - flip, 1 - p: flip}
-    return c.StochasticEquation(var, tuple(parents), rows)
+    return c.StochasticEquation.from_rows(var, tuple(parents), rows)
 
 
 def eq_map(*eqs):
@@ -49,7 +49,7 @@ def test_tie_goes_to_the_first_intervention_pair():
     # Y | X=0 is (1/3, 2/3) and Y | X=1 is (2/3, 1/3): the ratio 2 is met
     # at y=0 by (1, 0) and at y=1 by (0, 1); the pairs are swept in domain
     # order with y innermost, so (0, 1) wins
-    sem = Sem(("X", "Y"), {"X": (0, 1), "Y": (0, 1)}, eq_map(c.StochasticEquation(
+    sem = Sem(("X", "Y"), {"X": (0, 1), "Y": (0, 1)}, eq_map(c.StochasticEquation.from_rows(
         "Y", ("X",), {(0,): {0: F(1, 3), 1: F(2, 3)}, (1,): {0: F(2, 3), 1: F(1, 3)}})))
     psem = ProbabilisticSem(sem, Dist.uniform(("X",), [(0,), (1,)]))
     bound = c.max_relative_probability(psem, "Y", "X")
@@ -84,8 +84,8 @@ def test_relative_probability_vacuous_flag():
     psem = two_node(F(0))  # copy: Y=1 impossible under do(X=0) and do(X=1)... no
     # use an unreachable sink value instead
     sem = Sem(("X", "Y"), {"X": (0, 1), "Y": (0, 1, 2)},
-              eq_map(c.StochasticEquation("Y", ("X",),
-                                          {(0,): {0: F(1)}, (1,): {1: F(1)}})))
+              eq_map(c.StochasticEquation.from_rows("Y", ("X",),
+                                                    {(0,): {0: F(1)}, (1,): {1: F(1)}})))
     psem = ProbabilisticSem(sem, Dist.uniform(("X",), [(0,), (1,)]))
     ratio, vacuous = c.relative_probability(psem, "Y", 2, "X", 0, 1)
     assert vacuous and ratio == F(1)
@@ -203,8 +203,8 @@ def demo_stages():
         ("X", "Y1", "Z", "Y2"),
         {"X": (0, 1), "Y1": (0, 1), "Z": (0, 1), "Y2": (0, 1, 2)},
         eq_map(
-            c.StochasticEquation("Z", ("X",), z_rows),
-            c.StochasticEquation("Y2", ("Y1", "Z"), y2_rows),
+            c.StochasticEquation.from_rows("Z", ("X",), z_rows),
+            c.StochasticEquation.from_rows("Y2", ("Y1", "Z"), y2_rows),
         ),
     )
     return first, second
@@ -245,8 +245,8 @@ def test_compose_sequential_guards():
     with pytest.raises(c.NotInSequence):
         c.compose_sequential(second, second, "X", "Y1", "Y2")  # shared too big
     bad_first = Sem(("X", "Y1"), {"X": (0, 1), "Y1": (0, 1, 2)},
-                    eq_map(c.StochasticEquation("Y1", ("X",),
-                                                {(0,): {0: F(1)}, (1,): {1: F(1)}})))
+                    eq_map(c.StochasticEquation.from_rows("Y1", ("X",),
+                                                          {(0,): {0: F(1)}, (1,): {1: F(1)}})))
     with pytest.raises(c.NotInSequence):
         c.compose_sequential(bad_first, second, "X", "Y1", "Y2")  # domain clash
 

@@ -130,7 +130,7 @@ def break_oracle_row(k, db):
     sem = k._canonical_sem
     out = sem.equations["O"]
     rows = {**out.rows, (db,): {(c.POS,) * k.n: F(1)}}
-    equations = {**sem.equations, "O": c.StochasticEquation("O", out.parents, rows)}
+    equations = {**sem.equations, "O": c.StochasticEquation.from_rows("O", out.parents, rows)}
     k.__dict__["_canonical_sem"] = c.Sem(sem.names, sem.domains, equations)
     k.__dict__.pop("_uniform", None)
 

@@ -737,6 +737,14 @@ def _kernel_domains(data_domain, output_domain):
     (json.dumps({"type": "sem", "variables": [["X", [0, 1]]], "equations": [
         {"target": "X", "parents": [], "rows": [[[], [[0, "1"]]]]}] * 2}),
      "sem.equations[1]", "two equations for 'X'"),
+    (json.dumps({"type": "sem", "variables": [["X", [0, 1]]] * 2, "equations": []}),
+     "sem.variables[1][0]", "duplicate variable 'X'"),
+    (_sem_text(rows=[((0,), ((0, "1"),))]), "sem.equations[0]",
+     "equation for 'X', row (0,): key does not match parents ()"),
+    (_sem_text(rows=[((), ((0, "-1/2"), (1, "3/2")))]), "sem.equations[0]",
+     "equation for 'X', row (): weight Fraction(-1, 2) at 0 is not a nonnegative rational"),
+    (_sem_text(rows=[((), ((0, "1/2"), (1, "1/3")))]), "sem.equations[0]",
+     "equation for 'X', row (): weights sum to 5/6, expected exactly 1"),
     (_kernel_domains([], [0]), "kernel", "data domain must be nonempty without duplicates"),
     (_kernel_domains([0, 0], [0]), "kernel",
      "data domain must be nonempty without duplicates"),
@@ -751,6 +759,8 @@ def _kernel_domains(data_domain, output_domain):
     ("[1]", "top level", "top level must be an object"),
 ], ids=["sem_empty_domain", "sem_duplicate_domain", "sem_undeclared_target",
         "sem_self_parent", "sem_undeclared_parent", "sem_two_equations",
+        "sem_duplicate_variable", "equation_key_too_wide", "equation_negative_weight",
+        "equation_wrong_sum",
         "kernel_empty_data_domain", "kernel_duplicate_data_domain",
         "kernel_empty_output_domain", "kernel_duplicate_output_domain",
         "attribute_equation_non_input_parent", "duplicate_attribute_equations",
@@ -770,7 +780,7 @@ def test_file_breaking_a_validation_rule_exits_four(capsys, tmp_path, text, loca
 # A canonical model is validated when it is parsed, so a check that never
 # reads its attribute equations or its population still refuses it.
 @pytest.mark.parametrize("text, message", [
-    (_model_text([c.StochasticEquation("Z", (), {(): {"pos": F(1)}})]),
+    (_model_text([c.StochasticEquation.from_rows("Z", (), {(): {"pos": F(1)}})]),
      "attribute equation targets 'Z'"),
     (_model_text(population=c.Dist.uniform(("X_1", "X_2"), [("pos", "pos")])),
      "input distribution is over ('X_1', 'X_2')"),

@@ -21,7 +21,7 @@ from causaldp import checkers, dist, mechanisms, modelfile, sem
 from causaldp.cli import main
 from causaldp.exact import memoized
 from causaldp.modelfile import canonical_json, input_digest, parse_text, serialize_input
-from conftest import random_kernel, random_population
+from conftest import kernel_table, random_kernel, random_population
 
 
 def brute_force_classic(kernel):
@@ -33,8 +33,8 @@ def brute_force_classic(kernel):
             for v in kernel.data_domain:
                 d2 = d[:i] + (v,) + d[i + 1 :]
                 for o in kernel.output_domain:
-                    num = kernel.table[d].get(o, F(0))
-                    den = kernel.table[d2].get(o, F(0))
+                    num = kernel.row(d).get(o, F(0))
+                    den = kernel.row(d2).get(o, F(0))
                     if den == 0:
                         if num > 0:
                             infinite = True
@@ -62,8 +62,8 @@ def test_rr_rows_are_products_of_per_respondent_channels(n, q):
         NULL: {POS: F(1, 2), NEG: F(1, 2)},
     }
     k = c.randomized_response_kernel(n, q)
-    assert set(k.table) == set(product((POS, NEG, NULL), repeat=n))
-    for db, row in k.table.items():
+    assert set(kernel_table(k)) == set(product((POS, NEG, NULL), repeat=n))
+    for db, row in kernel_table(k).items():
         assert set(row) == set(product((POS, NEG), repeat=n))
         for report, w in row.items():
             naive = F(1)
@@ -75,9 +75,9 @@ def test_rr_rows_are_products_of_per_respondent_channels(n, q):
 def test_rr_row_sums_and_support():
     k = c.randomized_response_kernel(3, F(3, 4))
     for db in k.databases():
-        assert sum(k.table[db].values()) == 1
+        assert sum(k.row(db).values()) == 1
         # reports never contain null: all 2^3 report vectors possible
-        assert len(k.table[db]) == 8
+        assert len(k.row(db)) == 8
 
 
 def _rr_per_cell(n, q):
@@ -94,16 +94,15 @@ def _rr_per_cell(n, q):
 @pytest.mark.parametrize("q", [F(2, 3), F(3, 4), F(5, 8)], ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rr_kernel_equals_the_per_cell_formula(n, q):
-    """Integer rows built by prefix give, once the table is derived from
-    them, the per-cell formula, cell by cell and in database and report
-    order, sharing at most (n+1)(n+2)/2 distinct `Fraction` objects."""
+    """Integer rows built by prefix give, read as `Fraction` rows, the
+    per-cell formula, cell by cell and in database and report order, sharing
+    at most (n+1)(n+2)/2 distinct `Fraction` objects."""
     k = c.randomized_response_kernel(n, q)
-    assert "table" not in vars(k)
     reference = _rr_per_cell(n, q)
-    assert k.table == reference
-    assert list(k.table) == list(reference)
-    assert all(list(k.table[db]) == list(row) for db, row in reference.items())
-    cells = {id(w) for row in k.table.values() for w in row.values()}
+    assert kernel_table(k) == reference
+    assert list(kernel_table(k)) == list(reference)
+    assert all(list(k.row(db)) == list(row) for db, row in reference.items())
+    cells = {id(w) for row in kernel_table(k).values() for w in row.values()}
     assert len(cells) <= (n + 1) * (n + 2) // 2
 
 
@@ -122,7 +121,7 @@ def test_a_builtin_is_validated_in_its_numerators():
         assert str(got.value) == str(want.value)
     k = c.randomized_response_kernel(5, F(3, 4))
     c.classic_epsilon(k)
-    assert "_fractions" not in vars(k) and "table" not in vars(k)
+    assert "_fractions" not in vars(k)
 
 
 def test_the_integer_constructor_checks_its_table():
@@ -161,7 +160,7 @@ def test_the_integer_constructor_checks_its_table():
             f"kernel table: denominator {common!r} is not a positive int"
     padded = c.MechanismKernel(2, dom, 0, outs, (2, {**good, (0, 1): (2, 0)}))
     table = {db: {o: F(p, 2) for o, p in zip(outs, row) if p} for db, row in good.items()}
-    assert padded.table == table
+    assert kernel_table(padded) == table
     assert c.classic_epsilon(padded) == \
         c.classic_epsilon(c.MechanismKernel.from_table(2, dom, 0, outs, table))
     shuffled = c.MechanismKernel(2, dom, 0, outs, (4, {db: tuple(2 * p for p in good[db])
@@ -194,28 +193,28 @@ def test_geometric_ratio_range_enforced():
 def test_geometric_rows_frozen_n2_half():
     # frozen from the independent oracle: n=2, r=1/2
     k = c.geometric_count_kernel(2, F(1, 2))
-    count0 = k.table[(NEG, NULL)]  # zero pos entries
+    count0 = k.row((NEG, NULL))  # zero pos entries
     assert count0 == {0: F(2, 3), 1: F(1, 6), 2: F(1, 6)}
-    count1 = k.table[(POS, NEG)]
+    count1 = k.row((POS, NEG))
     assert count1 == {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}
-    count2 = k.table[(POS, POS)]
+    count2 = k.row((POS, POS))
     assert count2 == {0: F(1, 6), 1: F(1, 6), 2: F(2, 3)}
 
 
 def test_geometric_rows_depend_only_on_count():
     k = c.geometric_count_kernel(3, F(1, 2))
-    assert k.table[(POS, NEG, NULL)] == k.table[(NULL, NEG, POS)]
-    assert k.table[(POS, POS, NULL)] == k.table[(NULL, POS, POS)]
+    assert k.row((POS, NEG, NULL)) == k.row((NULL, NEG, POS))
+    assert k.row((POS, POS, NULL)) == k.row((NULL, POS, POS))
     for db in k.databases():
-        assert sum(k.table[db].values()) == 1
+        assert sum(k.row(db).values()) == 1
 
 
 def test_geometric_row_symmetry_mirror():
     # the clamped two-sided noise is symmetric: row(c)[o] == row(n-c)[n-o]
     n = 3
     k = c.geometric_count_kernel(n, F(1, 3))
-    low = k.table[(NEG,) * n]     # count 0
-    high = k.table[(POS,) * n]    # count n
+    low = k.row((NEG,) * n)     # count 0
+    high = k.row((POS,) * n)    # count n
     assert low == {n - o: w for o, w in high.items()}
 
 
@@ -234,8 +233,8 @@ def test_geometric_kernel_equals_its_closed_form(n, r):
             return r ** (n - count) / (1 + r)
         return (1 - r) / (1 + r) * r ** abs(o - count)
 
-    assert list(k.table) == list(product((POS, NEG, NULL), repeat=n))
-    for db, row in k.table.items():
+    assert list(kernel_table(k)) == list(product((POS, NEG, NULL), repeat=n))
+    for db, row in kernel_table(k).items():
         assert list(row) == list(range(n + 1))
         assert row == {o: closed_form(db.count(POS), o) for o in range(n + 1)}
 
@@ -291,7 +290,7 @@ def test_a_valid_kernel_is_read_in_one_walk(monkeypatch, tmp_path, capsys):
         for definition in ("classic", "strong_adversary_universal", "whole_db_universal"):
             c.run_check(definition, kernel, F(2), cross_check=False)
         input_digest(kernel)
-        assert "table" not in vars(kernel)
+        assert "_fractions" not in vars(kernel)
     created, post_init = [], c.MechanismKernel.__post_init__
 
     def recorded(kernel):
@@ -316,16 +315,16 @@ def test_a_valid_kernel_is_read_in_one_walk(monkeypatch, tmp_path, capsys):
 def test_hidden_pair_kernel_shape():
     k = c.hidden_pair_kernel()
     assert k.n == 2 and k.data_domain == (0, 1, 2)
-    assert k.table[(2, 2)] == {0: F(1)}
-    assert k.table[(0, 2)] == {0: F(1, 2), 1: F(1, 2)}
+    assert k.row((2, 2)) == {0: F(1)}
+    assert k.row((0, 2)) == {0: F(1, 2), 1: F(1, 2)}
     assert c.is_infinite(c.classic_epsilon(k).value)
 
 
 def test_hidden_value_kernel_shape():
     k = c.hidden_value_kernel()
     assert k.n == 1
-    assert k.table[(2,)] == {0: F(1)}
-    assert k.table[(0,)] == {0: F(1, 2), 1: F(1, 2)}
+    assert k.row((2,)) == {0: F(1)}
+    assert k.row((0,)) == {0: F(1, 2), 1: F(1, 2)}
     assert c.is_infinite(c.classic_epsilon(k).value)
 
 
@@ -342,9 +341,9 @@ def test_classic_witness_is_first_maximizer_and_replays():
     bound = c.classic_epsilon(k)
     w = bound.witness
     assert w == {"i": 1, "d": (POS, POS), "d_prime_i": NEG, "o": 2}
-    num = k.table[w["d"]][w["o"]]
+    num = k.row(w["d"])[w["o"]]
     d2 = (NEG, POS)
-    assert num / k.table[d2][w["o"]] == bound.value
+    assert num / k.row(d2)[w["o"]] == bound.value
 
 
 def test_kernel_table_coverage_enforced():
@@ -383,7 +382,7 @@ def test_as_sem_output_matches_kernel_row_under_point_mass():
     pop = Dist.point_mass(("R_1", "R_2"), (POS, NEG))
     joint = c.as_sem(k, (), pop).lift()
     out = joint.marginal(("O",))
-    for o, w in k.table[(POS, NEG)].items():
+    for o, w in k.row((POS, NEG)).items():
         assert out.weight_of((o,)) == w
 
 
@@ -469,7 +468,7 @@ def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
     # output 2 to output 1 and lists 2 first, so the first difference in the
     # row's own order would be 2
     k = c.geometric_count_kernel(2, F(1, 2))
-    prefix, size = (args[0], len(k.table)) if query == "output_given_db" else ((), 1)
+    prefix, size = (args[0], len(kernel_table(k))) if query == "output_given_db" else ((), 1)
     honest = c.ProbabilisticSem.integer_lift
 
     def perturbed(self, variables):
@@ -556,7 +555,7 @@ def test_whole_db_check_cross_checks_every_database_once(monkeypatch, definition
     report = c.run_check(definition, k, F(3),
                          pop if definition.endswith("intervention") else None)
     assert report.achieved == F(3)
-    assert [e.cross_checks_done for e in engines] == [len(k.table)] == [3**3]
+    assert [e.cross_checks_done for e in engines] == [len(kernel_table(k))] == [3**3]
 
 
 @pytest.mark.parametrize("change, mismatch", [

@@ -345,8 +345,8 @@ def test_distribution_round_trip():
 
 
 def test_sem_round_trip_preserves_declared_order():
-    eq = c.StochasticEquation("Y", ("X",), {(0,): {0: F(1, 2), 1: F(1, 2)},
-                                            (1,): {1: F(1)}})
+    eq = c.StochasticEquation.from_rows("Y", ("X",), {(0,): {0: F(1, 2), 1: F(1, 2)},
+                                                      (1,): {1: F(1)}})
     sem = c.Sem(("X", "Y"), {"X": (0, 1), "Y": (0, 1)}, {"Y": eq})
     blob = canonical_json(serialize_input(sem))
     back = parse_text(blob)

@@ -44,7 +44,7 @@ from causaldp.modelfile import (
     value_to_json,
 )
 from causaldp.reports import SupTracker, group_sweep
-from conftest import _population, _weights, random_kernel
+from conftest import _population, _weights, kernel_table, random_kernel
 
 
 def _mixed_weights(draw, size: int) -> list[F]:
@@ -75,7 +75,7 @@ def small_psems(draw, weights=_weights) -> ProbabilisticSem:
         rows = {}
         for key in product(*(domains[p] for p in parents)):
             rows[key] = dict(zip(domains[v], weights(draw, len(domains[v]))))
-        equations[v] = StochasticEquation(v, parents, rows)
+        equations[v] = StochasticEquation.from_rows(v, parents, rows)
     names = tuple(draw(st.permutations(topo)))
     sem = Sem(names, domains, equations)
     exo = sem.exogenous
@@ -235,7 +235,7 @@ def attribute_equations(draw, kernel: c.MechanismKernel) -> tuple:
             key: dict(zip(dom, _weights(draw, len(dom))))
             for key in product(dom, repeat=len(parents))
         }
-        out.append(StochasticEquation(target, parents, rows))
+        out.append(StochasticEquation.from_rows(target, parents, rows))
     return tuple(out)
 
 
@@ -453,7 +453,7 @@ def test_neighbour_sweep_equals_the_reference_family(source, rng, n, dom_size,
         first, second = kernel.output_domain[:2]
         table = {db: {**row, first: F(0),
                       second: row.get(first, F(0)) + row.get(second, F(0))}
-                 for db, row in kernel.table.items()}
+                 for db, row in kernel_table(kernel).items()}
         kernel = c.MechanismKernel.from_table(n, kernel.data_domain, kernel.null_value,
                                               kernel.output_domain, table)
     dbs = list(kernel.databases())
@@ -461,7 +461,7 @@ def test_neighbour_sweep_equals_the_reference_family(source, rng, n, dom_size,
                dict(zip(dbs, _mixed_weights(data.draw, len(dbs)))))
     engine = CanonicalEngine(c.CanonicalModel(kernel, (), pop),
                              cross_check=source == "intervened")
-    output_of = {"kernel": kernel.table.__getitem__,
+    output_of = {"kernel": kernel_table(kernel).__getitem__,
                  "intervened": engine.output_given_db,
                  "conditioned": engine.output_conditioned_on_db}[source]
     read, first_read = [], []
@@ -813,7 +813,7 @@ def test_point_masses_are_slices_of_one_uniform_lift(rng, n, dom_size, out_size)
                 alone = row(c.as_sem(kernel, (), point_mass).do(forced).lift(("O",)))
                 mixed = CanonicalEngine(c.CanonicalModel(kernel, (), point_mass)) \
                     .output_given_point(i, v)
-                assert helper == sliced == alone == mixed == kernel.table[d]
+                assert helper == sliced == alone == mixed == kernel.row(d)
 
 
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
@@ -841,7 +841,7 @@ def test_whole_database_rows_are_slices_of_one_uniform_lift(rng, n, dom_size,
             forced = model.psem.do(dict(zip(c.data_point_names(kernel), db)))
             old = {point[0]: w for point, w in forced.lift(("O",)).weights.items()}
             sliced = {o: F(w, scale) for o, w in slices[db].items()}
-            assert sliced == old == kernel.table[db]
+            assert sliced == old == kernel.row(db)
 
 
 # --- exact rows and the file format ------------------------------------------------
@@ -898,11 +898,11 @@ def test_integer_table_is_the_table_over_one_denominator(kernel_and_table):
     parsed = parse_text(canonical_json(serialize_input(kernel)))
     for k in (kernel, parsed):
         common, rows = k.integer_table
-        weights = [w for row in k.table.values() for w in row.values()]
+        weights = [w for row in kernel_table(k).values() for w in row.values()]
         assert common == math.lcm(*(w.denominator for w in weights))
         assert list(rows) == list(k.databases())
         for db, row in rows.items():
-            assert row == tuple(common * k.table[db].get(o, F(0))
+            assert row == tuple(common * k.row(db).get(o, F(0))
                                 for o in k.output_domain)
             assert all(type(p) is int for p in row)
     assert parsed.integer_table == kernel.integer_table
@@ -911,15 +911,16 @@ def test_integer_table_is_the_table_over_one_denominator(kernel_and_table):
 @given(kernels_with_zero_entries(), builtin_kernels())
 def test_a_row_reads_the_integer_table(kernel_and_table, builtin):
     """`kernel.row(db)` is a read-only view of db's integer row: equal to
-    `table[db]`, its outputs in report order and only those with an entry,
-    an absent or unknown output missing from it; reading it, or all of a
-    builtin's rows, never derives the builtin's table."""
+    the table's row (a builtin's: its integer row over L), its outputs in
+    report order and only those with an entry, an absent or unknown output
+    missing from it."""
     kernel, table = kernel_and_table
+    common, integer_rows = builtin.integer_table
     for k in (kernel, builtin):
         rows = {db: k.row(db) for db in k.databases()}
-        assert "table" not in vars(builtin)
         for db, row in rows.items():
-            entries = {o: w for o, w in table[db].items() if w} if k is kernel else k.table[db]
+            entries = ({o: w for o, w in table[db].items() if w} if k is kernel else
+                       {o: F(p, common) for o, p in zip(k.output_domain, integer_rows[db]) if p})
             assert row == entries and dict(row) == entries
             assert list(row) == [o for o in k.output_domain if o in entries]
             assert len(row) == len(entries)
@@ -930,6 +931,70 @@ def test_a_row_reads_the_integer_table(kernel_and_table, builtin):
                 row[k.output_domain[0]] = F(1)
     with pytest.raises(c.ValueOutOfDomain):
         kernel.row(("no such database",))
+
+
+@given(kernels_with_zero_entries(), builtin_kernels())
+def test_the_oracle_reads_the_kernel_integer_table(kernel_and_table, builtin):
+    """The canonical model's O equation is the kernel's integer table, zero
+    numerators left out: its rows are the kernel's rows, one per database."""
+    for kernel in (kernel_and_table[0], builtin):
+        eq = kernel._canonical_sem.equations["O"]
+        assert eq.integer_table[0] == kernel.integer_table[0]
+        assert eq.rows == {(db,): dict(kernel.row(db)) for db in kernel.databases()}
+
+
+@given(st.integers(0, 2), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.randoms(use_true_random=False), st.data())
+def test_both_constructors_give_one_equation(width, keys, size, factor, rng, data):
+    """`from_rows` on `Fraction` rows with zero entries and the integer
+    constructor on the same table give equal equations, with each row's
+    values listed in any order and the table over L or over a multiple of
+    it; `rows` reads the positive entries back."""
+    parents = tuple(f"P{i}" for i in range(width))
+    rows = {tuple(range(j, j + width)): dict(zip(range(size), _weights(data.draw, size)))
+            for j in range(keys)}
+
+    def shuffled(row: dict) -> list:
+        items = list(row.items())
+        rng.shuffle(items)
+        return items
+
+    common = math.lcm(*(w.denominator for row in rows.values() for w in row.values()))
+    table = {key: {v: int(w * common) * factor for v, w in shuffled(row) if w}
+             for key, row in rows.items()}
+    by_rows = StochasticEquation.from_rows("Y", parents,
+                                           {key: dict(shuffled(row)) for key, row in rows.items()})
+    assert StochasticEquation("Y", parents, (common * factor, table)) == by_rows
+    assert by_rows.integer_table[0] == common
+    assert by_rows.rows == {key: {v: w for v, w in row.items() if w}
+                            for key, row in rows.items()}
+
+
+@given(small_psems(_mixed_weights), st.randoms(use_true_random=False))
+def test_a_shuffled_sem_round_trips(psem, rng):
+    """A model whose equations list each row's values in a shuffled order
+    equals the model, and serializes and parses back to an equal model."""
+    equations = {}
+    for name, eq in psem.sem.equations.items():
+        rows = {}
+        for key, row in eq.rows.items():
+            items = list(row.items())
+            rng.shuffle(items)
+            rows[key] = dict(items)
+        equations[name] = StochasticEquation.from_rows(name, eq.parents, rows)
+    sem = Sem(psem.sem.names, psem.sem.domains, equations)
+    assert sem == psem.sem
+    assert parse_text(canonical_json(serialize_input(sem))) == sem
+
+
+def test_validating_the_oracle_derives_no_fraction_rows():
+    """Building and validating a kernel's uniform-input model reads the
+    kernel's integer table straight into the O equation: neither derives a
+    `Fraction` table."""
+    kernel = c.randomized_response_kernel(4, F(3, 4))
+    kernel._uniform
+    assert "rows" not in vars(kernel._canonical_sem.equations["O"])
+    assert "table" not in vars(kernel)
 
 
 def _refusal(build) -> tuple:
@@ -1009,7 +1074,7 @@ def test_constructors_reject_inexact_rows(size, fault, data):
     with pytest.raises(c.InvalidDistribution, match=match):
         Dist(("A",), {(v,): w for v, w in zip(values, row)})
     with pytest.raises(c.DomainMismatch, match=match):
-        StochasticEquation("Y", (), {(): dict(zip(values, row))})
+        StochasticEquation.from_rows("Y", (), {(): dict(zip(values, row))})
     with pytest.raises(c.DomainMismatch, match=match):
         c.MechanismKernel.from_table(1, (0,), 0, values, {(0,): dict(zip(values, row))})
 
@@ -1081,8 +1146,9 @@ def test_kernel_errors_are_those_of_the_row_walk(weights, fault, n, dom_size,
         assert (type(exc.value), str(exc.value)) == expected
         return
     kernel = build()
-    assert kernel.table == expected and list(kernel.table) == list(kernel.databases())
-    assert all(w > 0 for row in kernel.table.values() for w in row.values())
+    table = kernel_table(kernel)
+    assert table == expected and list(table) == list(kernel.databases())
+    assert all(w > 0 for row in table.values() for w in row.values())
 
 
 def _repeating_weights(draw, size: int) -> list[F]:
@@ -1129,7 +1195,7 @@ def test_a_corrupt_weight_is_reported_at_its_own_cell(obj, corrupt, data):
     text = canonical_json(serialize_input(obj))
     back = parse_text(text)
     assert back == obj
-    rows = back.table.values() if isinstance(back, c.MechanismKernel) else [back.weights]
+    rows = kernel_table(back).values() if isinstance(back, c.MechanismKernel) else [back.weights]
     weights = [w for row in rows for w in row.values()]
     assert len({id(w) for w in weights}) == len(set(weights))  # one object per value
     node = json.loads(text)
@@ -1307,7 +1373,7 @@ def canonical_models_over_awkward_values(draw) -> c.CanonicalModel:
     attr = ()
     if kernel.n == 2 and draw(st.booleans()):
         rows = {(v,): dict(zip(dom, _weights(draw, len(dom)))) for v in dom}
-        attr = (StochasticEquation("R_2", ("R_1",), rows),)
+        attr = (StochasticEquation.from_rows("R_2", ("R_1",), rows),)
         inputs = ("R_1",)
     population = None
     if draw(st.booleans()):
@@ -1337,10 +1403,10 @@ def test_builtin_kernel_digest_equals_the_canonical_text(kernel, in_model):
     obj = (c.CanonicalModel(kernel, (), Dist.uniform(names, kernel.databases()))
            if in_model else kernel)
     digest = input_digest(obj)
-    assert "table" not in vars(kernel)
+    assert "_fractions" not in vars(kernel)
     assert digest == digest_of_text(canonical_json(serialize_input(obj)))
     spelled = c.MechanismKernel.from_table(kernel.n, kernel.data_domain, kernel.null_value,
-                                           kernel.output_domain, kernel.table)
+                                           kernel.output_domain, kernel_table(kernel))
     assert input_digest(spelled) == input_digest(kernel)
 
 

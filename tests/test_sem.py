@@ -23,7 +23,7 @@ from causaldp import (
 
 
 def coin_eq(target, parent, p_heads):
-    return StochasticEquation(
+    return StochasticEquation.from_rows(
         target,
         (parent,),
         {
@@ -44,12 +44,115 @@ def chain_model() -> Sem:
 
 def test_equation_rows_must_sum_to_one():
     with pytest.raises(DomainMismatch):
-        StochasticEquation("X", (), {(): {0: F(1, 2)}})
+        StochasticEquation.from_rows("X", (), {(): {0: F(1, 2)}})
 
 
 def test_equation_row_key_arity():
     with pytest.raises(DomainMismatch):
-        StochasticEquation("X", ("A",), {(): {0: F(1)}})
+        StochasticEquation.from_rows("X", ("A",), {(): {0: F(1)}})
+
+
+# --- the equation constructors' errors ------------------------------------------
+
+GOOD_ROW = {(0,): {0: 1, 1: 1}}
+
+
+@pytest.mark.parametrize("table, message", [
+    ((2, {**GOOD_ROW, 1: {0: 2}}), ", row 1: key does not match parents ('A',)"),
+    ((2, {**GOOD_ROW, (1, 0): {0: 2}}), ", row (1, 0): key does not match parents ('A',)"),
+    ((2, {(0,): {0: 1.0, 1: 1}}), ", row (0,): numerator 1.0 at 0 is not a positive int"),
+    ((2, {(0,): {0: True, 1: 1}}), ", row (0,): numerator True at 0 is not a positive int"),
+    ((2, {(0,): {0: F(1), 1: 1}}),
+     ", row (0,): numerator Fraction(1, 1) at 0 is not a positive int"),
+    ((2, {(0,): {0: 0, 1: 2}}), ", row (0,): numerator 0 at 0 is not a positive int"),
+    ((2, {(0,): {0: 3, 1: -1}}), ", row (0,): numerator -1 at 1 is not a positive int"),
+    ((2, {(0,): {0: 1, 1: 2}}), ", row (0,): weights sum to 3/2, expected exactly 1"),
+    ((2, {(0,): {}}), ", row (0,): weights sum to 0, expected exactly 1"),
+    ((2, {(0,): {0: 1, 1: 2}, 1: {0: 2}}), ", row (0,): weights sum to 3/2, expected exactly 1"),
+    ((0, GOOD_ROW), ": denominator 0 is not a positive int"),
+    ((-2, GOOD_ROW), ": denominator -2 is not a positive int"),
+    ((2.0, GOOD_ROW), ": denominator 2.0 is not a positive int"),
+    ((True, GOOD_ROW), ": denominator True is not a positive int"),
+], ids=["key_not_a_tuple", "key_too_wide", "float_numerator", "bool_numerator",
+        "fraction_numerator", "zero_numerator", "negative_numerator", "wrong_sum",
+        "empty_row", "first_row_first", "zero_denominator", "negative_denominator",
+        "float_denominator", "bool_denominator"])
+def test_the_integer_constructor_words_each_error(table, message):
+    """Each table the integer constructor refuses raises DomainMismatch,
+    worded for the first failing row in the table's order."""
+    with pytest.raises(DomainMismatch) as raised:
+        StochasticEquation("X", ("A",), table)
+    assert type(raised.value) is DomainMismatch
+    assert str(raised.value) == "equation for 'X'" + message
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({(0,): {0: F(1)}, 1: {0: F(1)}}, ", row 1: key does not match parents ('A',)"),
+    ({(0, 1): {0: F(1)}}, ", row (0, 1): key does not match parents ('A',)"),
+    ({(0,): {0: 0.5, 1: F(1, 2)}}, ", row (0,): weight 0.5 at 0 is not a nonnegative rational"),
+    ({(0,): {0: 1}}, ", row (0,): weight 1 at 0 is not a nonnegative rational"),
+    ({(0,): {0: None, 1: F(1)}}, ", row (0,): weight None at 0 is not a nonnegative rational"),
+    ({(0,): {0: F(-1, 2), 1: F(3, 2)}},
+     ", row (0,): weight Fraction(-1, 2) at 0 is not a nonnegative rational"),
+    ({(0,): {0: F(1, 2), 1: F(1, 3)}}, ", row (0,): weights sum to 5/6, expected exactly 1"),
+    ({(0,): {0: F(1, 2), 1: F(0)}}, ", row (0,): weights sum to 1/2, expected exactly 1"),
+    ({1: {0: F(1)}, (0,): {0: 0.5}}, ", row 1: key does not match parents ('A',)"),
+    ({(0,): {0: 0.5}, 1: {0: F(1)}}, ", row (0,): weight 0.5 at 0 is not a nonnegative rational"),
+], ids=["key_not_a_tuple", "key_too_wide", "float_weight", "int_weight", "none_weight",
+        "negative_weight", "wrong_sum", "wrong_sum_with_zero", "key_before_weight",
+        "weight_before_key"])
+def test_from_rows_words_each_error(rows, message):
+    """`from_rows` refuses what the walk of its rows in order refuses: a key
+    that does not match the parents, then a weight that is not a
+    nonnegative `Fraction`, then a wrong sum, each as DomainMismatch."""
+    with pytest.raises(DomainMismatch) as raised:
+        StochasticEquation.from_rows("X", ("A",), rows)
+    assert type(raised.value) is DomainMismatch
+    assert str(raised.value) == "equation for 'X'" + message
+
+
+def test_an_equation_is_stored_over_its_least_denominator():
+    """Equal tables over L and over a multiple of L are one equation; zero
+    entries in `Fraction` rows are dropped."""
+    assert StochasticEquation("X", (), (4, {(): {7: 4}})) == constant_equation("X", 7)
+    halves = StochasticEquation("X", ("A",), (6, {(0,): {0: 3, 1: 3}, (1,): {1: 6}}))
+    assert halves.integer_table == (2, {(0,): {0: 1, 1: 1}, (1,): {1: 2}})
+    assert halves == StochasticEquation.from_rows(
+        "X", ("A",), {(0,): {1: F(1, 2), 0: F(1, 2)}, (1,): {0: F(0), 1: F(1)}})
+    assert halves.rows == {(0,): {0: F(1, 2), 1: F(1, 2)}, (1,): {1: F(1)}}
+
+
+# --- the model's structural checks ------------------------------------------------
+
+
+@pytest.mark.parametrize("names, domains, equations, error, message", [
+    (("X", "X"), {"X": (0, 1)}, {}, DomainMismatch,
+     "duplicate variable names in ('X', 'X')"),
+    (("X", "Y"), {"X": (0, 1)}, {}, MissingEquation, "variable 'Y' has no declared domain"),
+    (("X",), {"X": (0, 1), "Z": (0,)}, {}, UnknownVariable,
+     "domain declared for undeclared variable 'Z'"),
+    (("X", "Y"), {"X": (0, 1), "Y": (0, 1)}, {"Y": constant_equation("X", 0)},
+     DomainMismatch, "equation keyed 'Y' targets 'X'"),
+], ids=["duplicate_names", "no_domain", "undeclared_domain", "equation_keyed_elsewhere"])
+def test_validate_words_each_structural_error(names, domains, equations, error, message):
+    """Errors a model file cannot reach: the reader rejects a repeated
+    variable first, and declares every domain and keys every equation by
+    its target itself."""
+    sem = Sem(names, domains, equations)
+    for _ in range(2):  # a model that fails is not memoized
+        with pytest.raises(error) as raised:
+            sem.validate()
+        assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_pin_exogenous_words_an_unknown_variable_and_value():
+    psem = ProbabilisticSem(chain_model(), Dist.uniform(("U",), [(0,), (1,)]))
+    with pytest.raises(UnknownVariable) as raised:
+        psem.pin_exogenous("Q", 0)
+    assert str(raised.value) == "variable 'Q' is not declared"
+    with pytest.raises(ValueOutOfDomain) as raised:
+        psem.do({"U": 5})
+    assert str(raised.value) == "5 not in domain of 'U'"
 
 
 def test_exogenous_endogenous_split():
@@ -80,7 +183,7 @@ def test_validate_catches_unknown_parent():
 
 
 def test_validate_catches_missing_row_coverage():
-    eq = StochasticEquation("X", ("U",), {(0,): {0: F(1)}})  # no row for U=1
+    eq = StochasticEquation.from_rows("X", ("U",), {(0,): {0: F(1)}})  # no row for U=1
     m = Sem(("U", "X"), {"U": (0, 1), "X": (0, 1)}, {"X": eq})
     for _ in range(2):
         with pytest.raises(DomainMismatch):
@@ -88,7 +191,7 @@ def test_validate_catches_missing_row_coverage():
 
 
 def test_validate_catches_value_outside_domain():
-    eq = StochasticEquation("X", (), {(): {7: F(1)}})
+    eq = StochasticEquation.from_rows("X", (), {(): {7: F(1)}})
     m = Sem(("X",), {"X": (0, 1)}, {"X": eq})
     for _ in range(2):
         with pytest.raises(ValueOutOfDomain):
@@ -141,7 +244,7 @@ def test_lift_mixes_exogenous_distribution():
         ("U", "X"),
         {"U": ("a", "b"), "X": (0, 1)},
         {
-            "X": StochasticEquation(
+            "X": StochasticEquation.from_rows(
                 "X", ("U",),
                 {("a",): {1: F(1)}, ("b",): {0: F(1, 2), 1: F(1, 2)}},
             )
@@ -271,10 +374,10 @@ def test_a_wrong_integer_table_fails_both_lifts(monkeypatch):
     both raise the InvalidDistribution of the cells' `Dist`."""
     psem = ProbabilisticSem(chain_model(), Dist.uniform(("U",), [(0,), (1,)]))
     eq = psem.sem.equations["Y"]
-    common, rows = eq._integer_table
-    (value, p), *rest = rows[(0,)]
-    monkeypatch.setitem(eq.__dict__, "_integer_table",
-                        (common, {**rows, (0,): ((value, p + 1), *rest)}))
+    common, rows = eq.integer_table
+    row = dict(rows[(0,)])
+    row[next(iter(row))] += 1
+    monkeypatch.setitem(eq.__dict__, "integer_table", (common, {**rows, (0,): row}))
     for lift in (psem.integer_lift, psem.lift):
         with pytest.raises(InvalidDistribution) as raised:
             lift(("X", "Y"))
