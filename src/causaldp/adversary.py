@@ -8,8 +8,6 @@ mechanism lets participation itself matter.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dist import Dist
 from .errors import DomainMismatch, ValueOutOfDomain, ZeroEvidence, preview
 from .mechanisms import MechanismKernel, data_population
@@ -31,7 +29,7 @@ def _joint(kernel: MechanismKernel, prior: Dist, observation, rewrite) -> dict:
     j = kernel._output_index[observation]
     rows = kernel.integer_table[1]
     joint = {}
-    for db, w in prior.integer_marginal(prior.variables)[1]:
+    for db, w in prior.integer_table[1].items():
         p = w * rows[rewrite(db)][j]
         if p:
             joint[db] = p
@@ -53,7 +51,7 @@ def _bayes(prior: Dist, joint: dict, zero_evidence: str) -> Dist:
     total = sum(joint.values())
     if total == 0:
         raise ZeroEvidence(zero_evidence)
-    return Dist(prior.variables, {db: Fraction(p, total) for db, p in joint.items()})
+    return Dist(prior.variables, (total, joint))
 
 
 def posterior(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
@@ -107,7 +105,7 @@ def semantic_gap(
     """
     prior = data_population(kernel, prior)
     forcing = _forcing(kernel, point_index, value)
-    support = [db for db in kernel.databases() if prior.weight_of(db)]
+    support = [db for db in kernel.databases() if db in prior.integer_table[1]]
     observed, groups = [], []
     for o in kernel.output_domain:
         plain, forced = (_joint(kernel, prior, o, rewrite) for rewrite in (tuple, forcing))

@@ -70,13 +70,13 @@ def max_relative_probability(
     Interventions go through the model surgery, so the source may be any
     variable, including an input; vacuous 0/0 comparisons are neutral.  Order:
     pairs (x_num, x_den) in domain order, then y; a one-name sink's y is bare.
-    The effect rows are one `group_sweep` group: each intervention's integer
-    lift, put over the lcm of their scales.
+    The effect rows are one `group_sweep` group: each intervention's lift,
+    its integer table put over the lcm of their scales.
     """
     names = _sink_names(psem.sem, sink, source)
     dom = psem.sem.domain_of(source)
     ys = list(product(*(psem.sem.domain_of(n) for n in names)))
-    lifts = [psem.do({source: x}).integer_lift(names) for x in dom]
+    lifts = [psem.do({source: x}).lift(names).integer_table for x in dom]
     common = math.lcm(*(scale for scale, _ in lifts))
     rows = [[cells.get(y, 0) * (common // scale) for y in ys] for scale, cells in lifts]
     if isinstance(sink, str):

@@ -34,8 +34,8 @@ oracle: cross-checks and `replay_witness`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, product
 from typing import Iterable, Sequence
 
@@ -289,15 +289,16 @@ class FalsificationOutcome:
     note: str
 
 
-def _grid_marginals(atoms: Sequence[Value], budget: int) -> list[tuple[Fraction, ...]]:
-    """All distributions over `atoms` with denominator <= budget, deduplicated,
-    in ascending-denominator, lexicographic-numerator order."""
-    grid: dict[tuple[Fraction, ...], None] = {}
+def _grid_marginals(atoms: Sequence[Value], budget: int) -> list[tuple[int, tuple]]:
+    """All distributions over `atoms` with denominator <= budget, as (q,
+    numerators) over the least q, each once, in ascending-denominator,
+    lexicographic-numerator order."""
+    grid = []
     for q in range(1, budget + 1):
         for head in product(range(q + 1), repeat=len(atoms) - 1):
-            if sum(head) <= q:
-                grid[tuple(Fraction(k, q) for k in (*head, q - sum(head)))] = None
-    return list(grid)
+            if sum(head) <= q and math.gcd(q, *head) == 1:
+                grid.append((q, (*head, q - sum(head))))
+    return grid
 
 
 def falsify_bayesian0(
@@ -316,16 +317,17 @@ def falsify_bayesian0(
     names = data_point_names(kernel)
     dom = kernel.data_domain
     grid = _grid_marginals(dom, search_budget)
-    diagonal = (Dist(names, {(v,) * kernel.n: w for v, w in zip(dom, marg)})
-                for marg in grid)
+    diagonal = (Dist(names, (q, {(v,) * kernel.n: k for v, k in zip(dom, ks) if k}))
+                for q, ks in grid)
     products = (
-        Dist.product(*(Dist((name,), {(v,): w for v, w in zip(dom, marg)})
-                       for name, marg in zip(names, per_point)))
+        Dist.product(*(Dist((name,), (q, {(v,): k for v, k in zip(dom, ks) if k}))
+                       for name, (q, ks) in zip(names, per_point)))
         for per_point in product(grid, repeat=kernel.n)
     )
-    seen: set[frozenset] = set()
+    seen: set[tuple] = set()
     for pop in chain(diagonal, products):
-        key = frozenset(pop.weights.items())
+        common, table = pop.integer_table
+        key = (common, frozenset(table.items()))
         if key in seen:
             continue
         seen.add(key)

@@ -1,17 +1,18 @@
 """Exact finite joint distributions.
 
 A `Dist` maps assignments (tuples of values, aligned with a fixed variable
-list) to positive rational weights summing to exactly one.  Zero-weight
-entries are dropped at construction so equality compares supports, and all
-arithmetic is exact: `fractions.Fraction`, or integers over a common
-denominator.
+list) to positive rational weights summing to exactly one, stored as one
+integer table: positive numerators over their least common denominator L.
+Every operation runs in those integers; a `Fraction` is built only where a
+probability leaves (`prob`, `weight_of`, the derived `weights`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import (
@@ -29,34 +30,18 @@ from .exact import Value, memoized, value_sort_key
 Event = Union[Mapping[str, Value], Callable[[Mapping[str, Value]], bool]]
 
 
-def exact_row(weights: Mapping, error: type[Exception], where: str, row=None) -> dict:
-    """The positive entries of an exact row.
-
-    Every weight must be a nonnegative `Fraction` and the weights must sum to
-    exactly 1; otherwise `error` is raised, its message starting with `where`
-    and then, for a table row, a preview of the row's key `row`, rendered only
-    on failure.  Distributions, equation rows and kernel rows all pass this
-    one rule.  The sum is tested in integers: the numerators are summed per
-    denominator, and over the lcm L of the distinct denominators the scaled
-    sums must add up to L.
-    """
-    kept = {}
-    sums: dict[int, int] = {}  # denominator -> sum of the numerators over it
+def exact_row(weights: Mapping, error: type[Exception], where: str, row=None) -> None:
+    """Raise `error` at the first weight that is not a nonnegative `Fraction`,
+    else if the weights do not sum to exactly 1, the message starting with
+    `where` and, for a table row, a preview of its key `row`: the wording of
+    a distribution, equation row or kernel row that failed in integers."""
     for key, w in weights.items():
-        # one call reads both terms (the properties are two calls); anything
-        # but a Fraction reads as negative and is rejected
-        num, den = w.as_integer_ratio() if isinstance(w, Fraction) else (-1, 1)
-        if num < 0:
+        if not isinstance(w, Fraction) or w < 0:
             raise _row_error(error, where, row, f"weight {preview(w)} at "
                              f"{preview(key)} is not a nonnegative rational")
-        if num:
-            kept[key] = w
-            sums[den] = sums.get(den, 0) + num
-    common = math.lcm(*sums)
-    if sum(total * (common // den) for den, total in sums.items()) != common:
-        total = sum(weights.values(), Fraction(0))
+    total = sum(weights.values(), Fraction(0))
+    if total != 1:
         raise _row_error(error, where, row, f"weights sum to {total}, expected exactly 1")
-    return kept
 
 
 def _row_error(error: type[Exception], where: str, row, problem: str) -> Exception:
@@ -81,6 +66,24 @@ def integer_weights(weights: list) -> tuple[int, list[int]] | None:
     return common, list(map(scaled.__getitem__, ids))
 
 
+def least_rows(common, rows: list[Mapping]) -> tuple[int, list[dict]] | None:
+    """(L, a new dict per row) with `rows` of numerators over `common` put
+    over their least L; None unless `common` is an int >= 1 and each row
+    holds positive ints summing to it.  A distribution is one such row."""
+    numerators = list(chain.from_iterable(row.values() for row in rows))
+    if (type(common) is not int or common < 1 or not set(map(type, numerators)) <= {int}
+            or min(numerators, default=1) < 1
+            or any(sum(row.values()) != common for row in rows)):
+        return None
+    factor = math.gcd(common, *rows[0].values()) if rows else common
+    if factor > 1 and len(rows) > 1:  # a row sums to L: its gcd bounds the table's
+        factor = math.gcd(factor, *numerators)
+    if factor > 1:
+        return common // factor, [{key: p // factor for key, p in row.items()}
+                                  for row in rows]
+    return common, list(map(dict, rows))
+
+
 def check_table(table: Mapping, keys: Iterable, domain: Iterable, where: str) -> None:
     """One row per expected key, and every row value inside the domain; raises
     DomainMismatch or ValueOutOfDomain, the message starting with `where`."""
@@ -99,58 +102,95 @@ def check_table(table: Mapping, keys: Iterable, domain: Iterable, where: str) ->
             )
 
 
+def integer_row_error(error: type[Exception], where: str, key, row: Mapping,
+                      common: int) -> None:
+    """Raise the first error of a row of numerators over `common`: one that
+    is not a positive int, then `exact_row`'s."""
+    for value, p in row.items():
+        if type(p) is not int or p < 1:
+            raise _row_error(error, where, key, f"numerator {preview(p)} at "
+                             f"{preview(value)} is not a positive int")
+    exact_row({value: Fraction(p, common) for value, p in row.items()}, error, where, key)
+
+
+def _check_points(variables: tuple[str, ...], points: Iterable) -> None:
+    width = len(variables)
+    if set(map(type, points)) <= {tuple} and set(map(len, points)) <= {width}:
+        return
+    for point in points:
+        if not isinstance(point, tuple) or len(point) != width:
+            raise InvalidDistribution(f"assignment {preview(point)} does not match "
+                                      f"variables {preview(variables)}")
+
+
 @dataclass(frozen=True)
 class Dist:
     """A finite joint distribution with exact rational weights.
 
     Attributes:
       variables: the coordinate names, in declared order.
-      weights: assignment tuple -> positive Fraction; sums to exactly 1.
+      integer_table: the distribution itself, (L, assignment tuple ->
+        positive numerator), summing to L and stored over the least L in a
+        dict of its own, so equal distributions have equal tables.  `Fraction`
+        weights come in through `from_weights`.
     """
 
     variables: tuple[str, ...]
-    weights: dict[tuple, Fraction] = field(default_factory=dict)
+    integer_table: tuple[int, dict[tuple, int]]
 
     def __post_init__(self):
-        width = len(self.variables)
-        for point in self.weights:
-            if not isinstance(point, tuple) or len(point) != width:
+        """Check the assignments and, in integers, the table (`least_rows`);
+        only a table that fails is walked, in order, to word the error."""
+        common, table = self.integer_table
+        _check_points(self.variables, table)
+        least = least_rows(common, [table])
+        if least is None:
+            if type(common) is not int or common < 1:
                 raise InvalidDistribution(
-                    f"assignment {preview(point)} does not match variables "
-                    f"{preview(self.variables)}"
-                )
-        weights = exact_row(self.weights, InvalidDistribution, "distribution")
-        object.__setattr__(self, "weights", weights)
+                    f"distribution: denominator {preview(common)} is not a positive int")
+            integer_row_error(InvalidDistribution, "distribution", None, table, common)
+        common, (table,) = least
+        object.__setattr__(self, "integer_table", (common, table))
 
     # --- constructors -----------------------------------------------------
 
     @staticmethod
+    def from_weights(variables: tuple[str, ...], weights: Mapping[tuple, Fraction]) -> Dist:
+        """The distribution of `Fraction` weights, zero entries dropped, each
+        distinct weight object converted once (`integer_weights`).  A bad
+        assignment is reported first, then a bad weight (`exact_row`), then
+        a wrong sum (the constructor)."""
+        _check_points(variables, weights)
+        converted = integer_weights(list(weights.values()))
+        if converted is None:
+            exact_row(weights, InvalidDistribution, "distribution")
+        common, numerators = converted
+        return Dist(variables, (common, {pt: p for pt, p in zip(weights, numerators) if p}))
+
+    @staticmethod
     def point_mass(variables: Iterable[str], point: tuple) -> Dist:
-        return Dist(tuple(variables), {tuple(point): Fraction(1)})
+        return Dist(tuple(variables), (1, {tuple(point): 1}))
 
     @staticmethod
     def uniform(variables: Iterable[str], points: Iterable[tuple]) -> Dist:
         pts = [tuple(p) for p in points]
-        w = Fraction(1, len(pts))
-        return Dist(tuple(variables), {p: w for p in pts})
+        return Dist(tuple(variables), (len(pts), dict.fromkeys(pts, 1)))
 
     @staticmethod
     def product(*parts: Dist) -> Dist:
         """Independent product of distributions over disjoint variables."""
         variables: tuple[str, ...] = ()
-        weights: dict[tuple, Fraction] = {(): Fraction(1)}
+        common, table = 1, {(): 1}
         for part in parts:
             if set(variables) & set(part.variables):
                 raise InvalidDistribution(
-                    f"product factors share variables: {variables} / {part.variables}"
-                )
+                    f"product factors share variables: {variables} / {part.variables}")
             variables = variables + part.variables
-            weights = {
-                left + right: wl * wr
-                for left, wl in weights.items()
-                for right, wr in part.weights.items()
-            }
-        return Dist(variables, weights)
+            scale, cells = part.integer_table
+            common *= scale
+            table = {left + right: wl * wr
+                     for left, wl in table.items() for right, wr in cells.items()}
+        return Dist(variables, (common, table))
 
     # --- primitives --------------------------------------------------------
 
@@ -170,49 +210,42 @@ class Dist:
 
     def prob(self, event: Event) -> Fraction:
         matches = self._matcher(event)
-        return sum(
-            (w for point, w in self.weights.items() if matches(point)),
-            Fraction(0),
-        )
+        common, table = self.integer_table
+        return Fraction(sum(p for point, p in table.items() if matches(point)), common)
 
     def condition(self, event: Event) -> Dist:
         """Renormalize onto an event; exact; raises on probability zero."""
         matches = self._matcher(event)
-        kept = {p: w for p, w in self.weights.items() if matches(p)}
-        total = sum(kept.values(), Fraction(0))
-        if total == 0:
+        kept = {point: p for point, p in self.integer_table[1].items() if matches(point)}
+        if not kept:
             raise ZeroProbabilityEvent(f"event {event!r} has probability zero")
-        return Dist(self.variables, {p: w / total for p, w in kept.items()})
-
-    def marginal(self, names: Iterable[str]) -> Dist:
-        names = tuple(names)
-        idx = [self._index(n) for n in names]
-        out: dict[tuple, Fraction] = {}
-        for point, w in self.weights.items():
-            key = tuple(point[i] for i in idx)
-            out[key] = out.get(key, Fraction(0)) + w
-        return Dist(names, out)
+        return Dist(self.variables, (sum(kept.values()), kept))
 
     @memoized
-    def integer_marginal(self, names: tuple[str, ...]) -> tuple[int, tuple]:
-        """The marginal on `names` over the weights' common denominator L:
-        (L, ((point, numerator), ...)) in first-seen order.  Memoized per
-        distribution and `names`, so models sharing this input distribution
-        (a model and its intervened sub-models) sum it onto one set of
-        coordinates once."""
+    def marginal(self, names: tuple[str, ...]) -> Dist:
+        """The marginal on `names`, in that order, assignments in first-seen
+        order.  Memoized, so a model and its sub-models sum their shared
+        input distribution onto one set of coordinates once."""
         idx = [self._index(n) for n in names]
-        terms = [w.as_integer_ratio() for w in self.weights.values()]
-        scale = math.lcm(*{den for _, den in terms})
+        common, table = self.integer_table
         out: dict[tuple, int] = {}
-        for point, (num, den) in zip(self.weights, terms):
+        for point, p in table.items():
             key = tuple(point[i] for i in idx)
-            out[key] = out.get(key, 0) + num * (scale // den)
-        return scale, tuple(out.items())
+            out[key] = out.get(key, 0) + p
+        return Dist(names, (common, out))
 
     # --- conveniences -------------------------------------------------------
 
+    @property
+    def weights(self) -> dict[tuple, Fraction]:
+        """assignment -> weight, derived on read: a `Fraction` per numerator."""
+        common, table = self.integer_table
+        fractions = {p: Fraction(p, common) for p in set(table.values())}
+        return dict(zip(table, map(fractions.__getitem__, table.values())))
+
     def weight_of(self, point: tuple) -> Fraction:
-        return self.weights.get(tuple(point), Fraction(0))
+        common, table = self.integer_table
+        return Fraction(table.get(tuple(point), 0), common)
 
     def entries_sorted(self) -> list[tuple[tuple, Fraction]]:
         return sorted(
@@ -223,9 +256,9 @@ class Dist:
         """True iff the joint equals the product of its 1-D marginals exactly:
         the same support, each point weighted by its marginals' product.
 
-        Tested in integers over the joint's common denominator L: with J_p
-        the numerator of point p and M_i those of the marginals, every
-        support point must have J_p * L^n == L * prod_i M_i(p_i).  Then the
+        Tested in integers over the joint's denominator L: with J_p the
+        numerator of point p and M_i those of the marginals, every support
+        point must have J_p * L^n == L * prod_i M_i(p_i).  Then the
         product's mass on the joint's support is 1, so it has no mass
         elsewhere and the supports are equal.
         """
@@ -234,13 +267,13 @@ class Dist:
             if name in names[:j]:
                 raise InvalidDistribution(
                     f"product factors share variables: {names[:j]} / {(name,)}")
-        scale, joint = self.integer_marginal(names)
+        scale, joint = self.integer_table
         marginals: list[dict] = [{} for _ in names]
-        for point, w in joint:
+        for point, w in joint.items():
             for marginal, x in zip(marginals, point):
                 marginal[x] = marginal.get(x, 0) + w
         power = scale ** len(names)
         return all(
             w * power == scale * math.prod(map(dict.__getitem__, marginals, point))
-            for point, w in joint
+            for point, w in joint.items()
         )

@@ -145,8 +145,8 @@ class MechanismKernel:
         factor = math.gcd(*next(iter(rows.values())))  # a row sums to L, so g | L
         if factor > 1:
             factor = math.gcd(factor, *chain.from_iterable(rows.values()))
-        if factor > 1 or not ordered:
-            rows = {db: tuple(p // factor for p in rows[db]) for db in databases}
+        rows = ({db: tuple(p // factor for p in rows[db]) for db in databases}
+                if factor > 1 or not ordered else dict(rows))  # never the caller's dict
         object.__setattr__(self, "integer_table", (common // factor, rows))
 
     @staticmethod
@@ -524,7 +524,7 @@ def data_population(kernel: MechanismKernel, population: Dist | None) -> Dist:
             f"model's exogenous variables are {inputs}"
         )
     domain = set(kernel.data_domain)
-    for point in population.weights:
+    for point in population.integer_table[1]:
         for name, value in zip(inputs, point):
             if value not in domain:
                 raise ValueOutOfDomain(
@@ -533,7 +533,7 @@ def data_population(kernel: MechanismKernel, population: Dist | None) -> Dist:
                 )
     if population.variables == names:
         return population
-    return Dist(names, population.weights)
+    return Dist(names, population.integer_table)
 
 
 def as_sem(
@@ -578,7 +578,7 @@ def as_sem(
         sem = Sem(sem.names, sem.domains, equations)
     exo = sem.exogenous
     if not attr:
-        exogenous_dist = Dist(exo, data_population(kernel, exogenous_dist).weights)
+        exogenous_dist = Dist(exo, data_population(kernel, exogenous_dist).integer_table)
     elif exogenous_dist is None:
         exogenous_dist = Dist.uniform(exo, product(kernel.data_domain, repeat=len(exo)))
     psem = ProbabilisticSem(sem, exogenous_dist)
@@ -626,7 +626,7 @@ class CanonicalEngine:
     it.  With `cross_check` every interventional answer is also recomputed
     by the `sem` oracle, which enumerates the output's ancestors and never
     calls a closed form, and must match exactly.  Every cross-check, and
-    each point mass of `verify_point_masses`, is a row of one integer lift
+    each point mass of `verify_point_masses`, is a row of one lift
     (`_oracle_rows`); all whole-database rows come from one lift per engine.
     Conditional answers meet the oracle in the property tests and in
     witness replay.  The model is validated on construction.
@@ -647,9 +647,9 @@ class CanonicalEngine:
 
     def _oracle_rows(self, psem: ProbabilisticSem, forced: dict,
                      sliced: tuple[str, ...], common: int) -> tuple[int, dict]:
-        """One integer lift of (`sliced`, O) under do(`forced`), split into
-        rows keyed by the `sliced` values: (scale, key -> output ->
-        numerator), each row scaled by |D|^len(sliced) and put over
+        """One lift of (`sliced`, O) under do(`forced`), its integer table
+        split into rows keyed by the `sliced` values: (scale, key -> output
+        -> numerator), each row scaled by |D|^len(sliced) and put over
         scale * `common`, the denominator of the rows `_verify` compares.
 
         Inputs are sliced only under the uniform input, where the R_i are
@@ -660,7 +660,7 @@ class CanonicalEngine:
         R_1..R_n = db is what do(D_1..D_n = db) lifts to under every
         population and attribute equation.
         """
-        scale, cells = psem.do(forced).integer_lift(sliced + (OUTPUT_VAR,))
+        scale, cells = psem.do(forced).lift(sliced + (OUTPUT_VAR,)).integer_table
         factor = len(self.kernel.data_domain) ** len(sliced) * common
         rows: dict[tuple, dict] = {}
         for point, w in cells.items():
@@ -720,7 +720,7 @@ class CanonicalEngine:
         joint = self.base_joint()
         others: dict[tuple, int] = {}
         by_value: dict[Value, dict[tuple, int]] = {}
-        for db, w in joint.integer_marginal(joint.variables)[1]:
+        for db, w in joint.integer_table[1].items():
             rest = db[: i - 1] + db[i:]
             others[rest] = others.get(rest, 0) + w
             by_value.setdefault(db[i - 1], {})[rest] = w
@@ -753,7 +753,7 @@ class CanonicalEngine:
     def output_conditioned_on_db(self, db: tuple) -> KernelRow | None:
         """Fr[O | D = db]: the kernel row, or None when P(D = db) = 0."""
         row = self.kernel.row(db)
-        return row if self.base_joint().weight_of(db) > 0 else None
+        return row if db in self.base_joint().integer_table[1] else None
 
     @memoized
     def output_given_point(self, i: int, v: Value) -> KernelRow:

@@ -379,7 +379,7 @@ def parse_distribution(obj: dict, loc: str = "distribution") -> Dist:
         for i, v in enumerate(_array(obj["variables"], f"{loc}.variables"))
     )
     weights = _table(obj["weights"], f"{loc}.weights", "point", _weight)
-    return _wrap_model_error(lambda: Dist(variables, weights), loc)
+    return _wrap_model_error(lambda: Dist.from_weights(variables, weights), loc)
 
 
 def parse_equation(obj: dict, loc: str) -> StochasticEquation:

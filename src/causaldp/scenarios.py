@@ -91,7 +91,7 @@ _HIDDEN_CHECKS = (
 def _ada_byron_model() -> CanonicalModel:
     kernel = geometric_count_kernel(2, Fraction(1, 2))
     attr = (copy_equation("R_2", "R_1", kernel.data_domain),)
-    population = Dist(
+    population = Dist.from_weights(
         ("R_1",), {(POS,): Fraction(1, 2), (NEG,): Fraction(1, 2)}
     )
     return CanonicalModel(kernel, attr, population)
@@ -135,7 +135,7 @@ def _hidden_pair_model() -> CanonicalModel:
 
 def _hidden_value_model() -> CanonicalModel:
     kernel = hidden_value_kernel()
-    population = Dist(
+    population = Dist.from_weights(
         ("D_1",), {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
     )
     return CanonicalModel(kernel, (), population)

@@ -23,27 +23,24 @@ The enumeration runs in integers over a running common denominator, from
 each equation's integer table.  The enumeration is the oracle's own; its
 input is not: the canonical release model's O equation is the kernel's
 integer table, checked again by the equation's constructor.
-`ProbabilisticSem.integer_lift` returns its cells as that denominator and
-positive numerators, and checks in integers that they sum to it; `lift`
-builds one `Fraction` per cell from them, in a `Dist`.
+`ProbabilisticSem.lift` returns its cells as the integer table of a `Dist`,
+whose constructor checks in integers that they sum to that denominator.
 
 Models are immutable, so three pieces of structure are memoized on the
 object that owns them: a model keeps each intervened sub-model per
 (variable, value), so chained interventions share a trie of sub-models; a
 model keeps each query's plan (the exogenous variables and equations it
-enumerates); and an input `Dist` keeps its integer marginal per exogenous
-set, so a model and all its sub-models sum their shared population onto
-one set of coordinates once.  A query that needs no exogenous variable
-thus costs its own enumeration and no scan of the population; a caller
-asking one such question per assignment of some inputs can instead ask
-once for the joint of those inputs and the answer, and read each answer
-as a slice.  Every call still checks its arguments; every integer lift
-sums to one, and every returned `Dist` still passes `exact_row`.
+enumerates); and an input `Dist` keeps its marginal per exogenous set, so a
+model and all its sub-models sum their shared population onto one set of
+coordinates once.  A query that needs no exogenous variable thus costs its
+own enumeration and no scan of the population; a caller asking one such
+question per assignment of some inputs can instead ask once for the joint
+of those inputs and the answer, and read each answer as a slice.  Every
+call still checks its arguments, and every lift sums to one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -51,7 +48,8 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .dist import Dist, Event, check_table, exact_row, integer_weights
+from .dist import (Dist, Event, check_table, exact_row, integer_row_error, integer_weights,
+                   least_rows)
 from .errors import (
     CyclicModel,
     DomainMismatch,
@@ -64,13 +62,10 @@ from .errors import (
 from .exact import Value, memoized
 
 
-def _check_row(target: str, parents: tuple, key, row: Mapping) -> None:
-    """Raise the first error of one equation row of `Fraction` weights: a key
-    that does not match the parents, then `exact_row`'s."""
+def _check_key(target: str, parents: tuple, key) -> None:
     if not isinstance(key, tuple) or len(key) != len(parents):
         raise DomainMismatch(f"equation for {preview(target)}, row {preview(key)}: key "
                              f"does not match parents {preview(parents)}")
-    exact_row(row, DomainMismatch, f"equation for {preview(target)}, row", key)
 
 
 @dataclass(frozen=True)
@@ -94,45 +89,36 @@ class StochasticEquation:
     integer_table: tuple[int, dict[tuple, dict[Value, int]]]
 
     def __post_init__(self):
-        """Check the table in integers: every key a tuple of `len(parents)`
-        values, every numerator a positive int, every row summing to L >= 1.
-        Only a table that fails is walked row by row, in its given order, to
-        word the first error; a valid one is put over its least L."""
+        """Check the table in integers (`dist.least_rows`) and its keys; only
+        a table that fails is walked, in its given order, to word the first
+        error.  A valid one is stored over its least L, in dicts of its own."""
         common, rows = self.integer_table
         if type(common) is not int or common < 1:
             raise DomainMismatch(f"equation for {preview(self.target)}: denominator "
                                  f"{preview(common)} is not a positive int")
         width = len(self.parents)
-        numerators = [p for row in rows.values() for p in row.values()]
-        if (not all(isinstance(key, tuple) and len(key) == width for key in rows)
-                or set(map(type, numerators)) - {int} or min(numerators, default=1) < 1
-                or not all(sum(row.values()) == common for row in rows.values())):
+        least = least_rows(common, list(rows.values()))
+        if least is None or not all(isinstance(key, tuple) and len(key) == width
+                                    for key in rows):
             for key, row in rows.items():  # the first error: a key, a numerator or a sum
-                for value, p in row.items():
-                    if type(p) is not int or p < 1:
-                        raise DomainMismatch(
-                            f"equation for {preview(self.target)}, row {preview(key)}: "
-                            f"numerator {preview(p)} at {preview(value)} is not a positive int")
-                _check_row(self.target, self.parents, key,
-                           {value: Fraction(p, common) for value, p in row.items()})
-        factor = math.gcd(common, *next(iter(rows.values()), {}).values())
-        if factor > 1:  # a row sums to L, so the first row's gcd bounds the table's
-            factor = math.gcd(factor, *numerators)
-            rows = {key: {value: p // factor for value, p in row.items()}
-                    for key, row in rows.items()}
-            object.__setattr__(self, "integer_table", (common // factor, rows))
+                _check_key(self.target, self.parents, key)
+                integer_row_error(DomainMismatch, f"equation for {preview(self.target)}, row",
+                                  key, row, common)
+        common, reduced = least
+        object.__setattr__(self, "integer_table", (common, dict(zip(rows, reduced))))
 
     @staticmethod
     def from_rows(target: str, parents: tuple[str, ...],
                   rows: Mapping[tuple, Mapping[Value, Fraction]]) -> StochasticEquation:
-        """The equation of `Fraction` rows, parent key -> {target value:
-        weight}, zero entries dropped, converting each distinct weight object
-        once (`dist.integer_weights`).  A weight of another type or sign is
-        worded by `exact_row`, a key or a wrong sum by the constructor."""
+        """The equation of `Fraction` rows, zero entries dropped, each
+        distinct weight object converted once (`dist.integer_weights`).  A bad
+        weight is worded by `exact_row`, a key or a wrong sum by the
+        constructor."""
         converted = integer_weights([w for row in rows.values() for w in row.values()])
         if converted is None:
             for key, row in rows.items():
-                _check_row(target, parents, key, row)
+                _check_key(target, parents, key)
+                exact_row(row, DomainMismatch, f"equation for {preview(target)}, row", key)
         common, numerators = converted
         cells = iter(numerators)
         table = {key: {value: p for value, p in zip(row, cells) if p}
@@ -358,15 +344,16 @@ class Sem:
         -> numerator over scale), in first-seen order.
 
         The loop runs in integers over a running common denominator: the
-        inputs' marginal comes over theirs (`Dist.integer_marginal`, memoized
-        on the distribution), and each step multiplies it by its equation's
-        own (`integer_table`, the input the oracle shares with the kernel;
-        the loop and its arithmetic are the oracle's alone).  A step extends
+        inputs' marginal comes over its own (`Dist.marginal`, memoized on the
+        distribution), and each step multiplies it by its equation's
+        (`integer_table`, the input the oracle shares with the kernel; the
+        loop and its arithmetic are the oracle's alone).  A step extends
         each assignment by distinct values, so its assignments stay distinct
         and a list of pairs holds them.  `steps` must be topologically
         ordered and closed under parents given `exo`.
         """
-        scale, support = inputs.integer_marginal(exo)
+        scale, marginal = inputs.marginal(exo).integer_table
+        support = marginal.items()
         positions = {name: i for i, name in enumerate(exo)}
         for name in steps:
             eq = self.equations[name]
@@ -409,7 +396,7 @@ class ProbabilisticSem:
                 f"{preview(self.exogenous_dist.variables)}, model's exogenous "
                 f"variables are {preview(exo)}"
             )
-        for point in self.exogenous_dist.weights:
+        for point in self.exogenous_dist.integer_table[1]:
             for name, value in zip(exo, point):
                 if value not in self.sem.domains[name]:
                     raise ValueOutOfDomain(
@@ -418,45 +405,24 @@ class ProbabilisticSem:
                     )
         return order
 
-    def integer_lift(self, variables: Iterable[str]) -> tuple[int, dict[tuple, int]]:
-        """The joint over `variables`, in the order given, as integers:
-        (scale, point -> positive numerator over scale), in the order `lift`
-        lists its cells.
+    def lift(self, variables: Iterable[str] | None = None) -> Dist:
+        """The joint over `variables`, in the order given; by default the
+        full joint over all declared variables, in declared order.
 
         Only `variables` and their ancestors in the current, possibly
-        intervened, graph are enumerated, starting from the input
-        distribution's marginal on the exogenous ones among them (the unit
-        point if there are none).  The rest are barren for the query, so
-        `lift(T) == lift().marginal(T)` exactly.  The model memoizes the
-        plan per query (`Sem._plan`) and the input distribution its marginal
-        per exogenous set, so a repeated query costs only its enumeration.
-        The numerators must sum to the scale; if they do not, the `Dist` of
-        these cells is built, so the error is the one `lift` raises.
+        intervened, graph are enumerated, from the input distribution's
+        marginal on the exogenous ones among them, so `lift(T) ==
+        lift().marginal(T)` exactly.  The enumeration's integers are the
+        `Dist`'s integer table, whose constructor checks their sum.
 
         Raises:
           UnknownVariable for an undeclared name in `variables`;
           InvalidDistribution if the cells do not sum to one.
         """
-        self.validate()
-        variables = tuple(variables)
-        exo, steps = self.sem._plan(variables)
-        scale, cells = self.sem._enumerate(self.exogenous_dist, exo, steps, variables)
-        if sum(cells.values()) != scale:  # the Dist raises lift's error
-            Dist(variables, {key: Fraction(w, scale) for key, w in cells.items()})
-        return scale, cells
-
-    def lift(self, variables: Iterable[str] | None = None) -> Dist:
-        """The joint over `variables`, in the order given; by default the
-        full joint over all declared variables, in declared order: the
-        integer lift with one `Fraction` per cell, in a `Dist` that passes
-        `exact_row`.
-
-        Raises:
-          UnknownVariable for an undeclared name in `variables`.
-        """
         variables = self.sem.names if variables is None else tuple(variables)
-        scale, cells = self.integer_lift(variables)
-        return Dist(variables, {key: Fraction(w, scale) for key, w in cells.items()})
+        self.validate()
+        exo, steps = self.sem._plan(variables)
+        return Dist(variables, self.sem._enumerate(self.exogenous_dist, exo, steps, variables))
 
     def intervene(self, name: str, value: Value) -> ProbabilisticSem:
         child = ProbabilisticSem(self.sem.intervene(name, value), self.exogenous_dist)

@@ -76,6 +76,16 @@ def kernel_table(kernel: c.MechanismKernel) -> dict:
     return {db: dict(kernel.row(db)) for db in kernel.databases()}
 
 
+def unchecked_dist(variables: tuple, integer_table: tuple) -> c.Dist:
+    """A `Dist` holding `integer_table` as given, past the constructor's
+    checks: the lift of a broken oracle, whose cells need not sum to their
+    scale."""
+    dist = object.__new__(c.Dist)
+    object.__setattr__(dist, "variables", tuple(variables))
+    object.__setattr__(dist, "integer_table", integer_table)
+    return dist
+
+
 def random_population(
     rng: random.Random,
     kernel: c.MechanismKernel,
@@ -89,7 +99,7 @@ def random_population(
     if sum(weights) == 0:
         weights[rng.randrange(len(atoms))] = 1
     total = sum(weights)
-    return c.Dist(
+    return c.Dist.from_weights(
         names,
         {a: Fraction(w, total) for a, w in zip(atoms, weights) if w},
     )
@@ -161,4 +171,4 @@ def _population(draw, names: tuple, kernel: c.MechanismKernel) -> c.Dist:
     """A joint over `names` on the data domain; weights may be zero, so
     some databases (or values of a point) can have probability zero."""
     points = list(product(kernel.data_domain, repeat=len(names)))
-    return c.Dist(names, dict(zip(points, _weights(draw, len(points)))))
+    return c.Dist.from_weights(names, dict(zip(points, _weights(draw, len(points)))))

@@ -44,7 +44,7 @@ def test_hiding_counterexamples_exact(acceptance):
 
     # under the hiding population every forced value gives the same fair coin
     engine = c.CanonicalEngine(
-        c.CanonicalModel(hp, (), Dist(("R_1", "R_2"), dict(hp_pop.weights)))
+        c.CanonicalModel(hp, (), Dist.from_weights(("R_1", "R_2"), dict(hp_pop.weights)))
     )
     coin = {0: F(1, 2), 1: F(1, 2)}
     do_dists_are_coins = all(
@@ -151,7 +151,7 @@ def test_closed_forms_match_enumeration(acceptance):
         n, dom = rng.choice(((1, 2), (2, 2), (2, 3)))
         k = random_kernel(rng, n, dom, 2, full_support=rng.random() < 0.5)
         pop = random_population(rng, k, full_support=True)
-        pop_r = Dist(c.input_names(k), dict(pop.weights))
+        pop_r = Dist.from_weights(c.input_names(k), dict(pop.weights))
         engine = c.CanonicalEngine(c.CanonicalModel(k, (), pop_r), cross_check=True)
         for db in k.databases():
             engine.output_given_db(db)
@@ -216,7 +216,7 @@ def test_correlated_attribute_doubles_conditional_only(acceptance):
     # squared price, intervening still pays the single-point price
     k = c.geometric_count_kernel(2, F(1, 2))
     attr = (c.copy_equation("R_2", "R_1", k.data_domain),)
-    pop = Dist(("R_1",), {(c.POS,): F(1, 2), (c.NEG,): F(1, 2)})
+    pop = Dist.from_weights(("R_1",), {(c.POS,): F(1, 2), (c.NEG,): F(1, 2)})
     model = c.CanonicalModel(k, attr, pop)
     cond2 = c.check_associative(DId.BAYESIAN0, model, F(2))
     cond4 = c.check_associative(DId.BAYESIAN0, model, F(4))

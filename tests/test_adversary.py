@@ -49,7 +49,7 @@ def test_r_named_and_d_named_priors_agree():
     for n, dom, out in ((1, 3, 2), (2, 2, 3), (2, 3, 2)):
         k = random_kernel(rng, n, dom, out)
         d_prior = random_population(rng, k, full_support=False)
-        r_prior = Dist(c.input_names(k), d_prior.weights)
+        r_prior = Dist.from_weights(c.input_names(k), d_prior.weights)
         v = k.data_domain[-1]
         for o in k.output_domain:
             for args in ((o,), (n, v, o)):
@@ -78,7 +78,7 @@ def test_prior_over_other_names_is_rejected():
 
 def test_posterior_preserves_zero_prior_points():
     k = c.randomized_response_kernel(1, F(2, 3))
-    prior = Dist(("D_1",), {(c.POS,): F(1)})
+    prior = Dist.from_weights(("D_1",), {(c.POS,): F(1)})
     post = c.posterior(k, prior, (c.NEG,))
     assert post.weight_of((c.POS,)) == F(1)
     assert post.weight_of((c.NEG,)) == 0
@@ -116,7 +116,7 @@ def test_forced_posterior_hand_values():
 def test_forced_posterior_worked_example():
     # frozen from the ledger: rr(1, 2/3), skewed prior 4/5 on pos.
     k = c.randomized_response_kernel(1, F(2, 3))
-    prior = Dist(("D_1",), {(c.POS,): F(4, 5), (c.NEG,): F(1, 5)})
+    prior = Dist.from_weights(("D_1",), {(c.POS,): F(4, 5), (c.NEG,): F(1, 5)})
     plain = c.posterior(k, prior, (c.POS,))
     assert plain.weight_of((c.POS,)) == F(8, 9)
     forced = c.posterior_under_intervention(k, prior, 1, c.POS, (c.POS,))
@@ -154,7 +154,7 @@ def test_semantic_gap_worked_example():
     # independent oracle: plain P(neg | (pos,)) = 1/9, forced posterior equals
     # the prior, so the worst pair is (o=(pos,), d=neg) at (1/5)/(1/9) = 9/5
     k = c.randomized_response_kernel(1, F(2, 3))
-    prior = Dist(("D_1",), {(c.POS,): F(4, 5), (c.NEG,): F(1, 5)})
+    prior = Dist.from_weights(("D_1",), {(c.POS,): F(4, 5), (c.NEG,): F(1, 5)})
     gap = c.semantic_gap(k, prior, 1, c.POS)
     assert gap.value == F(9, 5)
     assert gap.witness == {
@@ -225,7 +225,7 @@ def test_semantic_gap_frozen_max_for_rr():
 
 def test_semantic_gap_witness_deterministic():
     k = c.randomized_response_kernel(1, F(2, 3))
-    prior = Dist(("D_1",), {(c.POS,): F(4, 5), (c.NEG,): F(1, 5)})
+    prior = Dist.from_weights(("D_1",), {(c.POS,): F(4, 5), (c.NEG,): F(1, 5)})
     a = c.semantic_gap(k, prior, 1, c.POS).witness
     b = c.semantic_gap(k, prior, 1, c.POS).witness
     assert a == b

@@ -144,7 +144,7 @@ def test_brp_bound_never_beaten_by_random_populations():
         for p in points:
             weights[p] = F(rng.randrange(1, 6))
         total = sum(weights.values())
-        pop = Dist(("R_1", "R_2"), {p: w / total for p, w in weights.items()})
+        pop = Dist.from_weights(("R_1", "R_2"), {p: w / total for p, w in weights.items()})
         psem = c.as_sem(k, (), pop)
         got = c.max_relative_probability(psem, "O", "R_1").value
         assert c.ratio_le(got, bound)
@@ -279,3 +279,12 @@ def test_postprocessing_composes_for_free():
         assert rep.achieved == r1  # stage 2 touches X only through Y1
         seen_equal += 1
     assert seen_equal >= 5
+
+
+def test_a_sink_that_repeats_a_variable_is_rejected():
+    """No composition reaches this: its pair sink joins two distinct stage
+    outputs."""
+    psem = two_node(F(1, 3))
+    with pytest.raises(c.InvalidEffectQuery) as raised:
+        c.max_relative_probability(psem, ("Y", "Y"), "X")
+    assert str(raised.value) == "sink ('Y', 'Y') repeats a variable"

@@ -9,7 +9,7 @@ import pytest
 import causaldp as c
 from causaldp import DefinitionId as DId
 from causaldp import Dist
-from conftest import random_kernel, random_population
+from conftest import random_kernel, random_population, unchecked_dist
 
 ALL_POP_FREE = sorted(c.POPULATION_FREE, key=lambda d: d.value)
 ALL_NEEDS_POP = sorted(c.NEEDS_POPULATION, key=lambda d: d.value)
@@ -19,7 +19,7 @@ def ada_model():
     """Two copies of one attribute behind a noisy count."""
     k = c.geometric_count_kernel(2, F(1, 2))
     attr = (c.copy_equation("R_2", "R_1", k.data_domain),)
-    pop = Dist(("R_1",), {(c.POS,): F(1, 2), (c.NEG,): F(1, 2)})
+    pop = Dist.from_weights(("R_1",), {(c.POS,): F(1, 2), (c.NEG,): F(1, 2)})
     return k, attr, pop
 
 
@@ -87,7 +87,7 @@ def test_full_support_population_skips_nothing():
 
 def test_zero_weight_databases_are_skipped_not_crashed():
     k = c.hidden_value_kernel()
-    pop = Dist(("R_1",), {(0,): F(1, 2), (1,): F(1, 2)})  # value 2 unsupported
+    pop = Dist.from_weights(("R_1",), {(0,): F(1, 2), (1,): F(1, 2)})  # value 2 unsupported
     rep = c.check_associative(DId.BAYESIAN0, model(k, pop), F(1))
     assert rep.passed  # the 0-vs-1 comparisons are all fair coins
     assert rep.skipped_comparisons > 0
@@ -168,16 +168,16 @@ def test_a_broken_oracle_row_fails_the_point_mass_reduction():
 def test_a_missing_point_mass_slice_is_a_mismatch(monkeypatch):
     """The oracle's lifts for point 2 lack the slice R_{-2} = (neg, pos): the
     cross-check names the first (i, others, v) that reads it."""
-    honest = c.ProbabilisticSem.integer_lift
+    honest = c.ProbabilisticSem.lift
 
     def without(self, variables):
-        scale, cells = honest(self, variables)
+        scale, cells = honest(self, variables).integer_table
         if variables[:-1] == ("R_1", "R_3"):
             cells = {point: w for point, w in cells.items()
                      if point[:-1] != (c.NEG, c.POS)}
-        return scale, cells
+        return unchecked_dist(variables, (scale, cells))
 
-    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", without)
+    monkeypatch.setattr(c.ProbabilisticSem, "lift", without)
     k = c.randomized_response_kernel(3, F(2, 3))
     with pytest.raises(c.CrossCheckMismatch) as raised:
         c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
@@ -186,16 +186,16 @@ def test_a_missing_point_mass_slice_is_a_mismatch(monkeypatch):
 
 
 def test_the_point_mass_reduction_is_checked_in_n_times_d_lifts(monkeypatch):
-    """One integer oracle lift per (i, v), not one per point mass, of the
-    kernel's own structural model: no release model is built for it."""
+    """One oracle lift per (i, v), not one per point mass, of the kernel's
+    own structural model: no release model is built for it."""
     import causaldp.mechanisms as mechanisms
 
-    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "integer_lift"),
+    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "lift"),
                         (mechanisms, "as_sem"))
     k = c.randomized_response_kernel(3, F(2, 3))
     report = c.run_check(DId.SINGLE_POINT_UNIVERSAL, k, F(2))
     assert report.passed and report.reduction.endswith("verified by enumeration")
-    assert (calls.count("integer_lift"), calls.count("as_sem")) == (3 * 3, 0)
+    assert (calls.count("lift"), calls.count("as_sem")) == (3 * 3, 0)
 
 
 def test_every_point_mass_comparison_is_a_counted_cross_check(monkeypatch):
@@ -222,7 +222,7 @@ def test_a_broken_oracle_row_fails_the_whole_database_cross_check():
     the comparison's own message, and without the cross-check their reports
     are unchanged."""
     k = c.randomized_response_kernel(3, F(2, 3))
-    skewed = Dist(c.input_names(k), {(c.POS, c.NEG, c.NULL): F(1, 3),
+    skewed = Dist.from_weights(c.input_names(k), {(c.POS, c.NEG, c.NULL): F(1, 3),
                                      (c.NULL, c.NULL, c.NULL): F(2, 3)})
     runs = [(DId.WHOLE_DB_UNIVERSAL, None), (DId.WHOLE_DB_INTERVENTION, skewed)]
     honest = [c.run_check(did, k, F(2), pop) for did, pop in runs]
@@ -242,17 +242,17 @@ def test_a_broken_oracle_row_fails_the_whole_database_cross_check():
 
 
 def test_whole_db_cross_checks_take_one_lift_and_no_model_build(monkeypatch):
-    """One integer oracle lift of the kernel's own structural model covers
-    all 27 databases of RR n=3, and no release model is built for it;
-    without the cross-check there is no lift at all."""
+    """One oracle lift of the kernel's own structural model covers all 27
+    databases of RR n=3, and no release model is built for it; without the
+    cross-check there is no lift at all."""
     import causaldp.mechanisms as mechanisms
 
-    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "integer_lift"),
+    calls = count_calls(monkeypatch, (c.ProbabilisticSem, "lift"),
                         (mechanisms, "as_sem"))
     k = c.randomized_response_kernel(3, F(2, 3))
     report = c.run_check(DId.WHOLE_DB_UNIVERSAL, k, F(2))
     assert report.passed and report.reduction.endswith("cross-checked by enumeration")
-    assert (calls.count("integer_lift"), calls.count("as_sem")) == (1, 0)
+    assert (calls.count("lift"), calls.count("as_sem")) == (1, 0)
 
     calls.clear()
     unchecked = c.run_check(DId.WHOLE_DB_UNIVERSAL, k, F(2), cross_check=False)
@@ -282,7 +282,7 @@ def test_hidden_value_conditional_perfect_interventional_broken():
 
 def test_independent_bayesian0_requires_product():
     k = c.hidden_pair_kernel()
-    correlated = Dist(("R_1", "R_2"), {(0, 0): F(1, 2), (1, 1): F(1, 2)})
+    correlated = Dist.from_weights(("R_1", "R_2"), {(0, 0): F(1, 2), (1, 1): F(1, 2)})
     with pytest.raises(c.NotAProductDistribution):
         c.check_associative(DId.INDEPENDENT_BAYESIAN0, model(k, correlated), F(2))
 
@@ -294,7 +294,7 @@ def test_independent_bayesian0_accepts_skewed_product():
     weights = {
         (a[0], b[0]): wa * wb for a, wa in marg1.items() for b, wb in marg2.items()
     }
-    pop = Dist(("R_1", "R_2"), weights)
+    pop = Dist.from_weights(("R_1", "R_2"), weights)
     rep = c.check_associative(DId.INDEPENDENT_BAYESIAN0, model(k, pop), F(2))
     assert rep.passed and rep.achieved == F(2)
 
@@ -347,7 +347,7 @@ def test_falsify_geometric_at_loose_target_not_found():
 def test_rr_posneg_diagonal_is_another_violation():
     # the other correlated family: pos/neg diagonal reaches the squared ratio
     k = c.randomized_response_kernel(2, F(2, 3))
-    pop = Dist(("R_1", "R_2"), {(c.POS, c.POS): F(1, 2), (c.NEG, c.NEG): F(1, 2)})
+    pop = Dist.from_weights(("R_1", "R_2"), {(c.POS, c.POS): F(1, 2), (c.NEG, c.NEG): F(1, 2)})
     rep = c.check_associative(DId.BAYESIAN0, model(k, pop), F(2))
     assert not rep.passed and rep.achieved == F(4)
 
@@ -495,10 +495,29 @@ def test_cross_checking_engines_on_one_kernel_share_its_uniform_model(monkeypatc
         return inner(self, psem, *args)
 
     monkeypatch.setattr(c.CanonicalEngine, "_oracle_rows", recorded)
-    skewed = Dist(c.input_names(k), {(c.POS, c.NEG): F(1, 3), (c.NULL, c.NULL): F(2, 3)})
+    skewed = Dist.from_weights(c.input_names(k), {(c.POS, c.NEG): F(1, 3), (c.NULL, c.NULL): F(2, 3)})
     engines = [c.CanonicalEngine(model(k, pop), cross_check=True) for pop in (None, skewed)]
     for engine in engines:
         engine.output_given_db((c.POS, c.NEG))
         engine.verify_point_masses()
     assert [engine for engine, _ in read] == [engines[0]] * 7 + [engines[1]] * 7  # 1 + n|D| lifts
     assert {id(psem) for _, psem in read} == {id(k._uniform)}
+
+
+@pytest.mark.parametrize("checker, definition, message", [
+    (c.check_associative, DId.WHOLE_DB_INTERVENTION,
+     "whole_db_intervention is not a per-population conditional definition"),
+    (c.check_causal, DId.BAYESIAN0,
+     "bayesian0 is not a per-population interventional definition"),
+    (c.check_universal_causal, DId.CLASSIC,
+     "classic is not a universal interventional definition"),
+], ids=["associative", "causal", "universal_causal"])
+def test_a_checker_refuses_a_definition_of_another_family(checker, definition, message):
+    """`run_check` routes every definition to its own checker, so only a
+    direct call reaches these refusals."""
+    k = c.randomized_response_kernel(2, F(2, 3))
+    pop = c.Dist.uniform(c.data_point_names(k), k.databases())
+    target = k if checker is c.check_universal_causal else model(k, pop)
+    with pytest.raises(c.DomainMismatch) as raised:
+        checker(definition, target, F(2))
+    assert str(raised.value) == message

@@ -18,6 +18,7 @@ from causaldp.modelfile import (
     serialize_input,
     witness_from_json,
 )
+from conftest import unchecked_dist
 
 RR_TEXT = '{"type": "kernel", "builtin": "randomized_response", "n": 2, "bias": "2/3"}\n'
 HV_TEXT = '{"type": "kernel", "builtin": "hidden_value"}\n'
@@ -118,13 +119,13 @@ def test_a_cross_check_mismatch_exits_five(capsys, tmp_path, monkeypatch,
     """An oracle whose every lift is worth half is a fault in the package,
     not a failed check: exit 5, one `error:` line on stderr, nothing on
     stdout and no witness file."""
-    honest = c.ProbabilisticSem.integer_lift
+    honest = c.ProbabilisticSem.lift
 
     def halved(self, variables):
-        scale, cells = honest(self, variables)
-        return 2 * scale, cells
+        scale, cells = honest(self, variables).integer_table
+        return unchecked_dist(variables, (2 * scale, cells))
 
-    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", halved)
+    monkeypatch.setattr(c.ProbabilisticSem, "lift", halved)
     witness = tmp_path / "w.json"
     code = main(["check", definition, "hidden_pair", "--target-ratio", "2",
                  "--witness-out", str(witness)])
@@ -432,7 +433,7 @@ def test_a_scenario_builds_its_release_model_once(monkeypatch):
 def test_posterior_plain_and_forced(capsys, rr_file, tmp_path):
     prior = tmp_path / "prior.json"
     prior.write_text(canonical_json(serialize_input(
-        c.Dist(("D_1",), {("pos",): F(4, 5), ("neg",): F(1, 5)})
+        c.Dist.from_weights(("D_1",), {("pos",): F(4, 5), ("neg",): F(1, 5)})
     )), encoding="utf-8")
     kernel = tmp_path / "rr1.json"
     kernel.write_text('{"type": "kernel", "builtin": "randomized_response", '
@@ -487,7 +488,7 @@ def test_posterior_prints_a_prior_over_the_data_points(capsys, rr_file, tmp_path
     outs = []
     for names in (("D_1", "D_2"), ("R_1", "R_2")):
         prior = tmp_path / f"{names[0]}.json"
-        prior.write_text(canonical_json(serialize_input(c.Dist(names, weights))),
+        prior.write_text(canonical_json(serialize_input(c.Dist.from_weights(names, weights))),
                          encoding="utf-8")
         code, out = run(capsys, "posterior", rr_file, "--prior", str(prior),
                         "--observe", '["pos", "neg"]', *force)
@@ -1086,7 +1087,7 @@ def test_pop_flag_completes_a_canonical_model_without_one(capsys, tmp_path):
                      encoding="utf-8")
     pop = tmp_path / "pop.json"
     pop.write_text(canonical_json(serialize_input(
-        c.Dist(("D_1", "D_2"), {(c.POS, c.POS): F(1, 2), (c.NEG, c.NEG): F(1, 2)})
+        c.Dist.from_weights(("D_1", "D_2"), {(c.POS, c.POS): F(1, 2), (c.NEG, c.NEG): F(1, 2)})
     )), encoding="utf-8")
     code, out = run(capsys, "check", "bayesian0", str(model), "--target-ratio", "2",
                     "--pop", str(pop))

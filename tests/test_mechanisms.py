@@ -21,7 +21,7 @@ from causaldp import checkers, dist, mechanisms, modelfile, sem
 from causaldp.cli import main
 from causaldp.exact import memoized
 from causaldp.modelfile import canonical_json, input_digest, parse_text, serialize_input
-from conftest import kernel_table, random_kernel, random_population
+from conftest import kernel_table, random_kernel, random_population, unchecked_dist
 
 
 def brute_force_classic(kernel):
@@ -166,6 +166,16 @@ def test_the_integer_constructor_checks_its_table():
     shuffled = c.MechanismKernel(2, dom, 0, outs, (4, {db: tuple(2 * p for p in good[db])
                                                        for db in reversed(good)}))
     assert shuffled == padded and list(shuffled.integer_table[1]) == list(good)
+
+
+def test_a_kernel_keeps_no_dict_of_its_caller():
+    """An ordered table over its least L is stored as given, in a dict of
+    the kernel's own: a later write to the caller's dict changes nothing."""
+    rows = {(0,): (1, 0), (1,): (0, 1)}
+    kernel = c.MechanismKernel(1, (0, 1), 0, ("a", "b"), (1, rows))
+    rows[(0,)] = (7, 0)
+    del rows[(1,)]
+    assert kernel.integer_table == (1, {(0,): (1, 0), (1,): (0, 1)})
 
 
 @pytest.mark.parametrize("n,q,expected", [
@@ -389,7 +399,7 @@ def test_as_sem_output_matches_kernel_row_under_point_mass():
 def test_as_sem_attribute_equation_correlates_points():
     k = c.geometric_count_kernel(2, F(1, 2))
     attr = (c.copy_equation("R_2", "R_1", k.data_domain),)
-    pop = Dist(("R_1",), {(POS,): F(1, 2), (NEG,): F(1, 2)})
+    pop = Dist.from_weights(("R_1",), {(POS,): F(1, 2), (NEG,): F(1, 2)})
     joint = c.as_sem(k, attr, pop).lift()
     assert joint.prob({"D_1": POS, "D_2": POS}) == F(1, 2)
     assert joint.prob({"D_1": POS, "D_2": NEG}) == 0
@@ -412,7 +422,7 @@ def test_as_sem_reads_a_data_point_population_as_the_inputs():
     rng = random.Random(17)
     k = random_kernel(rng, 2, 3, 2)
     over_d = random_population(rng, k, full_support=False)
-    over_r = Dist(c.input_names(k), over_d.weights)
+    over_r = Dist.from_weights(c.input_names(k), over_d.weights)
     assert c.as_sem(k, (), over_d).lift() == c.as_sem(k, (), over_r).lift()
 
 
@@ -420,7 +430,7 @@ def test_data_point_population_with_attribute_equations_is_rejected(tmp_path, ca
     # with an equation among the inputs, D_i names no exogenous variable
     k = c.geometric_count_kernel(2, F(1, 2))
     attr = (c.copy_equation("R_2", "R_1", k.data_domain),)
-    over_d = Dist(("D_1",), {(POS,): F(1, 2), (NEG,): F(1, 2)})
+    over_d = Dist.from_weights(("D_1",), {(POS,): F(1, 2), (NEG,): F(1, 2)})
     with pytest.raises(c.DomainMismatch):
         c.as_sem(k, attr, over_d)
     path = tmp_path / "model.json"
@@ -447,7 +457,7 @@ def test_engine_closed_forms_match_enumeration_random():
         n = rng.choice((1, 2))
         k = random_kernel(rng, n, rng.choice((2, 3)), rng.choice((2, 3)))
         pop = random_population(rng, k, full_support=rng.random() < 0.5)
-        pop_r = Dist(c.input_names(k), dict(pop.weights))
+        pop_r = Dist.from_weights(c.input_names(k), dict(pop.weights))
         engine = CanonicalEngine(c.CanonicalModel(k, (), pop_r), cross_check=True)
         for db in k.databases():
             engine.output_given_db(db)  # raises CrossCheckMismatch on any mismatch
@@ -463,23 +473,23 @@ def test_engine_closed_forms_match_enumeration_random():
     ("output_given_db", ((POS, NULL),)),
 ])
 def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
-    # the oracle's row (one integer lift of O, or the database's slice of the
-    # one whole-database integer lift, scaled by |DB|) moves 1/100 from
+    # the oracle's row (one lift of O, or the database's slice of the one
+    # whole-database lift, scaled by |DB|) moves 1/100 from
     # output 2 to output 1 and lists 2 first, so the first difference in the
     # row's own order would be 2
     k = c.geometric_count_kernel(2, F(1, 2))
     prefix, size = (args[0], len(kernel_table(k))) if query == "output_given_db" else ((), 1)
-    honest = c.ProbabilisticSem.integer_lift
+    honest = c.ProbabilisticSem.lift
 
     def perturbed(self, variables):
-        scale, cells = honest(self, variables)
+        scale, cells = honest(self, variables).integer_table
         grow = 100 * size
         cells = {point: w * grow for point, w in cells.items()}
         moved = {prefix + (2,): cells.pop(prefix + (2,)) - scale, **cells}
         moved[prefix + (1,)] = moved.get(prefix + (1,), 0) + scale
-        return scale * grow, moved
+        return unchecked_dist(variables, (scale * grow, moved))
 
-    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", perturbed)
+    monkeypatch.setattr(c.ProbabilisticSem, "lift", perturbed)
     engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
     with pytest.raises(c.CrossCheckMismatch) as raised:
         getattr(engine, query)(*args)
@@ -494,14 +504,14 @@ def test_cross_check_names_the_first_differing_output(monkeypatch, query, args):
 
 def test_a_missing_database_slice_is_a_mismatch(monkeypatch):
     k = c.geometric_count_kernel(2, F(1, 2))
-    honest = c.ProbabilisticSem.integer_lift
+    honest = c.ProbabilisticSem.lift
 
     def without(self, variables):
-        scale, cells = honest(self, variables)
-        return scale, {point: w for point, w in cells.items()
-                       if point[:-1] != (POS, NULL)}
+        scale, cells = honest(self, variables).integer_table
+        return unchecked_dist(variables, (scale, {point: w for point, w in cells.items()
+                                                  if point[:-1] != (POS, NULL)}))
 
-    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", without)
+    monkeypatch.setattr(c.ProbabilisticSem, "lift", without)
     engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
     assert engine.output_given_db((POS, POS)) == k.row((POS, POS))
     with pytest.raises(c.CrossCheckMismatch) as raised:
@@ -521,14 +531,15 @@ def test_whole_db_check_names_the_first_database_the_pairs_read(monkeypatch,
     # lexicographic order, but the comparisons read (neg, pos) first, as the
     # replacement of point 1 in (pos, pos)
     k = c.geometric_count_kernel(2, F(1, 2))
-    honest = c.ProbabilisticSem.integer_lift
+    honest = c.ProbabilisticSem.lift
 
     def without(self, variables):
-        scale, cells = honest(self, variables)
-        return scale, {point: w for point, w in cells.items()
-                       if point[:-1] not in {(POS, NEG), (NEG, POS)}}
+        scale, cells = honest(self, variables).integer_table
+        return unchecked_dist(variables, (scale, {
+            point: w for point, w in cells.items()
+            if point[:-1] not in {(POS, NEG), (NEG, POS)}}))
 
-    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", without)
+    monkeypatch.setattr(c.ProbabilisticSem, "lift", without)
     pop = c.Dist.uniform(c.data_point_names(k), k.databases()) \
         if definition.endswith("intervention") else None
     with pytest.raises(c.CrossCheckMismatch) as raised:
@@ -568,17 +579,17 @@ def test_an_oracle_cell_off_the_row_is_a_mismatch(monkeypatch, change, mismatch)
     # common) or gains a cell at 'b' (every cell of the row still matched)
     k = c.MechanismKernel.from_table(1, (0, 1), 0, ("a", "b"),
                                      {(0,): {"a": F(1)}, (1,): {"a": F(1, 2), "b": F(1, 2)}})
-    honest = c.ProbabilisticSem.integer_lift
+    honest = c.ProbabilisticSem.lift
 
     def perturbed(self, variables):
-        scale, cells = honest(self, variables)
+        scale, cells = honest(self, variables).integer_table
         if change == "moved":
             cells[(0, "b")] = cells.pop((0, "a"))
         else:
             cells[(0, "b")] = cells[(0, "a")] // 2
-        return scale, cells
+        return unchecked_dist(variables, (scale, cells))
 
-    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", perturbed)
+    monkeypatch.setattr(c.ProbabilisticSem, "lift", perturbed)
     engine = CanonicalEngine(c.CanonicalModel(k), cross_check=True)
     with pytest.raises(c.CrossCheckMismatch) as raised:
         engine.output_given_db((0,))
@@ -588,22 +599,22 @@ def test_an_oracle_cell_off_the_row_is_a_mismatch(monkeypatch, change, mismatch)
 
 
 def test_whole_db_cross_checks_sum_the_population_once(monkeypatch):
-    """All whole-database cross-checks of an engine read one integer oracle
-    lift: the uniform input is summed onto R_1..R_n once per engine, not
-    once per database, and every database is still compared."""
+    """All whole-database cross-checks of an engine read one oracle lift:
+    the uniform input is summed onto R_1..R_n once per engine, not once per
+    database, and every database is still compared."""
     summed = []
-    raw = Dist.integer_marginal.__wrapped__
+    raw = Dist.marginal.__wrapped__
 
     def counting(self, names):
         summed.append(names)
         return raw(self, names)
 
     lifts = []
-    integer_lift = c.ProbabilisticSem.integer_lift
+    lift = c.ProbabilisticSem.lift
 
     def counted_lift(self, *args):
         lifts.append(args)
-        return integer_lift(self, *args)
+        return lift(self, *args)
 
     engines = []
 
@@ -612,8 +623,8 @@ def test_whole_db_cross_checks_sum_the_population_once(monkeypatch):
             super().__init__(*args, **kwargs)
             engines.append(self)
 
-    monkeypatch.setattr(Dist, "integer_marginal", memoized(counting))
-    monkeypatch.setattr(c.ProbabilisticSem, "integer_lift", counted_lift)
+    monkeypatch.setattr(Dist, "marginal", memoized(counting))
+    monkeypatch.setattr(c.ProbabilisticSem, "lift", counted_lift)
     monkeypatch.setattr(checkers, "CanonicalEngine", Recorded)
     k = c.randomized_response_kernel(3, F(2, 3))
     report = c.run_check(c.DefinitionId.WHOLE_DB_UNIVERSAL, k, F(2))
@@ -625,7 +636,7 @@ def test_whole_db_cross_checks_sum_the_population_once(monkeypatch):
 
 def test_engine_db_query_ignores_population():
     k = c.randomized_response_kernel(2, F(2, 3))
-    skew = Dist(c.input_names(k), {(POS, POS): F(1)})
+    skew = Dist.from_weights(c.input_names(k), {(POS, POS): F(1)})
     uniform = Dist.uniform(
         c.input_names(k), product(k.data_domain, repeat=2)
     )
@@ -638,7 +649,7 @@ def test_engine_db_query_ignores_population():
 def test_engine_point_query_uses_undisturbed_marginal():
     # hand-computable: n=2, correlated population, do(D_1 = v)
     k = c.hidden_pair_kernel()
-    pop = Dist(("R_1", "R_2"), {(0, 0): F(1, 2), (2, 2): F(1, 2)})
+    pop = Dist.from_weights(("R_1", "R_2"), {(0, 0): F(1, 2), (2, 2): F(1, 2)})
     engine = CanonicalEngine(c.CanonicalModel(k, (), pop), cross_check=True)
     got = engine.output_given_point(1, 2)
     # other point keeps its marginal: 0 or 2 with prob 1/2 each
@@ -661,7 +672,7 @@ def test_engine_rejects_bad_point_queries():
 def test_engine_conditioning_and_intervening_differ_only_in_weights():
     # same correlated population as above: D_1 = D_2 = 0 or 2, half each
     k = c.hidden_pair_kernel()
-    pop = Dist(("R_1", "R_2"), {(0, 0): F(1, 2), (2, 2): F(1, 2)})
+    pop = Dist.from_weights(("R_1", "R_2"), {(0, 0): F(1, 2), (2, 2): F(1, 2)})
     engine = CanonicalEngine(c.CanonicalModel(k, (), pop))
     # conditioning on D_1 = 2 fixes D_2 = 2; intervening leaves D_2 alone
     assert engine.output_conditioned_on_point(1, 2) == {0: F(1)}
@@ -670,3 +681,37 @@ def test_engine_conditioning_and_intervening_differ_only_in_weights():
     assert engine.output_conditioned_on_db((2, 2)) == k.row((2, 2))
     assert engine.output_conditioned_on_db((0, 2)) is None
     assert engine.base_joint().variables == ("D_1", "D_2")
+
+
+def test_lifts_marginals_and_population_reads_build_no_fraction(monkeypatch):
+    """A lift, a marginal, a conditional, a product and every read the
+    engine makes of its population run in integers: none of them builds a
+    `Fraction`, cross-checked or not.  (`prob` and `weight_of` build one
+    at the end, `weights` one per distinct numerator.)"""
+    k = c.randomized_response_kernel(2, F(2, 3))
+    dom = k.data_domain
+    pop = c.Dist.product(c.Dist.uniform(("D_1",), [(v,) for v in dom[:2]]),
+                         c.Dist.point_mass(("D_2",), (dom[0],)))
+    psem = c.as_sem(k, (), pop)
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    joint = psem.lift()
+    joint.marginal(("O", "D_1")).condition({"D_1": dom[1]})
+    c.Dist.product(joint.marginal(("D_2",)), c.Dist.point_mass(("X",), (0,)))
+    psem.intervene("D_1", dom[2]).lift(("O",))
+    for cross_check in (True, False):
+        engine = CanonicalEngine(c.CanonicalModel(k, (), pop), cross_check)
+        for db in k.databases():
+            engine.output_given_db(db)
+            engine.output_conditioned_on_db(db)
+        for i, v in product((1, 2), dom):
+            engine.output_given_point(i, v)
+            engine.output_conditioned_on_point(i, v)
+    monkeypatch.undo()
+    assert built == []

@@ -16,6 +16,7 @@ from causaldp.modelfile import (
     serialize_input,
     witness_from_json,
 )
+from causaldp.cli import main
 
 RR_BUILTIN = """
 {"type": "kernel", "builtin": "randomized_response", "n": 2, "bias": "2/3"}
@@ -339,7 +340,7 @@ def test_frozen_digests_for_bundled_kernels():
 
 
 def test_distribution_round_trip():
-    d = c.Dist(("R_1", "R_2"), {(0, 1): F(1, 3), (1, 0): F(2, 3)})
+    d = c.Dist.from_weights(("R_1", "R_2"), {(0, 1): F(1, 3), (1, 0): F(2, 3)})
     blob = canonical_json(serialize_input(d))
     assert parse_text(blob) == d
 
@@ -357,7 +358,7 @@ def test_sem_round_trip_preserves_declared_order():
 def test_canonical_model_round_trip_with_population():
     k = c.geometric_count_kernel(2, F(1, 2))
     attr = (c.copy_equation("R_2", "R_1", k.data_domain),)
-    pop = c.Dist(("R_1",), {(c.POS,): F(1, 2), (c.NEG,): F(1, 2)})
+    pop = c.Dist.from_weights(("R_1",), {(c.POS,): F(1, 2), (c.NEG,): F(1, 2)})
     model = c.CanonicalModel(k, attr, pop)
     blob = canonical_json(serialize_input(model))
     back = parse_text(blob)
@@ -425,6 +426,38 @@ def test_canonical_json_keeps_unicode_readable():
 def test_witness_from_json_restores_tuples():
     w = witness_from_json({"i": 1, "d": [0, 1], "d_prime_i": 1, "o": [1, 0]})
     assert w == {"i": 1, "d": (0, 1), "d_prime_i": 1, "o": (1, 0)}
+
+
+def test_witness_from_json_refuses_a_non_object():
+    with pytest.raises(c.ValidationError) as raised:
+        witness_from_json([1, 0], "replay.witness")
+    assert (str(raised.value), raised.value.location) == \
+        ("witness must be an object (at replay.witness)", "replay.witness")
+
+
+def test_an_unknown_builtin_is_named_at_its_location(tmp_path, capsys):
+    text = '{"type": "kernel", "builtin": "nope"}'
+    with pytest.raises(c.ValidationError) as raised:
+        parse_text(text)
+    assert raised.value.location == "kernel.builtin"
+    message = ("unknown builtin 'nope'; known: ['geometric_count', 'hidden_pair', "
+               "'hidden_value', 'randomized_response'] (at kernel.builtin)")
+    assert str(raised.value) == message
+    path = tmp_path / "k.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["epsilon", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_serialize_input_refuses_what_no_parser_returns():
+    spec = parse_text(COMPOSITION_TEXT)
+    wired = c.compose_sequential(spec.first, spec.second, spec.x, spec.y1, spec.y2)
+    with pytest.raises(TypeError) as raised:
+        serialize_input(wired)
+    assert str(raised.value) == "serialize the CompositionSpec, not the wired models"
+    with pytest.raises(TypeError) as raised:
+        serialize_input(F(1, 2))
+    assert str(raised.value) == "cannot serialize Fraction"
 
 
 def test_report_to_json_shape():

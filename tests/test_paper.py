@@ -103,7 +103,7 @@ def test_independent_bayesian0_never_exceeds_classic(rng, n, dom_size, out_size,
     classic = c.classic_epsilon(kernel)
     names = c.data_point_names(kernel)
     dom = kernel.data_domain
-    drawn = Dist.product(*(Dist((name,), dict(zip([(v,) for v in dom],
+    drawn = Dist.product(*(Dist.from_weights((name,), dict(zip([(v,) for v in dom],
                                                   _weights(data.draw, len(dom)))))
                            for name in names))
     report = c.run_check(DefinitionId.INDEPENDENT_BAYESIAN0, kernel, F(1), drawn)
@@ -113,7 +113,7 @@ def test_independent_bayesian0_never_exceeds_classic(rng, n, dom_size, out_size,
         return
     i, d = classic.witness["i"], classic.witness["d"]
     halves = {(d[i - 1],): F(1, 2), (classic.witness["d_prime_i"],): F(1, 2)}
-    witness = Dist.product(*(Dist((name,), halves) if j == i
+    witness = Dist.product(*(Dist.from_weights((name,), halves) if j == i
                              else Dist.point_mass((name,), (d[j - 1],))
                              for j, name in enumerate(names, 1)))
     report = c.run_check(DefinitionId.INDEPENDENT_BAYESIAN0, kernel, F(1), witness)

@@ -7,6 +7,7 @@ small random models.  The hypothesis profile is set in conftest.py.
 
 import json
 import math
+import random
 import re
 from fractions import Fraction as F
 from itertools import product
@@ -31,6 +32,7 @@ from causaldp import (
 )
 from causaldp.checkers import ASSOCIATIVE_GIVEN_P, _grid_marginals
 from causaldp.dist import exact_row
+from causaldp.errors import preview
 from causaldp.exact import format_rational, ratio_divide, value_sort_key
 from causaldp.mechanisms import neighbour_sweep, value_sweep
 from causaldp.modelfile import (
@@ -80,7 +82,7 @@ def small_psems(draw, weights=_weights) -> ProbabilisticSem:
     sem = Sem(names, domains, equations)
     exo = sem.exogenous
     points = list(product(*(domains[n] for n in exo)))
-    inputs = Dist(exo, dict(zip(points, weights(draw, len(points)))))
+    inputs = Dist.from_weights(exo, dict(zip(points, weights(draw, len(points)))))
     return ProbabilisticSem(sem, inputs)
 
 
@@ -114,7 +116,7 @@ def _reference_lift(psem: ProbabilisticSem, variables=None) -> Dist:
     for point, w in support.items():
         key = tuple(point[i] for i in idx)
         out[key] = out.get(key, F(0)) + w
-    return Dist(variables, out)
+    return Dist.from_weights(variables, out)
 
 
 def _forced(psem: ProbabilisticSem, data) -> ProbabilisticSem:
@@ -148,21 +150,178 @@ def test_integer_oracle_equals_the_fraction_oracle(psem, data):
         assert got == full.marginal(got.variables)
 
 
-@given(small_psems(_mixed_weights), st.data())
-def test_integer_lift_is_the_lift_over_one_scale(psem, data):
-    """`integer_lift(q)` is `lift(q)` in integers: the same cells in the same
-    order, each `lift` cell its numerator over the scale, every numerator
-    positive and the numerators summing to the scale.  Queries over
-    exogenous variables only, over a random subset and over the full joint."""
-    psem = _forced(psem, data)
-    sem = psem.sem
-    picked = tuple(data.draw(st.lists(st.sampled_from(sem.names), unique=True)))
-    for query in (data.draw(st.permutations(sem.exogenous)), picked, sem.names):
-        scale, cells = psem.integer_lift(query)
-        assert [(point, F(w, scale)) for point, w in cells.items()] == \
-            list(psem.lift(query).weights.items())
-        assert all(w > 0 for w in cells.values())
-        assert sum(cells.values()) == scale
+# --- the integer distribution, against its `Fraction` reference -----------------
+
+
+def _reference_dist(variables: tuple, weights: dict) -> dict:
+    """The distribution constructor as it was when `Dist` stored `Fraction`
+    weights: every assignment checked against `variables`, then the weights
+    by `exact_row`; the positive weights, in order."""
+    width = len(variables)
+    for point in weights:
+        if not isinstance(point, tuple) or len(point) != width:
+            raise c.InvalidDistribution(
+                f"assignment {preview(point)} does not match variables "
+                f"{preview(variables)}")
+    exact_row(weights, c.InvalidDistribution, "distribution")
+    return {point: w for point, w in weights.items() if w}
+
+
+def _reference_marginal(variables: tuple, weights: dict, names: tuple) -> dict:
+    idx = [variables.index(n) for n in names]
+    out: dict[tuple, F] = {}
+    for point, w in weights.items():
+        key = tuple(point[i] for i in idx)
+        out[key] = out.get(key, F(0)) + w
+    return out
+
+
+def _reference_condition(variables: tuple, weights: dict, matches) -> dict:
+    kept = {p: w for p, w in weights.items() if matches(dict(zip(variables, p)))}
+    total = sum(kept.values(), F(0))
+    if total == 0:
+        raise ZeroProbabilityEvent("reference")
+    return {p: w / total for p, w in kept.items()}
+
+
+def _reference_product(*parts: dict) -> dict:
+    weights = {(): F(1)}
+    for part in parts:
+        weights = {left + right: wl * wr for left, wl in weights.items()
+                   for right, wr in part.items()}
+    return weights
+
+
+def _reference_factors(variables: tuple, weights: dict) -> bool:
+    singles = (_reference_marginal(variables, weights, (n,)) for n in variables)
+    return _reference_product(*singles) == weights
+
+
+def _assert_least(dist: Dist) -> None:
+    """The stored form: positive int numerators summing to L, L least."""
+    common, table = dist.integer_table
+    assert type(common) is int and all(type(p) is int and p > 0 for p in table.values())
+    assert sum(table.values()) == common and math.gcd(common, *table.values()) == 1
+
+
+def _same_cells(dist: Dist, weights: dict) -> None:
+    """`dist` is `weights`: the same cells in the same order, stored least."""
+    assert list(dist.weights.items()) == list(weights.items())
+    _assert_least(dist)
+
+
+@st.composite
+def fraction_dists(draw, names: tuple) -> tuple[Dist, dict]:
+    """A distribution over `names` (domains of 1-3 values) as a `Dist`,
+    built one of two ways, and its `Fraction` reference: from `Fraction`
+    weights with zero entries, in a random point order, or from integers
+    over a multiple of their least denominator."""
+    points = draw(st.permutations(list(product(*(range(draw(st.integers(1, 3)))
+                                                 for _ in names)))))
+    raw = draw(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)))
+    if sum(raw) == 0:
+        raw[draw(st.integers(0, len(points) - 1))] = 1
+    weights = {p: F(r, sum(raw)) for p, r in zip(points, raw)}
+    reference = {p: w for p, w in weights.items() if w}
+    if draw(st.booleans()):
+        return Dist.from_weights(names, weights), reference
+    scale = draw(st.integers(1, 4))
+    table = {p: r * scale for p, r in zip(points, raw) if r}
+    return Dist(names, (sum(raw) * scale, table)), reference
+
+
+@given(fraction_dists(("A", "B")), fraction_dists(("C",)), st.data())
+def test_dist_operations_equal_the_fraction_reference(left, right, data):
+    """Every operation of the integer `Dist` equals its `Fraction`
+    reference: the same cells in the same order, stored over the least L.
+    `from_weights` drops zero entries; a table over a multiple of L is the
+    same distribution; marginals (any order of any subset), conditionals on
+    a mapping and on a predicate (or the same refusal), `prob`, `product`
+    and `factors_as_product`, whose answer is also drawn true."""
+    (dist, weights), (other, other_weights) = left, right
+    variables = dist.variables
+    _same_cells(dist, weights)
+    _same_cells(other, other_weights)
+    assert dist == Dist.from_weights(variables, weights)
+
+    names = tuple(data.draw(st.permutations(variables))[:data.draw(st.integers(0, 2))])
+    _same_cells(dist.marginal(names), _reference_marginal(variables, weights, names))
+    value = data.draw(st.integers(0, 2))
+    events = [({"B": value}, lambda a: a["B"] == value),
+              (lambda a: a["A"] != a["B"], lambda a: a["A"] != a["B"])]
+    for event, matches in events:
+        try:
+            want = _reference_condition(variables, weights, matches)
+        except ZeroProbabilityEvent:
+            with pytest.raises(ZeroProbabilityEvent):
+                dist.condition(event)
+        else:
+            _same_cells(dist.condition(event), want)
+        assert dist.prob(event) == sum(
+            (w for p, w in weights.items() if matches(dict(zip(variables, p)))), F(0))
+
+    joint = Dist.product(dist, other)
+    _same_cells(joint, _reference_product(weights, other_weights))
+    for d, w in ((dist, weights), (joint, joint.weights)):
+        assert d.factors_as_product() == _reference_factors(d.variables, w)
+    singles = Dist.product(dist.marginal(("A",)), other, dist.marginal(("B",)))
+    assert singles.factors_as_product()
+
+
+_FAULTS = ("float", "int", "none", "bool", "str", "negative", "sum", "excess",
+           "short point", "wide point", "non-tuple point")
+
+
+def _faulty_table(rng) -> tuple[tuple, dict]:
+    """Variables and `Fraction` weights (some zero) summing to 1, then one
+    to three faults from `_FAULTS` at random cells."""
+    variables = tuple(f"V{j}" for j in range(rng.randint(0, 3)))
+    points = list(product(range(3), repeat=len(variables)))
+    points = rng.sample(points, rng.randint(1, min(5, len(points))))
+    raw = [rng.randint(0, 3) for _ in points]
+    raw[rng.randrange(len(raw))] += 1
+    weights = {p: F(r, sum(raw)) for p, r in zip(points, raw)}
+    for fault in rng.choices(_FAULTS, k=rng.randint(1, 3)):
+        point = rng.choice(list(weights))
+        w = weights[point] if isinstance(weights[point], F) else F(1, 2)
+        if fault.endswith("point"):
+            key = point if isinstance(point, tuple) else ()
+            bad = {"short point": key[:-1] + ("x",) * (not key),
+                   "wide point": key + (0,), "non-tuple point": rng.choice([7, "p"])}[fault]
+            weights = {bad if p == point else p: v for p, v in weights.items()}
+        elif fault == "negative":  # still sums to 1
+            weights[point] = w - 2
+            other = rng.choice(list(weights))
+            weights[other] = weights[other] + 2 if isinstance(weights[other], F) else 2
+        elif fault in ("sum", "excess"):
+            weights[point] = w + (F(1, 7) if fault == "sum" else F(1, 2**61 - 1))
+        else:
+            weights[point] = {"float": float(w), "int": int(w), "none": None,
+                              "bool": True, "str": "1/2"}[fault]
+    return variables, weights
+
+
+def _dist_outcome(build):
+    try:
+        return list(build().items())
+    except Exception as e:  # the class and text are the outcome
+        return type(e), str(e)
+
+
+def test_from_weights_raises_what_the_fraction_constructor_raised():
+    """On 12,000 seeded faulty tables (assignments of the wrong width or
+    type, weights of another type or sign, wrong sums, several at once),
+    `from_weights` raises the error class and message the `Fraction`
+    constructor raised, an assignment before a weight; a table whose faults
+    cancel gives the same weights."""
+    rng = random.Random(28)
+    refused = 0
+    for _ in range(12_000):
+        variables, weights = _faulty_table(rng)
+        want = _dist_outcome(lambda: _reference_dist(variables, weights))
+        assert _dist_outcome(lambda: Dist.from_weights(variables, weights).weights) == want
+        refused += isinstance(want, tuple)
+    assert refused >= 10_000
 
 
 @given(small_psems(_mixed_weights), st.data())
@@ -184,7 +343,7 @@ def test_memoized_oracle_equals_a_fresh_model(psem, data):
         query = data.draw(st.none() | st.lists(st.sampled_from(sem.names), unique=True))
         fresh = ProbabilisticSem(
             Sem(sem.names, dict(sem.domains), equations),
-            Dist(inputs.variables, dict(inputs.weights)),
+            Dist.from_weights(inputs.variables, dict(inputs.weights)),
         )
         got = model.lift(query)
         want = _reference_lift(fresh, query)
@@ -247,7 +406,7 @@ def test_cross_checked_engine_agrees_everywhere(rng, n, dom_size, out_size, data
     bound = {eq.target for eq in attr}
     exo = tuple(r for r in c.input_names(kernel) if r not in bound)
     points = list(product(kernel.data_domain, repeat=len(exo)))
-    pop = Dist(exo, dict(zip(points, _weights(data.draw, len(points)))))
+    pop = Dist.from_weights(exo, dict(zip(points, _weights(data.draw, len(points)))))
     engine = CanonicalEngine(c.CanonicalModel(kernel, attr, pop), cross_check=True)
     for db in kernel.databases():
         engine.output_given_db(db)  # raises CrossCheckMismatch on any mismatch
@@ -283,7 +442,7 @@ def test_conditional_closed_forms_equal_the_oracle(rng, n, dom_size, out_size, d
     induced = engine.base_joint()
     oracles = (
         engine.model.psem.lift(),
-        c.as_sem(kernel, (), Dist(c.input_names(kernel), induced.weights)).lift(),
+        c.as_sem(kernel, (), Dist.from_weights(c.input_names(kernel), induced.weights)).lift(),
     )
     for joint in oracles:
         for db in kernel.databases():
@@ -366,7 +525,7 @@ def test_one_dist_under_full_support_equals_classic(rng, n, dom_size, out_size, 
     kernel = random_kernel(rng, n, dom_size, out_size)
     dbs = list(kernel.databases())
     raw = data.draw(st.lists(st.integers(1, 3), min_size=len(dbs), max_size=len(dbs)))
-    pop = Dist(c.data_point_names(kernel),
+    pop = Dist.from_weights(c.data_point_names(kernel),
                {db: F(w, sum(raw)) for db, w in zip(dbs, raw)})
     classic = c.classic_epsilon(kernel)
     report = c.run_check(DefinitionId.STRONG_ADVERSARY_ONE_DIST, kernel, F(1), pop)
@@ -457,7 +616,7 @@ def test_neighbour_sweep_equals_the_reference_family(source, rng, n, dom_size,
         kernel = c.MechanismKernel.from_table(n, kernel.data_domain, kernel.null_value,
                                               kernel.output_domain, table)
     dbs = list(kernel.databases())
-    pop = Dist(c.data_point_names(kernel),
+    pop = Dist.from_weights(c.data_point_names(kernel),
                dict(zip(dbs, _mixed_weights(data.draw, len(dbs)))))
     engine = CanonicalEngine(c.CanonicalModel(kernel, (), pop),
                              cross_check=source == "intervened")
@@ -489,7 +648,7 @@ def test_value_sweep_equals_the_reference_family(source, rng, n, dom_size,
     conditionals are None and mixes have unlike denominators."""
     kernel = random_kernel(rng, n, dom_size, out_size)
     dbs = list(kernel.databases())
-    pop = Dist(c.data_point_names(kernel),
+    pop = Dist.from_weights(c.data_point_names(kernel),
                dict(zip(dbs, _mixed_weights(data.draw, len(dbs)))))
     engine = CanonicalEngine(c.CanonicalModel(kernel, (), pop),
                              cross_check=source == "intervened")
@@ -1031,7 +1190,7 @@ def test_engine_data_joint_is_the_lifted_population(kernel_and_table, data):
         where = data.draw(st.integers(0, kernel.n - 1))
         bad = tuple(outside if j == where else kernel.data_domain[0]
                     for j in range(kernel.n))
-        pop = Dist(names, {bad: F(1, 2), (kernel.data_domain[0],) * kernel.n: F(1, 2)})
+        pop = Dist.from_weights(names, {bad: F(1, 2), (kernel.data_domain[0],) * kernel.n: F(1, 2)})
     builds = (
         lambda: CanonicalEngine(c.CanonicalModel(kernel, (), pop)),
         lambda: c.as_sem(kernel, (), pop),
@@ -1072,7 +1231,7 @@ def test_constructors_reject_inexact_rows(size, fault, data):
         match = re.escape(f"weights sum to {sum(row)}, expected exactly 1")
     values = tuple(range(size))
     with pytest.raises(c.InvalidDistribution, match=match):
-        Dist(("A",), {(v,): w for v, w in zip(values, row)})
+        Dist.from_weights(("A",), {(v,): w for v, w in zip(values, row)})
     with pytest.raises(c.DomainMismatch, match=match):
         StochasticEquation.from_rows("Y", (), {(): dict(zip(values, row))})
     with pytest.raises(c.DomainMismatch, match=match):
@@ -1089,10 +1248,11 @@ def _row_walk(table: dict):
     `table.items()` order; the cleaned table, or the first error's class
     and message."""
     try:
-        return {db: exact_row(row, c.DomainMismatch, "kernel row", db)
-                for db, row in table.items()}
+        for db, row in table.items():
+            exact_row(row, c.DomainMismatch, "kernel row", db)
     except c.DomainMismatch as e:
         return type(e), str(e)
+    return {db: {o: w for o, w in row.items() if w} for db, row in table.items()}
 
 
 _ROW_FAULTS = ("float", "exact float", "negative", "sum", "int", "bool", "none")
@@ -1168,7 +1328,7 @@ def tables_with_repeated_weights(draw):
     dom = tuple(range(dom_size))
     if draw(st.booleans()):
         points = list(product(dom, repeat=2))
-        return Dist(("A", "B"), dict(zip(points, _repeating_weights(draw, len(points)))))
+        return Dist.from_weights(("A", "B"), dict(zip(points, _repeating_weights(draw, len(points)))))
     outs = tuple(f"o{j}" for j in range(out_size))
     table = {db: dict(zip(outs, _repeating_weights(draw, out_size)))
              for db in product(dom, repeat=n)}
@@ -1378,7 +1538,7 @@ def canonical_models_over_awkward_values(draw) -> c.CanonicalModel:
     population = None
     if draw(st.booleans()):
         points = list(product(dom, repeat=len(inputs)))
-        population = Dist(inputs, dict(zip(points, _weights(draw, len(points)))))
+        population = Dist.from_weights(inputs, dict(zip(points, _weights(draw, len(points)))))
     return c.CanonicalModel(kernel, attr, population)
 
 
@@ -1448,7 +1608,7 @@ def _reference_falsify_bayesian0(kernel, target_ratio, search_budget=4):
 
     def try_population(weights):
         nonlocal tried
-        pop = Dist(names, weights)
+        pop = Dist.from_weights(names, weights)
         key = tuple(sorted(pop.weights.items(), key=lambda kv: value_sort_key(kv[0])))
         if key in seen:
             return None
@@ -1507,7 +1667,8 @@ def _reference_factors_as_product(joint: Dist) -> bool:
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
 def test_grid_equals_the_reference_grid(atoms, budget):
     dom = tuple(range(atoms))
-    assert _grid_marginals(dom, budget) == _reference_grid_marginals(dom, budget)
+    grid = [tuple(F(k, q) for k in ks) for q, ks in _grid_marginals(dom, budget)]
+    assert grid == _reference_grid_marginals(dom, budget)
 
 
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
@@ -1548,11 +1709,11 @@ def test_factors_as_product_equals_the_reference_test(rng, sizes, as_product):
     correlated; in both, values can carry zero weight."""
     names = tuple(f"X{j}" for j in range(len(sizes)))
     if as_product:
-        joint = Dist.product(*(Dist((name,), _random_row(rng, [(v,) for v in range(k)]))
+        joint = Dist.product(*(Dist.from_weights((name,), _random_row(rng, [(v,) for v in range(k)]))
                                for name, k in zip(names, sizes)))
         assert joint.factors_as_product()
     else:
-        joint = Dist(names, _random_row(rng, list(product(*map(range, sizes)))))
+        joint = Dist.from_weights(names, _random_row(rng, list(product(*map(range, sizes)))))
     assert joint.factors_as_product() == _reference_factors_as_product(joint)
 
 
@@ -1576,13 +1737,13 @@ def joints_near_products(draw) -> tuple[str, Dist, Dist | None]:
     names = tuple(f"X{j}" for j in range(len(sizes)))
     if kind == "drawn":
         points = list(product(*map(range, sizes)))
-        return kind, Dist(names, dict(zip(points, _weights(draw, len(points))))), None
+        return kind, Dist.from_weights(names, dict(zip(points, _weights(draw, len(points))))), None
     marginals = []
     for j, (name, k) in enumerate(zip(names, sizes)):
         # the moved variables keep their first two values in the support
         raw = [draw(st.integers(int(moved and j < 2 and v < 2), 3)) for v in range(k)]
         raw[0] += not sum(raw)
-        marginals.append(Dist((name,), {(v,): F(w, sum(raw)) for v, w in enumerate(raw)}))
+        marginals.append(Dist.from_weights((name,), {(v,): F(w, sum(raw)) for v, w in enumerate(raw)}))
     joint = Dist.product(*marginals)
     if not moved:
         return kind, joint, joint
@@ -1595,7 +1756,7 @@ def joints_near_products(draw) -> tuple[str, Dist, Dist | None]:
     e = min(weights[at(0, 1)], weights[at(1, 0)]) / draw(st.sampled_from([1, 2]))
     for point, sign in ((at(0, 0), 1), (at(1, 1), 1), (at(0, 1), -1), (at(1, 0), -1)):
         weights[point] += sign * e
-    return kind, Dist(names, weights), joint
+    return kind, Dist.from_weights(names, weights), joint
 
 
 @given(joints_near_products())

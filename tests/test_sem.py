@@ -122,6 +122,17 @@ def test_an_equation_is_stored_over_its_least_denominator():
     assert halves.rows == {(0,): {0: F(1, 2), 1: F(1, 2)}, (1,): {1: F(1)}}
 
 
+def test_an_equation_keeps_no_dict_of_its_caller():
+    """A table over its least L is stored in dicts of the equation's own: a
+    later write to the caller's table or to one of its rows changes
+    nothing."""
+    rows = {(): {0: 1}}
+    eq = StochasticEquation("X", (), (1, rows))
+    rows[()][0] = 5
+    rows[(1,)] = {0: 1}
+    assert eq.integer_table == (1, {(): {0: 1}})
+
+
 # --- the model's structural checks ------------------------------------------------
 
 
@@ -251,7 +262,7 @@ def test_lift_mixes_exogenous_distribution():
         },
     )
     psem = ProbabilisticSem(
-        m, Dist(("U",), {("a",): F(1, 3), ("b",): F(2, 3)})
+        m, Dist.from_weights(("U",), {("a",): F(1, 3), ("b",): F(2, 3)})
     )
     joint = psem.lift()
     assert joint.prob({"X": 1}) == F(1, 3) + F(2, 3) * F(1, 2)
@@ -310,7 +321,7 @@ def test_pin_exogenous_is_surgery_not_conditioning():
         {"U": (0, 1), "V": (0, 1), "X": (0, 1)},
         {"X": copy_equation("X", "V", (0, 1))},
     )
-    correlated = Dist(
+    correlated = Dist.from_weights(
         ("U", "V"), {(0, 0): F(1, 2), (1, 1): F(1, 2)}
     )
     psem = ProbabilisticSem(m, correlated)
@@ -361,26 +372,26 @@ def test_lift_of_queried_variables_only():
     psem = ProbabilisticSem(chain_model(), Dist.uniform(("U",), [(0,), (1,)]))
     forced = psem.intervene("X", 1)
     # Y's ancestors are now X alone: U is never enumerated
-    assert forced.lift(("Y",)) == Dist(("Y",), {(1,): F(3, 4), (0,): F(1, 4)})
+    assert forced.lift(("Y",)) == Dist.from_weights(("Y",), {(1,): F(3, 4), (0,): F(1, 4)})
     assert forced.lift(("Y", "U")) == forced.lift().marginal(("Y", "U"))
-    assert forced.lift(()) == Dist((), {(): F(1)})
+    assert forced.lift(()) == Dist.from_weights((), {(): F(1)})
     with pytest.raises(UnknownVariable):
         forced.lift(("Q",))
 
 
 def test_a_wrong_integer_table_fails_both_lifts(monkeypatch):
-    """The integer lift checks that its numerators sum to its scale: with one
-    numerator of Y's integer table one too large, `integer_lift` and `lift`
-    both raise the InvalidDistribution of the cells' `Dist`."""
+    """A lift's `Dist` checks that its numerators sum to its scale: with one
+    numerator of Y's integer table one too large, the lift of (X, Y) and the
+    full joint both raise the InvalidDistribution of the cells' `Dist`."""
     psem = ProbabilisticSem(chain_model(), Dist.uniform(("U",), [(0,), (1,)]))
     eq = psem.sem.equations["Y"]
     common, rows = eq.integer_table
     row = dict(rows[(0,)])
     row[next(iter(row))] += 1
     monkeypatch.setitem(eq.__dict__, "integer_table", (common, {**rows, (0,): row}))
-    for lift in (psem.integer_lift, psem.lift):
+    for query in (("X", "Y"), None):
         with pytest.raises(InvalidDistribution) as raised:
-            lift(("X", "Y"))
+            psem.lift(query)
         # P(X = 0) = 1/2, and Y's row at X = 0 now sums to 1 + 1/4
         assert str(raised.value) == \
             "distribution: weights sum to 9/8, expected exactly 1"
