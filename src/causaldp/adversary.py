@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .dist import Dist
 from .errors import DomainMismatch, ValueOutOfDomain, ZeroEvidence, preview
-from .mechanisms import MechanismKernel, data_population
+from .mechanisms import CanonicalModel, MechanismKernel
 from .reports import RatioBound, group_sweep
 
 
@@ -57,7 +57,7 @@ def _bayes(prior: Dist, joint: dict, zero_evidence: str) -> Dist:
 def posterior(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
     """Belief over databases after seeing the output, by Bayes' rule.  The
     prior is over the data points D_1..D_n or the true inputs R_1..R_n."""
-    prior = data_population(kernel, prior)
+    prior = CanonicalModel(kernel, (), prior).data_joint
     _check_observation(kernel, observation)
     return _bayes(
         prior,
@@ -80,7 +80,7 @@ def posterior_under_intervention(
     the output reveals when that point's true value was cut out of the
     mechanism.  The belief is still about the original, unforced data.
     """
-    prior = data_population(kernel, prior)
+    prior = CanonicalModel(kernel, (), prior).data_joint
     _check_observation(kernel, observation)
     return _bayes(
         prior,
@@ -103,7 +103,7 @@ def semantic_gap(
     the (forced, plain) posteriors over the support, as integers over the
     product of the two evidences.
     """
-    prior = data_population(kernel, prior)
+    prior = CanonicalModel(kernel, (), prior).data_joint
     forcing = _forcing(kernel, point_index, value)
     support = [db for db in kernel.databases() if db in prior.integer_table[1]]
     observed, groups = [], []

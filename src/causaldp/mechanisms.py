@@ -209,10 +209,7 @@ class MechanismKernel:
         once per kernel before any intervention, so its sub-models inherit
         the checked order; every cross-checking engine on the kernel shares
         it."""
-        psem = ProbabilisticSem(self._canonical_sem,
-                                Dist.uniform(input_names(self), self.databases()))
-        psem.validate()
-        return psem
+        return CanonicalModel(self).psem
 
 
 class KernelRow(Mapping):
@@ -458,7 +455,9 @@ def classic_epsilon(kernel: MechanismKernel) -> RatioBound:
 
 @dataclass(frozen=True)
 class CanonicalModel:
-    """A kernel wired into the release graph R_i -> D_i -> D -> O.
+    """A kernel wired into the release graph R_i -> D_i -> D -> O, and the
+    one owner of what its inputs become, each built once per model, when
+    first read, and shared by every engine and check on it.
 
     Attributes:
       kernel: the release mechanism.
@@ -473,67 +472,99 @@ class CanonicalModel:
     population: Dist | None = None
 
     @cached_property
-    def psem(self) -> ProbabilisticSem:
-        """The release model under this population, as `as_sem` builds and
-        validates it; built once per model, so every engine and check on the
-        model shares it."""
-        return as_sem(self.kernel, self.attribute_equations, self.population)
+    def sem(self) -> Sem:
+        """The validated release graph, the one place attribute equations
+        are checked: they may only relate R variables to R variables, so no
+        data point ever influences another.  It does not depend on the
+        population; without equations it is the kernel's `_canonical_sem`."""
+        attr = self.attribute_equations
+        r_names = list(input_names(self.kernel))
+        allowed = set(r_names)
+        for eq in attr:
+            if eq.target not in allowed:
+                raise UnknownVariable(f"attribute equation targets {preview(eq.target)}; "
+                                      f"only true inputs {r_names} may be constrained")
+            bad = [p for p in eq.parents if p not in allowed]
+            if bad:
+                raise UnknownVariable(f"attribute equation for {preview(eq.target)} uses "
+                                      f"non-input parents {preview(bad)}")
+        targets = [eq.target for eq in attr]
+        if len(set(targets)) != len(targets):
+            raise DomainMismatch(f"duplicate attribute equations for {preview(targets)}")
+        sem = self.kernel._canonical_sem
+        if attr:
+            equations = {**{eq.target: eq for eq in attr}, **sem.equations}
+            sem = Sem(sem.names, sem.domains, equations)
+            sem.validate()
+        return sem
 
     @cached_property
     def data_joint(self) -> Dist:
-        """The joint of D_1..D_n: read from the population (D_i := R_i), and
-        lifted through `psem` only under attribute equations.  A default
-        uniform joint is built here, so only when a query needs it."""
+        """The joint of D_1..D_n, lifted through `psem` under attribute
+        equations.  Without them D_i := R_i, and this is the one place a
+        population is defaulted (uniform for None), renamed (from R_1..R_n)
+        and domain-checked: DomainMismatch for other variables,
+        ValueOutOfDomain for a value outside the data domain."""
+        kernel, population = self.kernel, self.population
+        names = data_point_names(kernel)
         if self.attribute_equations:
-            return self.psem.lift(data_point_names(self.kernel))
-        return data_population(self.kernel, self.population)
+            return self.psem.lift(names)
+        if population is None:
+            return Dist.uniform(names, kernel.databases())
+        inputs = input_names(kernel)
+        if population.variables not in (names, inputs):
+            raise DomainMismatch(f"input distribution is over {preview(population.variables)}"
+                                 f", model's exogenous variables are {inputs}")
+        domain = set(kernel.data_domain)
+        for point in population.integer_table[1]:
+            for name, value in zip(inputs, point):
+                if value not in domain:
+                    raise ValueOutOfDomain(f"input distribution uses {preview(value)} "
+                                           f"outside domain of {name!r}")
+        if population.variables == names:
+            return population
+        return Dist(names, population.integer_table)
+
+    @cached_property
+    def psem(self) -> ProbabilisticSem:
+        """`sem` under its exogenous input, validated: `data_joint` put over
+        R_1..R_n, or under attribute equations the population or else the
+        uniform input."""
+        sem, inputs = self.sem, self.population
+        exo = sem.exogenous
+        if not self.attribute_equations:
+            inputs = Dist(exo, self.data_joint.integer_table)
+        elif inputs is None:
+            inputs = Dist.uniform(exo, product(self.kernel.data_domain, repeat=len(exo)))
+        psem = ProbabilisticSem(sem, inputs)
+        psem.validate()
+        return psem
 
     def validate(self) -> None:
         """Check the attribute equations and the population against the
-        kernel, building only what a check would build anyway."""
-        if self.attribute_equations:
+        kernel, building only what a check would build anyway: under
+        attribute equations and no population only `sem`, which the uniform
+        input always fits."""
+        if not self.attribute_equations:
+            if self.population is not None:
+                self.data_joint
+        elif self.population is None:
+            self.sem
+        else:
             self.psem
-        elif self.population is not None:
-            self.data_joint
 
     def given(self, population: Dist | None) -> CanonicalModel:
         """This model under `population`: itself for None; an input that
-        already embeds a population takes no other."""
+        already embeds a population takes no other.  The new model keeps a
+        validated `sem`, which does not depend on the population."""
         if population is None:
             return self
         if self.population is not None:
-            raise ValidationError(
-                "input already embeds a population; do not pass another"
-            )
-        return CanonicalModel(self.kernel, self.attribute_equations, population)
-
-
-def data_population(kernel: MechanismKernel, population: Dist | None) -> Dist:
-    """The joint of D_1..D_n when no attribute equation ties the inputs
-    together (D_i := R_i): uniform for None, a joint over D_1..D_n as it is,
-    one over R_1..R_n renamed.  The one place a population is renamed or
-    defaulted; raises DomainMismatch for other variables and ValueOutOfDomain
-    for a value outside the data domain."""
-    names = data_point_names(kernel)
-    if population is None:
-        return Dist.uniform(names, kernel.databases())
-    inputs = input_names(kernel)
-    if population.variables not in (names, inputs):
-        raise DomainMismatch(
-            f"input distribution is over {preview(population.variables)}, "
-            f"model's exogenous variables are {inputs}"
-        )
-    domain = set(kernel.data_domain)
-    for point in population.integer_table[1]:
-        for name, value in zip(inputs, point):
-            if value not in domain:
-                raise ValueOutOfDomain(
-                    f"input distribution uses {preview(value)} outside domain "
-                    f"of {name!r}"
-                )
-    if population.variables == names:
-        return population
-    return Dist(names, population.integer_table)
+            raise ValidationError("input already embeds a population; do not pass another")
+        model = CanonicalModel(self.kernel, self.attribute_equations, population)
+        if "sem" in self.__dict__:
+            model.__dict__["sem"] = self.sem
+        return model
 
 
 def as_sem(
@@ -541,49 +572,9 @@ def as_sem(
     attribute_equations: Iterable[StochasticEquation] = (),
     exogenous_dist: Dist | None = None,
 ) -> ProbabilisticSem:
-    """Build the canonical release model for a kernel.
-
-    `attribute_equations` may only relate R variables to R variables; the
-    data points keep their identity equations D_i := R_i, so no data point
-    ever influences another.  `exogenous_dist` must cover exactly the R
-    variables left without an equation, in index order, and defaults to the
-    uniform one; with no attribute equations it is resolved by
-    `data_population`, so a joint over D_1..D_n names the same inputs.  The
-    population-free part of the model is built once per kernel and shared by
-    every call.
-    """
-    attr = tuple(attribute_equations)
-    r_names = [r_name(i) for i in range(1, kernel.n + 1)]
-    allowed = set(r_names)
-    for eq in attr:
-        if eq.target not in allowed:
-            raise UnknownVariable(
-                f"attribute equation targets {preview(eq.target)}; only true inputs "
-                f"{r_names} may be constrained"
-            )
-        bad = [p for p in eq.parents if p not in allowed]
-        if bad:
-            raise UnknownVariable(
-                f"attribute equation for {preview(eq.target)} uses non-input "
-                f"parents {preview(bad)}"
-            )
-    targets = [eq.target for eq in attr]
-    if len(set(targets)) != len(targets):
-        raise DomainMismatch(f"duplicate attribute equations for {preview(targets)}")
-
-    sem = kernel._canonical_sem
-    if attr:
-        equations = {eq.target: eq for eq in attr}
-        equations.update(sem.equations)
-        sem = Sem(sem.names, sem.domains, equations)
-    exo = sem.exogenous
-    if not attr:
-        exogenous_dist = Dist(exo, data_population(kernel, exogenous_dist).integer_table)
-    elif exogenous_dist is None:
-        exogenous_dist = Dist.uniform(exo, product(kernel.data_domain, repeat=len(exo)))
-    psem = ProbabilisticSem(sem, exogenous_dist)
-    psem.validate()
-    return psem
+    """The validated canonical release model of a kernel: the `psem` of its
+    `CanonicalModel`, which says what the equations and population become."""
+    return CanonicalModel(kernel, tuple(attribute_equations), exogenous_dist).psem
 
 
 def _build_canonical_sem(kernel: MechanismKernel) -> Sem:

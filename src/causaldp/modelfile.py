@@ -299,13 +299,14 @@ def _kernel_of_table(n: int, data_domain: tuple, null_value: Value,
 
     It accepts only what that walk accepts, and builds the same kernel:
     every entry and every cell a [key, value] pair; keys arrays of strings
-    and integers, no two equal; values strings, integers or such arrays
-    with no bool among them (`True == 1` would pass the comparison), which
-    taken together equal the output domain's JSON form once per row; every
-    weight a string `rational_terms` reads.  Each distinct weight string is
-    read once, its numerator put over the lcm L of the denominators as
-    written.  The constructor checks the databases, signs and sums, and
-    reduces the table."""
+    and integers, no two equal; values that taken together equal the output
+    domain's JSON form once per row; every weight a string `rational_terms`
+    reads.  `True == 1` would pass that comparison, so unless that form
+    is strings and arrays of strings, the values are walked to be strings,
+    integers or such arrays with no bool among them.  Each distinct weight
+    string is read once, its numerator put over the lcm L of the
+    denominators as written.  The constructor checks the databases, signs
+    and sums, and reduces the table."""
     if type(node) is not list or set(map(type, node)) != {list} or set(map(len, node)) != {2}:
         return None
     keys, cells = zip(*node)
@@ -320,12 +321,16 @@ def _kernel_of_table(n: int, data_domain: tuple, null_value: Value,
     values, weights = zip(*pairs)
     if values != tuple(map(value_to_json, output_domain)) * len(cells):
         return None
-    kinds = set(map(type, values))
-    if list in kinds:
-        arrays = values if kinds == {list} else [v for v in values if type(v) is list]
-        kinds.discard(list)
-        kinds.update(map(type, chain.from_iterable(arrays)))
-    if not _FLAT.issuperset(kinds) or set(map(type, weights)) != {str}:
+    flat = chain.from_iterable(o if type(o) is tuple else (o,) for o in output_domain)
+    if set(map(type, flat)) != {str}:  # only an int or a deeper array needs the walk
+        kinds = set(map(type, values))
+        if list in kinds:
+            arrays = values if kinds == {list} else [v for v in values if type(v) is list]
+            kinds.discard(list)
+            kinds.update(map(type, chain.from_iterable(arrays)))
+        if not _FLAT.issuperset(kinds):
+            return None
+    if set(map(type, weights)) != {str}:
         return None
     try:
         terms = {w: rational_terms(w) for w in set(weights)}

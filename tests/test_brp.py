@@ -237,18 +237,29 @@ def test_composition_premise_violation_detected():
 
 
 def test_compose_sequential_guards():
+    """Each requirement is refused with its own message, in the order the
+    docstring lists them."""
     first, second = demo_stages()
-    with pytest.raises(c.NotInSequence):
-        c.compose_sequential(first, second, "X", "Y1", "X")  # Y2 must be endo
-    with pytest.raises(c.NotInSequence):
-        c.compose_sequential(first, second, "X", "Z", "Y2")  # Y1 not in first
-    with pytest.raises(c.NotInSequence):
-        c.compose_sequential(second, second, "X", "Y1", "Y2")  # shared too big
+    # a first stage that also declares the second stage's Z, as an input
+    wide_first = Sem(first.names + ("Z",), {**first.domains, "Z": (0, 1)}, first.equations)
     bad_first = Sem(("X", "Y1"), {"X": (0, 1), "Y1": (0, 1, 2)},
                     eq_map(c.StochasticEquation.from_rows("Y1", ("X",),
                                                           {(0,): {0: F(1)}, (1,): {1: F(1)}})))
-    with pytest.raises(c.NotInSequence):
-        c.compose_sequential(bad_first, second, "X", "Y1", "Y2")  # domain clash
+    cases = [
+        ((first, second, "X", "Z", "Y2"), "'Z' missing from a stage model"),
+        ((first, second, "Y1", "Y1", "Y2"), "'Y1' must be an input of both stages"),
+        ((second, second, "X", "Y1", "Y2"), "'Y1' must be computed by the first stage"),
+        ((first, first, "X", "Y1", "Y1"), "'Y1' must be an input of the second stage"),
+        ((first, second, "X", "Y1", "X"), "'X' must be computed by the second stage"),
+        ((wide_first, second, "X", "Y1", "Y2"),
+         "stages may share only the input and the interface, got ['X', 'Y1', 'Z']"),
+        ((bad_first, second, "X", "Y1", "Y2"), "domains of 'Y1' disagree across stages"),
+    ]
+    for args, message in cases:
+        with pytest.raises(c.NotInSequence) as raised:
+            c.compose_sequential(*args)
+        assert type(raised.value) is c.NotInSequence
+        assert str(raised.value) == message
 
 
 def test_random_compositions_respect_product_bound():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
@@ -321,15 +322,32 @@ def _counting(monkeypatch, module, name) -> list:
     return calls
 
 
+def _counting_builds(monkeypatch, name) -> list:
+    """Wrap the cached property `CanonicalModel.name` for this test; returns
+    the list of the models it was built for.  A bare kernel's own model,
+    which every cross-checking engine on the kernel shares
+    (`MechanismKernel._uniform`), is not counted."""
+    calls = []
+    inner = vars(c.CanonicalModel)[name].func
+
+    def counted(model):
+        if model.attribute_equations or model.population is not None:
+            calls.append(model)
+        return inner(model)
+
+    built = cached_property(counted)
+    built.__set_name__(c.CanonicalModel, name)
+    monkeypatch.setattr(c.CanonicalModel, name, built)
+    return calls
+
+
 def test_a_canonical_model_file_builds_its_model_once(capsys, tmp_path, monkeypatch):
     """Parsing a `canonical_model` with attribute equations builds and
     validates its release model; the command reuses that model."""
-    import causaldp.mechanisms as mechanisms
-
     path = tmp_path / "ada.json"
     path.write_text(canonical_json(serialize_input(c.SCENARIOS["ada_byron"].build())),
                     encoding="utf-8")
-    built = _counting(monkeypatch, mechanisms, "as_sem")
+    built = _counting_builds(monkeypatch, "psem")
     for argv in (
         ("check", "bayesian0", str(path), "--target-ratio", "4/1"),
         ("check", "classic", str(path), "--target-ratio", "2/1"),
@@ -409,22 +427,51 @@ def test_a_population_reaches_run_check_the_same_way_by_every_route():
 def test_a_parsed_population_is_resolved_once(capsys, tmp_path, monkeypatch):
     """The data joint a `canonical_model` file is validated with is the one
     its check reads."""
-    import causaldp.mechanisms as mechanisms
-
     uniform = c.Dist.uniform(("D_1", "D_2"), [(a, b) for a in _DOM for b in _DOM])
     path = tmp_path / "model.json"
     path.write_text(_model_text(population=uniform), encoding="utf-8")
-    resolved = _counting(monkeypatch, mechanisms, "data_population")
+    resolved = _counting_builds(monkeypatch, "data_joint")
     assert run(capsys, "check", "bayesian0", str(path), "--target-ratio", "9/4")[0] == 0
     assert len(resolved) == 1
 
 
 def test_a_scenario_builds_its_release_model_once(monkeypatch):
-    import causaldp.mechanisms as mechanisms
-
-    built = _counting(monkeypatch, mechanisms, "as_sem")
+    built = _counting_builds(monkeypatch, "psem")
     c.SCENARIOS["ada_byron"].run()
     assert len(built) == 1
+
+
+def test_a_flag_population_keeps_the_parsed_attribute_graph(capsys, tmp_path, monkeypatch):
+    """A `canonical_model` with attribute equations and no population is
+    checked once when parsed; `--pop` completes that model, so its graph is
+    not checked again: the kernel's own graph and the attribute graph, two
+    checks in all."""
+    ada = c.SCENARIOS["ada_byron"].build()
+    path, pop = tmp_path / "ada.json", tmp_path / "pop.json"
+    path.write_text(canonical_json(serialize_input(
+        c.CanonicalModel(ada.kernel, ada.attribute_equations))), encoding="utf-8")
+    pop.write_text(canonical_json(serialize_input(ada.population)), encoding="utf-8")
+    checked = _counting(monkeypatch, c.Sem, "_check_equations")
+    code, out = run(capsys, "check", "bayesian0", str(path), "--target-ratio", "4/1",
+                    "--pop", str(pop))
+    assert (code, json.loads(out)["achieved"]) == (0, "4/1")
+    assert len(checked) == 2
+
+
+def test_a_cross_checked_scenario_resolves_its_population_once(monkeypatch):
+    """hidden_pair's cross-checks build its release model from the data
+    joint its closed forms read, so a run resolves (defaults, renames and
+    domain-checks) the scenario's population once, in
+    `CanonicalModel.data_joint`, whichever of the two is read first."""
+    scenario = c.SCENARIOS["hidden_pair"]
+    resolved = _counting_builds(monkeypatch, "data_joint")
+    scenario.run()
+    assert len(resolved) == 1
+    model = scenario.build()
+    model.psem
+    assert resolved[1:] == [model]
+    scenario.reports(model)
+    assert resolved[1:] == [model]
 
 
 # --- posterior command ------------------------------------------------------------
@@ -1195,3 +1242,25 @@ COMPOSITION_TEXT = """
   }
 }
 """
+
+
+def _composition(**changes) -> str:
+    """`COMPOSITION_TEXT` with `changes` to its top-level keys."""
+    return json.dumps({**json.loads(COMPOSITION_TEXT), **changes})
+
+
+_FIRST = json.loads(COMPOSITION_TEXT)["first"]
+
+
+@pytest.mark.parametrize("text, message", [
+    (_composition(x="Y1"), "'Y1' must be an input of both stages"),
+    (_composition(second=_FIRST, y2="Y1"), "'Y1' must be an input of the second stage"),
+    # the second stage's output declared in the first stage too, as an input
+    (_composition(first={**_FIRST, "variables": _FIRST["variables"] + [["Y2", [0, 1]]]}),
+     "stages may share only the input and the interface, got ['X', 'Y1', 'Y2']"),
+])
+def test_compose_refuses_stages_that_do_not_chain(capsys, tmp_path, text, message):
+    path = tmp_path / "comp.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["compose", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")

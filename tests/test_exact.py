@@ -66,6 +66,19 @@ def test_rational_terms_are_the_integers_as_written():
     assert rational_terms("0/7") == (0, 7)
 
 
+@pytest.mark.parametrize("node, shown", [(5, "int 5"), (None, "NoneType None"),
+                                         (["1/2"], "list ['1/2']"), (True, "bool True")])
+def test_rational_terms_refuses_a_non_string_at_its_location(node, shown):
+    """Every file reader checks for a string first, so only a direct call
+    reaches this refusal."""
+    with pytest.raises(ParseError) as raised:
+        rational_terms(node, "kernel.bias")
+    assert type(raised.value) is ParseError
+    assert (str(raised.value), raised.value.location) == (
+        f'expected a rational written as a string like "1/2", got {shown} '
+        f"(at kernel.bias)", "kernel.bias")
+
+
 def test_format_rational_always_shows_denominator():
     assert format_rational(Fraction(2)) == "2/1"
     assert format_rational(Fraction(6, 4)) == "3/2"

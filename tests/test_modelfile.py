@@ -435,6 +435,31 @@ def test_witness_from_json_refuses_a_non_object():
         ("witness must be an object (at replay.witness)", "replay.witness")
 
 
+@pytest.mark.parametrize("text, message, location", [
+    ('{"type": "sem", "variables": [], "equations": [5]}',
+     "expected an object, got int", "sem.equations[0]"),
+    ('{"type": "distribution", "variables": [1], "weights": []}',
+     "expected a string, got int 1", "distribution.variables[0]"),
+    ('{"type": "distribution", "variables": "A", "weights": []}',
+     "expected an array, got str", "distribution.variables"),
+    ('{"type": "distribution", "variables": ["A"], "weights": 5}',
+     "expected an array, got int", "distribution.weights"),
+])
+def test_a_node_of_the_wrong_kind_is_named_at_its_location(tmp_path, capsys, text,
+                                                           message, location):
+    """A non-object, a non-string, a non-array and a non-array of pairs:
+    each is a ValidationError at its node, and the CLI exits 4 with it."""
+    with pytest.raises(c.ValidationError) as raised:
+        parse_text(text)
+    assert type(raised.value) is c.ValidationError
+    assert (str(raised.value), raised.value.location) == \
+        (f"{message} (at {location})", location)
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["epsilon", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"error: {message} (at {location})\n")
+
+
 def test_an_unknown_builtin_is_named_at_its_location(tmp_path, capsys):
     text = '{"type": "kernel", "builtin": "nope"}'
     with pytest.raises(c.ValidationError) as raised:
