@@ -3,7 +3,8 @@
 An adversary with a prior over whole databases updates on the mechanism
 output.  Comparing the ordinary posterior with the posterior computed as if
 one data point had been forced to a chosen value measures how much the
-mechanism lets participation itself matter.
+mechanism lets participation itself matter.  Each function takes a
+`CanonicalModel`; the prior is its `data_joint`, resolved once per model.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ def _bayes(prior: Dist, joint: dict, zero_evidence: str) -> Dist:
     return Dist(prior.variables, (total, joint))
 
 
-def posterior(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
+def posterior(model: CanonicalModel, observation) -> Dist:
     """Belief over databases after seeing the output, by Bayes' rule.  The
-    prior is over the data points D_1..D_n or the true inputs R_1..R_n."""
-    prior = CanonicalModel(kernel, (), prior).data_joint
+    prior is the model's `data_joint`, the joint of D_1..D_n."""
+    kernel, prior = model.kernel, model.data_joint
     _check_observation(kernel, observation)
     return _bayes(
         prior,
@@ -67,11 +68,7 @@ def posterior(kernel: MechanismKernel, prior: Dist, observation) -> Dist:
 
 
 def posterior_under_intervention(
-    kernel: MechanismKernel,
-    prior: Dist,
-    point_index: int,
-    value,
-    observation,
+    model: CanonicalModel, point_index: int, value, observation
 ) -> Dist:
     """Belief over the original databases, had one point been forced.
 
@@ -80,7 +77,7 @@ def posterior_under_intervention(
     the output reveals when that point's true value was cut out of the
     mechanism.  The belief is still about the original, unforced data.
     """
-    prior = CanonicalModel(kernel, (), prior).data_joint
+    kernel, prior = model.kernel, model.data_joint
     _check_observation(kernel, observation)
     return _bayes(
         prior,
@@ -90,9 +87,7 @@ def posterior_under_intervention(
     )
 
 
-def semantic_gap(
-    kernel: MechanismKernel, prior: Dist, point_index: int, value
-) -> RatioBound:
+def semantic_gap(model: CanonicalModel, point_index: int, value) -> RatioBound:
     """Worst-case discrepancy between the two posteriors.
 
     Supremum over outputs realizable in both worlds and databases in the
@@ -103,7 +98,7 @@ def semantic_gap(
     the (forced, plain) posteriors over the support, as integers over the
     product of the two evidences.
     """
-    prior = CanonicalModel(kernel, (), prior).data_joint
+    kernel, prior = model.kernel, model.data_joint
     forcing = _forcing(kernel, point_index, value)
     support = [db for db in kernel.databases() if db in prior.integer_table[1]]
     observed, groups = [], []

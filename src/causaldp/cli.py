@@ -228,7 +228,7 @@ def _cmd_posterior(args) -> int:
         raise MissingPopulation(
             "provide --prior or an input that embeds a population"
         )
-    kernel, prior = given.kernel, given.data_joint
+    prior = given.data_joint
     observe = parse_value(args.observe, "--observe")
     if (args.force_point is None) != (args.force_value is None):
         raise ValidationError(
@@ -239,14 +239,12 @@ def _cmd_posterior(args) -> int:
         **report_header(input_digest(model)),
         "observation": value_to_json(observe),
         "prior": serialize_distribution(prior),
-        "posterior": serialize_distribution(posterior(kernel, prior, observe)),
+        "posterior": serialize_distribution(posterior(given, observe)),
     }
     if args.force_point is not None:
         value = parse_value(args.force_value, "--force-value")
-        forced = posterior_under_intervention(
-            kernel, prior, args.force_point, value, observe
-        )
-        gap = semantic_gap(kernel, prior, args.force_point, value)
+        forced = posterior_under_intervention(given, args.force_point, value, observe)
+        gap = semantic_gap(given, args.force_point, value)
         out.update(
             {
                 "forced_point": args.force_point,

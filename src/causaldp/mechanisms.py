@@ -4,13 +4,13 @@ A mechanism over n data points with finite data domain D and finite output
 domain O is given extensionally: one exact output distribution per database
 in D^n.  The canonical release model wires a kernel into a structural model
 
-    R_i -> D_i -> D -> O
+    R_i -> D_i -> O
 
 where R_i are the true inputs (exogenous unless an attribute equation ties
-one to others), D_i := R_i are the data points handed to the mechanism,
-D := (D_1, ..., D_n) collects them, and O applies the kernel.  Data points
-never influence one another; correlations between them can only come from
-the R side.
+one to others), D_i := R_i are the data points handed to the mechanism, and
+O applies the kernel to the database (D_1, ..., D_n).  Data points never
+influence one another; correlations between them can only come from the R
+side.
 
 A kernel is its integer table: every row over one common denominator L, as
 the row's numerators in output order.  The builtins build those integers
@@ -18,7 +18,7 @@ directly; a `Fraction` table comes in through `MechanismKernel.from_table`,
 which converts each distinct weight object once (`dist.integer_weights`).
 Either way the constructor checks the integers.  `MechanismKernel.row`
 reads a row as `Fraction` weights, and the canonical model's O equation is
-built from the integers themselves.
+the integer table itself, keyed by the same databases.
 """
 
 from __future__ import annotations
@@ -50,13 +50,11 @@ from .sem import (
     Sem,
     StochasticEquation,
     copy_equation,
-    deterministic_equation,
 )
 
 POS, NEG, NULL = "pos", "neg", "null"
 RESPONDENT_DOMAIN: tuple[str, ...] = (POS, NEG, NULL)
 
-DB_VAR = "D"
 OUTPUT_VAR = "O"
 
 
@@ -455,7 +453,7 @@ def classic_epsilon(kernel: MechanismKernel) -> RatioBound:
 
 @dataclass(frozen=True)
 class CanonicalModel:
-    """A kernel wired into the release graph R_i -> D_i -> D -> O, and the
+    """A kernel wired into the release graph R_i -> D_i -> O, and the
     one owner of what its inputs become, each built once per model, when
     first read, and shared by every engine and check on it.
 
@@ -578,19 +576,16 @@ def as_sem(
 
 
 def _build_canonical_sem(kernel: MechanismKernel) -> Sem:
-    """R_i -> D_i -> D -> O, whose O equation is the kernel's integer table
-    with zero numerators left out."""
+    """R_i -> D_i -> O, whose O equation is the kernel's integer table,
+    keyed by its own databases, with zero numerators left out."""
     r_names, d_names = list(input_names(kernel)), list(data_point_names(kernel))
     common, rows = kernel.integer_table
     outputs = kernel.output_domain
-    domains = {**dict.fromkeys(r_names + d_names, kernel.data_domain),
-               DB_VAR: tuple(rows), OUTPUT_VAR: outputs}
+    domains = {**dict.fromkeys(r_names + d_names, kernel.data_domain), OUTPUT_VAR: outputs}
     equations = {d: copy_equation(d, r, kernel.data_domain) for r, d in zip(r_names, d_names)}
-    equations[DB_VAR] = deterministic_equation(
-        DB_VAR, d_names, [kernel.data_domain] * kernel.n, lambda *vals: tuple(vals))
-    equations[OUTPUT_VAR] = StochasticEquation(OUTPUT_VAR, (DB_VAR,), (common, {
-        (db,): {o: p for o, p in zip(outputs, row) if p} for db, row in rows.items()}))
-    return Sem(tuple(r_names + d_names + [DB_VAR, OUTPUT_VAR]), domains, equations)
+    equations[OUTPUT_VAR] = StochasticEquation(OUTPUT_VAR, tuple(d_names), (common, {
+        db: {o: p for o, p in zip(outputs, row) if p} for db, row in rows.items()}))
+    return Sem(tuple(r_names + d_names + [OUTPUT_VAR]), domains, equations)
 
 
 def _disagreement(points: Iterable[tuple[int, Value]]) -> Callable:
@@ -603,9 +598,9 @@ def _disagreement(points: Iterable[tuple[int, Value]]) -> Callable:
 class CanonicalEngine:
     """Conditional and interventional output distributions of a canonical model.
 
-    O depends on the data only through D, so every answer mixes kernel rows,
-    and the associative and causal readings differ only in the mixing
-    weights.  Given the whole database, both read its kernel row (the
+    O's parents are D_1..D_n, so every answer mixes kernel rows, and the
+    associative and causal readings differ only in the mixing weights.
+    Given the whole database, both read its kernel row (the
     conditional only where the database has positive probability).  Given
     one point D_i = v, conditioning weighs the other points by their joint
     given D_i = v, while intervening weighs them by their undisturbed
@@ -742,7 +737,8 @@ class CanonicalEngine:
 
     @memoized
     def output_conditioned_on_db(self, db: tuple) -> KernelRow | None:
-        """Fr[O | D = db]: the kernel row, or None when P(D = db) = 0."""
+        """Fr[O | D_1..D_n = db]: the kernel row, or None when its
+        probability is 0."""
         row = self.kernel.row(db)
         return row if db in self.base_joint().integer_table[1] else None
 

@@ -140,35 +140,27 @@ def _at(loc: str, *path: int) -> str:
     return loc + "".join(f"[{k}]" for k in path)
 
 
-def _value(node: Any, loc: str, depth: int = 0) -> Value:
-    if isinstance(node, bool):
-        raise ValidationError("booleans are not domain values", loc)
-    if isinstance(node, (str, int)):
-        return node
-    if isinstance(node, list):
-        if depth == _MAX_VALUE_DEPTH:
-            raise ParseError(f"values nest deeper than {_MAX_VALUE_DEPTH} arrays", loc)
-        flat = tuple(node)
-        if _FLAT.issuperset(map(type, flat)):
-            return flat  # a flat array needs no per-element location
-        return tuple(_value(x, f"{loc}[{i}]", depth + 1) for i, x in enumerate(node))
-    raise ValidationError(
-        f"domain values are strings, integers, or arrays; got "
-        f"{type(node).__name__}", loc,
-    )
-
-
-def _value_at(node: Any, loc: str, *path: int) -> Value:
-    """`_value(node, _at(loc, *path))`; a string, an integer or a flat array
-    (the common table key and cell value) is read without its location."""
+def _value(node: Any, loc: str, *path: int, depth: int = 0) -> Value:
+    """The domain value of the JSON `node` at `_at(loc, *path)`, `depth`
+    arrays deep.  A string, an integer or a flat array (the common table key
+    and cell value) is read without its location."""
     kind = type(node)
     if kind is str or kind is int:
         return node
     if kind is list:
+        if depth == _MAX_VALUE_DEPTH:
+            raise ParseError(f"values nest deeper than {_MAX_VALUE_DEPTH} arrays",
+                             _at(loc, *path))
         flat = tuple(node)
         if _FLAT.issuperset(map(type, flat)):
             return flat
-    return _value(node, _at(loc, *path))
+        return tuple(_value(x, loc, *path, i, depth=depth + 1) for i, x in enumerate(node))
+    if kind is bool:
+        raise ValidationError("booleans are not domain values", _at(loc, *path))
+    raise ValidationError(
+        f"domain values are strings, integers, or arrays; got {kind.__name__}",
+        _at(loc, *path),
+    )
 
 
 def _rational(node: Any, loc: str) -> Fraction:
@@ -198,7 +190,7 @@ def _array(node: Any, loc: str) -> list:
 
 
 def _values(node: Any, loc: str) -> tuple[Value, ...]:
-    return tuple(_value_at(v, loc, i) for i, v in enumerate(_array(node, loc)))
+    return tuple(_value(v, loc, i) for i, v in enumerate(_array(node, loc)))
 
 
 def _pairs(node: Any, loc: str, *path: int) -> list:
@@ -223,7 +215,7 @@ def _table(node: Any, loc: str, what: str, cell: Callable) -> dict:
     table: dict[tuple, Any] = {}
     weights: dict[str, Fraction] = {}
     for i, (key_node, cell_node) in enumerate(_pairs(node, loc)):
-        key = _value_at(key_node, loc, i, 0)
+        key = _value(key_node, loc, i, 0)
         if not isinstance(key, tuple):
             raise ValidationError(f"{what} keys must be arrays", _at(loc, i, 0))
         if key in table:
@@ -244,27 +236,13 @@ def _weight(node: Any, weights: dict[str, Fraction], loc: str, *path: int) -> Fr
 
 
 def _row(node: Any, weights: dict[str, Fraction], loc: str, *path: int) -> dict:
-    """An array of [value, "p/q"] pairs, as a dict.  This loop runs once per
-    kernel cell, so the common cell (a string, integer or flat-array value
-    and a weight string the table has read before) is read inline, without
-    the calls of `_value_at` and `_weight`."""
+    """An array of [value, "p/q"] pairs, as a dict."""
     row: dict[Value, Fraction] = {}
     for j, (v_node, w_node) in enumerate(_pairs(node, loc, *path)):
-        kind = type(v_node)
-        if kind is list:
-            v = tuple(v_node)
-            if not _FLAT.issuperset(map(type, v)):
-                v = _value(v_node, _at(loc, *path, j, 0))
-        elif kind is str or kind is int:
-            v = v_node
-        else:
-            v = _value(v_node, _at(loc, *path, j, 0))
+        v = _value(v_node, loc, *path, j, 0)
         if v in row:
             raise ValidationError(f"duplicate value {preview(v)}", _at(loc, *path, j))
-        w = weights.get(w_node) if type(w_node) is str else None
-        if w is None:
-            w = weights[w_node] = _rational(w_node, _at(loc, *path, j, 1))
-        row[v] = w
+        row[v] = _weight(w_node, weights, loc, *path, j, 1)
     return row
 
 

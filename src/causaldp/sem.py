@@ -21,8 +21,10 @@ their ancestors in the current, possibly intervened, graph; every other
 variable is barren for the query and summing it out contributes exactly one.
 The enumeration runs in integers over a running common denominator, from
 each equation's integer table.  The enumeration is the oracle's own; its
-input is not: the canonical release model's O equation is the kernel's
-integer table, checked again by the equation's constructor.
+input is not: the canonical release model's O equation, over the parents
+D_1..D_n, is the kernel's integer table keyed by the kernel's own
+databases, checked again by the equation's constructor and by
+`Sem.validate`.
 `ProbabilisticSem.lift` returns its cells as the integer table of a `Dist`,
 whose constructor checks in integers that they sum to that denominator.
 

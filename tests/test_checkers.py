@@ -129,7 +129,7 @@ def break_oracle_row(k, db):
     one."""
     sem = k._canonical_sem
     out = sem.equations["O"]
-    rows = {**out.rows, (db,): {(c.POS,) * k.n: F(1)}}
+    rows = {**out.rows, db: {(c.POS,) * k.n: F(1)}}
     equations = {**sem.equations, "O": c.StochasticEquation.from_rows("O", out.parents, rows)}
     k.__dict__["_canonical_sem"] = c.Sem(sem.names, sem.domains, equations)
     k.__dict__.pop("_uniform", None)
@@ -463,8 +463,8 @@ def test_only_cross_checks_and_attribute_equations_build_the_model():
         c.run_check(did, k, F(2), pop, cross_check=False)
     c.run_check(DId.WHOLE_DB_UNIVERSAL, k, F(2), cross_check=False)
     c.falsify_bayesian0(k, F(2), search_budget=2)
-    c.posterior(k, pop, (c.POS, c.POS))
-    c.semantic_gap(k, pop, 1, c.NULL)
+    c.posterior(model(k, pop), (c.POS, c.POS))
+    c.semantic_gap(model(k, pop), 1, c.NULL)
     assert "_canonical_sem" not in k.__dict__
 
     engine = c.CanonicalEngine(model(k, pop), cross_check=True)

@@ -514,6 +514,22 @@ def test_posterior_force_flags_must_pair(capsys, rr_file, tmp_path):
     assert code == 4
 
 
+def test_a_posterior_resolves_its_prior_once(capsys, rr_file, tmp_path, monkeypatch):
+    """The plain posterior, the forced one and the semantic gap all read the
+    one model the command completes with its prior."""
+    prior = tmp_path / "prior.json"
+    prior.write_text(canonical_json(serialize_input(
+        c.Dist.uniform(("D_1", "D_2"),
+                       [(a, b) for a in ("pos", "neg") for b in ("pos", "neg")])
+    )), encoding="utf-8")
+    resolved = _counting_builds(monkeypatch, "data_joint")
+    code, _ = run(capsys, "posterior", rr_file, "--prior", str(prior),
+                  "--observe", '["pos", "neg"]', "--force-point", "1",
+                  "--force-value", '"pos"')
+    assert code == 0
+    assert len(resolved) == 1
+
+
 def test_posterior_on_a_prior_over_other_names_exits_four(capsys, tmp_path):
     prior = tmp_path / "prior.json"
     prior.write_text(canonical_json(serialize_input(

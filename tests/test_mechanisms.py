@@ -374,11 +374,10 @@ def test_kernel_rows_must_sum_to_one():
 def test_as_sem_structure_and_order():
     k = c.randomized_response_kernel(2, F(2, 3))
     psem = c.as_sem(k)
-    assert psem.sem.names == ("R_1", "R_2", "D_1", "D_2", "D", "O")
+    assert psem.sem.names == ("R_1", "R_2", "D_1", "D_2", "O")
     assert psem.sem.exogenous == ("R_1", "R_2")
     assert psem.sem.parents_of("D_1") == ("R_1",)
-    assert psem.sem.parents_of("D") == ("D_1", "D_2")
-    assert psem.sem.parents_of("O") == ("D",)
+    assert psem.sem.parents_of("O") == ("D_1", "D_2")
 
 
 def test_as_sem_default_population_is_iid_uniform():

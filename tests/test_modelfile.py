@@ -150,6 +150,18 @@ def _sem_rows(rows):
 FAIR = [["h", "1/2"], ["t", "1/2"]]
 COIN = [[0, "1/2"], [1, "1/2"]]
 
+
+def _nested(depth):
+    """0 inside `depth` arrays."""
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# a value may nest 32 arrays deep: the 33rd is named at its own location
+TOO_DEEP = "[0]" * 32
+
 # (input, exception class, location, class of the model error it wraps)
 MALFORMED_TABLES = {
     "kernel duplicate key": (
@@ -247,6 +259,12 @@ MALFORMED_TABLES = {
     "equation point of wrong width": (
         _sem_rows([[[0], COIN], [[1, 0], COIN]]),
         c.ValidationError, "sem.equations[0]", c.DomainMismatch),
+    "equation value nested too deeply": (
+        _sem_rows([[[0], [[_nested(33), "1"]]], [[1], COIN]]),
+        c.ParseError, "sem.equations[0].rows[0][1][0][0]" + TOO_DEEP, None),
+    "kernel sparse row value nested too deeply": (
+        _kernel_table([[[0], [[_nested(33), "1"]]], [[1], FAIR]]),
+        c.ParseError, "kernel.table[0][1][0][0]" + TOO_DEEP, None),
 }
 
 

@@ -428,7 +428,7 @@ def _oracle_conditional(joint: Dist, event: dict) -> dict | None:
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3),
        st.integers(1, 3), st.data())
 def test_conditional_closed_forms_equal_the_oracle(rng, n, dom_size, out_size, data):
-    """Conditioning on D or on one D_i mixes kernel rows by the data joint
+    """Conditioning on D_1..D_n or on one D_i mixes kernel rows by the data joint
     given the event: exactly the wide joint conditioned and marginalized,
     and None exactly where that conditioning has probability zero.  With
     attribute equations, the model itself and the population it induces
@@ -446,7 +446,7 @@ def test_conditional_closed_forms_equal_the_oracle(rng, n, dom_size, out_size, d
     )
     for joint in oracles:
         for db in kernel.databases():
-            want = _oracle_conditional(joint, {c.DB_VAR: db})
+            want = _oracle_conditional(joint, dict(zip(c.data_point_names(kernel), db)))
             assert engine.output_conditioned_on_db(db) == want
         for i in range(1, n + 1):
             for v in kernel.data_domain:
@@ -852,11 +852,11 @@ def gap_queries(draw) -> tuple:
 
 def _gap_rows(kernel, prior, point, value) -> dict:
     """(plain, forced) posterior weights per output with nonzero evidence."""
-    rows = {}
+    rows, model = {}, c.CanonicalModel(kernel, (), prior)
     for o in kernel.output_domain:
         try:
-            plain = c.posterior(kernel, prior, o)
-            forced = c.posterior_under_intervention(kernel, prior, point, value, o)
+            plain = c.posterior(model, o)
+            forced = c.posterior_under_intervention(model, point, value, o)
         except c.ZeroEvidence:
             continue
         rows[o] = plain.weights, forced.weights
@@ -888,7 +888,8 @@ def test_semantic_gap_equals_the_reference_folds(query):
                   (plain, forced, {"o": o, "direction": "plain_over_forced"})]
     support = [d for d in kernel.databases() if prior.weight_of(d)]
     documented, _ = _reference_sweep(support, pairs, "d")
-    gap = c.semantic_gap(kernel, prior, point, value)
+    model = c.CanonicalModel(kernel, (), prior)
+    gap = c.semantic_gap(model, point, value)
     assert (gap.value, type(gap.value)) \
         == (first_written.value, type(first_written.value))
     assert _same(gap, documented)
@@ -896,9 +897,8 @@ def test_semantic_gap_equals_the_reference_folds(query):
         assert gap.value == 1
         return
     w = gap.witness
-    plain = c.posterior(kernel, prior, w["o"]).weight_of(w["d"])
-    forced = c.posterior_under_intervention(kernel, prior, point, value,
-                                            w["o"]).weight_of(w["d"])
+    plain = c.posterior(model, w["o"]).weight_of(w["d"])
+    forced = c.posterior_under_intervention(model, point, value, w["o"]).weight_of(w["d"])
     ratio = ratio_divide(*((forced, plain) if w["direction"] == "forced_over_plain"
                            else (plain, forced)))
     assert ratio == gap.value
@@ -1095,11 +1095,14 @@ def test_a_row_reads_the_integer_table(kernel_and_table, builtin):
 @given(kernels_with_zero_entries(), builtin_kernels())
 def test_the_oracle_reads_the_kernel_integer_table(kernel_and_table, builtin):
     """The canonical model's O equation is the kernel's integer table, zero
-    numerators left out: its rows are the kernel's rows, one per database."""
+    numerators left out: its rows are the kernel's rows, keyed by the
+    kernel's own databases over the parents D_1..D_n."""
     for kernel in (kernel_and_table[0], builtin):
         eq = kernel._canonical_sem.equations["O"]
+        assert eq.parents == c.data_point_names(kernel)
         assert eq.integer_table[0] == kernel.integer_table[0]
-        assert eq.rows == {(db,): dict(kernel.row(db)) for db in kernel.databases()}
+        assert eq.integer_table[1].keys() == kernel.integer_table[1].keys()
+        assert eq.rows == {db: dict(kernel.row(db)) for db in kernel.databases()}
 
 
 @given(st.integers(0, 2), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
